@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -101,7 +101,6 @@ class BoostRound:
     model: object  # RoundModel
     alpha: float
     err: float
-    train_predictions: np.ndarray
 
 
 @dataclass
@@ -111,6 +110,11 @@ class BoostEnsemble:
     sharing_mode: str
     rounds: list[BoostRound]
     shared_trunk: Optional[enc.ModelSnapshot] = None
+    # (n, M, K) per-round probabilities of the training and dev sets that
+    # boost_train ran on, so that its callers score no round model again;
+    # None on a loaded ensemble (and dev_probs without a dev set)
+    train_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    dev_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rounds:
@@ -127,14 +131,25 @@ class BoostEnsemble:
         return np.array([r.alpha for r in self.rounds], dtype=np.float64)
 
     def predict_proba_per_round(self, dataset) -> np.ndarray:
-        """(n, M, K) eval-mode softmax rows for every round."""
+        """(n, M, K) eval-mode softmax rows for every round.
+
+        This is where round models are scored; callers score a dataset once
+        and hand the tensor to vote, fusion and distillation. Under weight
+        sharing every head sits on the same trunk, which then runs once per
+        chunk for all M heads.
+        """
+        if self.sharing_mode == "sharing":
+            if any(r.model.trunk is not self.shared_trunk for r in self.rounds):
+                raise ValueError("every head must be bound to the ensemble's shared trunk")
+            trunk = enc.model_from_snapshot(self.shared_trunk)
+            heads = [r.model.head_params() for r in self.rounds]
+            return trunk.predict_proba_heads(dataset.packed, heads)
         per_round = [r.model.predict_proba(dataset) for r in self.rounds]
         return np.stack(per_round, axis=1)
 
-    def vote_scores(self, dataset, mode: str = "soft") -> np.ndarray:
-        """Alpha-weighted scores: soft sums alpha * p, discrete sums
-        alpha * one_hot(argmax p)."""
-        probs = self.predict_proba_per_round(dataset)  # (n, M, K)
+    def vote_scores(self, probs: np.ndarray, mode: str = "soft") -> np.ndarray:
+        """Alpha-weighted scores of an (n, M, K) tensor: soft sums alpha * p,
+        discrete sums alpha * one_hot(argmax p)."""
         if mode == "soft":
             contrib = probs
         elif mode == "discrete":
@@ -170,9 +185,14 @@ class BoostEnsemble:
         return ensemble_from_bytes(Path(path).read_bytes())
 
 
-def vote_predict(ensemble: BoostEnsemble, dataset, mode: str = "soft"):
-    """(label ids, score vectors); argmax ties break to the lowest index."""
-    scores = ensemble.vote_scores(dataset, mode=mode)
+def vote_predict(ensemble: BoostEnsemble, dataset=None, mode: str = "soft", *,
+                 probs: Optional[np.ndarray] = None):
+    """(label ids, score vectors) over ``probs``, the (n, M, K) tensor of
+    ``predict_proba_per_round``, or over ``dataset`` scored now; argmax ties
+    break to the lowest index."""
+    if probs is None:
+        probs = ensemble.predict_proba_per_round(dataset)
+    scores = ensemble.vote_scores(probs, mode=mode)
     return scores.argmax(axis=1), scores
 
 
@@ -196,9 +216,11 @@ def boost_train(
     ``sharing_mode`` and an optional ``finalize(rounds)`` hook (used by
     weight sharing to re-bind heads to the final trunk).
 
-    Returns the ensemble and one log record per round:
-    {m, err, alpha, train_acc, dev_acc, weight_sum} (+ ``weights_after``
-    when ``record_weights``). Raises BoostingError if no round beats chance.
+    Returns the ensemble, carrying the (n, M, K) probabilities of
+    ``dataset`` and ``dev`` in ``train_probs`` and ``dev_probs``, and one log
+    record per round: {m, err, alpha, train_acc, dev_acc, weight_sum}
+    (+ ``weights_after`` when ``record_weights``). Raises BoostingError if no
+    round beats chance.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -207,6 +229,8 @@ def boost_train(
     K = dataset.K
     w = init_weights_uniform(n)
     kept: list[BoostRound] = []
+    train_probs: list[np.ndarray] = []
+    dev_probs: list[np.ndarray] = []
     log: list[dict] = []
     for m in range(1, rounds + 1):
         model = learner.fit_round(m, dataset, w, seed)
@@ -222,14 +246,18 @@ def boost_train(
             break
         w_next = update_weights(w, preds, labels, alpha)
         _check_weight_update(w, w_next, preds, labels, alpha)
-        kept.append(BoostRound(index=m, model=model, alpha=alpha, err=err,
-                               train_predictions=preds))
+        kept.append(BoostRound(index=m, model=model, alpha=alpha, err=err))
+        train_probs.append(probs)
+        dev_acc = None
+        if dev is not None:
+            dev_probs.append(model.predict_proba(dev))
+            dev_acc = float((dev_probs[-1].argmax(axis=1) == dev.labels).mean() * 100.0)
         entry = {
             "m": m,
             "err": err,
             "alpha": alpha,
             "train_acc": float((preds == labels).mean() * 100.0),
-            "dev_acc": _dev_accuracy(model, dev),
+            "dev_acc": dev_acc,
             "weight_sum": float(w_next.sum()),
         }
         if record_weights:
@@ -248,6 +276,16 @@ def boost_train(
         rounds=kept,
         shared_trunk=getattr(learner, "final_trunk", None),
     )
+    if ensemble.sharing_mode == "sharing":
+        # finalize re-bound every head to the last trunk, so the rows scored
+        # in the loop are stale for all rounds but the last
+        ensemble.train_probs = ensemble.predict_proba_per_round(dataset)
+        if dev is not None:
+            ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
+    else:
+        ensemble.train_probs = np.stack(train_probs, axis=1)
+        if dev is not None:
+            ensemble.dev_probs = np.stack(dev_probs, axis=1)
     return ensemble, log
 
 
@@ -263,13 +301,6 @@ def _check_weight_update(w, w_next, preds, labels, alpha) -> None:
         after = np.sum(w_next[wrong]) / total
         if not after > before:
             raise AssertionError("misclassified weight mass did not increase")
-
-
-def _dev_accuracy(model, dev) -> Optional[float]:
-    if dev is None:
-        return None
-    probs = model.predict_proba(dev)
-    return float((probs.argmax(axis=1) == dev.labels).mean() * 100.0)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +341,11 @@ class SharedHeadRoundModel:
     def predict_proba(self, dataset) -> np.ndarray:
         model = enc.model_from_snapshot(self.bound_snapshot())
         return model.predict_proba(dataset.packed)
+
+    def head_params(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cls.w, cls.b) views of the head vector."""
+        K = self.trunk.config.K
+        return self.head[:-K].reshape(-1, K), self.head[-K:]
 
 
 def _extract_head(snapshot: enc.ModelSnapshot) -> np.ndarray:
@@ -502,7 +538,7 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
             rounds.append(BoostRound(
                 index=rm["index"],
                 model=StumpRoundModel(stump=Stump.from_dict(sd), K=header["K"]),
-                alpha=rm["alpha"], err=rm["err"], train_predictions=np.array([]),
+                alpha=rm["alpha"], err=rm["err"],
             ))
     elif header["sharing_mode"] == "sharing":
         shared_trunk = enc.ModelSnapshot.from_bytes(blobs[0])
@@ -510,13 +546,13 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
             head = np.frombuffer(hb, dtype="<f8").astype(np.float64)
             rounds.append(BoostRound(
                 index=rm["index"], model=SharedHeadRoundModel(head=head, trunk=shared_trunk),
-                alpha=rm["alpha"], err=rm["err"], train_predictions=np.array([]),
+                alpha=rm["alpha"], err=rm["err"],
             ))
     else:
         for rm, sb in zip(meta, blobs):
             rounds.append(BoostRound(
                 index=rm["index"], model=NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)),
-                alpha=rm["alpha"], err=rm["err"], train_predictions=np.array([]),
+                alpha=rm["alpha"], err=rm["err"],
             ))
     return BoostEnsemble(
         K=header["K"],

@@ -382,15 +382,18 @@ def run_boost_pipeline(
     ensemble, round_log = boosting.boost_train(
         train_ds, learner, cfg.data["boost"]["rounds"], cfg.seed, dev=bundle.dev
     )
+    # boost_train scored every round on both splits; nothing is scored again
     head, fusion_log = fusion_mod.train_fusion(
-        ensemble, train_ds, bundle.dev, cfg.fusion_cfg(), cfg.seed
+        ensemble, train_ds, bundle.dev, cfg.fusion_cfg(), cfg.seed,
+        train_probs=ensemble.train_probs, dev_probs=ensemble.dev_probs,
     )
 
     vote_mode = cfg.data["boost"]["vote"]
-    vote_preds, _ = boosting.vote_predict(ensemble, bundle.dev, mode=vote_mode)
-    fusion_preds, _ = fusion_mod.fusion_predict(ensemble, head, bundle.dev)
-    single_model = enc.model_from_snapshot(learner.round1_snapshot)
-    single_acc = enc.evaluate_accuracy(single_model, bundle.dev)
+    vote_preds, _ = boosting.vote_predict(ensemble, mode=vote_mode, probs=ensemble.dev_probs)
+    fusion_preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=ensemble.dev_probs)
+    # the round-1 model as trained, scored on dev inside boost_train (under
+    # weight sharing its head has since moved onto the final trunk)
+    single_acc = round_log[0]["dev_acc"]
     return {
         "ensemble": ensemble,
         "head": head,
@@ -529,11 +532,13 @@ def cmd_fusion(args) -> int:
     cfg.validate()
     bundle = prepare_task(cfg)
     ensemble = boosting.BoostEnsemble.load(ens_path)
+    dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
-        ensemble, bundle.train, bundle.dev, cfg.fusion_cfg(), cfg.seed
+        ensemble, bundle.train, bundle.dev, cfg.fusion_cfg(), cfg.seed,
+        train_probs=ensemble.predict_proba_per_round(bundle.train), dev_probs=dev_probs,
     )
     head.save(run_dir / "fusion.bgf")
-    preds, _ = fusion_mod.fusion_predict(ensemble, head, bundle.dev)
+    preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=dev_probs)
     acc = _accuracy(preds, bundle.dev)
     record = MetricsRecord(
         run_id=f"fusion-{cfg.hash()[:12]}",
@@ -674,11 +679,12 @@ def cmd_eval(args) -> int:
     reports: dict[str, dict] = {}
     if (model_dir / "ensemble.bge").exists():
         ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
-        preds, _ = boosting.vote_predict(ensemble, dataset, mode=args.vote)
+        probs = ensemble.predict_proba_per_round(dataset)
+        preds, _ = boosting.vote_predict(ensemble, mode=args.vote, probs=probs)
         reports["boost_vote"] = _classification_report(preds, dataset)
         if (model_dir / "fusion.bgf").exists():
             head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
-            fpreds, _ = fusion_mod.fusion_predict(ensemble, head, dataset)
+            fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)
             reports["boost_fusion"] = _classification_report(fpreds, dataset)
     elif (model_dir / "model.bgv").exists():
         snap = enc.ModelSnapshot.load(model_dir / "model.bgv")

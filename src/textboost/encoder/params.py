@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,29 +28,30 @@ class ParamLayout:
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
+    @cached_property
+    def _spans(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        """name -> (start, stop, shape) in the flat vector, computed once per layout."""
+        out: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        offset = 0
+        for name, shape in self.entries:
+            size = int(np.prod(shape))
+            out[name] = (offset, offset + size, shape)
+            offset += size
+        return out
+
+    @cached_property
     def total(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.entries)
+        return sum(stop - start for start, stop, _ in self._spans.values())
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         if flat.shape != (self.total,):
             raise ValueError(f"parameter vector has {flat.shape}, layout wants ({self.total},)")
-        out: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in self.entries:
-            size = int(np.prod(shape))
-            out[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        return {name: flat[start:stop].reshape(shape)
+                for name, (start, stop, shape) in self._spans.items()}
 
     def slice_of(self, name: str) -> slice:
-        offset = 0
-        for n, shape in self.entries:
-            size = int(np.prod(shape))
-            if n == name:
-                return slice(offset, offset + size)
-            offset += size
-        raise KeyError(name)
+        start, stop, _ = self._spans[name]
+        return slice(start, stop)
 
     def table(self) -> list[list]:
         return [[name, list(shape)] for name, shape in self.entries]

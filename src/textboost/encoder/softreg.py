@@ -56,8 +56,12 @@ class SoftmaxRegressionModel:
         return nnops.softmax_rows(logits)
 
     def predict_proba(self, batch: Packed, chunk: int = 4096) -> np.ndarray:
-        del chunk
-        return self.forward_probs(batch)
+        """Eval-mode probabilities, chunked so that one chunk's (rows, V)
+        count matrix is alive at a time."""
+        out = np.empty((batch.n, self.config.K), dtype=np.float64)
+        for idx, part in batch.chunks(chunk):
+            out[idx] = self.forward_probs(part)
+        return out
 
     def clf_loss_and_grad(
         self,

@@ -23,6 +23,14 @@ from .params import ModelSnapshot, init_param_vector, transformer_layout
 _NEG_BIAS = -1e30  # additive mask for padded key positions
 
 
+def head_probs(cls_h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Softmax rows of the linear classification head over CLS rows."""
+    logits = cls_h @ w + b
+    if not np.isfinite(logits).all():
+        raise DivergenceError("classification head")
+    return nnops.softmax_rows(logits)
+
+
 class TransformerModel:
     """Mutable working model around a flat float64 parameter vector."""
 
@@ -169,19 +177,33 @@ class TransformerModel:
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
         """Per-example softmax over the K classes; rows sum to 1."""
         h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng)
-        logits = h[:, 0, :] @ self.p["cls.w"] + self.p["cls.b"]
-        if not np.isfinite(logits).all():
-            raise DivergenceError("classification head")
-        return nnops.softmax_rows(logits)
+        return head_probs(h[:, 0, :], self.p["cls.w"], self.p["cls.b"])
+
+    def cls_rows(self, batch: Packed) -> np.ndarray:
+        """Eval-mode (B, d_model) CLS rows of the last layer, as a view into
+        its hidden states; the rest of the forward cache is dropped on return."""
+        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None)
+        return h[:, 0, :]
 
     def predict_proba(self, batch: Packed, chunk: int = 256) -> np.ndarray:
         """Eval-mode probabilities, chunked over large inputs."""
-        if batch.n <= chunk:
-            return self.forward_probs(batch)
         out = np.empty((batch.n, self.config.K), dtype=np.float64)
-        for start in range(0, batch.n, chunk):
-            idx = np.arange(start, min(start + chunk, batch.n))
-            out[idx] = self.forward_probs(batch.take(idx))
+        for idx, part in batch.chunks(chunk):
+            out[idx] = self.forward_probs(part)
+        return out
+
+    def predict_proba_heads(
+        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]], chunk: int = 256
+    ) -> np.ndarray:
+        """(n, M, K) eval-mode probabilities of M (w, b) classification heads
+        over this trunk: one trunk pass per chunk serves every head, and each
+        head's rows equal ``predict_proba`` of the model carrying that head."""
+        out = np.empty((batch.n, len(heads), self.config.K), dtype=np.float64)
+        for idx, part in batch.chunks(chunk):
+            cls_h = self.cls_rows(part)
+            for m, (w, b) in enumerate(heads):
+                out[idx, m] = head_probs(cls_h, w, b)
+            del cls_h  # a view that keeps the chunk's last hidden states alive
         return out
 
     # ------------------------------------------------------------------

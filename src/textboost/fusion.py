@@ -148,9 +148,13 @@ class FusionHead:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-def build_feature(ensemble: BoostEnsemble, dataset) -> np.ndarray:
-    """(n, M*K) matrix of alpha-scaled, round-ordered softmax blocks."""
-    probs = ensemble.predict_proba_per_round(dataset)  # (n, M, K)
+def build_feature(ensemble: BoostEnsemble, dataset=None, *,
+                  probs: Optional[np.ndarray] = None) -> np.ndarray:
+    """(n, M*K) matrix of alpha-scaled, round-ordered softmax blocks, from
+    ``probs`` (the (n, M, K) tensor of ``predict_proba_per_round``) or from
+    ``dataset`` scored now."""
+    if probs is None:
+        probs = ensemble.predict_proba_per_round(dataset)
     scaled = ensemble.alphas[None, :, None] * probs
     return scaled.reshape(probs.shape[0], -1)
 
@@ -166,17 +170,22 @@ def train_fusion(
     dev_ds,
     cfg: FusionConfig,
     seed: int,
+    *,
+    train_probs: Optional[np.ndarray] = None,
+    dev_probs: Optional[np.ndarray] = None,
 ) -> tuple[FusionHead, list[dict]]:
     """Train the fusion MLP on frozen base outputs.
 
     Unweighted cross-entropy over the training split, Adam, early stopping
     on dev accuracy with the configured patience; the best-dev parameters
-    are returned. Asserts the base parameters are byte-identical before and
-    after (the bases are never part of this optimization).
+    are returned. ``train_probs`` / ``dev_probs`` are the splits' (n, M, K)
+    tensors when the caller has them; a split without one is scored here.
+    Asserts the base parameters are byte-identical before and after (the
+    bases are never part of this optimization).
     """
     digest_before = ensemble.params_digest()
-    feats_train = build_feature(ensemble, train_ds)
-    feats_dev = build_feature(ensemble, dev_ds) if dev_ds is not None else None
+    feats_train = build_feature(ensemble, train_ds, probs=train_probs)
+    feats_dev = build_feature(ensemble, dev_ds, probs=dev_probs) if dev_ds is not None else None
 
     rng = np.random.default_rng([seed, 21])
     head = FusionHead(head_dims(ensemble, cfg), ensemble_hash=ensemble.content_hash(), seed=rng)
@@ -226,12 +235,17 @@ def train_fusion(
     return head, log
 
 
-def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset):
-    """(label ids, probability rows) from the fusion head."""
+def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
+                   probs: Optional[np.ndarray] = None):
+    """(label ids, probability rows) from the fusion head, over ``probs`` (the
+    (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
+    now. A head bound to another ensemble is rejected."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
         raise ValueError(
             f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
         )
-    probs = head.probs(build_feature(ensemble, dataset))
-    return probs.argmax(axis=1), probs
+    if head.ensemble_hash and head.ensemble_hash != ensemble.content_hash():
+        raise ValueError("fusion head was trained for a different ensemble")
+    fused = head.probs(build_feature(ensemble, dataset, probs=probs))
+    return fused.argmax(axis=1), fused

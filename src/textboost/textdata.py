@@ -244,6 +244,16 @@ class Packed:
             weights=self.weights[index],
         )
 
+    def chunks(self, size: int):
+        """(row index, sub-batch) pairs of at most ``size`` rows, in order; a
+        batch that fits is yielded whole."""
+        if self.n <= size:
+            yield slice(None), self
+            return
+        for start in range(0, self.n, size):
+            idx = np.arange(start, min(start + size, self.n))
+            yield idx, self.take(idx)
+
 
 def pack(examples: Sequence[EncodedExample]) -> Packed:
     if not examples:

@@ -198,10 +198,8 @@ class TestVotePredict:
                 return self.probs
 
         rounds = [
-            boosting.BoostRound(index=1, model=Fixed(p1), alpha=a1, err=0.2,
-                                train_predictions=np.array([])),
-            boosting.BoostRound(index=2, model=Fixed(p2), alpha=a2, err=0.3,
-                                train_predictions=np.array([])),
+            boosting.BoostRound(index=1, model=Fixed(p1), alpha=a1, err=0.2),
+            boosting.BoostRound(index=2, model=Fixed(p2), alpha=a2, err=0.3),
         ]
         return boosting.BoostEnsemble(K=K, learner_kind="stump", sharing_mode="privacy",
                                       rounds=rounds)
@@ -304,6 +302,71 @@ class TestNeuralBoosting:
         cfg = enc.SoftregConfig(vocab_size=16, K=3)
         with pytest.raises(ValueError, match="sharing"):
             boosting.NeuralBoostLearner(cfg, enc.TrainConfig(), "random", sharing_mode="sharing")
+
+
+class TestScoredOnce:
+    """Rounds are scored once per dataset; the tensor matches the per-round path."""
+
+    @staticmethod
+    def per_round(ens, dataset):
+        return np.stack([r.model.predict_proba(dataset) for r in ens.rounds], axis=1)
+
+    @staticmethod
+    def sharing_ensemble(config, M=3):
+        rng = np.random.default_rng(11)
+        trunk = enc.new_model(config, seed=[11, 0]).snapshot("random")
+        rounds = [
+            boosting.BoostRound(
+                index=m + 1, alpha=1.0 + 0.5 * m, err=0.2,
+                model=boosting.SharedHeadRoundModel(
+                    head=rng.normal(size=config.d_model * config.K + config.K), trunk=trunk),
+            )
+            for m in range(M)
+        ]
+        return boosting.BoostEnsemble(K=config.K, learner_kind="transformer",
+                                      sharing_mode="sharing", rounds=rounds, shared_trunk=trunk)
+
+    def test_sharing_trunk_pass_equals_per_round_models_across_chunks(self, tiny_config):
+        dataset = make_token_dataset(np.random.default_rng(4), n=300)  # two 256-row chunks
+        ens = self.sharing_ensemble(tiny_config)
+        assert np.array_equal(ens.predict_proba_per_round(dataset), self.per_round(ens, dataset))
+
+    def test_vote_and_fusion_equal_the_per_round_path(self, tiny_config):
+        from textboost import fusion
+
+        dataset = make_token_dataset(np.random.default_rng(5), n=300)
+        ens = self.sharing_ensemble(tiny_config)
+        old = self.per_round(ens, dataset)
+        for mode in ("soft", "discrete"):
+            preds, scores = boosting.vote_predict(ens, dataset, mode=mode)
+            old_preds, old_scores = boosting.vote_predict(ens, mode=mode, probs=old)
+            assert np.array_equal(preds, old_preds) and np.array_equal(scores, old_scores)
+        head = fusion.FusionHead(fusion.head_dims(ens, fusion.FusionConfig()),
+                                 ensemble_hash=ens.content_hash(), seed=0)
+        preds, probs = fusion.fusion_predict(ens, head, dataset)
+        assert np.array_equal(probs, head.probs(fusion.build_feature(ens, probs=old)))
+        assert np.array_equal(preds, probs.argmax(axis=1))
+
+    def test_heads_on_another_trunk_rejected(self, tiny_config):
+        ens = self.sharing_ensemble(tiny_config)
+        other = enc.new_model(tiny_config, seed=[12, 0]).snapshot("random")
+        ens.rounds[0].model = boosting.SharedHeadRoundModel(head=ens.rounds[0].model.head,
+                                                            trunk=other)
+        with pytest.raises(ValueError, match="shared trunk"):
+            ens.predict_proba_per_round(make_token_dataset(np.random.default_rng(6), n=8))
+
+    @pytest.mark.parametrize("sharing_mode", ["privacy", "sharing"])
+    def test_boost_train_hands_back_the_final_ensembles_rows(self, tiny_config, sharing_mode):
+        rng = np.random.default_rng(7)
+        train, dev = make_token_dataset(rng, n=96), make_token_dataset(rng, n=40)
+        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random",
+                                              sharing_mode=sharing_mode)
+        ens, log = boosting.boost_train(train, learner, 3, seed=2, dev=dev)
+        assert np.array_equal(ens.train_probs, self.per_round(ens, train))
+        assert np.array_equal(ens.dev_probs, self.per_round(ens, dev))
+        # round 1's dev accuracy is that of the round-1 model as trained
+        single = enc.evaluate_accuracy(enc.model_from_snapshot(learner.round1_snapshot), dev)
+        assert log[0]["dev_acc"] == single
 
 
 class TestEnsembleSerialization:

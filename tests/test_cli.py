@@ -129,6 +129,49 @@ class TestTrainBoost:
         assert a == b
 
 
+class TestScoredOnce:
+    def test_pipeline_scores_no_round_model_after_boosting(self, task_dir, tmp_path,
+                                                           monkeypatch):
+        from textboost import boosting, fusion
+        from textboost import encoder as enc
+
+        cfg_path = write_config(
+            tmp_path / "config.json", task_dir, tmp_path / "out", learner="softreg",
+            boost={"rounds": 3, "init_strategy": "random", "sharing_mode": "privacy",
+                   "vote": "soft"},
+        )
+        cfg = cli.RunConfig.load(cfg_path)
+        cfg.validate()
+        bundle = cli.prepare_task(cfg)
+        real_boost_train = boosting.boost_train
+        real_predict = boosting.NeuralRoundModel.predict_proba
+        late_calls = []
+
+        def counting_predict(model, dataset):
+            late_calls.append(dataset)
+            return real_predict(model, dataset)
+
+        def boost_then_count(*args, **kwargs):
+            out = real_boost_train(*args, **kwargs)
+            monkeypatch.setattr(boosting.NeuralRoundModel, "predict_proba", counting_predict)
+            return out
+
+        monkeypatch.setattr(boosting, "boost_train", boost_then_count)
+        result = cli.run_boost_pipeline(cfg, bundle)
+        assert late_calls == []
+
+        # the accuracies of scoring every round model again
+        ens, head, dev = result["ensemble"], result["head"], bundle.dev
+        vote_preds, _ = boosting.vote_predict(ens, dev)
+        fusion_preds, _ = fusion.fusion_predict(ens, head, dev)
+        single = enc.model_from_snapshot(result["single_snapshot"])
+        assert result["accuracies"] == {
+            "single": enc.evaluate_accuracy(single, dev),
+            "boost_vote": float((vote_preds == dev.labels).mean() * 100.0),
+            "boost_fusion": float((fusion_preds == dev.labels).mean() * 100.0),
+        }
+
+
 class TestEval:
     def test_eval_on_training_set_matches_round_log(self, boost_run, task_dir, capsys):
         _, _, run_dir = boost_run

@@ -134,3 +134,11 @@ class TestSoftreg:
         counts = enc.token_counts(batch, cfg.vocab_size)
         assert counts[0].sum() == batch.lengths[0]
         assert counts[:, 0].sum() == 0  # PAD column empty
+
+    def test_chunked_scoring_equals_one_pass(self):
+        cfg = enc.SoftregConfig(vocab_size=20, K=3)
+        model = enc.SoftmaxRegressionModel(cfg, seed=0)
+        batch = random_batch(np.random.default_rng(2), B=23)
+        # a chunk boundary can move BLAS onto another kernel: last-ulp tolerance
+        np.testing.assert_allclose(model.predict_proba(batch, chunk=5),
+                                   model.forward_probs(batch), rtol=1e-12, atol=0.0)

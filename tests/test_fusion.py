@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,7 @@ def fixed_ensemble(per_round_probs, alphas, K=2):
             return {"probs": self.probs.tolist()}
 
     rounds = [
-        boosting.BoostRound(index=i + 1, model=Fixed(p), alpha=a, err=0.2,
-                            train_predictions=np.array([]))
+        boosting.BoostRound(index=i + 1, model=Fixed(p), alpha=a, err=0.2)
         for i, (p, a) in enumerate(zip(per_round_probs, alphas))
     ]
     return boosting.BoostEnsemble(K=K, learner_kind="stump", sharing_mode="privacy",
@@ -127,6 +128,23 @@ class TestTrainFusion:
         wrong = fusion.FusionHead((4, 3), seed=0)
         with pytest.raises(ValueError, match="features"):
             fusion.fusion_predict(ens, wrong, dev)
+
+    def test_head_of_another_ensemble_rejected(self, stump_setup):
+        train, dev, ens = stump_setup
+        # same rounds and M*K, other alphas: another ensemble, another hash
+        other = boosting.BoostEnsemble(
+            K=ens.K, learner_kind=ens.learner_kind, sharing_mode=ens.sharing_mode,
+            rounds=[dataclasses.replace(r, alpha=2.0 * r.alpha) for r in ens.rounds],
+        )
+        cfg = fusion.FusionConfig(max_epochs=2)
+        head, _ = fusion.train_fusion(ens, train, dev, cfg, seed=4)
+        other_head, _ = fusion.train_fusion(other, train, dev, cfg, seed=4)
+        fusion.fusion_predict(ens, head, dev)
+        fusion.fusion_predict(other, other_head, dev)
+        with pytest.raises(ValueError, match="different ensemble"):
+            fusion.fusion_predict(ens, other_head, dev)
+        with pytest.raises(ValueError, match="different ensemble"):
+            fusion.fusion_predict(other, head, dev)
 
     def test_prediction_deterministic_and_order_independent(self, stump_setup):
         train, dev, ens = stump_setup
