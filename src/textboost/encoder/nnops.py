@@ -26,23 +26,25 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C0 * (x + _GELU_C1 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(u))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU. Returns (y, t) with t = tanh(u), which ``gelu_grad``
+    takes back so that the backward needs no second tanh."""
+    t = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C0 * (x + _GELU_C1 * x**3)
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x**2)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, given ``t`` as returned by ``gelu(x)``."""
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * (x * x))
 
 
 def ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """LayerNorm over the last axis. Returns (y, cache)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # the same sum and divide as x.var, without centring x a second time
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_sigma
+    xhat = np.multiply(xc, inv_sigma, out=xc)
     return gamma * xhat + beta, (xhat, inv_sigma)
 
 

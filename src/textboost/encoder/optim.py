@@ -23,11 +23,27 @@ class Adam:
         self.m = np.zeros(n_params, dtype=np.float64)
         self.v = np.zeros(n_params, dtype=np.float64)
         self.t = 0
+        # work buffers for the update; m, v and params are updated in place
+        self._s1 = np.empty(n_params, dtype=np.float64)
+        self._s2 = np.empty(n_params, dtype=np.float64)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One update, in place; each operation rounds as in
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        params -= lr * m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        s1 *= grad
+        v += s1
+        np.divide(m, 1.0 - self.beta1**self.t, out=s1)
+        np.divide(v, 1.0 - self.beta2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 *= self.lr
+        s1 /= s2
+        params -= s1

@@ -60,7 +60,11 @@ class TransformerModel:
     # forward
     # ------------------------------------------------------------------
     def _trunk_forward(self, ids: np.ndarray, segs: np.ndarray, lengths: np.ndarray,
-                       train: bool, rng) -> tuple[np.ndarray, dict]:
+                       train: bool, rng,
+                       keep_cache: bool = False) -> tuple[np.ndarray, Optional[dict]]:
+        """Last hidden states (B, L, d), and the cache ``_trunk_backward``
+        needs when ``keep_cache``; else None, so that a forward-only pass
+        does not hold every layer's activations until it returns."""
         cfg, p = self.config, self.p
         B, L = ids.shape
         if L > cfg.max_seq_len:
@@ -95,17 +99,21 @@ class TransformerModel:
             h1, ln1_cache = nnops.ln_forward(h_in + attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
 
             act_in = h1 @ p[f"{pre}.w1"] + p[f"{pre}.b1"]
-            act = nnops.gelu(act_in)
+            act, act_t = nnops.gelu(act_in)
             ffn = act @ p[f"{pre}.w2"] + p[f"{pre}.b2"]
             ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng)
             h, ln2_cache = nnops.ln_forward(h1 + ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             if not np.isfinite(h).all():
                 raise DivergenceError(f"encoder layer {l}")
-            layer_caches.append({
-                "h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
-                "ctx": ctx, "attn_mask": attn_mask, "ln1": ln1_cache, "h1": h1,
-                "act_in": act_in, "act": act, "ffn_mask": ffn_mask, "ln2": ln2_cache,
-            })
+            if keep_cache:
+                layer_caches.append({
+                    "h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
+                    "ctx": ctx, "attn_mask": attn_mask, "ln1": ln1_cache, "h1": h1,
+                    "act_in": act_in, "act": act, "act_t": act_t, "ffn_mask": ffn_mask,
+                    "ln2": ln2_cache,
+                })
+        if not keep_cache:
+            return h, None
         cache = {
             "ids": ids, "segs": segs, "L": L, "B": B,
             "emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches,
@@ -132,7 +140,7 @@ class TransformerModel:
             g[f"{pre}.w2"] += act2d.T @ d_ffn2d
             g[f"{pre}.b2"] += d_ffn2d.sum(axis=0)
             d_act = d_ffn @ p[f"{pre}.w2"].T
-            d_actin = d_act * nnops.gelu_grad(c["act_in"])
+            d_actin = d_act * nnops.gelu_grad(c["act_in"], c["act_t"])
             h1_2d = c["h1"].reshape(-1, d)
             d_actin2d = d_actin.reshape(-1, cfg.d_ffn)
             g[f"{pre}.w1"] += h1_2d.T @ d_actin2d
@@ -238,7 +246,8 @@ class TransformerModel:
         else:
             t = targets.astype(np.float64)
 
-        h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng)
+        h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
+                                       keep_cache=True)
         cls_h = h[:, 0, :]
         logits = cls_h @ self.p["cls.w"] + self.p["cls.b"]
         probs = nnops.softmax_rows(logits)
@@ -266,7 +275,7 @@ class TransformerModel:
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy at masked positions; mean over all masked slots."""
         segs = np.zeros_like(ids)
-        h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng)
+        h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True)
         hm = h[mask_rows, mask_cols]  # (N, d)
         logits = hm @ self.p["mlm.w"] + self.p["mlm.b"]
         probs = nnops.softmax_rows(logits)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from textboost import encoder as enc
+from textboost.encoder import nnops
 from textboost.textdata import Packed
 
 from conftest import random_batch
-from reference_forward import reference_probs
+from reference_forward import GELU_C0, GELU_C1, reference_probs
+from reference_forward import _gelu as reference_gelu
 
 
 @pytest.fixture
@@ -53,6 +55,29 @@ class TestForward:
             )
             assert np.max(np.abs(probs[i] - want)) < 1e-10
 
+    def test_gelu_matches_reference(self):
+        """``x*x*x`` in the kernel against the reference's ``x**3``: one
+        rounding apart at most."""
+        x = np.concatenate([np.linspace(-12.0, 12.0, 4801), [0.0, 1e-9, -1e-9, 40.0, -40.0]])
+        y, t = nnops.gelu(x)
+        assert np.all(np.abs(y - reference_gelu(x)) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+        assert np.all(np.abs(t - np.tanh(GELU_C0 * (x + GELU_C1 * x**3))) <= 1e-15)
+
+    def test_layer_norm_variance_equals_numpy_var(self):
+        """Centring once and averaging squares rounds exactly as ``x.var``:
+        LayerNorm is bit-equal to its textbook form."""
+        rng = np.random.default_rng(11)
+        for shape, scale in (((4, 7, 8), 1.0), ((32, 24, 32), 3.0), ((3, 5, 16), 1e3)):
+            x = rng.normal(0.5, scale, size=shape)
+            gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+            y, (xhat, inv_sigma) = nnops.ln_forward(x, gamma, beta)
+            var = x.var(axis=-1, keepdims=True)
+            want_inv = 1.0 / np.sqrt(var + nnops.LN_EPS)
+            want_xhat = (x - x.mean(axis=-1, keepdims=True)) * want_inv
+            assert inv_sigma.tobytes() == want_inv.tobytes()
+            assert xhat.tobytes() == want_xhat.tobytes()
+            assert y.tobytes() == (gamma * want_xhat + beta).tobytes()
+
     def test_padding_does_not_change_output(self, model):
         rng = np.random.default_rng(4)
         batch = random_batch(rng, B=3, L=6)
@@ -72,6 +97,18 @@ class TestForward:
         c = model.forward_probs(batch, train_mode=True, rng=np.random.default_rng(10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_forward_only_pass_keeps_no_cache(self, model):
+        """Scoring keeps no layer activations, and computes the same bytes
+        (and draws the same dropout) as the pass a backward follows."""
+        b = random_batch(np.random.default_rng(12))
+        for train in (False, True):
+            h, cache = model._trunk_forward(b.ids, b.segs, b.lengths, train,
+                                            np.random.default_rng(4))
+            h_kept, kept = model._trunk_forward(b.ids, b.segs, b.lengths, train,
+                                                np.random.default_rng(4), keep_cache=True)
+            assert cache is None and len(kept["layers"]) == model.config.n_layers
+            assert h.tobytes() == h_kept.tobytes()
 
     def test_over_length_batch_rejected(self, model):
         batch = random_batch(np.random.default_rng(6), L=13)

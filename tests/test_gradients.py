@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from textboost import encoder as enc
+from textboost.encoder import nnops
 
 from conftest import random_batch
 from gradcheck import REL_TOL, check_group
@@ -57,6 +58,19 @@ def test_mlm_gradients_every_group(model):
         worst = check_group(model.params, loss_fn, grad, model.layout.slice_of(name),
                             rng, max_checks=10)
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
+
+
+def test_gelu_grad_matches_central_differences():
+    """``gelu_grad(x, t)`` with the forward's tanh, over [-12, 12]: the
+    curved middle, 0, and both tails where tanh rounds to +-1."""
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2401), [0.0, -1e-7, 1e-7, -5.5, 5.5]])
+    h = 1e-5
+    fd = (nnops.gelu(x + h)[0] - nnops.gelu(x - h)[0]) / (2.0 * h)
+    _, t = nnops.gelu(x)
+    grad = nnops.gelu_grad(x, t)
+    np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-8)
+    assert grad[x == 0.0][0] == 0.5
+    assert np.all(grad[x <= -10.0] == 0.0) and np.all(grad[x >= 10.0] == 1.0)
 
 
 def test_soft_target_gradients(model, batch):

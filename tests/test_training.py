@@ -11,6 +11,47 @@ def dataset():
     return make_token_dataset(np.random.default_rng(0), n=96)
 
 
+class TestAdam:
+    @staticmethod
+    def reference_steps(params, grads, lrs, beta1=0.9, beta2=0.999, eps=1e-12):
+        """The textbook out-of-place update, one new array per operation."""
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
+        params = params.copy()
+        for t, (grad, lr) in enumerate(zip(grads, lrs), start=1):
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        return params, m, v
+
+    def test_in_place_step_bit_equal_to_reference(self):
+        rng = np.random.default_rng(3)
+        n, steps = 257, 8
+        start = rng.normal(size=n)
+        # gradients from tiny (boosting weights of 1/n) to large
+        grads = [rng.normal(size=n) * 10.0 ** rng.integers(-9, 3) for _ in range(steps)]
+        lrs = [3e-3 * min(1.0, (i + 1) / 3) for i in range(steps)]
+        params = start.copy()
+        opt = enc.Adam(n, lr=lrs[0])
+        for grad, lr in zip(grads, lrs):
+            opt.lr = lr
+            opt.step(params, grad)
+        want, m, v = self.reference_steps(start, grads, lrs)
+        assert params.tobytes() == want.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+    def test_moments_updated_in_place(self):
+        opt = enc.Adam(5, lr=1e-3)
+        m, v, params = opt.m, opt.v, np.ones(5)
+        grad = np.arange(5.0)
+        opt.step(params, grad)
+        opt.step(params, grad)
+        assert opt.m is m and opt.v is v
+        assert np.array_equal(grad, np.arange(5.0))
+
+
 class TestTrain:
     def test_deterministic_bit_identical(self, tiny_config, dataset):
         def run():
