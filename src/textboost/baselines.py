@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import encoder as enc
+from .boosting import ALPHA_TOL
 from .textdata import LabeledDataset
 
 
@@ -170,7 +171,8 @@ def samme_oracle(features: np.ndarray, labels: np.ndarray, M: int, K: int) -> li
     Re-implements the whole loop from scratch: uniform 1/n weights, the
     weighted-error ratio, alpha = ln((1-err)/err) + ln(K-1) with the same
     1e-6 err clamp as the engine, and the unnormalized exp(alpha) weight
-    inflation on mistakes. Stops early if a round's alpha is not positive.
+    inflation on mistakes. Stops early if a round's alpha is not above the
+    engine's ``ALPHA_TOL``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -211,7 +213,7 @@ def samme_oracle(features: np.ndarray, labels: np.ndarray, M: int, K: int) -> li
             warnings.warn(f"oracle err={err} clamped", RuntimeWarning)
         err_c = min(max(err, eps), 1.0 - eps)
         alpha = float(np.log((1.0 - err_c) / err_c) + np.log(K - 1))
-        if alpha <= 0.0:
+        if alpha <= ALPHA_TOL:
             break
         w = w * np.exp(alpha * wrong)
         rounds.append(OracleRound(
@@ -256,7 +258,6 @@ def bag_train(
         raise ValueError("bagging needs at least 2 learning rates")
     members: list[enc.ModelSnapshot] = []
     log: list[dict] = []
-    uniform = np.ones(dataset.n, dtype=np.float64)
     for lr in learning_rates:
         if pretrained is not None:
             ctx = enc.InitContext(config=config, seed=[seed, 11], pretrained=pretrained)
@@ -267,7 +268,7 @@ def bag_train(
         member_cfg = enc.TrainConfig(
             lr=lr, batch_size=train_cfg.batch_size, epochs=train_cfg.epochs
         )
-        snap, tlog = enc.train(model, dataset, member_cfg, [seed, 12], weights=uniform)
+        snap, tlog = enc.train(model, dataset, member_cfg, [seed, 12])
         if any(rec.get("event") == "diverged" for rec in tlog):
             warnings.warn(f"bagging member at lr={lr} diverged; dropped", RuntimeWarning)
             log.append({"lr": lr, "status": "diverged"})

@@ -5,8 +5,8 @@ it with the current instance weights multiplied into the per-example loss
 (never renormalized), records its training-set predictions in eval mode,
 computes the weighted error and the multi-class alpha
 ``ln((1-err)/err) + ln(K-1)``, and inflates the weights of misclassified
-examples by ``exp(alpha)``. Rounds whose alpha is not positive are
-discarded and boosting stops early.
+examples by ``exp(alpha)``. Rounds whose alpha is not above ``ALPHA_TOL``
+are discarded and boosting stops early.
 
 Two parameter regimes are supported: weight privacy (every round owns a
 full model) and weight sharing (one trunk evolves across rounds; each round
@@ -27,6 +27,9 @@ import numpy as np
 from . import encoder as enc
 
 ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
+# alpha at or below this is chance level up to rounding: at err = (K-1)/K
+# the formula can come out a few ulps above 0 (2.2e-16 for K=3)
+ALPHA_TOL = 1e-12
 
 ENSEMBLE_MAGIC = b"BGE1"
 
@@ -238,7 +241,7 @@ def boost_train(
         preds = probs.argmax(axis=1)
         err = weighted_error(preds, labels, w)
         alpha = compute_alpha(err, K)
-        if alpha <= 0.0:
+        if alpha <= ALPHA_TOL:
             log.append({
                 "m": m, "err": err, "alpha": alpha, "train_acc": None,
                 "dev_acc": None, "weight_sum": float(w.sum()), "event": "discarded",
@@ -423,10 +426,7 @@ class NeuralBoostLearner:
         else:
             start = enc.new_model(self.config, seed=_round_seed(seed, 0, 2)).snapshot("random")
         model = enc.model_from_snapshot(start)
-        snap, _ = enc.train(
-            model, dataset, self.train_cfg, _round_seed(seed, 0, 3),
-            weights=np.ones(dataset.n, dtype=np.float64),
-        )
+        snap, _ = enc.train(model, dataset, self.train_cfg, _round_seed(seed, 0, 3))
         return snap
 
     # -- per-round fitting ----------------------------------------------
@@ -515,17 +515,21 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
     if blob[:4] != ENSEMBLE_MAGIC:
         raise ValueError("bad ensemble magic (expected BGE1)")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8 : 8 + hlen].decode())
-    pos = 8 + hlen
-    (n_blobs,) = struct.unpack("<I", blob[pos : pos + 4])
-    pos += 4
-    blobs: list[bytes] = []
-    for _ in range(n_blobs):
-        (size,) = struct.unpack("<Q", blob[pos : pos + 8])
-        pos += 8
-        blobs.append(blob[pos : pos + size])
+    pos = 4
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise ValueError("ensemble file truncated")
         pos += size
+        return blob[pos - size : pos]
+
+    (hlen,) = struct.unpack("<I", take(4))
+    header = json.loads(take(hlen).decode())
+    (n_blobs,) = struct.unpack("<I", take(4))
+    blobs = [take(struct.unpack("<Q", take(8))[0]) for _ in range(n_blobs)]
+    if pos != len(blob):
+        raise ValueError(f"ensemble file has {len(blob) - pos} trailing bytes")
 
     kind = header["learner_kind"]
     meta = header["rounds"]

@@ -145,8 +145,8 @@ def distill_train(
 
     Per-step targets are ``lam * onehot(gold) + (1 - lam) * teacher`` (the
     two cross-entropies are linear in the target distribution, so the mix
-    is exact). The best-dev snapshot is returned when a dev set is given;
-    a divergence also falls back to it.
+    is exact). The best-dev snapshot is returned when a dev set is given,
+    also after a divergence.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (dataset.n, dataset.K):
@@ -158,46 +158,20 @@ def distill_train(
     model = enc.model_from_snapshot(start)
 
     rng = np.random.default_rng([seed, 32])
-    opt = enc.Adam(model.params.size, lr=cfg.lr)
-    warmup = max(1, int(round(0.1 * cfg.total_steps)))
     packed = dataset.packed
     onehot = np.zeros((dataset.n, dataset.K), dtype=np.float64)
     onehot[np.arange(dataset.n), dataset.labels] = 1.0
 
-    best_params = model.params.copy()
-    best_acc = -np.inf
-    log: list[dict] = []
-    step = 0
-    while step < cfg.total_steps:
-        order = rng.permutation(dataset.n)
-        for start_i in range(0, dataset.n, cfg.batch_size):
-            if step >= cfg.total_steps:
-                break
-            idx = order[start_i : start_i + cfg.batch_size]
-            lam = annealed_lambda(step, cfg.total_steps)
-            mixed = lam * onehot[idx] + (1.0 - lam) * targets[idx]
-            opt.lr = cfg.lr * min(1.0, (step + 1) / warmup)
-            batch = packed.take(idx)
-            try:
-                loss, _, grad = model.clf_loss_and_grad(
-                    batch, mixed, np.ones(idx.size), train_mode=True, rng=rng
-                )
-            except enc.DivergenceError:
-                loss = np.nan
-            if not np.isfinite(loss):
-                log.append({"step": step, "loss": None, "lambda": lam, "event": "diverged"})
-                if np.isfinite(best_acc):  # fall back to the best-dev student
-                    model.params[:] = best_params
-                return model.snapshot("finetuned"), log
-            opt.step(model.params, grad)
-            step += 1
-            log.append({"step": step, "loss": loss, "lambda": lam})
-        if dev is not None:
-            acc = enc.evaluate_accuracy(model, dev)
-            log.append({"step": step, "dev_acc": acc})
-            if acc > best_acc:
-                best_acc = acc
-                best_params = model.params.copy()
-    if dev is not None:
-        model.params[:] = best_params
+    def loss_and_grad(idx, step):
+        lam = annealed_lambda(step, cfg.total_steps)
+        mixed = lam * onehot[idx] + (1.0 - lam) * targets[idx]
+        loss, _, grad = model.clf_loss_and_grad(packed.take(idx), mixed, train_mode=True, rng=rng)
+        return loss, grad, {"lambda": lam}
+
+    def after_pass(step):
+        return {"step": step, "dev_acc": enc.evaluate_accuracy(model, dev)}
+
+    log = enc.fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
+                       lr=cfg.lr, warmup=0.1, steps=cfg.total_steps,
+                       after_pass=after_pass if dev is not None else None)
     return model.snapshot("finetuned"), log

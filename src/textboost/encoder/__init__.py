@@ -9,7 +9,7 @@ from .params import HEAD_NAMES, ModelSnapshot, ParamLayout, layout_for, xavier_l
 from .softreg import SoftmaxRegressionModel, token_counts
 from .training import (
     evaluate_accuracy,
-    forward,
+    fit_loop,
     gradients,
     mlm_masked_accuracy,
     model_from_snapshot,
@@ -37,7 +37,7 @@ __all__ = [
     "config_from_dict",
     "config_hash",
     "evaluate_accuracy",
-    "forward",
+    "fit_loop",
     "gradients",
     "init_weights",
     "layout_for",

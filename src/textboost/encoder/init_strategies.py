@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .config import config_hash
-from .params import HEAD_NAMES, ModelSnapshot, layout_for, xavier_limit
+from .params import ModelSnapshot, layout_for, xavier_limit
 
 
 class InitStrategy(str, Enum):
@@ -91,5 +91,3 @@ def init_weights(strategy: InitStrategy, ctx: InitContext) -> ModelSnapshot:
 
     raise ValueError(f"unknown strategy {strategy}")
 
-
-HEAD_PARAM_NAMES = HEAD_NAMES

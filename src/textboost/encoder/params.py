@@ -183,11 +183,16 @@ class ModelSnapshot:
     def from_bytes(cls, blob: bytes) -> "ModelSnapshot":
         if blob[:4] != CHECKPOINT_MAGIC:
             raise ValueError("bad checkpoint magic (expected BGV1)")
+        if len(blob) < 8:
+            raise ValueError("checkpoint truncated")
         (hlen,) = struct.unpack("<I", blob[4:8])
         header = json.loads(blob[8 : 8 + hlen].decode())
         cfg = config_from_dict(header["config"])
         count = header["param_count"]
-        params = np.frombuffer(blob[8 + hlen :], dtype="<f8", count=count).astype(np.float64)
+        if len(blob) != 8 + hlen + 8 * count:
+            raise ValueError(f"checkpoint has {len(blob) - 8 - hlen} payload bytes, "
+                             f"its header promises {8 * count}")
+        params = np.frombuffer(blob[8 + hlen :], dtype="<f8").astype(np.float64)
         snap = cls(config=cfg, params=params, role=header["role"])
         if snap.config_hash != header["config_hash"]:
             raise ValueError("config hash mismatch in checkpoint")

@@ -73,9 +73,7 @@ class SoftmaxRegressionModel:
     ) -> tuple[float, np.ndarray, np.ndarray]:
         del train_mode, rng
         B = batch.n
-        if weights is None:
-            weights = batch.weights
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
         targets = np.asarray(targets)
         if targets.ndim == 1:
             t = np.zeros((B, self.config.K), dtype=np.float64)

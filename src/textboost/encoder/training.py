@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset, Packed
+from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
 from . import nnops
 from .config import EncoderConfig, SoftregConfig, TrainConfig
 from .nnops import DivergenceError
@@ -35,24 +35,6 @@ def model_from_snapshot(snap: ModelSnapshot):
     raise ValueError(f"unknown snapshot kind {snap.kind!r}")
 
 
-def forward(model, batch, train_mode: bool = False, rng=None) -> np.ndarray:
-    """Softmax distributions for a Packed batch, LabeledDataset, or example list."""
-    packed = _as_packed(batch)
-    if train_mode:
-        return model.forward_probs(packed, train_mode=True, rng=rng)
-    return model.predict_proba(packed)
-
-
-def _as_packed(batch) -> Packed:
-    if isinstance(batch, Packed):
-        return batch
-    if isinstance(batch, LabeledDataset):
-        return batch.packed
-    from ..textdata import pack
-
-    return pack(batch)
-
-
 def weighted_ce_loss(
     probs: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -77,13 +59,91 @@ def weighted_ce_loss(
 
 def gradients(model, batch, labels=None, weights=None) -> np.ndarray:
     """Analytic gradient of the weighted CE loss, dropout disabled."""
-    packed = _as_packed(batch)
+    packed = batch.packed if isinstance(batch, LabeledDataset) else batch
     if labels is None:
         labels = packed.labels
     if weights is not None and not (np.asarray(weights) > 0).all():
         raise ValueError("weights must be strictly positive")
     _, _, g = model.clf_loss_and_grad(packed, labels, weights, train_mode=False)
     return g
+
+
+def fit_loop(
+    params: np.ndarray,
+    n: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    loss_and_grad: Callable,
+    *,
+    lr: float,
+    warmup: float = 0.0,
+    epochs: Optional[int] = None,
+    steps: Optional[int] = None,
+    after_pass: Optional[Callable[[int], dict]] = None,
+    patience: Optional[int] = None,
+) -> list[dict]:
+    """The one optimizer loop: Adam over shuffled mini-batches of ``range(n)``.
+
+    Each pass walks a fresh permutation of ``range(n)`` in ``batch_size``
+    slices until ``epochs`` passes or ``steps`` updates are done (give
+    exactly one cap).
+    Update ``step`` (0-based) runs at ``lr * min(1, (step + 1) / w)``, where
+    ``w`` is ``warmup`` times the number of updates, at least 1.
+    ``loss_and_grad(idx, step)`` returns ``(loss, grad)`` for the rows
+    ``idx``, optionally followed by a dict of extra fields for the step's
+    record; ``params`` is updated in place.
+
+    Returns the log, one ``{"step", "loss", "lr"}`` record per update, where
+    ``step`` counts the updates done. A ``DivergenceError`` or a non-finite
+    loss or gradient ends the run with one ``{"step", "loss": None, "lr",
+    "event": "diverged"}`` record and ``params`` at the last finite update.
+
+    ``after_pass(step)``, when given, runs after every pass that did not
+    diverge (a pass cut short by the step cap included) and returns a record
+    for the log; its ``dev_acc``, when present, scores the pass. The
+    parameters of the first best-scoring pass are restored at the end, also
+    after a divergence, and the run stops once more than ``patience`` passes
+    in a row have not beaten the best.
+    """
+    if (epochs is None) == (steps is None):
+        raise ValueError("give exactly one of epochs and steps")
+    total = steps if steps is not None else epochs * -(-n // batch_size)
+    warmup_steps = max(1, int(round(warmup * total)))
+    opt = Adam(params.size, lr=lr)
+    log: list[dict] = []
+    best, best_score, since_best = None, -np.inf, 0
+    step, diverged = 0, False
+    while step < total and not diverged:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size)[: total - step]:
+            opt.lr = lr * min(1.0, (step + 1) / warmup_steps)
+            try:
+                loss, grad, *extra = loss_and_grad(order[start : start + batch_size], step)
+            except DivergenceError:  # counts as a non-finite loss
+                loss, grad, extra = np.nan, None, []
+            fields = extra[0] if extra else {}
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                diverged = True
+                log.append({"step": step, "loss": None, "lr": opt.lr, **fields,
+                            "event": "diverged"})
+                break
+            opt.step(params, grad)
+            step += 1
+            log.append({"step": step, "loss": loss, "lr": opt.lr, **fields})
+        if diverged or after_pass is None:
+            continue
+        record = after_pass(step)
+        log.append(record)
+        score = record.get("dev_acc")
+        if score is not None and score > best_score:
+            best, best_score, since_best = params.copy(), score, 0
+        elif score is not None:
+            since_best += 1
+            if patience is not None and since_best > patience:
+                break
+    if best is not None:
+        params[:] = best
+    return log
 
 
 def train(
@@ -93,52 +153,31 @@ def train(
     seed,
     *,
     weights: Optional[np.ndarray] = None,
-    targets: Optional[np.ndarray] = None,
 ) -> tuple[ModelSnapshot, list[dict]]:
     """Mini-batch Adam on the weighted CE loss; deterministic given seed.
 
     Mutates ``model`` in place and returns its final snapshot (role
-    "finetuned") plus one log record per step. A non-finite loss aborts
-    immediately with the last finite parameters.
+    "finetuned") plus the ``fit_loop`` log. Weights default to ones.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
     packed = dataset.packed
-    if weights is None:
-        weights = packed.weights
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.ones(dataset.n) if weights is None else np.asarray(weights, dtype=np.float64)
     if weights.shape != (dataset.n,):
         raise ValueError("weights must have one entry per example")
     if not (weights > 0).all():
         raise ValueError("weights must be strictly positive")
-
     rng = np.random.default_rng(seed)
-    opt = Adam(model.params.size, lr=cfg.lr)
-    batches_per_epoch = int(np.ceil(dataset.n / cfg.batch_size))
-    total_steps = cfg.epochs * batches_per_epoch
-    warmup = max(1, int(round(cfg.warmup_fraction * total_steps)))
-    log: list[dict] = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(dataset.n)
-        for start in range(0, dataset.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = packed.take(idx)
-            batch_targets = targets[idx] if targets is not None else batch.labels
-            opt.lr = cfg.lr * min(1.0, (step + 1) / warmup)
-            try:
-                loss, _, grad = model.clf_loss_and_grad(
-                    batch, batch_targets, weights[idx], train_mode=True, rng=rng
-                )
-            except DivergenceError:
-                log.append({"step": step, "loss": None, "lr": opt.lr, "event": "diverged"})
-                return model.snapshot("finetuned"), log
-            if not np.isfinite(loss) or not np.isfinite(grad).all():
-                log.append({"step": step, "loss": None, "lr": opt.lr, "event": "diverged"})
-                return model.snapshot("finetuned"), log
-            opt.step(model.params, grad)
-            step += 1
-            log.append({"step": step, "loss": loss, "lr": opt.lr})
+
+    def loss_and_grad(idx, step):
+        batch = packed.take(idx)
+        loss, _, grad = model.clf_loss_and_grad(
+            batch, batch.labels, weights[idx], train_mode=True, rng=rng
+        )
+        return loss, grad
+
+    log = fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
+                   lr=cfg.lr, warmup=cfg.warmup_fraction, epochs=cfg.epochs)
     return model.snapshot("finetuned"), log
 
 
@@ -168,11 +207,7 @@ def pretrain_mlm(
     """
     rng = np.random.default_rng(seed)
     model = TransformerModel(config, seed=rng)
-    usable = [
-        np.concatenate(([CLS_ID], np.asarray(s, dtype=np.int64)[: config.max_seq_len - 2], [SEP_ID]))
-        for s in corpus
-        if len(s) >= 2
-    ]
+    usable = _mlm_sequences(corpus, config.max_seq_len)
     if steps == 0:
         return model.snapshot("pretrained"), []
     if not usable:
@@ -180,28 +215,20 @@ def pretrain_mlm(
     if any((s >= config.vocab_size).any() or (s < 0).any() for s in usable):
         raise ValueError("corpus token id outside the vocabulary")
 
-    opt = Adam(model.params.size, lr=lr)
-    warmup = max(1, int(round(0.1 * steps)))
-    log: list[dict] = []
-    step = 0
-    while step < steps:
-        order = rng.permutation(len(usable))
-        for start in range(0, len(usable), batch_size):
-            if step >= steps:
-                break
-            group = [usable[i] for i in order[start : start + batch_size]]
-            ids, lengths, rows, cols, targets = _mask_batch(group, rng)
-            opt.lr = lr * min(1.0, (step + 1) / warmup)
-            loss, grad = model.mlm_loss_and_grad(
-                ids, lengths, rows, cols, targets, train_mode=True, rng=rng
-            )
-            if not np.isfinite(loss):
-                log.append({"step": step, "loss": None, "lr": opt.lr, "event": "diverged"})
-                return model.snapshot("pretrained"), log
-            opt.step(model.params, grad)
-            step += 1
-            log.append({"step": step, "loss": loss, "lr": opt.lr})
+    def loss_and_grad(idx, step):
+        ids, lengths, rows, cols, targets = _mask_batch([usable[i] for i in idx], rng)
+        return model.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True, rng=rng)
+
+    log = fit_loop(model.params, len(usable), batch_size, rng, loss_and_grad,
+                   lr=lr, warmup=0.1, steps=steps)
     return model.snapshot("pretrained"), log
+
+
+def _mlm_sequences(corpus: Sequence[Sequence[int]], max_seq_len: int) -> list[np.ndarray]:
+    """``[CLS] tokens [SEP]`` for every sequence of 2 or more tokens, cut to fit."""
+    cap = max_seq_len - 2
+    return [np.concatenate(([CLS_ID], np.asarray(s, dtype=np.int64)[:cap], [SEP_ID]))
+            for s in corpus if len(s) >= 2]
 
 
 def _mask_batch(seqs: list[np.ndarray], rng):
@@ -228,13 +255,8 @@ def mlm_masked_accuracy(snapshot: ModelSnapshot, corpus: Sequence[Sequence[int]]
     """Top-1 accuracy at masked positions under a fresh masking draw."""
     model = TransformerModel.from_snapshot(snapshot)
     rng = np.random.default_rng(seed)
-    cap = model.config.max_seq_len - 2
-    usable = [
-        np.concatenate(([CLS_ID], np.asarray(s, dtype=np.int64)[:cap], [SEP_ID]))
-        for s in corpus
-        if len(s) >= 2
-    ]
-    ids, lengths, rows, cols, targets = _mask_batch(usable, rng)
+    ids, lengths, rows, cols, targets = _mask_batch(
+        _mlm_sequences(corpus, model.config.max_seq_len), rng)
     segs = np.zeros_like(ids)
     h, _ = model._trunk_forward(ids, segs, lengths, train=False, rng=None)
     logits = h[rows, cols] @ model.p["mlm.w"] + model.p["mlm.b"]

@@ -236,9 +236,7 @@ class TransformerModel:
         flat gradient); the scalar is the batch mean of w_i * CE_i.
         """
         B = batch.n
-        if weights is None:
-            weights = batch.weights
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
         targets = np.asarray(targets)
         if targets.ndim == 1:
             t = np.zeros((B, self.config.K), dtype=np.float64)

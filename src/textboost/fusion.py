@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .boosting import BoostEnsemble
-from .encoder import Adam
+from .encoder import fit_loop
 from .encoder.nnops import PROB_FLOOR, softmax_rows
 from .encoder.params import xavier_limit
 
@@ -189,46 +189,29 @@ def train_fusion(
 
     rng = np.random.default_rng([seed, 21])
     head = FusionHead(head_dims(ensemble, cfg), ensemble_hash=ensemble.content_hash(), seed=rng)
-    opt = Adam(head.n_params, lr=cfg.lr)
     labels = train_ds.labels
     n = labels.shape[0]
+    epoch, epoch_loss = 0, 0.0
 
-    best_params = head.params.copy()
-    best_acc = -np.inf
-    since_best = 0
-    log: list[dict] = []
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        diverged = False
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = head.loss_and_grad(feats_train[idx], labels[idx])
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            opt.step(head.params, grad)
-            epoch_loss += loss * idx.size
+    def loss_and_grad(idx, step):
+        nonlocal epoch_loss
+        loss, grad = head.loss_and_grad(feats_train[idx], labels[idx])
+        epoch_loss += loss * idx.size
+        return loss, grad
+
+    def after_pass(step):
+        nonlocal epoch, epoch_loss
         entry = {"epoch": epoch, "loss": epoch_loss / n}
+        epoch, epoch_loss = epoch + 1, 0.0
         if feats_dev is not None:
-            dev_acc = float(
-                (head.probs(feats_dev).argmax(axis=1) == dev_ds.labels).mean() * 100.0
-            )
-            entry["dev_acc"] = dev_acc
-            if dev_acc > best_acc:
-                best_acc = dev_acc
-                best_params = head.params.copy()
-                since_best = 0
-            else:
-                since_best += 1
-        log.append(entry)
-        if diverged:
-            entry["event"] = "diverged"
-            break
-        if feats_dev is not None and since_best > cfg.patience:
-            break
-    if feats_dev is not None:
-        head.params[:] = best_params
+            preds = head.probs(feats_dev).argmax(axis=1)
+            entry["dev_acc"] = float((preds == dev_ds.labels).mean() * 100.0)
+        return entry
+
+    log = fit_loop(head.params, n, cfg.batch_size, rng, loss_and_grad, lr=cfg.lr,
+                   epochs=cfg.max_epochs, after_pass=after_pass, patience=cfg.patience)
+    # the per-epoch records and a divergence; the step records stay here
+    log = [r for r in log if "epoch" in r or "event" in r]
 
     if ensemble.params_digest() != digest_before:
         raise RuntimeError("fusion training mutated frozen base parameters")

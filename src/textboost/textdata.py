@@ -159,20 +159,17 @@ def build_vocab(examples: Sequence[RawExample], min_count: int = 1) -> Vocabular
 
 @dataclass(frozen=True)
 class EncodedExample:
-    """Id-encoded instance: CLS-first token ids, segment ids, label, weight."""
+    """Id-encoded instance: CLS-first token ids, segment ids, label."""
 
     token_ids: tuple[int, ...]
     segment_ids: tuple[int, ...]
     label_id: int
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.token_ids) != len(self.segment_ids):
             raise ValueError("token_ids and segment_ids must have equal length")
         if not self.token_ids or self.token_ids[0] != CLS_ID:
             raise ValueError("token_ids must start with CLS")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
 
 
 def encode(
@@ -222,7 +219,6 @@ class Packed:
     segs: np.ndarray  # (n, L) int64
     lengths: np.ndarray  # (n,) int64
     labels: np.ndarray  # (n,) int64
-    weights: np.ndarray  # (n,) float64
 
     @property
     def n(self) -> int:
@@ -241,7 +237,6 @@ class Packed:
             segs=self.segs[index, :lmax],
             lengths=lengths,
             labels=self.labels[index],
-            weights=self.weights[index],
         )
 
     def chunks(self, size: int):
@@ -264,15 +259,13 @@ def pack(examples: Sequence[EncodedExample]) -> Packed:
     segs = np.zeros((n, lmax), dtype=np.int64)
     lengths = np.zeros(n, dtype=np.int64)
     labels = np.zeros(n, dtype=np.int64)
-    weights = np.ones(n, dtype=np.float64)
     for i, ex in enumerate(examples):
         m = len(ex.token_ids)
         ids[i, :m] = ex.token_ids
         segs[i, :m] = ex.segment_ids
         lengths[i] = m
         labels[i] = ex.label_id
-        weights[i] = ex.weight
-    return Packed(ids=ids, segs=segs, lengths=lengths, labels=labels, weights=weights)
+    return Packed(ids=ids, segs=segs, lengths=lengths, labels=labels)
 
 
 @dataclass

@@ -27,7 +27,6 @@ def random_batch(rng, vocab_size=20, B=4, L=7, K=3) -> Packed:
         segs=segs,
         lengths=lengths.astype(np.int64),
         labels=rng.integers(0, K, size=B).astype(np.int64),
-        weights=np.ones(B),
     )
 
 

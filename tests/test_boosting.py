@@ -188,6 +188,29 @@ class TestBoostTrainWithStumps:
             boosting.boost_train(ds, baselines.StumpBoostLearner(), 3, seed=0)
 
 
+    def test_round_at_chance_up_to_rounding_is_discarded(self):
+        # round 1 errs on 9 of 15 rows; its update leaves exactly (K-1)/K of
+        # the weight on them, so round 2's alpha is positive only by rounding
+        class Fixed:
+            kind = "fixed"
+
+            def fit_round(self, m, dataset, weights, seed):
+                return self
+
+            def predict_proba(self, dataset):
+                probs = np.zeros((15, 3))
+                probs[:9, 1] = 1.0
+                probs[9:, 0] = 1.0
+                return probs
+
+        ds = baselines.ArrayDataset(features=np.zeros((15, 1)),
+                                    labels=np.zeros(15, dtype=np.int64), K=3)
+        ens, log = boosting.boost_train(ds, Fixed(), 3, seed=0)
+        assert ens.m_effective == 1
+        assert len(log) == 2 and log[-1]["event"] == "discarded"
+        assert 0.0 < log[-1]["alpha"] <= boosting.ALPHA_TOL
+
+
 class TestVotePredict:
     def _two_round_ensemble(self, p1, p2, a1, a2, K=2):
         class Fixed:
@@ -370,6 +393,15 @@ class TestScoredOnce:
 
 
 class TestEnsembleSerialization:
+    def test_padded_or_truncated_ensemble_rejected(self, tiny_config):
+        dataset = make_token_dataset(np.random.default_rng(2), n=48)
+        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random")
+        ens, _ = boosting.boost_train(dataset, learner, 2, seed=4)
+        blob = boosting.ensemble_to_bytes(ens)
+        for bad in (blob + b"junk", blob[:-8], blob[:10]):
+            with pytest.raises(ValueError):
+                boosting.ensemble_from_bytes(bad)
+
     def test_neural_roundtrip_predictions_identical(self, tiny_config, tmp_path):
         dataset = make_token_dataset(np.random.default_rng(2), n=96)
         learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random")

@@ -36,7 +36,6 @@ class TestForward:
             segs=np.vstack([batch.segs, batch.segs]),
             lengths=np.concatenate([batch.lengths, batch.lengths]),
             labels=np.concatenate([batch.labels, batch.labels]),
-            weights=np.ones(2),
         )
         probs = model.forward_probs(dup)
         assert np.array_equal(probs[0], probs[1])
@@ -86,7 +85,6 @@ class TestForward:
             segs=np.pad(batch.segs, ((0, 0), (0, 4))),
             lengths=batch.lengths,
             labels=batch.labels,
-            weights=batch.weights,
         )
         assert np.allclose(model.forward_probs(batch), model.forward_probs(wider), atol=1e-12)
 
@@ -155,6 +153,12 @@ class TestSnapshot:
         p.write_bytes(b"XXXX" + model.snapshot("random").to_bytes()[4:])
         with pytest.raises(ValueError, match="magic"):
             enc.ModelSnapshot.load(p)
+
+    def test_padded_or_truncated_checkpoint_rejected(self, model):
+        blob = model.snapshot("random").to_bytes()
+        for bad in (blob + bytes(8), blob[:-8], blob[:6]):
+            with pytest.raises(ValueError):
+                enc.ModelSnapshot.from_bytes(bad)
 
 
 class TestSoftreg:

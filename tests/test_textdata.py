@@ -104,7 +104,6 @@ class TestEncode:
         ex = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
         assert ex.token_ids == (CLS_ID, vocab.lookup("a"), vocab.lookup("b"), SEP_ID)
         assert ex.segment_ids == (0, 0, 0, 0)
-        assert ex.weight == 1.0
 
     def test_empty_text_degenerate(self):
         vocab = build_vocab([RawExample("pos", "a")], min_count=1)
@@ -176,10 +175,6 @@ class TestEncodedExampleInvariants:
     def test_cls_first_required(self):
         with pytest.raises(ValueError):
             EncodedExample(token_ids=(5, 5), segment_ids=(0, 0), label_id=0)
-
-    def test_positive_weight_required(self):
-        with pytest.raises(ValueError):
-            EncodedExample(token_ids=(CLS_ID, SEP_ID), segment_ids=(0, 0), label_id=0, weight=0.0)
 
 
 def _dataset(n_per_class, K=2):

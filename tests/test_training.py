@@ -52,6 +52,103 @@ class TestAdam:
         assert np.array_equal(grad, np.arange(5.0))
 
 
+class TestFitLoop:
+    @staticmethod
+    def pull_to(params, target):
+        """Loss and gradient of |params - target|^2, whatever the rows."""
+        def loss_and_grad(idx, step):
+            d = params - target
+            return float(d @ d), 2.0 * d
+        return loss_and_grad
+
+    def run(self, params, loss_and_grad, **kw):
+        kw.setdefault("lr", 0.1)
+        return enc.fit_loop(params, 10, 4, np.random.default_rng(0), loss_and_grad, **kw)
+
+    def test_step_cap_mid_pass_still_scores_that_pass(self):
+        params = np.zeros(3)
+        passes = []
+
+        def after_pass(step):
+            passes.append(step)
+            return {"step": step, "dev_acc": float(step)}
+
+        log = self.run(params, self.pull_to(params, np.ones(3)), steps=5, after_pass=after_pass)
+        # 10 rows in batches of 4 make 3 updates a pass; the cap cuts pass 2
+        assert passes == [3, 5]
+        assert [r["step"] for r in log] == [1, 2, 3, 3, 4, 5, 5]
+        assert [r for r in log if "dev_acc" in r] == [{"step": 3, "dev_acc": 3.0},
+                                                      {"step": 5, "dev_acc": 5.0}]
+
+    def test_patience_stops_after_passes_without_a_new_best(self):
+        params = np.zeros(3)
+        scores = iter([1.0, 2.0, 2.0, 1.5, 9.0, 9.0])
+        log = self.run(params, self.pull_to(params, np.ones(3)), epochs=6, patience=1,
+                       after_pass=lambda step: {"dev_acc": next(scores)})
+        # the tie and the drop after 2.0 are two passes without a new best
+        assert [r["dev_acc"] for r in log if "dev_acc" in r] == [1.0, 2.0, 2.0, 1.5]
+        assert sum(1 for r in log if "loss" in r) == 4 * 3
+
+    def test_best_scoring_pass_restored(self):
+        params = np.zeros(3)
+        after = []
+
+        def after_pass(step):
+            after.append(params.copy())
+            return {"dev_acc": [1.0, 3.0, 2.0][len(after) - 1]}
+
+        self.run(params, self.pull_to(params, np.ones(3)), epochs=3, after_pass=after_pass)
+        assert not np.array_equal(after[1], after[2])
+        assert np.array_equal(params, after[1])
+
+    def test_non_finite_gradient_stops_with_last_finite_params(self):
+        params = np.zeros(3)
+        inner = self.pull_to(params, np.ones(3))
+        kept = []
+
+        def loss_and_grad(idx, step):
+            loss, grad = inner(idx, step)
+            kept.append(params.copy())
+            if step == 4:
+                grad[1] = np.nan
+            return loss, grad
+
+        log = self.run(params, loss_and_grad, epochs=3)
+        assert log[-1] == {"step": 4, "loss": None, "lr": 0.1, "event": "diverged"}
+        assert len(log) == 5
+        assert np.array_equal(params, kept[-1])
+
+    def test_divergence_falls_back_to_the_best_pass(self):
+        params = np.zeros(3)
+        inner = self.pull_to(params, np.ones(3))
+        after = []
+
+        def loss_and_grad(idx, step):
+            if step == 4:
+                raise enc.DivergenceError("test")
+            return inner(idx, step)
+
+        def after_pass(step):
+            after.append(params.copy())
+            return {"dev_acc": 1.0}
+
+        log = self.run(params, loss_and_grad, epochs=3, after_pass=after_pass)
+        assert log[-1]["event"] == "diverged" and len(after) == 1
+        assert np.array_equal(params, after[0])
+
+    def test_warmup_ramps_the_rate(self):
+        params = np.zeros(3)
+        log = self.run(params, self.pull_to(params, np.ones(3)), lr=1.0, warmup=0.5, steps=6)
+        assert [r["lr"] for r in log] == [1 / 3, 2 / 3, 1.0, 1.0, 1.0, 1.0]
+
+    def test_exactly_one_cap(self):
+        params = np.zeros(3)
+        with pytest.raises(ValueError, match="exactly one"):
+            self.run(params, self.pull_to(params, np.ones(3)), epochs=1, steps=1)
+        with pytest.raises(ValueError, match="exactly one"):
+            self.run(params, self.pull_to(params, np.ones(3)))
+
+
 class TestTrain:
     def test_deterministic_bit_identical(self, tiny_config, dataset):
         def run():
@@ -146,6 +243,24 @@ class TestPretrainMLM:
         corpus = [[5], [6, 7, 8, 9, 10, 11]]
         snap, log = enc.pretrain_mlm(corpus, tiny_config, steps=3, seed=1)
         assert len(log) == 3
+
+    def test_divergence_logged_with_finite_params(self, tiny_config, monkeypatch):
+        real = enc.TransformerModel.mlm_loss_and_grad
+        calls = []
+
+        def diverge_on_third(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise enc.DivergenceError("test")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(enc.TransformerModel, "mlm_loss_and_grad", diverge_on_third)
+        corpus = self._bigram_corpus(np.random.default_rng(0), n=40)
+        snap, log = enc.pretrain_mlm(corpus, tiny_config, steps=5, seed=1, batch_size=8)
+        assert len(log) == 3
+        assert log[-1]["event"] == "diverged" and log[-1]["step"] == 2
+        assert log[-1]["loss"] is None
+        assert np.isfinite(snap.params).all()
 
     def test_all_short_raises(self, tiny_config):
         with pytest.raises(ValueError, match="length >= 2"):
