@@ -21,6 +21,7 @@ import numpy as np
 from . import encoder as enc
 from .boosting import BoostEnsemble, vote_predict
 from .encoder.nnops import PROB_FLOOR
+from .encoder.params import f8_payload, split_container
 from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
 
@@ -92,16 +93,13 @@ def _write_target_cache(path: Path, ehash: str, dhash: str, targets: np.ndarray)
 
 
 def _read_target_cache(path: Path, ehash: str, dhash: str, n: int, K: int) -> np.ndarray:
-    blob = path.read_bytes()
-    if blob[:4] != TARGET_CACHE_MAGIC:
-        raise ValueError("bad teacher-target cache magic (expected BGT1)")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8 : 8 + hlen].decode())
+    header, payload = split_container(path.read_bytes(), TARGET_CACHE_MAGIC,
+                                      "teacher-target cache")
     if header["ensemble_hash"] != ehash or header["dataset_hash"] != dhash:
         raise ValueError("teacher-target cache key mismatch")
     if header["n"] != n or header["K"] != K:
         raise ValueError("teacher-target cache shape mismatch")
-    return np.frombuffer(blob[8 + hlen :], dtype="<f8").astype(np.float64).reshape(n, K)
+    return f8_payload(payload, n * K, "teacher-target cache").reshape(n, K)
 
 
 def annealed_lambda(step: int, total_steps: int) -> float:

@@ -10,13 +10,11 @@ from .softreg import SoftmaxRegressionModel, token_counts
 from .training import (
     evaluate_accuracy,
     fit_loop,
-    gradients,
     mlm_masked_accuracy,
     model_from_snapshot,
     new_model,
     pretrain_mlm,
     train,
-    weighted_ce_loss,
 )
 from .transformer import TransformerModel
 
@@ -38,7 +36,6 @@ __all__ = [
     "config_hash",
     "evaluate_accuracy",
     "fit_loop",
-    "gradients",
     "init_weights",
     "layout_for",
     "mlm_masked_accuracy",
@@ -47,6 +44,5 @@ __all__ = [
     "pretrain_mlm",
     "token_counts",
     "train",
-    "weighted_ce_loss",
     "xavier_limit",
 ]

@@ -61,11 +61,16 @@ def ln_backward(dy: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def dropout_forward(x: np.ndarray, rate: float, train: bool, rng):
-    """Inverted dropout. Returns (y, mask); mask is None when inactive."""
+def dropout_forward(x: np.ndarray, rate: float, train: bool, rng, draw_shape=None):
+    """Inverted dropout. Returns (y, mask); mask is None when inactive.
+
+    The uniforms are drawn at ``draw_shape`` (default ``x.shape``) and their
+    leading ``x.shape`` corner is used, so a block that computes only some of
+    its rows draws the same stream and the same masks for those rows."""
     if not train or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    u = rng.random(x.shape if draw_shape is None else draw_shape)
+    mask = (u[tuple(map(slice, x.shape))] >= rate) / (1.0 - rate)
     return x * mask, mask
 
 

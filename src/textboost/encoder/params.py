@@ -22,6 +22,31 @@ CHECKPOINT_MAGIC = b"BGV1"
 ROLES = ("random", "pretrained", "finetuned")
 
 
+def split_container(blob: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
+    """The JSON header and the payload of a ``magic | u32 header length |
+    header | payload`` file (checkpoints, fusion heads, teacher targets).
+
+    Raises ValueError on a wrong magic and on a blob that ends inside its
+    8-byte prefix or its header."""
+    if blob[:4] != magic:
+        raise ValueError(f"bad {what} magic (expected {magic.decode()})")
+    if len(blob) < 8:
+        raise ValueError(f"{what} truncated inside its prefix")
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    if len(blob) < 8 + hlen:
+        raise ValueError(f"{what} truncated inside its header")
+    return json.loads(blob[8 : 8 + hlen].decode()), blob[8 + hlen :]
+
+
+def f8_payload(payload: bytes, count: int, what: str) -> np.ndarray:
+    """``count`` little-endian float64 values; ValueError unless the payload
+    holds exactly that many."""
+    if len(payload) != 8 * count:
+        raise ValueError(f"{what} has {len(payload)} payload bytes, "
+                         f"its header promises {8 * count}")
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+
+
 @dataclass(frozen=True)
 class ParamLayout:
     """Ordered (name, shape) table mapping a flat vector to named views."""
@@ -181,18 +206,9 @@ class ModelSnapshot:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelSnapshot":
-        if blob[:4] != CHECKPOINT_MAGIC:
-            raise ValueError("bad checkpoint magic (expected BGV1)")
-        if len(blob) < 8:
-            raise ValueError("checkpoint truncated")
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + hlen].decode())
+        header, payload = split_container(blob, CHECKPOINT_MAGIC, "checkpoint")
         cfg = config_from_dict(header["config"])
-        count = header["param_count"]
-        if len(blob) != 8 + hlen + 8 * count:
-            raise ValueError(f"checkpoint has {len(blob) - 8 - hlen} payload bytes, "
-                             f"its header promises {8 * count}")
-        params = np.frombuffer(blob[8 + hlen :], dtype="<f8").astype(np.float64)
+        params = f8_payload(payload, header["param_count"], "checkpoint")
         snap = cls(config=cfg, params=params, role=header["role"])
         if snap.config_hash != header["config_hash"]:
             raise ValueError("config hash mismatch in checkpoint")

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
-from . import nnops
 from .config import EncoderConfig, SoftregConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
@@ -33,39 +31,6 @@ def model_from_snapshot(snap: ModelSnapshot):
     if snap.kind == "softreg":
         return SoftmaxRegressionModel.from_snapshot(snap)
     raise ValueError(f"unknown snapshot kind {snap.kind!r}")
-
-
-def weighted_ce_loss(
-    probs: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Per-example loss w_i * (-log p[y_i]) and its batch mean.
-
-    Weights are used exactly as given (no renormalization). Probabilities
-    below 1e-12 are clamped with a warning, which signals a confidently
-    wrong model rather than a numerical bug here.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if not (weights > 0).all():
-        raise ValueError("weights must be strictly positive")
-    picked = probs[np.arange(labels.size), labels]
-    if (picked < nnops.PROB_FLOOR).any():
-        warnings.warn("clamping near-zero predicted probability before log", RuntimeWarning)
-        picked = np.maximum(picked, nnops.PROB_FLOOR)
-    per_example = weights * -np.log(picked)
-    return float(per_example.mean()), per_example
-
-
-def gradients(model, batch, labels=None, weights=None) -> np.ndarray:
-    """Analytic gradient of the weighted CE loss, dropout disabled."""
-    packed = batch.packed if isinstance(batch, LabeledDataset) else batch
-    if labels is None:
-        labels = packed.labels
-    if weights is not None and not (np.asarray(weights) > 0).all():
-        raise ValueError("weights must be strictly positive")
-    _, _, g = model.clf_loss_and_grad(packed, labels, weights, train_mode=False)
-    return g
 
 
 def fit_loop(

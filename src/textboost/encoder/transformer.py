@@ -6,6 +6,15 @@ residual, LayerNorm). Classification reads the CLS position through a
 linear head; masked-token prediction reads masked positions through a
 separate linear head. All math is float64 so central finite differences
 resolve gradients to ~1e-10.
+
+Classification (training, scoring, the CLS rows of weight sharing) needs
+only position 0 of the last layer, so its last block runs the query, the
+attention rows, the output projection, LN1, the FFN and LN2 for that row
+alone; keys and values still cover every position, and the backward takes
+the same loop with one query row. That block's dropout still draws full
+(B, L, d) masks and keeps their first row, so the rng stream, and the CLS
+row's masks, match the all-positions pass. The masked-token losses run every
+position through every layer.
 """
 
 from __future__ import annotations
@@ -60,11 +69,17 @@ class TransformerModel:
     # forward
     # ------------------------------------------------------------------
     def _trunk_forward(self, ids: np.ndarray, segs: np.ndarray, lengths: np.ndarray,
-                       train: bool, rng,
-                       keep_cache: bool = False) -> tuple[np.ndarray, Optional[dict]]:
+                       train: bool, rng, keep_cache: bool = False,
+                       cls_only: bool = False) -> tuple[np.ndarray, Optional[dict]]:
         """Last hidden states (B, L, d), and the cache ``_trunk_backward``
         needs when ``keep_cache``; else None, so that a forward-only pass
-        does not hold every layer's activations until it returns."""
+        does not hold every layer's activations until it returns.
+
+        With ``cls_only`` the last layer computes the CLS query alone and
+        returns (B, 1, d): its keys and values still cover all L positions,
+        and its dropout draws full (B, L, d) masks, so the rng stream and the
+        CLS row's masks are those of the full pass.
+        """
         cfg, p = self.config, self.p
         B, L = ids.shape
         if L > cfg.max_seq_len:
@@ -81,27 +96,30 @@ class TransformerModel:
         H, d = cfg.n_heads, cfg.d_model
         dh = d // H
         scale = 1.0 / np.sqrt(dh)
+        full = (B, L, d)
         layer_caches = []
         for l in range(cfg.n_layers):
             pre = f"layer{l}"
             h_in = h
-            q = h_in @ p[f"{pre}.wq"] + p[f"{pre}.bq"]
+            Lq = 1 if cls_only and l == cfg.n_layers - 1 else L  # query rows
+            h_q = h_in[:, :Lq]
+            q = h_q @ p[f"{pre}.wq"] + p[f"{pre}.bq"]
             k = h_in @ p[f"{pre}.wk"] + p[f"{pre}.bk"]
             v = h_in @ p[f"{pre}.wv"] + p[f"{pre}.bv"]
-            qh = q.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+            qh = q.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
             kh = k.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
             scores = qh @ kh.transpose(0, 1, 3, 2) * scale + bias
             probs = nnops.softmax_rows(scores)
-            ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, d)
+            ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
             attn = ctx @ p[f"{pre}.wo"] + p[f"{pre}.bo"]
-            attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng)
-            h1, ln1_cache = nnops.ln_forward(h_in + attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+            attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full)
+            h1, ln1_cache = nnops.ln_forward(h_q + attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
 
             act_in = h1 @ p[f"{pre}.w1"] + p[f"{pre}.b1"]
             act, act_t = nnops.gelu(act_in)
             ffn = act @ p[f"{pre}.w2"] + p[f"{pre}.b2"]
-            ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng)
+            ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full)
             h, ln2_cache = nnops.ln_forward(h1 + ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             if not np.isfinite(h).all():
                 raise DivergenceError(f"encoder layer {l}")
@@ -121,6 +139,8 @@ class TransformerModel:
         return h, cache
 
     def _trunk_backward(self, d_h: np.ndarray, cache: dict, g: dict[str, np.ndarray]) -> None:
+        """Adds the gradients of the trunk to ``g``, given ``d_h`` of the
+        shape ``_trunk_forward`` returned: (B, 1, d) after a ``cls_only`` pass."""
         cfg, p = self.config, self.p
         B, L = cache["B"], cache["L"]
         H, d = cfg.n_heads, cfg.d_model
@@ -129,6 +149,7 @@ class TransformerModel:
         for l in reversed(range(cfg.n_layers)):
             pre = f"layer{l}"
             c = cache["layers"][l]
+            Lq = d_h.shape[1]  # the layer's query rows
             d_res2, dln2g, dln2b = nnops.ln_backward(d_h, c["ln2"], p[f"{pre}.ln2.g"])
             g[f"{pre}.ln2.g"] += dln2g
             g[f"{pre}.ln2.b"] += dln2b
@@ -150,14 +171,15 @@ class TransformerModel:
             d_res1, dln1g, dln1b = nnops.ln_backward(d_h1, c["ln1"], p[f"{pre}.ln1.g"])
             g[f"{pre}.ln1.g"] += dln1g
             g[f"{pre}.ln1.b"] += dln1b
-            d_hin = d_res1.copy()
+            d_hin = np.zeros((B, L, d))
+            d_hin[:, :Lq] = d_res1
             d_attn = nnops.dropout_backward(d_res1, c["attn_mask"])
 
             ctx2d = c["ctx"].reshape(-1, d)
             d_attn2d = d_attn.reshape(-1, d)
             g[f"{pre}.wo"] += ctx2d.T @ d_attn2d
             g[f"{pre}.bo"] += d_attn2d.sum(axis=0)
-            d_ctx = (d_attn @ p[f"{pre}.wo"].T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+            d_ctx = (d_attn @ p[f"{pre}.wo"].T).reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
 
             probs = c["probs"]
             d_probs = d_ctx @ c["vh"].transpose(0, 1, 3, 2)
@@ -166,12 +188,12 @@ class TransformerModel:
             d_qh = d_scores @ c["kh"] * scale
             d_kh = d_scores.transpose(0, 1, 3, 2) @ c["qh"] * scale
 
-            hin2d = c["h_in"].reshape(-1, d)
             for nm, dm in (("wq", d_qh), ("wk", d_kh), ("wv", d_vh)):
+                rows = dm.shape[2]  # Lq for the query, L for keys and values
                 d_flat = dm.transpose(0, 2, 1, 3).reshape(-1, d)
-                g[f"{pre}.{nm}"] += hin2d.T @ d_flat
+                g[f"{pre}.{nm}"] += c["h_in"][:, :rows].reshape(-1, d).T @ d_flat
                 g[f"{pre}.b{nm[1]}"] += d_flat.sum(axis=0)
-                d_hin += (d_flat @ p[f"{pre}.{nm}"].T).reshape(B, L, d)
+                d_hin[:, :rows] += (d_flat @ p[f"{pre}.{nm}"].T).reshape(B, rows, d)
             d_h = d_hin
 
         d_xln = nnops.dropout_backward(d_h, cache["emb_mask"])
@@ -184,13 +206,14 @@ class TransformerModel:
 
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
         """Per-example softmax over the K classes; rows sum to 1."""
-        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng)
+        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
+                                   cls_only=True)
         return head_probs(h[:, 0, :], self.p["cls.w"], self.p["cls.b"])
 
     def cls_rows(self, batch: Packed) -> np.ndarray:
-        """Eval-mode (B, d_model) CLS rows of the last layer, as a view into
-        its hidden states; the rest of the forward cache is dropped on return."""
-        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None)
+        """Eval-mode (B, d_model) CLS rows of the last layer."""
+        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
+                                   cls_only=True)
         return h[:, 0, :]
 
     def predict_proba(self, batch: Packed, chunk: int = 256) -> np.ndarray:
@@ -211,7 +234,6 @@ class TransformerModel:
             cls_h = self.cls_rows(part)
             for m, (w, b) in enumerate(heads):
                 out[idx, m] = head_probs(cls_h, w, b)
-            del cls_h  # a view that keeps the chunk's last hidden states alive
         return out
 
     # ------------------------------------------------------------------
@@ -245,7 +267,7 @@ class TransformerModel:
             t = targets.astype(np.float64)
 
         h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
-                                       keep_cache=True)
+                                       keep_cache=True, cls_only=True)
         cls_h = h[:, 0, :]
         logits = cls_h @ self.p["cls.w"] + self.p["cls.b"]
         probs = nnops.softmax_rows(logits)
@@ -256,8 +278,7 @@ class TransformerModel:
         g, gv = self._grad_vector()
         gv["cls.w"] += cls_h.T @ d_logits
         gv["cls.b"] += d_logits.sum(axis=0)
-        d_h = np.zeros_like(h)
-        d_h[:, 0, :] = d_logits @ self.p["cls.w"].T
+        d_h = (d_logits @ self.p["cls.w"].T)[:, None, :]
         self._trunk_backward(d_h, cache, gv)
         return loss, per_example, g
 

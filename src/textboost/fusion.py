@@ -19,7 +19,7 @@ import numpy as np
 from .boosting import BoostEnsemble
 from .encoder import fit_loop
 from .encoder.nnops import PROB_FLOOR, softmax_rows
-from .encoder.params import xavier_limit
+from .encoder.params import f8_payload, split_container, xavier_limit
 
 FUSION_MAGIC = b"BGF1"
 
@@ -40,6 +40,10 @@ class FusionConfig:
             raise ValueError("invalid FusionConfig")
 
 
+def _param_count(dims: tuple[int, ...]) -> int:
+    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+
+
 class FusionHead:
     """ReLU MLP mapping an (M*K)-dim fusion feature to K logits."""
 
@@ -49,7 +53,7 @@ class FusionHead:
             raise ValueError("dims needs at least input and output sizes")
         self.dims = tuple(int(d) for d in dims)
         self.ensemble_hash = ensemble_hash
-        total = sum(a * b + b for a, b in zip(self.dims[:-1], self.dims[1:]))
+        total = _param_count(self.dims)
         if params is None:
             rng = np.random.default_rng(seed)
             params = np.zeros(total, dtype=np.float64)
@@ -133,12 +137,10 @@ class FusionHead:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FusionHead":
-        if blob[:4] != FUSION_MAGIC:
-            raise ValueError("bad fusion magic (expected BGF1)")
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + hlen].decode())
-        params = np.frombuffer(blob[8 + hlen :], dtype="<f8").astype(np.float64)
-        return cls(tuple(header["dims"]), params=params, ensemble_hash=header["ensemble_hash"])
+        header, payload = split_container(blob, FUSION_MAGIC, "fusion head")
+        dims = tuple(header["dims"])
+        params = f8_payload(payload, _param_count(dims), "fusion head")
+        return cls(dims, params=params, ensemble_hash=header["ensemble_hash"])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -1,6 +1,11 @@
-"""Central finite-difference gradient checking helpers (float64, h=1e-4)."""
+"""Central finite-difference gradient checking helpers (float64, h=1e-4),
+and the weighted cross-entropy reference the gradient tests check against."""
+
+import warnings
 
 import numpy as np
+
+from textboost.encoder import nnops
 
 H = 1e-4
 REL_TOL = 1e-4
@@ -33,3 +38,31 @@ def check_group(params, loss_fn, grad, sl, rng, max_checks=None):
         fd = (up - down) / (2.0 * H)
         worst = max(worst, relative_error(fd, grad[j]))
     return worst
+
+
+def weighted_ce_loss(probs, labels, weights) -> tuple[float, np.ndarray]:
+    """Per-example loss w_i * (-log p[y_i]) and its batch mean.
+
+    Weights are used exactly as given (no renormalization). Probabilities
+    below 1e-12 are clamped with a warning, which signals a confidently
+    wrong model rather than a numerical bug here.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights > 0).all():
+        raise ValueError("weights must be strictly positive")
+    picked = probs[np.arange(labels.size), labels]
+    if (picked < nnops.PROB_FLOOR).any():
+        warnings.warn("clamping near-zero predicted probability before log", RuntimeWarning)
+        picked = np.maximum(picked, nnops.PROB_FLOOR)
+    per_example = weights * -np.log(picked)
+    return float(per_example.mean()), per_example
+
+
+def gradients(model, batch, weights=None) -> np.ndarray:
+    """Analytic gradient of the weighted CE loss on ``batch.labels``, dropout disabled."""
+    if weights is not None and not (np.asarray(weights) > 0).all():
+        raise ValueError("weights must be strictly positive")
+    _, _, g = model.clf_loss_and_grad(batch, batch.labels, weights, train_mode=False)
+    return g

@@ -101,6 +101,18 @@ class TestTeacherTargets:
         assert np.array_equal(a, b)
         assert cache_files[0].read_bytes() == blob_before
 
+    def test_every_truncation_and_one_extra_byte_rejected(self, tmp_path):
+        path = tmp_path / "t.bgt"
+        targets = np.random.default_rng(3).dirichlet(np.ones(3), size=5)
+        distill._write_target_cache(path, "ens", "data", targets)
+        blob = path.read_bytes()
+        assert np.array_equal(distill._read_target_cache(path, "ens", "data", 5, 3), targets)
+        for bad in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError) as err:
+                distill._read_target_cache(path, "ens", "data", 5, 3)
+            assert type(err.value) is ValueError, (len(bad), err.value)
+
 
 class TestDistillTrain:
     def test_student_architecture_and_determinism(self, tiny_config):

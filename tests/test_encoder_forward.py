@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ class TestForward:
                                                 np.random.default_rng(4), keep_cache=True)
             assert cache is None and len(kept["layers"]) == model.config.n_layers
             assert h.tobytes() == h_kept.tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_cls_only_pass_matches_full_pass_and_draws_the_same_stream(self, tiny_config,
+                                                                        n_layers):
+        """Classification runs the last block for the CLS query alone."""
+        cfg = dataclasses.replace(tiny_config, n_layers=n_layers, dropout_rate=0.3)
+        model = enc.TransformerModel(cfg, seed=42)
+        b = random_batch(np.random.default_rng(13), B=5, L=9)
+        for train in (False, True):
+            rng_full, rng_cls = np.random.default_rng(4), np.random.default_rng(4)
+            full, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_full)
+            cls, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_cls,
+                                          cls_only=True)
+            assert full.shape == (5, 9, cfg.d_model) and cls.shape == (5, 1, cfg.d_model)
+            np.testing.assert_allclose(cls[:, 0], full[:, 0], rtol=0.0, atol=1e-12)
+            assert rng_cls.random() == rng_full.random()
 
     def test_over_length_batch_rejected(self, model):
         batch = random_batch(np.random.default_rng(6), L=13)

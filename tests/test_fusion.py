@@ -89,6 +89,13 @@ class TestFusionHead:
         assert back.ensemble_hash == "abc"
         assert np.array_equal(back.params, head.params)
 
+    def test_every_truncation_and_one_extra_byte_rejected(self):
+        blob = fusion.FusionHead((6, 4, 3), seed=5, ensemble_hash="abc").to_bytes()
+        for bad in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+            with pytest.raises(ValueError) as err:
+                fusion.FusionHead.from_bytes(bad)
+            assert type(err.value) is ValueError, (len(bad), err.value)
+
 
 @pytest.fixture(scope="module")
 def stump_setup():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from textboost import encoder as enc
 from textboost.encoder import nnops
 
 from conftest import random_batch
-from gradcheck import REL_TOL, check_group
+from gradcheck import REL_TOL, check_group, gradients, weighted_ce_loss
 
 
 @pytest.fixture
@@ -31,6 +33,27 @@ def test_classification_gradients_every_group(model, batch):
     for name, _ in model.layout.entries:
         worst = check_group(model.params, loss_fn, grad, model.layout.slice_of(name),
                             rng, max_checks=12)
+        assert worst < REL_TOL, f"group {name}: rel err {worst}"
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_train_mode_classification_gradients_every_group(tiny_config, batch, n_layers):
+    """Dropout on: each loss evaluation re-seeds the rng, so every pass
+    draws the same masks and the shortened last block's backward is checked
+    under them."""
+    cfg = dataclasses.replace(tiny_config, n_layers=n_layers, dropout_rate=0.3)
+    model = enc.TransformerModel(cfg, seed=7)
+    rng = np.random.default_rng(21)
+    weights = rng.uniform(0.5, 3.0, size=batch.n)
+
+    def loss_and_grad():
+        return model.clf_loss_and_grad(batch, batch.labels, weights, train_mode=True,
+                                       rng=np.random.default_rng(22))
+
+    _, _, grad = loss_and_grad()
+    for name, _ in model.layout.entries:
+        worst = check_group(model.params, lambda: loss_and_grad()[0], grad,
+                            model.layout.slice_of(name), rng, max_checks=12)
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
 
 
@@ -101,14 +124,14 @@ def test_gradient_linear_in_weights(model, batch):
 def test_absent_token_embedding_gets_zero_gradient(model, batch):
     present = set(batch.ids.ravel().tolist())
     absent = next(t for t in range(5, 20) if t not in present)
-    g = enc.gradients(model, batch)
+    g = gradients(model, batch)
     row = model.layout.views(g)["tok_emb"][absent]
     assert np.array_equal(row, np.zeros_like(row))
 
 
 def test_gradients_rejects_nonpositive_weights(model, batch):
     with pytest.raises(ValueError):
-        enc.gradients(model, batch, weights=np.zeros(batch.n))
+        gradients(model, batch, weights=np.zeros(batch.n))
 
 
 def test_softreg_gradients():
@@ -132,12 +155,12 @@ def test_softreg_gradients():
 class TestWeightedCELoss:
     def test_perfect_prediction_zero_loss(self):
         probs = np.array([[1.0, 0.0]])
-        loss, per = enc.weighted_ce_loss(probs, np.array([0]), np.array([5.0]))
+        loss, per = weighted_ce_loss(probs, np.array([0]), np.array([5.0]))
         assert loss == 0.0 and per[0] == 0.0
 
     def test_hand_arithmetic(self):
         probs = np.array([[0.5, 0.5]])
-        loss, per = enc.weighted_ce_loss(probs, np.array([0]), np.array([2.0]))
+        loss, per = weighted_ce_loss(probs, np.array([0]), np.array([2.0]))
         assert np.isclose(per[0], 2.0 * np.log(2.0), rtol=1e-12)
         assert np.isclose(loss, 1.3862943611198906, rtol=1e-12)
 
@@ -146,22 +169,22 @@ class TestWeightedCELoss:
         probs = rng.dirichlet(np.ones(3), size=5)
         labels = rng.integers(0, 3, size=5)
         w = rng.uniform(0.1, 2.0, size=5)
-        l1, _ = enc.weighted_ce_loss(probs, labels, w)
-        l2, _ = enc.weighted_ce_loss(probs, labels, 2.0 * w)
+        l1, _ = weighted_ce_loss(probs, labels, w)
+        l2, _ = weighted_ce_loss(probs, labels, 2.0 * w)
         assert np.isclose(l2, 2.0 * l1, rtol=1e-15)
 
     def test_no_renormalization(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
         labels = np.array([0, 1])
-        loss, _ = enc.weighted_ce_loss(probs, labels, np.array([10.0, 10.0]))
+        loss, _ = weighted_ce_loss(probs, labels, np.array([10.0, 10.0]))
         assert np.isclose(loss, 10.0 * np.log(2.0))
 
     def test_clamp_flags_tiny_probability(self):
         probs = np.array([[1e-300, 1.0]])
         with pytest.warns(RuntimeWarning, match="clamp"):
-            loss, _ = enc.weighted_ce_loss(probs, np.array([0]), np.array([1.0]))
+            loss, _ = weighted_ce_loss(probs, np.array([0]), np.array([1.0]))
         assert np.isclose(loss, -np.log(1e-12))
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            enc.weighted_ce_loss(np.array([[0.5, 0.5]]), np.array([0]), np.array([0.0]))
+            weighted_ce_loss(np.array([[0.5, 0.5]]), np.array([0]), np.array([0.0]))
