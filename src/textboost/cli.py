@@ -14,6 +14,7 @@ line appended to ``<out_root>/metrics.jsonl``. The default output root is
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -193,7 +194,7 @@ class TaskBundle:
     dev: LabeledDataset
     vocab: Vocabulary
     label_names: tuple[str, ...]
-    corpus_ids: list[list[int]]
+    corpus_ids: list[list[int]]  # empty unless the config pretrains
     pretrained: Optional[enc.ModelSnapshot] = None
 
     @property
@@ -206,7 +207,8 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
 
     The vocabulary (and the MLM corpus) come from the unlabeled corpus file
     when one is given, else from the training texts, and stay fixed across
-    data-fraction sweeps, mirroring a fixed pretrained tokenizer.
+    data-fraction sweeps, mirroring a fixed pretrained tokenizer. The corpus
+    is encoded only for a config that pretrains.
     """
     raw_train = load_tsv(cfg.data["train_path"])
     raw_dev = load_tsv(cfg.data["dev_path"])
@@ -235,7 +237,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
     dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
     corpus_ids = [
         [vocab.lookup(t) for t in tokenize(line)][:max_len] for line in corpus_lines
-    ]
+    ] if _pretrains(cfg) else []
     return TaskBundle(
         train=train_ds, dev=dev_ds, vocab=vocab, label_names=label_names, corpus_ids=corpus_ids
     )
@@ -257,18 +259,23 @@ def encoder_config(cfg: RunConfig, bundle: TaskBundle):
     )
 
 
+def _pretrains(cfg: RunConfig) -> bool:
+    """Whether the config trains an MLM trunk (a transformer with pretrain steps)."""
+    return cfg.data["learner"] == "transformer" and cfg.data["pretrain"]["steps"] > 0
+
+
 def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Path] = None):
     """Pretrain the MLM trunk once per bundle if the config needs it.
 
     The checkpoint is deterministic in (corpus, model config, pretrain
     hyperparameters, seed), so it may be cached on disk and shared across
-    commands keyed by that tuple.
+    commands keyed by that tuple. A cache entry is written to a temporary
+    file and moved into place, and one that fails to load is retrained and
+    replaced.
     """
-    if bundle.pretrained is not None or cfg.data["learner"] != "transformer":
+    if bundle.pretrained is not None or not _pretrains(cfg):
         return
     steps = cfg.data["pretrain"]["steps"]
-    if steps <= 0:
-        return
     model_cfg = encoder_config(cfg, bundle)
     cache_path = None
     if cache_dir is not None:
@@ -278,8 +285,11 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
         ], sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
         cache_path = Path(cache_dir) / f"pretrained_{key}.bgv"
         if cache_path.exists():
-            bundle.pretrained = enc.ModelSnapshot.load(cache_path)
-            return
+            try:
+                bundle.pretrained = enc.ModelSnapshot.load(cache_path)
+                return
+            except ValueError:  # a truncated or corrupted entry: retrain and replace it
+                pass
     snap, _ = enc.pretrain_mlm(
         bundle.corpus_ids, model_cfg, steps, [cfg.seed, 41],
         lr=cfg.data["pretrain"]["lr"], batch_size=cfg.data["pretrain"]["batch_size"],
@@ -287,7 +297,12 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
     bundle.pretrained = snap
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        snap.save(cache_path)
+        tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        try:
+            snap.save(tmp)
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
@@ -986,7 +1001,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc serve blocks below 8 MiB from the heap and keep up to 16 MiB
+    of freed heap for reuse; other C libraries are left alone.
+
+    Every training step and every scoring chunk allocates and frees its whole
+    working set, about 14 MB for a batch-32 masked-token step at the default
+    shapes. glibc starts with both thresholds at 128 KiB and raises them only
+    when a large mapped block is freed, so it gave that memory back to the OS
+    after each step and faulted it in again on the next: 3,500 minor faults
+    per step. These are the values glibc's own rule sets after freeing one
+    8 MiB block.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

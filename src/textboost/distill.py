@@ -160,10 +160,11 @@ def distill_train(
     onehot = np.zeros((dataset.n, dataset.K), dtype=np.float64)
     onehot[np.arange(dataset.n), dataset.labels] = 1.0
 
-    def loss_and_grad(idx, step):
+    def loss_and_grad(idx, step, grad):
         lam = annealed_lambda(step, cfg.total_steps)
         mixed = lam * onehot[idx] + (1.0 - lam) * targets[idx]
-        loss, _, grad = model.clf_loss_and_grad(packed.take(idx), mixed, train_mode=True, rng=rng)
+        loss, _, grad = model.clf_loss_and_grad(packed.take(idx), mixed, train_mode=True,
+                                                rng=rng, out=grad)
         return loss, grad, {"lambda": lam}
 
     def after_pass(step):
@@ -171,5 +172,6 @@ def distill_train(
 
     log = enc.fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
                        lr=cfg.lr, warmup=0.1, steps=cfg.total_steps,
-                       after_pass=after_pass if dev is not None else None)
+                       after_pass=after_pass if dev is not None else None,
+                       ranges=model.clf_ranges())
     return model.snapshot("finetuned"), log

@@ -10,7 +10,6 @@ from .softreg import SoftmaxRegressionModel, token_counts
 from .training import (
     evaluate_accuracy,
     fit_loop,
-    mlm_masked_accuracy,
     model_from_snapshot,
     new_model,
     pretrain_mlm,
@@ -38,7 +37,6 @@ __all__ = [
     "fit_loop",
     "init_weights",
     "layout_for",
-    "mlm_masked_accuracy",
     "model_from_snapshot",
     "new_model",
     "pretrain_mlm",

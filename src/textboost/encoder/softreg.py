@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..textdata import PAD_ID, Packed
+from ..textdata import PAD_ID, SCORE_CHUNK, Packed
 from . import nnops
 from .config import SoftregConfig
 from .nnops import DivergenceError
@@ -15,7 +15,10 @@ from .params import ModelSnapshot, init_param_vector, softreg_layout
 
 def token_counts(batch: Packed, vocab_size: int) -> np.ndarray:
     """(B, V) matrix of non-PAD token counts (CLS/SEP included; they act
-    as a duplicated bias and are harmless)."""
+    as a duplicated bias and are harmless).
+
+    Kept on ``np.add.at``: a bincount over ``row * V + id`` is bit-equal but
+    measured no faster at these sizes (39.0 vs 37.7 us on numpy 2.4.6)."""
     B, L = batch.ids.shape
     valid = np.arange(L)[None, :] < batch.lengths[:, None]
     valid &= batch.ids != PAD_ID
@@ -48,6 +51,10 @@ class SoftmaxRegressionModel:
     def snapshot(self, role: str) -> ModelSnapshot:
         return ModelSnapshot(config=self.config, params=self.params, role=role)
 
+    def clf_ranges(self) -> tuple[slice, ...]:
+        """The parameter ranges ``clf_loss_and_grad`` reaches: all of them."""
+        return (slice(0, self.params.size),)
+
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
         del train_mode, rng  # no stochastic layers
         logits = token_counts(batch, self.config.vocab_size) @ self.p["cls.w"] + self.p["cls.b"]
@@ -55,7 +62,7 @@ class SoftmaxRegressionModel:
             raise DivergenceError("softreg logits")
         return nnops.softmax_rows(logits)
 
-    def predict_proba(self, batch: Packed, chunk: int = 4096) -> np.ndarray:
+    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
         """Eval-mode probabilities, chunked so that one chunk's (rows, V)
         count matrix is alive at a time."""
         out = np.empty((batch.n, self.config.K), dtype=np.float64)
@@ -70,7 +77,10 @@ class SoftmaxRegressionModel:
         weights: Optional[np.ndarray] = None,
         train_mode: bool = False,
         rng=None,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Weighted cross-entropy, as ``TransformerModel.clf_loss_and_grad``;
+        the gradient is added into ``out`` (zeroed by the caller) when given."""
         del train_mode, rng
         B = batch.n
         weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -86,7 +96,7 @@ class SoftmaxRegressionModel:
         loss = float(per_example.mean())
 
         d_logits = (probs - t) * (weights / B)[:, None]
-        g = np.zeros_like(self.params)
+        g = np.zeros_like(self.params) if out is None else out
         gv = self.layout.views(g)
         gv["cls.w"] += counts.T @ d_logits
         gv["cls.b"] += d_logits.sum(axis=0)

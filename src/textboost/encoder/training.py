@@ -46,6 +46,7 @@ def fit_loop(
     steps: Optional[int] = None,
     after_pass: Optional[Callable[[int], dict]] = None,
     patience: Optional[int] = None,
+    ranges: Optional[Sequence[slice]] = None,
 ) -> list[dict]:
     """The one optimizer loop: Adam over shuffled mini-batches of ``range(n)``.
 
@@ -54,9 +55,15 @@ def fit_loop(
     exactly one cap).
     Update ``step`` (0-based) runs at ``lr * min(1, (step + 1) / w)``, where
     ``w`` is ``warmup`` times the number of updates, at least 1.
-    ``loss_and_grad(idx, step)`` returns ``(loss, grad)`` for the rows
-    ``idx``, optionally followed by a dict of extra fields for the step's
-    record; ``params`` is updated in place.
+    ``loss_and_grad(idx, step, grad)`` adds the gradient of the rows ``idx``
+    into ``grad`` and returns ``(loss, grad)``, optionally followed by a dict
+    of extra fields for the step's record; ``params`` is updated in place.
+    ``grad`` is one vector per fit, zeroed before every step.
+
+    ``ranges`` are the slices of ``params`` the loss can reach, as the model
+    reports them (all of ``params`` by default). Only they are zeroed,
+    checked and updated; every other entry has an exactly-zero gradient,
+    whose Adam update is exactly zero.
 
     Returns the log, one ``{"step", "loss", "lr"}`` record per update, where
     ``step`` counts the updates done. A ``DivergenceError`` or a non-finite
@@ -74,7 +81,9 @@ def fit_loop(
         raise ValueError("give exactly one of epochs and steps")
     total = steps if steps is not None else epochs * -(-n // batch_size)
     warmup_steps = max(1, int(round(warmup * total)))
-    opt = Adam(params.size, lr=lr)
+    ranges = (slice(0, params.size),) if ranges is None else tuple(ranges)
+    opt = Adam(params.size, lr=lr, ranges=ranges)
+    grad_buf = np.zeros_like(params)
     log: list[dict] = []
     best, best_score, since_best = None, -np.inf, 0
     step, diverged = 0, False
@@ -82,12 +91,15 @@ def fit_loop(
         order = rng.permutation(n)
         for start in range(0, n, batch_size)[: total - step]:
             opt.lr = lr * min(1.0, (step + 1) / warmup_steps)
+            for sl in ranges:
+                grad_buf[sl] = 0.0
             try:
-                loss, grad, *extra = loss_and_grad(order[start : start + batch_size], step)
+                loss, grad, *extra = loss_and_grad(order[start : start + batch_size], step,
+                                                   grad_buf)
             except DivergenceError:  # counts as a non-finite loss
                 loss, grad, extra = np.nan, None, []
             fields = extra[0] if extra else {}
-            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+            if not (np.isfinite(loss) and all(np.isfinite(grad[sl]).all() for sl in ranges)):
                 diverged = True
                 log.append({"step": step, "loss": None, "lr": opt.lr, **fields,
                             "event": "diverged"})
@@ -134,15 +146,16 @@ def train(
         raise ValueError("weights must be strictly positive")
     rng = np.random.default_rng(seed)
 
-    def loss_and_grad(idx, step):
+    def loss_and_grad(idx, step, grad):
         batch = packed.take(idx)
         loss, _, grad = model.clf_loss_and_grad(
-            batch, batch.labels, weights[idx], train_mode=True, rng=rng
+            batch, batch.labels, weights[idx], train_mode=True, rng=rng, out=grad
         )
         return loss, grad
 
     log = fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
-                   lr=cfg.lr, warmup=cfg.warmup_fraction, epochs=cfg.epochs)
+                   lr=cfg.lr, warmup=cfg.warmup_fraction, epochs=cfg.epochs,
+                   ranges=model.clf_ranges())
     return model.snapshot("finetuned"), log
 
 
@@ -180,12 +193,13 @@ def pretrain_mlm(
     if any((s >= config.vocab_size).any() or (s < 0).any() for s in usable):
         raise ValueError("corpus token id outside the vocabulary")
 
-    def loss_and_grad(idx, step):
+    def loss_and_grad(idx, step, grad):
         ids, lengths, rows, cols, targets = _mask_batch([usable[i] for i in idx], rng)
-        return model.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True, rng=rng)
+        return model.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True,
+                                       rng=rng, out=grad)
 
     log = fit_loop(model.params, len(usable), batch_size, rng, loss_and_grad,
-                   lr=lr, warmup=0.1, steps=steps)
+                   lr=lr, warmup=0.1, steps=steps, ranges=model.mlm_ranges())
     return model.snapshot("pretrained"), log
 
 
@@ -214,15 +228,3 @@ def _mask_batch(seqs: list[np.ndarray], rng):
             targets.append(int(s[p]))
             ids[i, p] = MASK_ID
     return ids, lengths, np.array(rows), np.array(cols), np.array(targets)
-
-
-def mlm_masked_accuracy(snapshot: ModelSnapshot, corpus: Sequence[Sequence[int]], seed) -> float:
-    """Top-1 accuracy at masked positions under a fresh masking draw."""
-    model = TransformerModel.from_snapshot(snapshot)
-    rng = np.random.default_rng(seed)
-    ids, lengths, rows, cols, targets = _mask_batch(
-        _mlm_sequences(corpus, model.config.max_seq_len), rng)
-    segs = np.zeros_like(ids)
-    h, _ = model._trunk_forward(ids, segs, lengths, train=False, rng=None)
-    logits = h[rows, cols] @ model.p["mlm.w"] + model.p["mlm.b"]
-    return float((logits.argmax(axis=1) == targets).mean())

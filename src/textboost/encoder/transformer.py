@@ -15,6 +15,9 @@ the same loop with one query row. That block's dropout still draws full
 (B, L, d) masks and keeps their first row, so the rng stream, and the CLS
 row's masks, match the all-positions pass. The masked-token losses run every
 position through every layer.
+
+Both losses add their gradient into ``out`` when given, a zeroed vector that
+``fit_loop`` reuses across steps, and into a fresh vector otherwise.
 """
 
 from __future__ import annotations
@@ -23,13 +26,22 @@ from typing import Optional
 
 import numpy as np
 
-from ..textdata import Packed
+from ..textdata import SCORE_CHUNK, Packed
 from . import nnops
 from .config import EncoderConfig
 from .nnops import DivergenceError
 from .params import ModelSnapshot, init_param_vector, transformer_layout
 
 _NEG_BIAS = -1e30  # additive mask for padded key positions
+
+
+def _scatter_rows(ids: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, d) sums of the (..., d) rows of ``grad`` by their ``ids``: one
+    bincount over ``id * d + j``. Each bin adds in order of appearance, as
+    ``np.add.at`` does, so the sums are bit-equal to it."""
+    d = grad.shape[-1]
+    flat = (ids[..., None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=grad.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
 def head_probs(cls_h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,9 +212,9 @@ class TransformerModel:
         d_xsum, dg, db = nnops.ln_backward(d_xln, cache["emb_ln"], p["emb_ln.g"])
         g["emb_ln.g"] += dg
         g["emb_ln.b"] += db
-        np.add.at(g["tok_emb"], cache["ids"], d_xsum)
+        g["tok_emb"] += _scatter_rows(cache["ids"], d_xsum, cfg.vocab_size)
         g["pos_emb"][:L] += d_xsum.sum(axis=0)
-        np.add.at(g["seg_emb"], cache["segs"], d_xsum)
+        g["seg_emb"] += _scatter_rows(cache["segs"], d_xsum, 2)
 
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
         """Per-example softmax over the K classes; rows sum to 1."""
@@ -216,7 +228,7 @@ class TransformerModel:
                                    cls_only=True)
         return h[:, 0, :]
 
-    def predict_proba(self, batch: Packed, chunk: int = 256) -> np.ndarray:
+    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
         """Eval-mode probabilities, chunked over large inputs."""
         out = np.empty((batch.n, self.config.K), dtype=np.float64)
         for idx, part in batch.chunks(chunk):
@@ -224,7 +236,8 @@ class TransformerModel:
         return out
 
     def predict_proba_heads(
-        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]], chunk: int = 256
+        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]],
+        chunk: int = SCORE_CHUNK,
     ) -> np.ndarray:
         """(n, M, K) eval-mode probabilities of M (w, b) classification heads
         over this trunk: one trunk pass per chunk serves every head, and each
@@ -239,9 +252,20 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # losses and gradients
     # ------------------------------------------------------------------
-    def _grad_vector(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        flat = np.zeros_like(self.params)
+    def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        flat = np.zeros_like(self.params) if out is None else out
         return flat, self.layout.views(flat)
+
+    def clf_ranges(self) -> tuple[slice, ...]:
+        """The parameter ranges ``clf_loss_and_grad`` reaches: all but the
+        masked-token head."""
+        mlm, cls = self.layout.slice_of("mlm.w"), self.layout.slice_of("cls.w")
+        return slice(0, mlm.start), slice(cls.start, self.params.size)
+
+    def mlm_ranges(self) -> tuple[slice, ...]:
+        """The parameter ranges ``mlm_loss_and_grad`` reaches: all but the
+        classification head."""
+        return (slice(0, self.layout.slice_of("cls.w").start),)
 
     def clf_loss_and_grad(
         self,
@@ -250,12 +274,14 @@ class TransformerModel:
         weights: Optional[np.ndarray] = None,
         train_mode: bool = False,
         rng=None,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Weighted cross-entropy against hard labels or soft distributions.
 
         ``targets`` is either an int vector of label ids or a (B, K) matrix
         of target distributions. Returns (scalar loss, per-example losses,
-        flat gradient); the scalar is the batch mean of w_i * CE_i.
+        flat gradient); the scalar is the batch mean of w_i * CE_i. The
+        gradient is added into ``out`` (zeroed by the caller) when given.
         """
         B = batch.n
         weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -275,7 +301,7 @@ class TransformerModel:
         loss = float(per_example.mean())
 
         d_logits = (probs - t) * (weights / B)[:, None]
-        g, gv = self._grad_vector()
+        g, gv = self._grad_vector(out)
         gv["cls.w"] += cls_h.T @ d_logits
         gv["cls.b"] += d_logits.sum(axis=0)
         d_h = (d_logits @ self.p["cls.w"].T)[:, None, :]
@@ -291,8 +317,11 @@ class TransformerModel:
         target_ids: np.ndarray,
         train_mode: bool = False,
         rng=None,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[float, np.ndarray]:
-        """Cross-entropy at masked positions; mean over all masked slots."""
+        """Cross-entropy at masked positions; mean over all masked slots. The
+        (row, col) pairs are distinct. The gradient is added into ``out``
+        (zeroed by the caller) when given."""
         segs = np.zeros_like(ids)
         h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True)
         hm = h[mask_rows, mask_cols]  # (N, d)
@@ -305,10 +334,10 @@ class TransformerModel:
         d_logits = probs.copy()
         d_logits[np.arange(n_mask), target_ids] -= 1.0
         d_logits /= n_mask
-        g, gv = self._grad_vector()
+        g, gv = self._grad_vector(out)
         gv["mlm.w"] += hm.T @ d_logits
         gv["mlm.b"] += d_logits.sum(axis=0)
         d_h = np.zeros_like(h)
-        np.add.at(d_h, (mask_rows, mask_cols), d_logits @ self.p["mlm.w"].T)
+        d_h[mask_rows, mask_cols] = d_logits @ self.p["mlm.w"].T
         self._trunk_backward(d_h, cache, gv)
         return loss, g

@@ -98,8 +98,10 @@ class FusionHead:
     def probs(self, features: np.ndarray) -> np.ndarray:
         return softmax_rows(self.logits(features))
 
-    def loss_and_grad(self, features: np.ndarray, labels: np.ndarray):
-        """Unweighted mean CE and the flat gradient."""
+    def loss_and_grad(self, features: np.ndarray, labels: np.ndarray,
+                      out: Optional[np.ndarray] = None):
+        """Unweighted mean CE and the flat gradient, added into ``out`` (zeroed
+        by the caller) when given."""
         B = features.shape[0]
         layers = self._unpack(self.params)
         acts = [np.asarray(features, dtype=np.float64)]
@@ -116,7 +118,7 @@ class FusionHead:
         picked = np.maximum(p[np.arange(B), labels], PROB_FLOOR)
         loss = float(-np.log(picked).mean())
 
-        grad = np.zeros_like(self.params)
+        grad = np.zeros_like(self.params) if out is None else out
         gviews = self._unpack(grad)
         d = p.copy()
         d[np.arange(B), labels] -= 1.0
@@ -195,9 +197,9 @@ def train_fusion(
     n = labels.shape[0]
     epoch, epoch_loss = 0, 0.0
 
-    def loss_and_grad(idx, step):
+    def loss_and_grad(idx, step, grad):
         nonlocal epoch_loss
-        loss, grad = head.loss_and_grad(feats_train[idx], labels[idx])
+        loss, grad = head.loss_and_grad(feats_train[idx], labels[idx], out=grad)
         epoch_loss += loss * idx.size
         return loss, grad
 

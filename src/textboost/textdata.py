@@ -21,6 +21,12 @@ import numpy as np
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 
+# Rows per scoring chunk of either learner. At 64 rows one activation of a
+# transformer chunk (64 x 24 x 32 float64, 393 KB at the default shapes) or a
+# softreg chunk's (rows, V) count matrix stays cache-sized, and a scoring
+# pass's working set does not grow with the dataset.
+SCORE_CHUNK = 64
+
 
 class MalformedLineError(ValueError):
     """A TSV line whose column layout or content violates the schema."""
@@ -239,9 +245,10 @@ class Packed:
             labels=self.labels[index],
         )
 
-    def chunks(self, size: int):
+    def chunks(self, size: int = SCORE_CHUNK):
         """(row index, sub-batch) pairs of at most ``size`` rows, in order; a
-        batch that fits is yielded whole."""
+        batch that fits is yielded whole. Each sub-batch is trimmed to its
+        own longest row."""
         if self.n <= size:
             yield slice(None), self
             return

@@ -350,7 +350,8 @@ class TestScoredOnce:
                                       sharing_mode="sharing", rounds=rounds, shared_trunk=trunk)
 
     def test_sharing_trunk_pass_equals_per_round_models_across_chunks(self, tiny_config):
-        dataset = make_token_dataset(np.random.default_rng(4), n=300)  # two 256-row chunks
+        # 300 rows: four full 64-row scoring chunks and a partial one
+        dataset = make_token_dataset(np.random.default_rng(4), n=300)
         ens = self.sharing_ensemble(tiny_config)
         assert np.array_equal(ens.predict_proba_per_round(dataset), self.per_round(ens, dataset))
 

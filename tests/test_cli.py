@@ -304,6 +304,39 @@ class TestDistillCmd:
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
 
 
+class TestPretraining:
+    @pytest.mark.parametrize("learner, steps, encoded", [
+        ("transformer", 150, True), ("transformer", 0, False), ("softreg", 150, False)])
+    def test_corpus_encoded_only_when_pretraining(self, task_dir, tmp_path, learner, steps,
+                                                  encoded):
+        cfg = cli.RunConfig.load(write_config(
+            tmp_path / "c.json", task_dir, tmp_path, learner=learner,
+            pretrain={"steps": steps, "lr": 1e-3, "batch_size": 32}))
+        assert bool(cli.prepare_task(cfg).corpus_ids) == encoded
+
+    def test_truncated_cache_entry_is_retrained_and_replaced(self, task_dir, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(
+            tmp_path / "c.json", task_dir, out,
+            boost={"rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
+                   "vote": "soft"},
+            train={"lr": 3e-3, "batch_size": 16, "epochs": 3},
+            pretrain={"steps": 20, "lr": 1e-3, "batch_size": 32},
+        )
+        argv = ["train-boost", "--config", str(cfg_path)]
+        assert cli.main(argv) == 0
+        (cache,) = out.glob("pretrained_*.bgv")
+        (run_dir,) = out.glob("train-boost-*")
+        names = ("ensemble.bge", "fusion.bgf", "single.bgv", "pretrained.bgv")
+        first = {name: (run_dir / name).read_bytes() for name in names}
+        good = cache.read_bytes()
+        cache.write_bytes(good[: len(good) // 2])  # what a crash mid-write leaves
+        assert cli.main(argv) == 0
+        assert {name: (run_dir / name).read_bytes() for name in names} == first
+        assert cache.read_bytes() == good
+        assert not list(out.glob("*.tmp"))
+
+
 class TestOracleCheck:
     def test_oracle_check_passes(self, tmp_path, capsys):
         rc = cli.main(["oracle-check", "--out", str(tmp_path), "--rounds", "5"])

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from textboost import encoder as enc
 from textboost.encoder import nnops
-from textboost.textdata import Packed
+from textboost.textdata import SCORE_CHUNK, Packed
 
 from conftest import random_batch
 from reference_forward import GELU_C0, GELU_C1, reference_probs
@@ -201,3 +202,41 @@ class TestSoftreg:
         # a chunk boundary can move BLAS onto another kernel: last-ulp tolerance
         np.testing.assert_allclose(model.predict_proba(batch, chunk=5),
                                    model.forward_probs(batch), rtol=1e-12, atol=0.0)
+
+
+def bundled_sized_model(kind):
+    """A learner at the default encoder shapes and the bundled task's vocabulary."""
+    if kind == "softreg":
+        return enc.SoftmaxRegressionModel(enc.SoftregConfig(vocab_size=588, K=3), seed=0)
+    return enc.TransformerModel(enc.EncoderConfig(
+        vocab_size=588, K=3, d_model=32, n_layers=2, n_heads=2, d_ffn=64,
+        max_seq_len=24, dropout_rate=0.1), seed=0)
+
+
+class TestScoringChunks:
+    @pytest.mark.parametrize("kind", ["transformer", "softreg"])
+    def test_default_chunks_equal_one_pass(self, kind):
+        model = bundled_sized_model(kind)
+        batch = random_batch(np.random.default_rng(7), vocab_size=588, B=2 * SCORE_CHUNK + 22,
+                             L=24)
+        assert len(list(batch.chunks())) == 3  # two full chunks and a partial one
+        chunked, whole = model.predict_proba(batch), model.forward_probs(batch)
+        # chunks are trimmed to their own longest row: last-ulp tolerance
+        np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-12)
+        assert np.array_equal(chunked.argmax(axis=1), whole.argmax(axis=1))
+
+    # Scoring 2,000 rows at 64-row chunks peaks at about 10 MB of transformer
+    # activations and 0.4 MB of softreg counts; 256-row transformer chunks
+    # took about 40 MB, and softreg's one 2,000-row (rows, V) chunk 10 MB.
+    @pytest.mark.parametrize("kind, bound_mb", [("transformer", 16.0), ("softreg", 2.0)])
+    def test_scratch_memory_of_2000_rows_is_bounded(self, kind, bound_mb):
+        model = bundled_sized_model(kind)
+        batch = random_batch(np.random.default_rng(8), vocab_size=588, B=2000, L=24)
+        model.predict_proba(batch)
+        tracemalloc.start()
+        try:
+            model.predict_proba(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"

@@ -5,6 +5,7 @@ import pytest
 
 from textboost import encoder as enc
 from textboost.encoder import nnops
+from textboost.encoder.transformer import _scatter_rows
 
 from conftest import random_batch
 from gradcheck import REL_TOL, check_group, gradients, weighted_ce_loss
@@ -188,3 +189,24 @@ class TestWeightedCELoss:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             weighted_ce_loss(np.array([[0.5, 0.5]]), np.array([0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("n_rows", [2, 7])
+def test_scatter_rows_bit_equal_to_add_at_with_repeated_ids(n_rows):
+    """The embedding-gradient bincount adds each bin in the order add.at does;
+    magnitudes spread over 16 decades make that order visible in the bits."""
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, n_rows, size=(8, 24))
+    grad = rng.normal(size=(8, 24, 32)) * 10.0 ** rng.integers(-8, 8, size=(8, 24, 1))
+    want = np.zeros((n_rows, 32))
+    np.add.at(want, ids, grad)
+    assert _scatter_rows(ids, grad, n_rows).tobytes() == want.tobytes()
+
+
+def test_loss_returns_a_fresh_gradient_or_adds_into_out(model, batch):
+    _, _, a = model.clf_loss_and_grad(batch, batch.labels)
+    _, _, b = model.clf_loss_and_grad(batch, batch.labels)
+    assert a is not b and a.tobytes() == b.tobytes()
+    out = np.zeros_like(model.params)
+    _, _, c = model.clf_loss_and_grad(batch, batch.labels, out=out)
+    assert c is out and out.tobytes() == a.tobytes()

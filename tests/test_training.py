@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from textboost import encoder as enc
+from textboost.encoder.training import _mask_batch, _mlm_sequences
 
 from conftest import make_token_dataset
+
+
+def mlm_masked_accuracy(snapshot, corpus, seed) -> float:
+    """Top-1 accuracy at masked positions under a fresh masking draw."""
+    model = enc.TransformerModel.from_snapshot(snapshot)
+    ids, lengths, rows, cols, targets = _mask_batch(
+        _mlm_sequences(corpus, model.config.max_seq_len), np.random.default_rng(seed))
+    h, _ = model._trunk_forward(ids, np.zeros_like(ids), lengths, train=False, rng=None)
+    logits = h[rows, cols] @ model.p["mlm.w"] + model.p["mlm.b"]
+    return float((logits.argmax(axis=1) == targets).mean())
 
 
 @pytest.fixture
@@ -56,9 +67,10 @@ class TestFitLoop:
     @staticmethod
     def pull_to(params, target):
         """Loss and gradient of |params - target|^2, whatever the rows."""
-        def loss_and_grad(idx, step):
+        def loss_and_grad(idx, step, grad):
             d = params - target
-            return float(d @ d), 2.0 * d
+            grad += 2.0 * d
+            return float(d @ d), grad
         return loss_and_grad
 
     def run(self, params, loss_and_grad, **kw):
@@ -106,8 +118,8 @@ class TestFitLoop:
         inner = self.pull_to(params, np.ones(3))
         kept = []
 
-        def loss_and_grad(idx, step):
-            loss, grad = inner(idx, step)
+        def loss_and_grad(idx, step, grad):
+            loss, grad = inner(idx, step, grad)
             kept.append(params.copy())
             if step == 4:
                 grad[1] = np.nan
@@ -123,10 +135,10 @@ class TestFitLoop:
         inner = self.pull_to(params, np.ones(3))
         after = []
 
-        def loss_and_grad(idx, step):
+        def loss_and_grad(idx, step, grad):
             if step == 4:
                 raise enc.DivergenceError("test")
-            return inner(idx, step)
+            return inner(idx, step, grad)
 
         def after_pass(step):
             after.append(params.copy())
@@ -147,6 +159,75 @@ class TestFitLoop:
             self.run(params, self.pull_to(params, np.ones(3)), epochs=1, steps=1)
         with pytest.raises(ValueError, match="exactly one"):
             self.run(params, self.pull_to(params, np.ones(3)))
+
+
+class TestGradientBuffer:
+    """fit_loop reuses one zeroed gradient vector and updates only the ranges
+    the loss reaches; parameters stay bit-equal to a loop that allocates a
+    fresh gradient every step and updates every entry."""
+
+    @staticmethod
+    def reference_fit(params, n, batch_size, rng, fresh_grad, lr, warmup, total):
+        opt = enc.Adam(params.size, lr=lr)
+        warmup_steps = max(1, int(round(warmup * total)))
+        step = 0
+        while step < total:
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size)[: total - step]:
+                opt.lr = lr * min(1.0, (step + 1) / warmup_steps)
+                opt.step(params, fresh_grad(order[start : start + batch_size]))
+                step += 1
+
+    @staticmethod
+    def spy_on_adam(monkeypatch):
+        seen = []
+        real = enc.Adam.step
+
+        def step(self, params, grad):
+            seen.append(grad)
+            return real(self, params, grad)
+
+        monkeypatch.setattr(enc.Adam, "step", step)
+        return seen
+
+    def test_train(self, tiny_config, dataset, monkeypatch):
+        seen = self.spy_on_adam(monkeypatch)
+        weights = np.random.default_rng(3).uniform(0.5, 2.0, size=dataset.n) / dataset.n
+        cfg = enc.TrainConfig(lr=3e-3, batch_size=16, epochs=2)
+        snap, _ = enc.train(enc.TransformerModel(tiny_config, seed=1), dataset, cfg, seed=5,
+                            weights=weights)
+        assert len(seen) == 12 and all(g is seen[0] for g in seen)
+        monkeypatch.undo()
+
+        ref, rng, packed = enc.TransformerModel(tiny_config, seed=1), np.random.default_rng(5), \
+            dataset.packed
+
+        def fresh_grad(idx):
+            batch = packed.take(idx)
+            return ref.clf_loss_and_grad(batch, batch.labels, weights[idx], train_mode=True,
+                                         rng=rng)[2]
+
+        self.reference_fit(ref.params, dataset.n, 16, rng, fresh_grad, 3e-3, 0.1, 12)
+        assert snap.params.tobytes() == ref.params.tobytes()
+
+    def test_pretrain_mlm(self, tiny_config, monkeypatch):
+        corpus = [list(np.random.default_rng(i).integers(5, 20, size=8)) for i in range(40)]
+        seen = self.spy_on_adam(monkeypatch)
+        snap, _ = enc.pretrain_mlm(corpus, tiny_config, steps=7, seed=4, lr=3e-3, batch_size=8)
+        assert len(seen) == 7 and all(g is seen[0] for g in seen)
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(4)
+        ref = enc.TransformerModel(tiny_config, seed=rng)
+        usable = _mlm_sequences(corpus, tiny_config.max_seq_len)
+
+        def fresh_grad(idx):
+            ids, lengths, rows, cols, targets = _mask_batch([usable[i] for i in idx], rng)
+            return ref.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True,
+                                         rng=rng)[1]
+
+        self.reference_fit(ref.params, len(usable), 8, rng, fresh_grad, 3e-3, 0.1, 7)
+        assert snap.params.tobytes() == ref.params.tobytes()
 
 
 class TestTrain:
@@ -273,7 +354,7 @@ class TestPretrainMLM:
     def test_bigram_structure_beats_chance(self, tiny_config):
         corpus = self._bigram_corpus(np.random.default_rng(1))
         snap, _ = enc.pretrain_mlm(corpus, tiny_config, steps=250, seed=4)
-        acc = enc.mlm_masked_accuracy(snap, corpus[:150], seed=9)
+        acc = mlm_masked_accuracy(snap, corpus[:150], seed=9)
         chance = 1.0 / tiny_config.vocab_size
         assert acc > 5 * chance
 
