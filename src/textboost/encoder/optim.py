@@ -33,10 +33,9 @@ class Adam:
         # work buffers for the update; m, v and params are updated in place
         self._s1 = np.empty(n_params, dtype=np.float64)
         self._s2 = np.empty(n_params, dtype=np.float64)
-        self.ranges = (slice(0, n_params),) if ranges is None else tuple(ranges)
         # the ranges' views of m, v and the work buffers
         self._views = [(sl, self.m[sl], self.v[sl], self._s1[sl], self._s2[sl])
-                       for sl in self.ranges]
+                       for sl in (ranges or (slice(0, n_params),))]
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """One update, in place; each operation rounds as in

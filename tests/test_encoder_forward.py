@@ -227,7 +227,7 @@ class TestScoringChunks:
 
     # Scoring 2,000 rows at 64-row chunks peaks at about 10 MB of transformer
     # activations and 0.4 MB of softreg counts; 256-row transformer chunks
-    # took about 40 MB, and softreg's one 2,000-row (rows, V) chunk 10 MB.
+    # take about 40 MB, and softreg's rows as one (rows, V) chunk 10 MB.
     @pytest.mark.parametrize("kind, bound_mb", [("transformer", 16.0), ("softreg", 2.0)])
     def test_scratch_memory_of_2000_rows_is_bounded(self, kind, bound_mb):
         model = bundled_sized_model(kind)
