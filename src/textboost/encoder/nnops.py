@@ -21,43 +21,86 @@ class DivergenceError(RuntimeError):
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis: ``exp(z - max) / sum``, computed in one
+    new array."""
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-form GELU. Returns (y, t) with t = tanh(u), which ``gelu_grad``
     takes back so that the backward needs no second tanh."""
-    t = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= _GELU_C1
+    t += x
+    t *= _GELU_C0
+    np.tanh(t, out=t)
+    y = x * 0.5
+    y *= t + 1.0
+    return y, t
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu / dx at ``x``, given ``t`` as returned by ``gelu(x)``."""
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * (x * x))
+    """d gelu / dx at ``x``, given ``t`` as returned by ``gelu(x)``:
+    0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2)."""
+    a = t * t
+    np.subtract(1.0, a, out=a)
+    b = x * 0.5
+    b *= a
+    b *= _GELU_C0
+    np.multiply(x, x, out=a)
+    a *= 3.0 * _GELU_C1
+    a += 1.0
+    b *= a
+    np.add(t, 1.0, out=a)
+    a *= 0.5
+    a += b
+    return a
 
 
 def ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """LayerNorm over the last axis. Returns (y, cache)."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    # the same sum and divide as x.var, without centring x a second time
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
+    """LayerNorm over the last axis. Returns (y, cache).
+
+    ``np.add.reduce`` and a divide by the count are what ``mean`` calls, and
+    averaging the squares of the centred values is what ``var`` does, so the
+    result is bit-equal to ``gamma * (x - mu) / sqrt(var + eps) + beta``."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xc = x - mu
+    y = xc * xc
+    inv_sigma = np.add.reduce(y, axis=-1, keepdims=True)
+    inv_sigma /= n
+    inv_sigma += LN_EPS
+    np.sqrt(inv_sigma, out=inv_sigma)
+    np.divide(1.0, inv_sigma, out=inv_sigma)
     xhat = np.multiply(xc, inv_sigma, out=xc)
-    return gamma * xhat + beta, (xhat, inv_sigma)
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv_sigma)
 
 
 def ln_backward(dy: np.ndarray, cache, gamma: np.ndarray):
     """Returns (dx, dgamma, dbeta)."""
     xhat, inv_sigma = cache
+    n = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv_sigma
+    t = dy * xhat
+    dgamma = np.add.reduce(t, axis=axes)
+    dbeta = np.add.reduce(dy, axis=axes)
+    dx = dy * gamma  # dxhat
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+    m1 /= n
+    np.multiply(dx, xhat, out=t)
+    m2 = np.add.reduce(t, axis=-1, keepdims=True)
+    m2 /= n
+    dx -= m1
+    np.multiply(xhat, m2, out=t)
+    dx -= t
+    dx *= inv_sigma
     return dx, dgamma, dbeta
 
 
@@ -66,11 +109,14 @@ def dropout_forward(x: np.ndarray, rate: float, train: bool, rng, draw_shape=Non
 
     The uniforms are drawn at ``draw_shape`` (default ``x.shape``) and their
     leading ``x.shape`` corner is used, so a block that computes only some of
-    its rows draws the same stream and the same masks for those rows."""
+    its rows draws the same stream and the same masks for those rows. The
+    mask is ``(u >= rate) / (1 - rate)``, computed in the uniforms' array."""
     if not train or rate <= 0.0:
         return x, None
     u = rng.random(x.shape if draw_shape is None else draw_shape)
-    mask = (u[tuple(map(slice, x.shape))] >= rate) / (1.0 - rate)
+    mask = u[tuple(map(slice, x.shape))]
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
     return x * mask, mask
 
 

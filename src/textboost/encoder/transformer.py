@@ -46,7 +46,8 @@ def _scatter_rows(ids: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
 
 def head_probs(cls_h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Softmax rows of the linear classification head over CLS rows."""
-    logits = cls_h @ w + b
+    logits = cls_h @ w
+    logits += b
     if not np.isfinite(logits).all():
         raise DivergenceError("classification head")
     return nnops.softmax_rows(logits)
@@ -67,6 +68,7 @@ class TransformerModel:
             params = np.array(params, dtype=np.float64, copy=True)
         self.params = params
         self.p = self.layout.views(self.params)
+        self._out_views: Optional[tuple[np.ndarray, dict[str, np.ndarray]]] = None
 
     @classmethod
     def from_snapshot(cls, snap: ModelSnapshot) -> "TransformerModel":
@@ -99,7 +101,9 @@ class TransformerModel:
         valid = np.arange(L)[None, :] < lengths[:, None]
         bias = np.where(valid, 0.0, _NEG_BIAS)[:, None, None, :]  # (B,1,1,L)
 
-        x_sum = p["tok_emb"][ids] + p["pos_emb"][:L][None, :, :] + p["seg_emb"][segs]
+        x_sum = p["tok_emb"][ids]
+        x_sum += p["pos_emb"][:L]
+        x_sum += p["seg_emb"][segs]
         x_ln, emb_ln_cache = nnops.ln_forward(x_sum, p["emb_ln.g"], p["emb_ln.b"])
         h, emb_mask = nnops.dropout_forward(x_ln, cfg.dropout_rate, train, rng)
         if not np.isfinite(h).all():
@@ -115,22 +119,30 @@ class TransformerModel:
             h_in = h
             Lq = 1 if cls_only and l == cfg.n_layers - 1 else L  # query rows
             h_q = h_in[:, :Lq]
-            q = h_q @ p[f"{pre}.wq"] + p[f"{pre}.bq"]
-            k = h_in @ p[f"{pre}.wk"] + p[f"{pre}.bk"]
-            v = h_in @ p[f"{pre}.wv"] + p[f"{pre}.bv"]
+            q = h_q @ p[f"{pre}.wq"]
+            q += p[f"{pre}.bq"]
+            k = h_in @ p[f"{pre}.wk"]
+            k += p[f"{pre}.bk"]
+            v = h_in @ p[f"{pre}.wv"]
+            v += p[f"{pre}.bv"]
             qh = q.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
             kh = k.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + bias
+            scores = qh @ kh.transpose(0, 1, 3, 2)
+            scores *= scale
+            scores += bias
             probs = nnops.softmax_rows(scores)
             ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
-            attn = ctx @ p[f"{pre}.wo"] + p[f"{pre}.bo"]
+            attn = ctx @ p[f"{pre}.wo"]
+            attn += p[f"{pre}.bo"]
             attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full)
             h1, ln1_cache = nnops.ln_forward(h_q + attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
 
-            act_in = h1 @ p[f"{pre}.w1"] + p[f"{pre}.b1"]
+            act_in = h1 @ p[f"{pre}.w1"]
+            act_in += p[f"{pre}.b1"]
             act, act_t = nnops.gelu(act_in)
-            ffn = act @ p[f"{pre}.w2"] + p[f"{pre}.b2"]
+            ffn = act @ p[f"{pre}.w2"]
+            ffn += p[f"{pre}.b2"]
             ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full)
             h, ln2_cache = nnops.ln_forward(h1 + ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             if not np.isfinite(h).all():
@@ -165,46 +177,55 @@ class TransformerModel:
             d_res2, dln2g, dln2b = nnops.ln_backward(d_h, c["ln2"], p[f"{pre}.ln2.g"])
             g[f"{pre}.ln2.g"] += dln2g
             g[f"{pre}.ln2.b"] += dln2b
-            d_h1 = d_res2.copy()
+            # d_ffn is d_res2 itself without dropout; it is last read
+            # before d_h1 = d_res2 takes the FFN's input gradient
             d_ffn = nnops.dropout_backward(d_res2, c["ffn_mask"])
 
             act2d = c["act"].reshape(-1, cfg.d_ffn)
             d_ffn2d = d_ffn.reshape(-1, d)
             g[f"{pre}.w2"] += act2d.T @ d_ffn2d
-            g[f"{pre}.b2"] += d_ffn2d.sum(axis=0)
-            d_act = d_ffn @ p[f"{pre}.w2"].T
-            d_actin = d_act * nnops.gelu_grad(c["act_in"], c["act_t"])
+            g[f"{pre}.b2"] += np.add.reduce(d_ffn2d, axis=0)
+            d_actin = d_ffn @ p[f"{pre}.w2"].T
+            d_actin *= nnops.gelu_grad(c["act_in"], c["act_t"])
             h1_2d = c["h1"].reshape(-1, d)
             d_actin2d = d_actin.reshape(-1, cfg.d_ffn)
             g[f"{pre}.w1"] += h1_2d.T @ d_actin2d
-            g[f"{pre}.b1"] += d_actin2d.sum(axis=0)
+            g[f"{pre}.b1"] += np.add.reduce(d_actin2d, axis=0)
+            d_h1 = d_res2
             d_h1 += d_actin @ p[f"{pre}.w1"].T
 
             d_res1, dln1g, dln1b = nnops.ln_backward(d_h1, c["ln1"], p[f"{pre}.ln1.g"])
             g[f"{pre}.ln1.g"] += dln1g
             g[f"{pre}.ln1.b"] += dln1b
-            d_hin = np.zeros((B, L, d))
-            d_hin[:, :Lq] = d_res1
+            if Lq == L:
+                d_hin = d_res1  # read as d_attn before the += below
+            else:
+                d_hin = np.zeros((B, L, d))
+                d_hin[:, :Lq] = d_res1
             d_attn = nnops.dropout_backward(d_res1, c["attn_mask"])
 
             ctx2d = c["ctx"].reshape(-1, d)
             d_attn2d = d_attn.reshape(-1, d)
             g[f"{pre}.wo"] += ctx2d.T @ d_attn2d
-            g[f"{pre}.bo"] += d_attn2d.sum(axis=0)
+            g[f"{pre}.bo"] += np.add.reduce(d_attn2d, axis=0)
             d_ctx = (d_attn @ p[f"{pre}.wo"].T).reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
 
             probs = c["probs"]
             d_probs = d_ctx @ c["vh"].transpose(0, 1, 3, 2)
             d_vh = probs.transpose(0, 1, 3, 2) @ d_ctx
-            d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-            d_qh = d_scores @ c["kh"] * scale
-            d_kh = d_scores.transpose(0, 1, 3, 2) @ c["qh"] * scale
+            d_scores = d_probs  # probs * (d_probs - sum(d_probs * probs))
+            d_scores -= np.add.reduce(d_probs * probs, axis=-1, keepdims=True)
+            d_scores *= probs
+            d_qh = d_scores @ c["kh"]
+            d_qh *= scale
+            d_kh = d_scores.transpose(0, 1, 3, 2) @ c["qh"]
+            d_kh *= scale
 
             for nm, dm in (("wq", d_qh), ("wk", d_kh), ("wv", d_vh)):
                 rows = dm.shape[2]  # Lq for the query, L for keys and values
                 d_flat = dm.transpose(0, 2, 1, 3).reshape(-1, d)
                 g[f"{pre}.{nm}"] += c["h_in"][:, :rows].reshape(-1, d).T @ d_flat
-                g[f"{pre}.b{nm[1]}"] += d_flat.sum(axis=0)
+                g[f"{pre}.b{nm[1]}"] += np.add.reduce(d_flat, axis=0)
                 d_hin[:, :rows] += (d_flat @ p[f"{pre}.{nm}"].T).reshape(B, rows, d)
             d_h = d_hin
 
@@ -213,7 +234,7 @@ class TransformerModel:
         g["emb_ln.g"] += dg
         g["emb_ln.b"] += db
         g["tok_emb"] += _scatter_rows(cache["ids"], d_xsum, cfg.vocab_size)
-        g["pos_emb"][:L] += d_xsum.sum(axis=0)
+        g["pos_emb"][:L] += np.add.reduce(d_xsum, axis=0)
         g["seg_emb"] += _scatter_rows(cache["segs"], d_xsum, 2)
 
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
@@ -253,8 +274,15 @@ class TransformerModel:
     # losses and gradients
     # ------------------------------------------------------------------
     def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        flat = np.zeros_like(self.params) if out is None else out
-        return flat, self.layout.views(flat)
+        """``out`` (or a fresh zero vector) and its named views. The views of
+        the last ``out`` are kept, since ``fit_loop`` passes the same one at
+        every step."""
+        if out is None:
+            flat = np.zeros_like(self.params)
+            return flat, self.layout.views(flat)
+        if self._out_views is None or self._out_views[0] is not out:
+            self._out_views = (out, self.layout.views(out))
+        return self._out_views
 
     def clf_ranges(self) -> tuple[slice, ...]:
         """The parameter ranges ``clf_loss_and_grad`` reaches: all but the
@@ -295,15 +323,22 @@ class TransformerModel:
         h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
                                        keep_cache=True, cls_only=True)
         cls_h = h[:, 0, :]
-        logits = cls_h @ self.p["cls.w"] + self.p["cls.b"]
+        logits = cls_h @ self.p["cls.w"]
+        logits += self.p["cls.b"]
         probs = nnops.softmax_rows(logits)
-        per_example = weights * -(t * np.log(np.maximum(probs, nnops.PROB_FLOOR))).sum(axis=1)
-        loss = float(per_example.mean())
+        log_p = np.maximum(probs, nnops.PROB_FLOOR)
+        np.log(log_p, out=log_p)
+        log_p *= t
+        per_example = -np.add.reduce(log_p, axis=1)
+        per_example *= weights
+        loss = float(np.add.reduce(per_example)) / B  # per_example.mean()
 
-        d_logits = (probs - t) * (weights / B)[:, None]
+        d_logits = probs
+        d_logits -= t
+        d_logits *= (weights / B)[:, None]
         g, gv = self._grad_vector(out)
         gv["cls.w"] += cls_h.T @ d_logits
-        gv["cls.b"] += d_logits.sum(axis=0)
+        gv["cls.b"] += np.add.reduce(d_logits, axis=0)
         d_h = (d_logits @ self.p["cls.w"].T)[:, None, :]
         self._trunk_backward(d_h, cache, gv)
         return loss, per_example, g
@@ -325,18 +360,20 @@ class TransformerModel:
         segs = np.zeros_like(ids)
         h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True)
         hm = h[mask_rows, mask_cols]  # (N, d)
-        logits = hm @ self.p["mlm.w"] + self.p["mlm.b"]
+        logits = hm @ self.p["mlm.w"]
+        logits += self.p["mlm.b"]
         probs = nnops.softmax_rows(logits)
         n_mask = hm.shape[0]
         picked = np.maximum(probs[np.arange(n_mask), target_ids], nnops.PROB_FLOOR)
-        loss = float(-np.log(picked).mean())
+        np.log(picked, out=picked)
+        loss = float(-np.add.reduce(picked) / n_mask)  # -log(picked).mean()
 
-        d_logits = probs.copy()
+        d_logits = probs
         d_logits[np.arange(n_mask), target_ids] -= 1.0
         d_logits /= n_mask
         g, gv = self._grad_vector(out)
         gv["mlm.w"] += hm.T @ d_logits
-        gv["mlm.b"] += d_logits.sum(axis=0)
+        gv["mlm.b"] += np.add.reduce(d_logits, axis=0)
         d_h = np.zeros_like(h)
         d_h[mask_rows, mask_cols] = d_logits @ self.p["mlm.w"].T
         self._trunk_backward(d_h, cache, gv)

@@ -138,6 +138,101 @@ class TestForward:
             model.forward_probs(random_batch(np.random.default_rng(7)))
 
 
+
+class TestInPlaceKernels:
+    """The kernels call the reductions directly and reuse their temporaries
+    in place; their bytes equal the textbook out-of-place expressions below,
+    one new array per operation, and they leave their inputs as they were."""
+
+    @staticmethod
+    def ln_forward(x, gamma, beta):
+        inv_sigma = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + nnops.LN_EPS)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_sigma
+        return gamma * xhat + beta, xhat, inv_sigma
+
+    @staticmethod
+    def ln_backward(dy, xhat, inv_sigma, gamma):
+        axes = tuple(range(dy.ndim - 1))
+        dxhat = dy * gamma
+        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_sigma
+        return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+    @staticmethod
+    def softmax_rows(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def gelu(x):
+        t = np.tanh(GELU_C0 * (x + GELU_C1 * (x * x * x)))
+        return 0.5 * x * (1.0 + t), t
+
+    @staticmethod
+    def gelu_grad(x, t):
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C0 * (
+            1.0 + 3.0 * GELU_C1 * (x * x))
+
+    @staticmethod
+    def dropout_forward(x, rate, rng):
+        mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+        return x * mask, mask
+
+    SHAPES = ((4, 7, 8), (32, 24, 32), (8, 1, 32), (2, 2, 5, 9), (3, 64), (17,))
+
+    @staticmethod
+    def inputs(seed):
+        rng = np.random.default_rng(seed)
+        for shape in TestInPlaceKernels.SHAPES:
+            for scale in (1e-3, 1.0, 7.0, 1e3):
+                yield rng, rng.normal(0.3, scale, size=shape)
+
+    @staticmethod
+    def same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_layer_norm_forward_and_backward(self):
+        for rng, x in self.inputs(21):
+            x0 = x.copy()
+            gamma, beta = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+            y, (xhat, inv_sigma) = nnops.ln_forward(x, gamma, beta)
+            want = self.ln_forward(x0, gamma, beta)
+            self.same((y, xhat, inv_sigma), want)
+            dy = rng.normal(size=x.shape)
+            dy0 = dy.copy()
+            self.same(nnops.ln_backward(dy, (xhat, inv_sigma), gamma),
+                      self.ln_backward(dy0, want[1], want[2], gamma))
+            assert x.tobytes() == x0.tobytes() and dy.tobytes() == dy0.tobytes()
+
+    def test_softmax_rows(self):
+        for _, z in self.inputs(22):
+            z0 = z.copy()
+            self.same((nnops.softmax_rows(z),), (self.softmax_rows(z0),))
+            assert z.tobytes() == z0.tobytes()
+
+    def test_gelu_and_its_gradient(self):
+        tails = np.array([0.0, -0.0, 1e-9, -1e-9, 12.0, -12.0, 40.0, -40.0])
+        for _, x in [*self.inputs(23), (None, tails)]:
+            x0 = x.copy()
+            y, t = nnops.gelu(x)
+            want_y, want_t = self.gelu(x0)
+            self.same((y, t), (want_y, want_t))
+            self.same((nnops.gelu_grad(x, t),), (self.gelu_grad(x0, want_t),))
+            assert x.tobytes() == x0.tobytes()
+
+    def test_dropout_mask_and_stream(self):
+        for seed, (_, x) in enumerate(self.inputs(24)):
+            for rate in (0.1, 0.5):
+                x0 = x.copy()
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                self.same(nnops.dropout_forward(x, rate, True, got_rng),
+                          self.dropout_forward(x0, rate, want_rng))
+                assert got_rng.random() == want_rng.random()
+                assert x.tobytes() == x0.tobytes()
+
+
 class TestSnapshot:
     def test_roundtrip_bit_identical_forward(self, model, tmp_path):
         batch = random_batch(np.random.default_rng(8))
