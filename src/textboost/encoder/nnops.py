@@ -104,17 +104,20 @@ def ln_backward(dy: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def dropout_forward(x: np.ndarray, rate: float, train: bool, rng, draw_shape=None):
+def dropout_forward(x: np.ndarray, rate: float, train: bool, rng, draw_shape=None,
+                    rows=None):
     """Inverted dropout. Returns (y, mask); mask is None when inactive.
 
-    The uniforms are drawn at ``draw_shape`` (default ``x.shape``) and their
-    leading ``x.shape`` corner is used, so a block that computes only some of
-    its rows draws the same stream and the same masks for those rows. The
-    mask is ``(u >= rate) / (1 - rate)``, computed in the uniforms' array."""
+    The uniforms are drawn at ``draw_shape`` (default ``x.shape``); ``rows``,
+    when given, gathers ``x``'s rows from them. A block that computes only
+    some of its rows thus draws the same stream, and the same masks for those
+    rows, as one that computes them all. The mask is ``(u >= rate) / (1 -
+    rate)``, computed in the uniforms' array."""
     if not train or rate <= 0.0:
         return x, None
-    u = rng.random(x.shape if draw_shape is None else draw_shape)
-    mask = u[tuple(map(slice, x.shape))]
+    mask = rng.random(x.shape if draw_shape is None else draw_shape)
+    if rows is not None:
+        mask = mask[rows]
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
     return x * mask, mask

@@ -7,14 +7,15 @@ linear head; masked-token prediction reads masked positions through a
 separate linear head. All math is float64 so central finite differences
 resolve gradients to ~1e-10.
 
-Classification (training, scoring, the CLS rows of weight sharing) needs
-only position 0 of the last layer, so its last block runs the query, the
-attention rows, the output projection, LN1, the FFN and LN2 for that row
-alone; keys and values still cover every position, and the backward takes
-the same loop with one query row. That block's dropout still draws full
-(B, L, d) masks and keeps their first row, so the rng stream, and the CLS
-row's masks, match the all-positions pass. The masked-token losses run every
-position through every layer.
+Each loss runs the last block for the positions it reads alone: the CLS
+row for classification (training, scoring, the CLS rows of weight sharing),
+each sequence's masked columns for the masked-token loss. ``_trunk_forward``
+takes them as a (B, Q) array of query positions. The last block's keys and
+values still cover every position; its query, attention rows, output
+projection, LN1, FFN and LN2 run on the Q gathered rows, and the backward
+writes those rows into a zeroed input gradient. Its dropout still draws full
+(B, L, d) masks and gathers the same rows, so the rng stream, and the masks
+of those rows, match the all-positions pass.
 
 Both losses add their gradient into ``out`` when given, a zeroed vector that
 ``fit_loop`` reuses across steps, and into a fresh vector otherwise.
@@ -33,6 +34,23 @@ from .nnops import DivergenceError
 from .params import ModelSnapshot, init_param_vector, transformer_layout
 
 _NEG_BIAS = -1e30  # additive mask for padded key positions
+
+
+def _cls_query(B: int) -> np.ndarray:
+    """The last layer's query positions of classification: the CLS row."""
+    return np.zeros((B, 1), dtype=np.intp)
+
+
+def _masked_query(rows: np.ndarray, cols: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, Q) query positions holding each sequence's masked columns, padded
+    with position 0, and the slot of each (row, col) pair in its row."""
+    counts = np.bincount(rows, minlength=B)
+    order = np.argsort(rows, kind="stable")
+    slots = np.empty_like(rows)
+    slots[order] = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    query = np.zeros((B, counts.max()), dtype=np.intp)
+    query[rows, slots] = cols
+    return query, slots
 
 
 def _scatter_rows(ids: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
@@ -84,15 +102,17 @@ class TransformerModel:
     # ------------------------------------------------------------------
     def _trunk_forward(self, ids: np.ndarray, segs: np.ndarray, lengths: np.ndarray,
                        train: bool, rng, keep_cache: bool = False,
-                       cls_only: bool = False) -> tuple[np.ndarray, Optional[dict]]:
+                       query: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[dict]]:
         """Last hidden states (B, L, d), and the cache ``_trunk_backward``
         needs when ``keep_cache``; else None, so that a forward-only pass
         does not hold every layer's activations until it returns.
 
-        With ``cls_only`` the last layer computes the CLS query alone and
-        returns (B, 1, d): its keys and values still cover all L positions,
-        and its dropout draws full (B, L, d) masks, so the rng stream and the
-        CLS row's masks are those of the full pass.
+        ``query``, a (B, Q) array of positions, makes the last layer compute
+        those rows alone and return (B, Q, d): its keys and values still
+        cover all L positions, and its dropout draws full (B, L, d) masks and
+        gathers the same rows, so the rng stream and those rows' masks are
+        the full pass's. A row's positions must be distinct, except for
+        repeats of position 0 whose outputs the loss does not read.
         """
         cfg, p = self.config, self.p
         B, L = ids.shape
@@ -117,8 +137,11 @@ class TransformerModel:
         for l in range(cfg.n_layers):
             pre = f"layer{l}"
             h_in = h
-            Lq = 1 if cls_only and l == cfg.n_layers - 1 else L  # query rows
-            h_q = h_in[:, :Lq]
+            rows = None  # the query rows: every position but in the last layer
+            if query is not None and l == cfg.n_layers - 1:
+                rows = (np.arange(B)[:, None], query)
+            h_q = h_in if rows is None else h_in[rows]
+            Lq = h_q.shape[1]
             q = h_q @ p[f"{pre}.wq"]
             q += p[f"{pre}.bq"]
             k = h_in @ p[f"{pre}.wk"]
@@ -135,21 +158,25 @@ class TransformerModel:
             ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
             attn = ctx @ p[f"{pre}.wo"]
             attn += p[f"{pre}.bo"]
-            attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full)
-            h1, ln1_cache = nnops.ln_forward(h_q + attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+            attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full,
+                                                      rows)
+            attn_d += h_q
+            h1, ln1_cache = nnops.ln_forward(attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
 
             act_in = h1 @ p[f"{pre}.w1"]
             act_in += p[f"{pre}.b1"]
             act, act_t = nnops.gelu(act_in)
             ffn = act @ p[f"{pre}.w2"]
             ffn += p[f"{pre}.b2"]
-            ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full)
-            h, ln2_cache = nnops.ln_forward(h1 + ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+            ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full, rows)
+            ffn_d += h1
+            h, ln2_cache = nnops.ln_forward(ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             if not np.isfinite(h).all():
                 raise DivergenceError(f"encoder layer {l}")
             if keep_cache:
                 layer_caches.append({
-                    "h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
+                    "h_in": h_in, "h_q": h_q, "rows": rows,
+                    "qh": qh, "kh": kh, "vh": vh, "probs": probs,
                     "ctx": ctx, "attn_mask": attn_mask, "ln1": ln1_cache, "h1": h1,
                     "act_in": act_in, "act": act, "act_t": act_t, "ffn_mask": ffn_mask,
                     "ln2": ln2_cache,
@@ -164,7 +191,7 @@ class TransformerModel:
 
     def _trunk_backward(self, d_h: np.ndarray, cache: dict, g: dict[str, np.ndarray]) -> None:
         """Adds the gradients of the trunk to ``g``, given ``d_h`` of the
-        shape ``_trunk_forward`` returned: (B, 1, d) after a ``cls_only`` pass."""
+        shape ``_trunk_forward`` returned: (B, Q, d) after a ``query`` pass."""
         cfg, p = self.config, self.p
         B, L = cache["B"], cache["L"]
         H, d = cfg.n_heads, cfg.d_model
@@ -197,11 +224,6 @@ class TransformerModel:
             d_res1, dln1g, dln1b = nnops.ln_backward(d_h1, c["ln1"], p[f"{pre}.ln1.g"])
             g[f"{pre}.ln1.g"] += dln1g
             g[f"{pre}.ln1.b"] += dln1b
-            if Lq == L:
-                d_hin = d_res1  # read as d_attn before the += below
-            else:
-                d_hin = np.zeros((B, L, d))
-                d_hin[:, :Lq] = d_res1
             d_attn = nnops.dropout_backward(d_res1, c["attn_mask"])
 
             ctx2d = c["ctx"].reshape(-1, d)
@@ -221,13 +243,19 @@ class TransformerModel:
             d_kh = d_scores.transpose(0, 1, 3, 2) @ c["qh"]
             d_kh *= scale
 
-            for nm, dm in (("wq", d_qh), ("wk", d_kh), ("wv", d_vh)):
-                rows = dm.shape[2]  # Lq for the query, L for keys and values
-                d_flat = dm.transpose(0, 2, 1, 3).reshape(-1, d)
-                g[f"{pre}.{nm}"] += c["h_in"][:, :rows].reshape(-1, d).T @ d_flat
-                g[f"{pre}.b{nm[1]}"] += np.add.reduce(d_flat, axis=0)
-                d_hin[:, :rows] += (d_flat @ p[f"{pre}.{nm}"].T).reshape(B, rows, d)
-            d_h = d_hin
+            d_q, d_k, d_v = (
+                self._projection_backward(g, pre, nm, dm, h_src)
+                for nm, dm, h_src in (("q", d_qh, c["h_q"]), ("k", d_kh, c["h_in"]),
+                                      ("v", d_vh, c["h_in"])))
+            # d_res1 is d_attn itself without dropout; its last read is above
+            d_res1 += d_q
+            if c["rows"] is None:
+                d_h = d_res1
+            else:
+                d_h = np.zeros((B, L, d))
+                d_h[c["rows"]] = d_res1
+            d_h += d_k
+            d_h += d_v
 
         d_xln = nnops.dropout_backward(d_h, cache["emb_mask"])
         d_xsum, dg, db = nnops.ln_backward(d_xln, cache["emb_ln"], p["emb_ln.g"])
@@ -237,16 +265,26 @@ class TransformerModel:
         g["pos_emb"][:L] += np.add.reduce(d_xsum, axis=0)
         g["seg_emb"] += _scatter_rows(cache["segs"], d_xsum, 2)
 
+    def _projection_backward(self, g: dict[str, np.ndarray], pre: str, nm: str,
+                             d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Adds the gradients of the projection ``x @ w{nm} + b{nm}`` of layer
+        ``pre`` to ``g``, given ``d_out`` in (B, H, rows, dh) head layout;
+        returns the gradient of ``x``."""
+        d_flat = d_out.transpose(0, 2, 1, 3).reshape(-1, x.shape[-1])
+        g[f"{pre}.w{nm}"] += x.reshape(-1, x.shape[-1]).T @ d_flat
+        g[f"{pre}.b{nm}"] += np.add.reduce(d_flat, axis=0)
+        return (d_flat @ self.p[f"{pre}.w{nm}"].T).reshape(x.shape)
+
     def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
         """Per-example softmax over the K classes; rows sum to 1."""
         h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
-                                   cls_only=True)
+                                   query=_cls_query(batch.n))
         return head_probs(h[:, 0, :], self.p["cls.w"], self.p["cls.b"])
 
     def cls_rows(self, batch: Packed) -> np.ndarray:
         """Eval-mode (B, d_model) CLS rows of the last layer."""
         h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
-                                   cls_only=True)
+                                   query=_cls_query(batch.n))
         return h[:, 0, :]
 
     def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
@@ -321,7 +359,7 @@ class TransformerModel:
             t = targets.astype(np.float64)
 
         h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
-                                       keep_cache=True, cls_only=True)
+                                       keep_cache=True, query=_cls_query(B))
         cls_h = h[:, 0, :]
         logits = cls_h @ self.p["cls.w"]
         logits += self.p["cls.b"]
@@ -355,11 +393,16 @@ class TransformerModel:
         out: Optional[np.ndarray] = None,
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy at masked positions; mean over all masked slots. The
-        (row, col) pairs are distinct. The gradient is added into ``out``
-        (zeroed by the caller) when given."""
+        (row, col) pairs are distinct, and position 0 (CLS) is never masked.
+        The last layer runs for the masked positions alone. The gradient is
+        added into ``out`` (zeroed by the caller) when given."""
+        if (mask_cols < 1).any():
+            raise ValueError("position 0 (CLS) cannot be masked")
+        query, slots = _masked_query(mask_rows, mask_cols, ids.shape[0])
         segs = np.zeros_like(ids)
-        h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True)
-        hm = h[mask_rows, mask_cols]  # (N, d)
+        h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True,
+                                       query=query)
+        hm = h[mask_rows, slots]  # (N, d)
         logits = hm @ self.p["mlm.w"]
         logits += self.p["mlm.b"]
         probs = nnops.softmax_rows(logits)
@@ -375,6 +418,6 @@ class TransformerModel:
         gv["mlm.w"] += hm.T @ d_logits
         gv["mlm.b"] += np.add.reduce(d_logits, axis=0)
         d_h = np.zeros_like(h)
-        d_h[mask_rows, mask_cols] = d_logits @ self.p["mlm.w"].T
+        d_h[mask_rows, slots] = d_logits @ self.p["mlm.w"].T
         self._trunk_backward(d_h, cache, gv)
         return loss, g

@@ -112,20 +112,30 @@ class TestForward:
             assert h.tobytes() == h_kept.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2])
-    def test_cls_only_pass_matches_full_pass_and_draws_the_same_stream(self, tiny_config,
-                                                                        n_layers):
-        """Classification runs the last block for the CLS query alone."""
+    @pytest.mark.parametrize("kind", ["cls", "masked"])
+    def test_query_pass_matches_full_pass_and_draws_the_same_stream(self, tiny_config,
+                                                                    n_layers, kind):
+        """The last block runs for the query positions alone: the CLS row of
+        classification, or each sequence's masked columns (a different number
+        per sequence, padded with position 0) of the masked-token loss."""
         cfg = dataclasses.replace(tiny_config, n_layers=n_layers, dropout_rate=0.3)
         model = enc.TransformerModel(cfg, seed=42)
         b = random_batch(np.random.default_rng(13), B=5, L=9)
+        if kind == "cls":
+            query = np.zeros((5, 1), dtype=np.intp)
+        else:
+            query = np.array([[3, 1, 2], [2, 0, 0], [1, 4, 0], [2, 0, 0], [1, 2, 0]])
+            assert (query.max(axis=1) < b.lengths).all()
         for train in (False, True):
-            rng_full, rng_cls = np.random.default_rng(4), np.random.default_rng(4)
+            rng_full, rng_q = np.random.default_rng(4), np.random.default_rng(4)
             full, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_full)
-            cls, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_cls,
-                                          cls_only=True)
-            assert full.shape == (5, 9, cfg.d_model) and cls.shape == (5, 1, cfg.d_model)
-            np.testing.assert_allclose(cls[:, 0], full[:, 0], rtol=0.0, atol=1e-12)
-            assert rng_cls.random() == rng_full.random()
+            part, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_q,
+                                           query=query)
+            assert full.shape == (5, 9, cfg.d_model)
+            assert part.shape == (5, query.shape[1], cfg.d_model)
+            np.testing.assert_allclose(part, full[np.arange(5)[:, None], query],
+                                       rtol=0.0, atol=1e-12)
+            assert rng_q.random() == rng_full.random()
 
     def test_over_length_batch_rejected(self, model):
         batch = random_batch(np.random.default_rng(6), L=13)

@@ -58,17 +58,24 @@ def test_train_mode_classification_gradients_every_group(tiny_config, batch, n_l
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
 
 
-def test_mlm_gradients_every_group(model):
-    rng = np.random.default_rng(6)
+def masked_batch(rng):
+    """Three sequences with 2, 1 and 3 masked positions, the pairs not
+    sorted by row."""
     B, L = 3, 7
     lengths = np.array([7, 5, 6])
     ids = np.zeros((B, L), dtype=np.int64)
     for i, ln in enumerate(lengths):
         ids[i, :ln] = rng.integers(5, 20, size=ln)
-    rows = np.array([0, 0, 1, 2])
-    cols = np.array([1, 4, 2, 3])
+    rows = np.array([0, 2, 0, 1, 2, 2])
+    cols = np.array([1, 5, 4, 2, 3, 1])
     targets = ids[rows, cols].copy()
     ids[rows, cols] = 4  # MASK
+    return ids, lengths, rows, cols, targets
+
+
+def test_mlm_gradients_every_group(model):
+    rng = np.random.default_rng(6)
+    ids, lengths, rows, cols, targets = masked_batch(rng)
 
     _, grad = model.mlm_loss_and_grad(ids, lengths, rows, cols, targets)
 
@@ -82,6 +89,38 @@ def test_mlm_gradients_every_group(model):
         worst = check_group(model.params, loss_fn, grad, model.layout.slice_of(name),
                             rng, max_checks=10)
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_train_mode_mlm_gradients_every_group(tiny_config, n_layers):
+    """Dropout on, the last block run for the masked rows alone: every group
+    the masked-token loss reaches, under the same re-seeded masks."""
+    cfg = dataclasses.replace(tiny_config, n_layers=n_layers, dropout_rate=0.3)
+    model = enc.TransformerModel(cfg, seed=7)
+    rng = np.random.default_rng(23)
+    ids, lengths, rows, cols, targets = masked_batch(rng)
+
+    def loss_and_grad():
+        return model.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True,
+                                       rng=np.random.default_rng(24))
+
+    _, grad = loss_and_grad()
+    reached = model.mlm_ranges()
+    for name, _ in model.layout.entries:
+        sl = model.layout.slice_of(name)
+        if not any(r.start <= sl.start and sl.stop <= r.stop for r in reached):
+            assert not grad[sl].any(), name
+            continue
+        worst = check_group(model.params, lambda: loss_and_grad()[0], grad, sl, rng,
+                            max_checks=12)
+        assert worst < REL_TOL, f"group {name}: rel err {worst}"
+
+
+def test_masking_position_0_rejected(model):
+    ids, lengths, rows, cols, targets = masked_batch(np.random.default_rng(6))
+    cols[0] = 0
+    with pytest.raises(ValueError, match="position 0"):
+        model.mlm_loss_and_grad(ids, lengths, rows, cols, targets)
 
 
 def test_gelu_grad_matches_central_differences():
