@@ -14,7 +14,6 @@ line appended to ``<out_root>/metrics.jsonl``. The default output root is
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import baselines, boosting, distill as distill_mod, fusion as fusion_mod, synthetic
 from . import encoder as enc
+from .encoder.training import _keep_freed_heap
 from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample, tokenize
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
@@ -999,33 +999,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=5)
     p.set_defaults(fn=cmd_oracle_check)
     return parser
-
-
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap() -> None:
-    """Let glibc serve blocks below 8 MiB from the heap and keep up to 16 MiB
-    of freed heap for reuse; other C libraries are left alone.
-
-    Every training step and every scoring chunk allocates and frees its whole
-    working set, about 14 MB for a batch-32 masked-token step at the default
-    shapes. glibc starts with both thresholds at 128 KiB and raises them only
-    when a large mapped block is freed, so it gave that memory back to the OS
-    after each step and faulted it in again on the next: 3,500 minor faults
-    per step. These are the values glibc's own rule sets after freeing one
-    8 MiB block.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,6 +17,33 @@ from .softreg import SoftmaxRegressionModel
 from .transformer import TransformerModel
 
 MLM_MASK_FRACTION = 0.15
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc serve blocks below 8 MiB from the heap and keep up to 16 MiB
+    of freed heap for reuse; other C libraries are left alone.
+
+    Every training step and every scoring chunk allocates and frees its whole
+    working set, about 14 MB for a batch-32 masked-token step at the default
+    shapes. glibc starts with both thresholds at 128 KiB and raises them only
+    when a large mapped block is freed, so it gave that memory back to the OS
+    after each step and faulted it in again on the next: 3,500 minor faults
+    per step. These are the values glibc's own rule sets after freeing one
+    8 MiB block. ``fit_loop`` calls this, so library callers get it too, and
+    so does ``cli.main``, for scoring.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 def new_model(config, *, seed=None):
@@ -70,6 +99,9 @@ def fit_loop(
     loss or gradient ends the run with one ``{"step", "loss": None, "lr",
     "event": "diverged"}`` record and ``params`` at the last finite update.
 
+    Under glibc, the heap keeps the freed working set of a step for the next
+    (``_keep_freed_heap``).
+
     ``after_pass(step)``, when given, runs after every pass that did not
     diverge (a pass cut short by the step cap included) and returns a record
     for the log; its ``dev_acc``, when present, scores the pass. The
@@ -79,6 +111,7 @@ def fit_loop(
     """
     if (epochs is None) == (steps is None):
         raise ValueError("give exactly one of epochs and steps")
+    _keep_freed_heap()
     total = steps if steps is not None else epochs * -(-n // batch_size)
     warmup_steps = max(1, int(round(warmup * total)))
     ranges = (slice(0, params.size),) if ranges is None else tuple(ranges)
@@ -185,46 +218,52 @@ def pretrain_mlm(
     """
     rng = np.random.default_rng(seed)
     model = TransformerModel(config, seed=rng)
-    usable = _mlm_sequences(corpus, config.max_seq_len)
+    tokens, lengths = _mlm_corpus(corpus, config.max_seq_len)
     if steps == 0:
         return model.snapshot("pretrained"), []
-    if not usable:
+    if lengths.size == 0:
         raise ValueError("corpus has no sequences of length >= 2")
-    if any((s >= config.vocab_size).any() or (s < 0).any() for s in usable):
+    if (tokens >= config.vocab_size).any() or (tokens < 0).any():
         raise ValueError("corpus token id outside the vocabulary")
 
     def loss_and_grad(idx, step, grad):
-        ids, lengths, rows, cols, targets = _mask_batch([usable[i] for i in idx], rng)
-        return model.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True,
+        ids, lens, rows, cols, targets = _mask_batch(tokens, lengths, idx, rng)
+        return model.mlm_loss_and_grad(ids, lens, rows, cols, targets, train_mode=True,
                                        rng=rng, out=grad)
 
-    log = fit_loop(model.params, len(usable), batch_size, rng, loss_and_grad,
+    log = fit_loop(model.params, lengths.size, batch_size, rng, loss_and_grad,
                    lr=lr, warmup=0.1, steps=steps, ranges=model.mlm_ranges())
     return model.snapshot("pretrained"), log
 
 
-def _mlm_sequences(corpus: Sequence[Sequence[int]], max_seq_len: int) -> list[np.ndarray]:
-    """``[CLS] tokens [SEP]`` for every sequence of 2 or more tokens, cut to fit."""
+def _mlm_corpus(corpus: Sequence[Sequence[int]], max_seq_len: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``[CLS] tokens [SEP]`` for every sequence of 2 or more tokens, cut to
+    fit: an (n, longest) id matrix padded with 0, and the n lengths."""
     cap = max_seq_len - 2
-    return [np.concatenate(([CLS_ID], np.asarray(s, dtype=np.int64)[:cap], [SEP_ID]))
-            for s in corpus if len(s) >= 2]
+    seqs = [np.asarray(s, dtype=np.int64)[:cap] for s in corpus if len(s) >= 2]
+    lengths = np.array([s.size + 2 for s in seqs], dtype=np.int64)
+    tokens = np.zeros((lengths.size, lengths.max(initial=2)), dtype=np.int64)
+    col = np.arange(tokens.shape[1])
+    tokens[(col >= 1) & (col < lengths[:, None] - 1)] = np.concatenate(seqs) if seqs else []
+    tokens[:, 0] = CLS_ID
+    tokens[np.arange(lengths.size), lengths - 1] = SEP_ID
+    return tokens, lengths
 
 
-def _mask_batch(seqs: list[np.ndarray], rng):
-    """Mask 15% of content positions (CLS/SEP delimiters are never masked)."""
-    lmax = max(s.size for s in seqs)
-    ids = np.zeros((len(seqs), lmax), dtype=np.int64)
-    lengths = np.zeros(len(seqs), dtype=np.int64)
-    rows, cols, targets = [], [], []
-    for i, s in enumerate(seqs):
-        ids[i, : s.size] = s
-        lengths[i] = s.size
-        content = s.size - 2
-        n_mask = max(1, int(round(MLM_MASK_FRACTION * content)))
-        pos = rng.choice(content, size=n_mask, replace=False) + 1
-        for p in pos:
-            rows.append(i)
-            cols.append(int(p))
-            targets.append(int(s[p]))
-            ids[i, p] = MASK_ID
-    return ids, lengths, np.array(rows), np.array(cols), np.array(targets)
+def _mask_batch(tokens: np.ndarray, lengths: np.ndarray, idx: np.ndarray, rng):
+    """The rows ``idx`` of an ``_mlm_corpus`` matrix, cut to their longest,
+    with 15% of each one's content positions (at least one) replaced by MASK;
+    CLS and SEP are never masked. Returns (ids, lengths, rows, cols,
+    targets), the masked (row, col) pairs grouped by row. Each row draws its
+    positions with one ``rng.choice``, in row order."""
+    lens = lengths[idx]
+    ids = tokens[idx, : lens.max()]
+    content = lens - 2
+    n_mask = np.maximum(1, np.rint(MLM_MASK_FRACTION * content)).astype(np.int64)
+    cols = np.concatenate([rng.choice(c, size=k, replace=False)
+                           for c, k in zip(content.tolist(), n_mask.tolist())]) + 1
+    rows = np.repeat(np.arange(lens.size), n_mask)
+    targets = ids[rows, cols]
+    ids[rows, cols] = MASK_ID
+    return ids, lens, rows, cols, targets

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from textboost import encoder as enc
-from textboost.encoder.training import _mask_batch, _mlm_sequences
+from textboost.encoder import training
+from textboost.encoder.training import MLM_MASK_FRACTION, _mask_batch, _mlm_corpus
+from textboost.textdata import CLS_ID, MASK_ID, SEP_ID
 
 from conftest import make_token_dataset
 
@@ -10,8 +12,9 @@ from conftest import make_token_dataset
 def mlm_masked_accuracy(snapshot, corpus, seed) -> float:
     """Top-1 accuracy at masked positions under a fresh masking draw."""
     model = enc.TransformerModel.from_snapshot(snapshot)
-    ids, lengths, rows, cols, targets = _mask_batch(
-        _mlm_sequences(corpus, model.config.max_seq_len), np.random.default_rng(seed))
+    tokens, lengths = _mlm_corpus(corpus, model.config.max_seq_len)
+    ids, lengths, rows, cols, targets = _mask_batch(tokens, lengths, np.arange(lengths.size),
+                                                    np.random.default_rng(seed))
     h, _ = model._trunk_forward(ids, np.zeros_like(ids), lengths, train=False, rng=None)
     logits = h[rows, cols] @ model.p["mlm.w"] + model.p["mlm.b"]
     return float((logits.argmax(axis=1) == targets).mean())
@@ -219,15 +222,81 @@ class TestGradientBuffer:
 
         rng = np.random.default_rng(4)
         ref = enc.TransformerModel(tiny_config, seed=rng)
-        usable = _mlm_sequences(corpus, tiny_config.max_seq_len)
+        tokens, lengths = _mlm_corpus(corpus, tiny_config.max_seq_len)
 
         def fresh_grad(idx):
-            ids, lengths, rows, cols, targets = _mask_batch([usable[i] for i in idx], rng)
-            return ref.mlm_loss_and_grad(ids, lengths, rows, cols, targets, train_mode=True,
+            ids, lens, rows, cols, targets = _mask_batch(tokens, lengths, idx, rng)
+            return ref.mlm_loss_and_grad(ids, lens, rows, cols, targets, train_mode=True,
                                          rng=rng)[1]
 
-        self.reference_fit(ref.params, len(usable), 8, rng, fresh_grad, 3e-3, 0.1, 7)
+        self.reference_fit(ref.params, lengths.size, 8, rng, fresh_grad, 3e-3, 0.1, 7)
         assert snap.params.tobytes() == ref.params.tobytes()
+
+
+def test_fit_loop_keeps_freed_heap(monkeypatch):
+    """Every fit, also one a library caller starts, keeps the heap setting."""
+    calls = []
+    monkeypatch.setattr(training, "_keep_freed_heap", lambda: calls.append(1))
+    params = np.zeros(3)
+    enc.fit_loop(params, 4, 2, np.random.default_rng(0),
+                 lambda idx, step, grad: (0.0, grad), lr=1e-3, steps=1)
+    enc.fit_loop(params, 4, 2, np.random.default_rng(0),
+                 lambda idx, step, grad: (0.0, grad), lr=1e-3, epochs=1)
+    assert calls == [1, 1]
+
+
+class TestMaskBatch:
+    @staticmethod
+    def reference_sequences(corpus, max_seq_len):
+        cap = max_seq_len - 2
+        return [np.concatenate(([CLS_ID], np.asarray(s, dtype=np.int64)[:cap], [SEP_ID]))
+                for s in corpus if len(s) >= 2]
+
+    @staticmethod
+    def reference_mask_batch(seqs, rng):
+        """The loop over every masked position that ``_mask_batch`` replaces."""
+        lmax = max(s.size for s in seqs)
+        ids = np.zeros((len(seqs), lmax), dtype=np.int64)
+        lengths = np.zeros(len(seqs), dtype=np.int64)
+        rows, cols, targets = [], [], []
+        for i, s in enumerate(seqs):
+            ids[i, : s.size] = s
+            lengths[i] = s.size
+            content = s.size - 2
+            n_mask = max(1, int(round(MLM_MASK_FRACTION * content)))
+            pos = rng.choice(content, size=n_mask, replace=False) + 1
+            for p in pos:
+                rows.append(i)
+                cols.append(int(p))
+                targets.append(int(s[p]))
+                ids[i, p] = MASK_ID
+        return ids, lengths, np.array(rows), np.array(cols), np.array(targets)
+
+    def test_equals_the_position_loop_and_draws_the_same_stream(self):
+        rng = np.random.default_rng(0)
+        # 0 to 30 tokens (under 2 skipped, over 22 cut): 1 to 3 masks a row,
+        # the floor of one mask below 4 content tokens included
+        corpus = [list(rng.integers(5, 50, size=n)) for n in rng.integers(0, 31, size=200)]
+        tokens, lengths = _mlm_corpus(corpus, 24)
+        seqs = self.reference_sequences(corpus, 24)
+        assert [t[:n].tolist() for t, n in zip(tokens, lengths)] == [s.tolist() for s in seqs]
+        assert not tokens[np.arange(tokens.shape[1]) >= lengths[:, None]].any()
+        order = np.random.default_rng(1).permutation(lengths.size)
+        got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for start in range(0, order.size, 32):
+            idx = order[start : start + 32]
+            got = _mask_batch(tokens, lengths, idx, got_rng)
+            want = self.reference_mask_batch([seqs[i] for i in idx], want_rng)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_corpus_rows_are_left_unmasked(self):
+        tokens, lengths = _mlm_corpus([[5, 6, 7, 8], [9, 10]], 12)
+        before = tokens.copy()
+        ids = _mask_batch(tokens, lengths, np.array([1, 0, 1]), np.random.default_rng(0))[0]
+        assert (ids == MASK_ID).any() and tokens.tobytes() == before.tobytes()
 
 
 class TestTrain:
