@@ -27,13 +27,13 @@ def _keep_freed_heap() -> None:
     of freed heap for reuse; other C libraries are left alone.
 
     Every training step and every scoring chunk allocates and frees its whole
-    working set, about 14 MB for a batch-32 masked-token step at the default
+    working set, about 9 MB for a batch-32 masked-token step at the default
     shapes. glibc starts with both thresholds at 128 KiB and raises them only
     when a large mapped block is freed, so it gave that memory back to the OS
-    after each step and faulted it in again on the next: 3,500 minor faults
-    per step. These are the values glibc's own rule sets after freeing one
-    8 MiB block. ``fit_loop`` calls this, so library callers get it too, and
-    so does ``cli.main``, for scoring.
+    after each step and faulted it in again on the next, which made that step
+    6.6 ms instead of 4.1 ms. These are the values glibc's own rule sets after
+    freeing one 8 MiB block. ``fit_loop`` calls this, so library callers get
+    it too, and so does ``cli.main``, for scoring.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
