@@ -25,6 +25,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from . import encoder as enc
+from .encoder.params import join_container, split_container
 
 ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
 # alpha at or below this is chance level up to rounding: at err = (K-1)/K
@@ -504,32 +505,27 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
     else:
         for r in ensemble.rounds:
             blobs.append(r.model.snapshot.to_bytes())
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = [ENSEMBLE_MAGIC, struct.pack("<I", len(hbytes)), hbytes, struct.pack("<I", len(blobs))]
+    payload = [struct.pack("<I", len(blobs))]
     for b in blobs:
-        out.append(struct.pack("<Q", len(b)))
-        out.append(b)
-    return b"".join(out)
+        payload += [struct.pack("<Q", len(b)), b]
+    return join_container(ENSEMBLE_MAGIC, header, *payload)
 
 
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
-    if blob[:4] != ENSEMBLE_MAGIC:
-        raise ValueError("bad ensemble magic (expected BGE1)")
-    pos = 4
+    header, payload = split_container(blob, ENSEMBLE_MAGIC, "ensemble")
+    pos = 0
 
     def take(size: int) -> bytes:
         nonlocal pos
-        if pos + size > len(blob):
+        if pos + size > len(payload):
             raise ValueError("ensemble file truncated")
         pos += size
-        return blob[pos - size : pos]
+        return payload[pos - size : pos]
 
-    (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode())
     (n_blobs,) = struct.unpack("<I", take(4))
     blobs = [take(struct.unpack("<Q", take(8))[0]) for _ in range(n_blobs)]
-    if pos != len(blob):
-        raise ValueError(f"ensemble file has {len(blob) - pos} trailing bytes")
+    if pos != len(payload):
+        raise ValueError(f"ensemble file has {len(payload) - pos} trailing bytes")
 
     kind = header["learner_kind"]
     meta = header["rounds"]

@@ -131,22 +131,22 @@ class RunConfig:
             cp = self.data["corpus_path"]
             if cp is not None and not Path(cp).exists():
                 problems.append(f"corpus_path does not exist: {cp}")
+        boost = self.data["boost"]
         if self.data["learner"] not in ("transformer", "softreg"):
             problems.append(f"unknown learner {self.data['learner']!r}")
-        if self.data["boost"]["init_strategy"] not in INIT_STRATEGIES:
-            problems.append(f"unknown init_strategy {self.data['boost']['init_strategy']!r}")
-        if self.data["boost"]["sharing_mode"] not in ("privacy", "sharing"):
-            problems.append(f"unknown sharing_mode {self.data['boost']['sharing_mode']!r}")
-        if self.data["boost"]["vote"] not in VOTE_MODES:
-            problems.append(f"unknown vote mode {self.data['boost']['vote']!r}")
-        if self.data["learner"] == "softreg":
-            if self.data["boost"]["sharing_mode"] == "sharing":
-                problems.append("weight sharing requires the transformer learner")
-            if self.data["boost"]["init_strategy"] in ("pretrained", "incremental"):
-                problems.append(
-                    f"init_strategy {self.data['boost']['init_strategy']!r} requires the "
-                    "transformer learner"
-                )
+        if boost["init_strategy"] not in INIT_STRATEGIES:
+            problems.append(f"unknown init_strategy {boost['init_strategy']!r}")
+        if boost["sharing_mode"] not in ("privacy", "sharing"):
+            problems.append(f"unknown sharing_mode {boost['sharing_mode']!r}")
+        if boost["vote"] not in VOTE_MODES:
+            problems.append(f"unknown vote mode {boost['vote']!r}")
+        if self.data["learner"] == "softreg" and boost["sharing_mode"] == "sharing":
+            problems.append("weight sharing requires the transformer learner")
+        if boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
+            problems.append(
+                f"init_strategy {boost['init_strategy']!r} needs an MLM checkpoint: "
+                "the transformer learner with pretrain.steps > 0"
+            )
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -309,6 +309,9 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
 # metrics
 # ----------------------------------------------------------------------
 
+ACCURACY_KEYS = ("single", "boost_vote", "boost_fusion", "bag", "distilled")
+
+
 @dataclass
 class MetricsRecord:
     run_id: str
@@ -335,6 +338,10 @@ def write_metrics(record: MetricsRecord, out_root: Path, run_dir: Path) -> None:
     (run_dir / "metrics.json").write_text(record.to_json() + "\n", encoding="utf-8")
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n", encoding="utf-8")
+
+
 def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
@@ -347,16 +354,8 @@ def _out_root(explicit: Optional[str]) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
-def _run_dir(out_root: Path, run_id: str) -> Path:
-    d = out_root / run_id
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> None:
-    (run_dir / "config.json").write_text(
-        json.dumps(cfg.data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(run_dir / "config.json", cfg.data)
     bundle.vocab.save(run_dir / "vocab.tsv")
     task = {
         "label_names": list(bundle.label_names),
@@ -364,9 +363,73 @@ def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> N
         "learner": cfg.data["learner"],
         "K": bundle.K,
     }
-    (run_dir / "task.json").write_text(
-        json.dumps(task, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(run_dir / "task.json", task)
+
+
+# CLI flag -> the config key it overrides, for the commands that have it
+_FLAG_KEYS = {"seed": "seed", "out": "out_dir", "vote": "boost.vote", "depth": "fusion.depth"}
+
+
+@dataclass
+class Run:
+    """The setup and the record that every config-driven command shares.
+
+    ``Run.open`` loads the command's config with its flag overrides,
+    validates it, prepares the task, gives the command its pretrained trunk
+    (``fusion`` retrains a head on saved rounds and never uses one), and
+    writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
+    config error leaves no run dir behind. ``finish`` writes the record.
+    """
+
+    command: str
+    cfg: RunConfig
+    bundle: TaskBundle
+    out_root: Path
+    dir: Path
+    t0: float
+
+    @classmethod
+    def open(cls, args, config_path: str | Path) -> "Run":
+        t0 = time.perf_counter()
+        cfg = RunConfig.load(config_path).with_overrides(
+            **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
+        )
+        cfg.validate()
+        if args.command == "distill":
+            _check_distill_init(cfg)
+        bundle = prepare_task(cfg)
+        out_root = _out_root(cfg.data["out_dir"])
+        if args.command != "fusion":
+            ensure_pretrained(cfg, bundle, out_root)
+        run_dir = out_root / f"{args.command}-{cfg.hash()[:12]}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _save_task_artifacts(run_dir, cfg, bundle)
+        return cls(args.command, cfg, bundle, out_root, run_dir, t0)
+
+    def finish(self, accuracies: dict, *, round_log: Sequence[dict] = (),
+               extras: Optional[dict] = None, timing: Optional[dict] = None) -> MetricsRecord:
+        """Write the run's record; accuracies it does not fill read None."""
+        record = MetricsRecord(
+            run_id=self.dir.name,
+            command=self.command,
+            config_hash=self.cfg.hash(),
+            round_log=list(round_log),
+            accuracies={**dict.fromkeys(ACCURACY_KEYS), **accuracies},
+            extras=extras or {},
+            timing=timing or {},
+            wall_time_s=time.perf_counter() - self.t0,
+        )
+        write_metrics(record, self.out_root, self.dir)
+        return record
+
+
+def _check_distill_init(cfg: RunConfig) -> None:
+    init = cfg.data["distill"]["init_strategy"]
+    if init not in ("random", "pretrained"):
+        raise ConfigError(f"distill.init_strategy must be 'random' or 'pretrained', not {init!r}")
+    if init == "pretrained" and not _pretrains(cfg):
+        raise ConfigError("distill.init_strategy 'pretrained' needs an MLM checkpoint: "
+                          "the transformer learner with pretrain.steps > 0")
 
 
 # ----------------------------------------------------------------------
@@ -378,14 +441,13 @@ def run_boost_pipeline(
     bundle: TaskBundle,
     *,
     train_ds: Optional[LabeledDataset] = None,
-    cache_dir: Optional[Path] = None,
 ) -> dict:
     """Boost + fusion on the bundle (or an override training set).
 
     Returns models, logs, and dev accuracies for single / vote / fusion.
     """
     train_ds = train_ds if train_ds is not None else bundle.train
-    ensure_pretrained(cfg, bundle, cache_dir)
+    ensure_pretrained(cfg, bundle)
     model_cfg = encoder_config(cfg, bundle)
     learner = boosting.NeuralBoostLearner(
         model_cfg,
@@ -398,7 +460,7 @@ def run_boost_pipeline(
         train_ds, learner, cfg.data["boost"]["rounds"], cfg.seed, dev=bundle.dev
     )
     # boost_train scored every round on both splits; nothing is scored again
-    head, fusion_log = fusion_mod.train_fusion(
+    head, _ = fusion_mod.train_fusion(
         ensemble, train_ds, bundle.dev, cfg.fusion_cfg(), cfg.seed,
         train_probs=ensemble.train_probs, dev_probs=ensemble.dev_probs,
     )
@@ -406,18 +468,16 @@ def run_boost_pipeline(
     vote_mode = cfg.data["boost"]["vote"]
     vote_preds, _ = boosting.vote_predict(ensemble, mode=vote_mode, probs=ensemble.dev_probs)
     fusion_preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=ensemble.dev_probs)
-    # the round-1 model as trained, scored on dev inside boost_train (under
-    # weight sharing its head has since moved onto the final trunk)
-    single_acc = round_log[0]["dev_acc"]
     return {
         "ensemble": ensemble,
         "head": head,
         "round_log": round_log,
-        "fusion_log": fusion_log,
         "train_logs": learner.train_logs,
         "single_snapshot": learner.round1_snapshot,
         "accuracies": {
-            "single": single_acc,
+            # the round-1 model as trained, scored on dev inside boost_train
+            # (under weight sharing its head has since moved onto the final trunk)
+            "single": round_log[0]["dev_acc"],
             "boost_vote": _accuracy(vote_preds, bundle.dev),
             "boost_fusion": _accuracy(fusion_preds, bundle.dev),
         },
@@ -440,112 +500,75 @@ def cmd_gen_data(args) -> int:
     paths = synthetic.write_task(args.out, cfg)
     meta = dict(paths)
     meta["config"] = asdict(cfg)
-    Path(args.out, "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(args.out, "meta.json"), meta)
     for name, p in paths.items():
         print(f"wrote {name}: {p}")
     return 0
 
 
 def cmd_train_boost(args) -> int:
-    t0 = time.perf_counter()
-    cfg = RunConfig.load(args.config).with_overrides(
-        **{"seed": args.seed, "out_dir": args.out, "boost.vote": args.vote}
-    )
-    cfg.validate()
-    bundle = prepare_task(cfg)
-    out_root = _out_root(cfg.data["out_dir"])
-    run_id = f"train-boost-{cfg.hash()[:12]}"
-    run_dir = _run_dir(out_root, run_id)
-    _save_task_artifacts(run_dir, cfg, bundle)
-
-    result = run_boost_pipeline(cfg, bundle, cache_dir=out_root)
-    result["ensemble"].save(run_dir / "ensemble.bge")
-    result["head"].save(run_dir / "fusion.bgf")
-    result["single_snapshot"].save(run_dir / "single.bgv")
+    run = Run.open(args, args.config)
+    cfg, bundle = run.cfg, run.bundle
+    result = run_boost_pipeline(cfg, bundle)
+    result["ensemble"].save(run.dir / "ensemble.bge")
+    result["head"].save(run.dir / "fusion.bgf")
+    result["single_snapshot"].save(run.dir / "single.bgv")
     if bundle.pretrained is not None:
-        bundle.pretrained.save(run_dir / "pretrained.bgv")
-    _write_jsonl(run_dir / "round_log.jsonl", result["round_log"])
-    _write_jsonl(run_dir / "train_log.jsonl", [
+        bundle.pretrained.save(run.dir / "pretrained.bgv")
+    _write_jsonl(run.dir / "round_log.jsonl", result["round_log"])
+    _write_jsonl(run.dir / "train_log.jsonl", [
         {"round": m + 1, **rec} for m, rows in enumerate(result["train_logs"]) for rec in rows
     ])
 
-    record = MetricsRecord(
-        run_id=run_id,
-        command="train-boost",
-        config_hash=cfg.hash(),
+    record = run.finish(
+        result["accuracies"],
         round_log=result["round_log"],
-        accuracies={
-            **result["accuracies"], "bag": None, "distilled": None,
-        },
         extras={
             "m_effective": result["ensemble"].m_effective,
             "vote": cfg.data["boost"]["vote"],
             "train_size": bundle.train.n,
             "dev_size": bundle.dev.n,
         },
-        wall_time_s=time.perf_counter() - t0,
     )
-    write_metrics(record, out_root, run_dir)
     acc = record.accuracies
     print(
-        f"[{run_id}] single={acc['single']:.2f} vote={acc['boost_vote']:.2f} "
+        f"[{run.dir.name}] single={acc['single']:.2f} vote={acc['boost_vote']:.2f} "
         f"fusion={acc['boost_fusion']:.2f} (M={record.extras['m_effective']})"
     )
     return 0
 
 
 def cmd_train_bag(args) -> int:
-    t0 = time.perf_counter()
-    cfg = RunConfig.load(args.config).with_overrides(seed=args.seed, out_dir=args.out)
-    cfg.validate()
-    bundle = prepare_task(cfg)
-    out_root = _out_root(cfg.data["out_dir"])
-    ensure_pretrained(cfg, bundle, out_root)
-    run_id = f"train-bag-{cfg.hash()[:12]}"
-    run_dir = _run_dir(out_root, run_id)
-    _save_task_artifacts(run_dir, cfg, bundle)
-
-    bag, bag_log = baselines.bag_train(
-        bundle.train,
-        cfg.data["bag"]["learning_rates"],
-        cfg.seed,
-        config=encoder_config(cfg, bundle),
-        train_cfg=cfg.train_cfg(),
-        pretrained=bundle.pretrained,
-    )
-    preds, _ = baselines.bag_predict(bag, bundle.dev)
+    run = Run.open(args, args.config)
+    bag, bag_log, acc = _run_bag(run.cfg, run.bundle)
     for i, member in enumerate(bag.members):
-        member.save(run_dir / f"bag_member_{i}.bgv")
-    record = MetricsRecord(
-        run_id=run_id,
-        command="train-bag",
-        config_hash=cfg.hash(),
-        round_log=bag_log,
-        accuracies={
-            "single": None, "boost_vote": None, "boost_fusion": None,
-            "bag": _accuracy(preds, bundle.dev), "distilled": None,
-        },
-        extras={"members": len(bag.members)},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_metrics(record, out_root, run_dir)
-    print(f"[{run_id}] bag={record.accuracies['bag']:.2f} ({len(bag.members)} members)")
+        member.save(run.dir / f"bag_member_{i}.bgv")
+    run.finish({"bag": acc}, round_log=bag_log, extras={"members": len(bag.members)})
+    print(f"[{run.dir.name}] bag={acc:.2f} ({len(bag.members)} members)")
     return 0
 
 
+def _run_bag(cfg: RunConfig, bundle: TaskBundle):
+    """The bagging baseline, its training log and its dev accuracy."""
+    bag, log = baselines.bag_train(
+        bundle.train, cfg.data["bag"]["learning_rates"], cfg.seed,
+        config=encoder_config(cfg, bundle), train_cfg=cfg.train_cfg(),
+        pretrained=bundle.pretrained,
+    )
+    preds, _ = baselines.bag_predict(bag, bundle.dev)
+    return bag, log, _accuracy(preds, bundle.dev)
+
+
 def cmd_fusion(args) -> int:
-    t0 = time.perf_counter()
+    """Retrain the fusion head of ``--run-dir`` into its ``fusion.bgf``; the
+    record and the resolved config go to a ``fusion-<hash12>`` run dir, so
+    the retrained run keeps its own ``metrics.json`` and ``config.json``."""
     run_dir = Path(args.run_dir)
     ens_path = run_dir / "ensemble.bge"
     if not ens_path.exists():
         raise ConfigError(f"no ensemble found at {ens_path}")
-    cfg = RunConfig.load(run_dir / "config.json").with_overrides(
-        **{"fusion.depth": args.depth}
-    )
-    cfg.validate()
-    bundle = prepare_task(cfg)
+    run = Run.open(args, run_dir / "config.json")
+    cfg, bundle = run.cfg, run.bundle
     ensemble = boosting.BoostEnsemble.load(ens_path)
     dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
@@ -555,44 +578,24 @@ def cmd_fusion(args) -> int:
     head.save(run_dir / "fusion.bgf")
     preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=dev_probs)
     acc = _accuracy(preds, bundle.dev)
-    record = MetricsRecord(
-        run_id=f"fusion-{cfg.hash()[:12]}",
-        command="fusion",
-        config_hash=cfg.hash(),
-        accuracies={
-            "single": None, "boost_vote": None, "boost_fusion": acc,
-            "bag": None, "distilled": None,
-        },
-        extras={"depth": cfg.data["fusion"]["depth"]},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_metrics(record, _out_root(cfg.data["out_dir"]), run_dir)
-    print(f"fusion dev accuracy: {acc:.2f}")
+    run.finish({"boost_fusion": acc}, extras={"depth": cfg.data["fusion"]["depth"]})
+    print(f"[{run.dir.name}] fusion={acc:.2f} (head written to {run_dir / 'fusion.bgf'})")
     return 0
 
 
 def cmd_distill(args) -> int:
-    t0 = time.perf_counter()
     teacher_dir = Path(args.teacher_dir)
     for required in ("ensemble.bge", "config.json"):
         if not (teacher_dir / required).exists():
             raise ConfigError(f"teacher artifact missing: {teacher_dir / required}")
-    cfg = RunConfig.load(
-        args.config if args.config else teacher_dir / "config.json"
-    ).with_overrides(seed=args.seed, out_dir=args.out)
-    cfg.validate()
-    bundle = prepare_task(cfg)
-    out_root = _out_root(cfg.data["out_dir"])
-    ensure_pretrained(cfg, bundle, out_root)
-    run_id = f"distill-{cfg.hash()[:12]}"
-    run_dir = _run_dir(out_root, run_id)
-    _save_task_artifacts(run_dir, cfg, bundle)
+    run = Run.open(args, args.config or teacher_dir / "config.json")
+    cfg, bundle = run.cfg, run.bundle
 
     ensemble = boosting.BoostEnsemble.load(teacher_dir / "ensemble.bge")
     head = None
     if (teacher_dir / "fusion.bgf").exists():
         head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
-    targets = distill_mod.teacher_targets(ensemble, head, bundle.train, cache_dir=run_dir)
+    targets = distill_mod.teacher_targets(ensemble, head, bundle.train, cache_dir=run.dir)
 
     dcfg = distill_mod.DistillConfig(
         total_steps=cfg.data["distill"]["total_steps"],
@@ -604,8 +607,8 @@ def cmd_distill(args) -> int:
     student, dlog = distill_mod.distill_train(
         targets, bundle.train, dcfg, cfg.seed, pretrained=bundle.pretrained, dev=bundle.dev
     )
-    student.save(run_dir / "model.bgv")
-    _write_jsonl(run_dir / "distill_log.jsonl", dlog)
+    student.save(run.dir / "model.bgv")
+    _write_jsonl(run.dir / "distill_log.jsonl", dlog)
 
     t_teach = time.perf_counter()
     if head is not None:
@@ -623,18 +626,11 @@ def cmd_distill(args) -> int:
     ) + (ensemble.shared_trunk.params.size if ensemble.shared_trunk is not None else 0)
     if head is not None:
         teacher_params += head.n_params
-    single_acc = _teacher_single_accuracy(teacher_dir)
 
-    record = MetricsRecord(
-        run_id=run_id,
-        command="distill",
-        config_hash=cfg.hash(),
-        accuracies={
-            "single": single_acc,
-            "boost_vote": None,
-            "boost_fusion": None,
+    record = run.finish(
+        {
+            "single": _teacher_single_accuracy(teacher_dir),
             "teacher": _accuracy(teacher_preds, bundle.dev),
-            "bag": None,
             "distilled": _accuracy(student_preds, bundle.dev),
         },
         extras={
@@ -649,12 +645,10 @@ def cmd_distill(args) -> int:
             "student_inference_s": student_time,
             "inference_ratio": student_time / teacher_time if teacher_time > 0 else None,
         },
-        wall_time_s=time.perf_counter() - t0,
     )
-    write_metrics(record, out_root, run_dir)
     acc = record.accuracies
     print(
-        f"[{run_id}] teacher={acc['teacher']:.2f} student={acc['distilled']:.2f} "
+        f"[{run.dir.name}] teacher={acc['teacher']:.2f} student={acc['distilled']:.2f} "
         f"param_ratio={record.extras['param_ratio']:.4f}"
     )
     return 0
@@ -725,7 +719,7 @@ def cmd_eval(args) -> int:
         for row in rep["confusion"]:
             print("  " + " ".join(f"{v:6d}" for v in row))
     out_path = model_dir / f"eval_{Path(args.data).stem}.json"
-    out_path.write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out_path, reports)
     print(f"wrote {out_path}")
     return 0
 
@@ -747,73 +741,39 @@ def _classification_report(preds: np.ndarray, dataset: LabeledDataset) -> dict:
 
 
 def cmd_fractions(args) -> int:
-    t0 = time.perf_counter()
-    cfg = RunConfig.load(args.config).with_overrides(seed=args.seed, out_dir=args.out)
-    cfg.validate()
     fractions = [float(f) for f in args.fractions.split(",")]
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"fraction {f} outside (0, 1]")
-    bundle = prepare_task(cfg)
-    out_root = _out_root(cfg.data["out_dir"])
-    ensure_pretrained(cfg, bundle, out_root)
-    run_id = f"fractions-{cfg.hash()[:12]}"
-    run_dir = _run_dir(out_root, run_id)
-    _save_task_artifacts(run_dir, cfg, bundle)
+    run = Run.open(args, args.config)
+    cfg, bundle = run.cfg, run.bundle
 
     rows = []
     for frac in fractions:
         sub = subsample(bundle.train, frac, cfg.seed)
         result = run_boost_pipeline(cfg, bundle, train_ds=sub)
         acc = result["accuracies"]
-        rows.append({
-            "fraction": frac,
-            "train_size": sub.n,
-            "single": acc["single"],
-            "boost_fusion": acc["boost_fusion"],
-            "boost_vote": acc["boost_vote"],
-            "delta": acc["boost_fusion"] - acc["single"],
-        })
+        rows.append({"fraction": frac, "train_size": sub.n, **acc,
+                     "delta": acc["boost_fusion"] - acc["single"]})
         print(
             f"fraction={frac:g} n={sub.n} single={acc['single']:.2f} "
             f"fusion={acc['boost_fusion']:.2f} delta={rows[-1]['delta']:+.2f}"
         )
 
-    record = MetricsRecord(
-        run_id=run_id,
-        command="fractions",
-        config_hash=cfg.hash(),
-        round_log=rows,
-        accuracies={
-            "single": rows[-1]["single"], "boost_vote": rows[-1]["boost_vote"],
-            "boost_fusion": rows[-1]["boost_fusion"], "bag": None, "distilled": None,
-        },
-        extras={"fractions": fractions},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_metrics(record, out_root, run_dir)
-    (run_dir / "fractions.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    run.finish(acc, round_log=rows, extras={"fractions": fractions})
+    _write_json(run.dir / "fractions.json", rows)
     return 0
 
 
 def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    cfg = RunConfig.load(args.config).with_overrides(seed=args.seed, out_dir=args.out)
-    cfg.validate()
     axes = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not axes:
         raise ConfigError("axes must be non-empty")
     for axis in axes:
         if axis not in COMPARE_AXES:
             raise ConfigError(f"unknown axis {axis!r} (choose from {sorted(COMPARE_AXES)})")
-    bundle = prepare_task(cfg)
-    out_root = _out_root(cfg.data["out_dir"])
-    ensure_pretrained(cfg, bundle, out_root)
-    run_id = f"compare-{cfg.hash()[:12]}"
-    run_dir = _run_dir(out_root, run_id)
-    _save_task_artifacts(run_dir, cfg, bundle)
+    run = Run.open(args, args.config)
+    cfg, bundle = run.cfg, run.bundle
 
     grids: list[dict] = [{}]
     for axis in axes:
@@ -835,47 +795,20 @@ def cmd_compare(args) -> int:
             f"{k}={v:.2f}" for k, v in shown.items() if v is not None
         ))
 
-    record = MetricsRecord(
-        run_id=run_id,
-        command="compare",
-        config_hash=cfg.hash(),
-        round_log=rows,
-        extras={"axes": axes, "cells": len(grids)},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_metrics(record, out_root, run_dir)
-    (run_dir / "compare.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2, default=str) + "\n", encoding="utf-8"
-    )
+    run.finish({}, round_log=rows, extras={"axes": axes, "cells": len(grids)})
+    _write_json(run.dir / "compare.json", rows)
     return 0
 
 
 def _run_compare_cell(cfg: RunConfig, bundle: TaskBundle, cell: dict) -> dict:
-    kind = cell.get("ensemble_kind", "boost")
-    overrides = {}
-    if "init_strategy" in cell:
-        overrides["boost.init_strategy"] = cell["init_strategy"]
-    if "sharing_mode" in cell:
-        overrides["boost.sharing_mode"] = cell["sharing_mode"]
-    sub_cfg = cfg.with_overrides(**overrides)
+    sub_cfg = cfg.with_overrides(
+        **{f"boost.{axis}": v for axis, v in cell.items() if axis != "ensemble_kind"}
+    )
     sub_cfg.validate(need_data=False)
-    if kind == "bag":
-        ensure_pretrained(sub_cfg, bundle)
-        bag, _ = baselines.bag_train(
-            bundle.train,
-            sub_cfg.data["bag"]["learning_rates"],
-            sub_cfg.seed,
-            config=encoder_config(sub_cfg, bundle),
-            train_cfg=sub_cfg.train_cfg(),
-            pretrained=bundle.pretrained,
-        )
-        preds, _ = baselines.bag_predict(bag, bundle.dev)
+    if cell.get("ensemble_kind") == "bag":
         return {"single": None, "boost_vote": None, "boost_fusion": None,
-                "bag": _accuracy(preds, bundle.dev)}
-    result = run_boost_pipeline(sub_cfg, bundle)
-    out = dict(result["accuracies"])
-    out["bag"] = None
-    return out
+                "bag": _run_bag(sub_cfg, bundle)[2]}
+    return {**run_boost_pipeline(sub_cfg, bundle)["accuracies"], "bag": None}
 
 
 def cmd_oracle_check(args) -> int:
@@ -950,16 +883,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hard-fraction", type=float, default=0.25)
     p.set_defaults(fn=cmd_gen_data)
 
-    for name, fn, extra in (
-        ("train-boost", cmd_train_boost, ("vote",)),
-        ("train-bag", cmd_train_bag, ()),
+    for name, fn, help_, extra in (
+        ("train-boost", cmd_train_boost, "run train-boost from a config file",
+         {"--vote": {"choices": VOTE_MODES, "default": None}}),
+        ("train-bag", cmd_train_bag, "run train-bag from a config file", {}),
+        ("distill", cmd_distill, "distill a trained ensemble into one student",
+         {"--teacher-dir": {"required": True}}),
+        ("fractions", cmd_fractions, "data-fraction sweep: single vs boosted",
+         {"--fractions": {"default": "0.05,0.2,1.0"}}),
+        ("compare", cmd_compare, "grid over init/sharing/ensemble-kind axes",
+         {"--axes": {"required": True}}),
     ):
-        p = sub.add_parser(name, help=f"run {name} from a config file")
-        p.add_argument("--config", required=True)
+        p = sub.add_parser(name, help=help_)
+        # distill reads the teacher's own config unless given one
+        p.add_argument("--config", required=name != "distill", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        if "vote" in extra:
-            p.add_argument("--vote", choices=VOTE_MODES, default=None)
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("fusion", help="(re)train the fusion head of an existing run")
@@ -967,32 +908,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(fn=cmd_fusion)
 
-    p = sub.add_parser("distill", help="distill a trained ensemble into one student")
-    p.add_argument("--teacher-dir", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_distill)
-
     p = sub.add_parser("eval", help="evaluate saved artifacts on a TSV dataset")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vote", choices=VOTE_MODES, default="soft")
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("fractions", help="data-fraction sweep: single vs boosted")
-    p.add_argument("--config", required=True)
-    p.add_argument("--fractions", default="0.05,0.2,1.0")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_fractions)
-
-    p = sub.add_parser("compare", help="grid over init/sharing/ensemble-kind axes")
-    p.add_argument("--config", required=True)
-    p.add_argument("--axes", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("oracle-check", help="diff the boosting engine against the SAMME oracle")
     p.add_argument("--out", default=None)

@@ -10,8 +10,6 @@ dataset hash).
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,7 +19,7 @@ import numpy as np
 from . import encoder as enc
 from .boosting import BoostEnsemble, vote_predict
 from .encoder.nnops import PROB_FLOOR
-from .encoder.params import f8_payload, split_container
+from .encoder.params import f8_payload, join_container, split_container
 from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
 
@@ -86,10 +84,7 @@ def _write_target_cache(path: Path, ehash: str, dhash: str, targets: np.ndarray)
         "n": int(targets.shape[0]),
         "K": int(targets.shape[1]),
     }
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(
-        TARGET_CACHE_MAGIC + struct.pack("<I", len(hb)) + hb + targets.astype("<f8").tobytes()
-    )
+    path.write_bytes(join_container(TARGET_CACHE_MAGIC, header, targets.astype("<f8").tobytes()))
 
 
 def _read_target_cache(path: Path, ehash: str, dhash: str, n: int, K: int) -> np.ndarray:

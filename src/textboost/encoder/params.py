@@ -22,9 +22,17 @@ CHECKPOINT_MAGIC = b"BGV1"
 ROLES = ("random", "pretrained", "finetuned")
 
 
+def join_container(magic: bytes, header: dict, *payload: bytes) -> bytes:
+    """A ``magic | u32 header length | header | payload`` file, its header as
+    canonical JSON (sorted keys, no spaces); ``split_container`` reads it.
+    The payload comes in parts, joined with one copy."""
+    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"".join([magic, struct.pack("<I", len(hbytes)), hbytes, *payload])
+
+
 def split_container(blob: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
-    """The JSON header and the payload of a ``magic | u32 header length |
-    header | payload`` file (checkpoints, fusion heads, teacher targets).
+    """The JSON header and the payload of a ``join_container`` file
+    (checkpoints, ensembles, fusion heads, teacher targets).
 
     Raises ValueError on a wrong magic and on a blob that ends inside its
     8-byte prefix or its header."""
@@ -196,13 +204,7 @@ class ModelSnapshot:
             "layout": self.layout.table(),
             "param_count": int(self.params.size),
         }
-        hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        return (
-            CHECKPOINT_MAGIC
-            + struct.pack("<I", len(hbytes))
-            + hbytes
-            + self.params.astype("<f8").tobytes()
-        )
+        return join_container(CHECKPOINT_MAGIC, header, self.params.astype("<f8").tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelSnapshot":

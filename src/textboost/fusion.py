@@ -8,8 +8,6 @@ verified byte-for-byte around every training run.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -19,7 +17,7 @@ import numpy as np
 from .boosting import BoostEnsemble
 from .encoder import fit_loop
 from .encoder.nnops import PROB_FLOOR, softmax_rows
-from .encoder.params import f8_payload, split_container, xavier_limit
+from .encoder.params import f8_payload, join_container, split_container, xavier_limit
 
 FUSION_MAGIC = b"BGF1"
 
@@ -134,8 +132,7 @@ class FusionHead:
     # -- persistence ------------------------------------------------------
     def to_bytes(self) -> bytes:
         header = {"dims": list(self.dims), "ensemble_hash": self.ensemble_hash}
-        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        return FUSION_MAGIC + struct.pack("<I", len(hb)) + hb + self.params.astype("<f8").tobytes()
+        return join_container(FUSION_MAGIC, header, self.params.astype("<f8").tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FusionHead":

@@ -1,6 +1,11 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
+from textboost import cli
 from textboost import encoder as enc
 from textboost.textdata import EncodedExample, LabeledDataset, Packed
 
@@ -44,3 +49,29 @@ def make_token_dataset(rng, n, K=3, vocab_size=20, max_len=10) -> LabeledDataset
         ))
     return LabeledDataset(examples=tuple(examples), K=K,
                           label_names=tuple(f"c{k}" for k in range(K)))
+
+
+def jsonl_lines(out_root) -> int:
+    """Lines of ``<out_root>/metrics.jsonl`` (0 before the first run)."""
+    path = out_root / "metrics.jsonl"
+    return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+def assert_run_contract(out_root, command: str, lines_before: int) -> dict:
+    """Check what every config-driven command leaves: one ``<command>-<hash12>``
+    dir with the task artifacts and a record carrying exactly the
+    MetricsRecord fields and all five accuracy keys, appended to
+    ``metrics.jsonl`` as one line. Returns the record."""
+    (run_dir,) = out_root.glob(f"{command}-*")
+    assert re.fullmatch(rf"{command}-[0-9a-f]{{12}}", run_dir.name)
+    for name in ("config.json", "vocab.tsv", "task.json", "metrics.json"):
+        assert (run_dir / name).is_file(), name
+    rec = json.loads((run_dir / "metrics.json").read_text())
+    assert set(rec) == {f.name for f in dataclasses.fields(cli.MetricsRecord)}
+    assert set(cli.ACCURACY_KEYS) <= set(rec["accuracies"])
+    assert rec["run_id"] == run_dir.name and rec["command"] == command
+    assert rec["config_hash"].startswith(run_dir.name[-12:])
+    lines = (out_root / "metrics.jsonl").read_text().splitlines()
+    assert len(lines) == lines_before + 1
+    assert json.loads(lines[-1]) == rec
+    return rec

@@ -17,7 +17,7 @@ import pytest
 from textboost import baselines, boosting, cli
 from textboost import encoder as enc
 
-from conftest import random_batch
+from conftest import assert_run_contract, jsonl_lines, random_batch
 from gradcheck import REL_TOL, check_group
 from test_boosting import ORACLE_SETS, oracle_dataset
 
@@ -108,9 +108,9 @@ def fractions_run(main_config, boost_run):
 @pytest.fixture(scope="session")
 def bag_run(main_config, boost_run):
     cfg_path, out = main_config
+    lines = jsonl_lines(out)
     assert cli.main(["train-bag", "--config", str(cfg_path)]) == 0
-    bag_dir = next(p for p in out.iterdir() if p.name.startswith("train-bag-"))
-    return json.loads((bag_dir / "metrics.json").read_text())
+    return assert_run_contract(out, "train-bag", lines)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,14 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from textboost import cli
+from textboost import cli, fusion
+from textboost import encoder as enc
+
+from conftest import assert_run_contract
 
 
 def write_config(path: Path, task_dir: Path, out_dir: Path, **extra) -> Path:
@@ -75,13 +79,10 @@ class TestTrainBoost:
         assert all({"round", "step", "loss", "lr"} <= set(rec) for rec in step_log)
 
     def test_metrics_record_shape(self, boost_run):
-        out, _, run_dir = boost_run
-        rec = json.loads((run_dir / "metrics.json").read_text())
-        assert rec["command"] == "train-boost"
-        assert set(rec["accuracies"]) >= {"single", "boost_vote", "boost_fusion", "bag", "distilled"}
+        out, _, _ = boost_run
+        rec = assert_run_contract(out, "train-boost", 0)
         for key in ("single", "boost_vote", "boost_fusion"):
             assert 0.0 <= rec["accuracies"][key] <= 100.0
-        assert (out / "metrics.jsonl").exists()
 
     def test_missing_train_file_exit_2(self, task_dir, tmp_path):
         cfg_path = write_config(
@@ -127,6 +128,26 @@ class TestTrainBoost:
         for rec in (a, b):
             rec.pop("wall_time_s"), rec.pop("timing"), rec.pop("run_id")
         assert a == b
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, extra", [
+        ("train-boost", {"pretrain": {"steps": 0}, "boost": {"init_strategy": "incremental"}}),
+        ("train-boost", {"pretrain": {"steps": 0}, "boost": {"init_strategy": "pretrained"}}),
+        # a softreg config keeps the default distill.init_strategy "pretrained"
+        ("distill", {"learner": "softreg", "boost": {"init_strategy": "random"}}),
+        ("distill", {"distill": {"init_strategy": "incremental"}}),
+        ("distill", {"distill": {"init_strategy": "finetuning"}}),
+    ])
+    def test_exit_2_and_no_run_dir(self, boost_run, task_dir, tmp_path, command, extra):
+        _, _, teacher_dir = boost_run
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", task_dir, out, **extra)
+        argv = [command, "--config", str(cfg_path)]
+        if command == "distill":
+            argv += ["--teacher-dir", str(teacher_dir)]
+        assert cli.main(argv) == 2
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestScoredOnce:
@@ -222,7 +243,8 @@ class TestFractions:
         cfg2.write_text(json.dumps(cfg))
         rc = cli.main(["fractions", "--config", str(cfg2), "--fractions", "1.0"])
         assert rc == 0
-        frac_dir = next(p for p in tmp_path.iterdir() if p.name.startswith("fractions-"))
+        rec = assert_run_contract(tmp_path, "fractions", 0)
+        frac_dir = tmp_path / rec["run_id"]
         rows = json.loads((frac_dir / "fractions.json").read_text())
         assert len(rows) == 1
         boost_rec = json.loads((run_dir / "metrics.json").read_text())
@@ -255,7 +277,9 @@ class TestCompare:
         cfg2.write_text(json.dumps(cfg))
         rc = cli.main(["compare", "--config", str(cfg2), "--axes", "sharing_mode"])
         assert rc == 0
-        comp_dir = next(p for p in tmp_path.iterdir() if p.name.startswith("compare-"))
+        rec = assert_run_contract(tmp_path, "compare", 0)
+        assert set(rec["accuracies"].values()) == {None}
+        comp_dir = tmp_path / rec["run_id"]
         rows = json.loads((comp_dir / "compare.json").read_text())
         assert len(rows) == 2
         assert {r["cell"]["sharing_mode"] for r in rows} == {"privacy", "sharing"}
@@ -289,8 +313,8 @@ class TestDistillCmd:
         cfg2.write_text(json.dumps(cfg))
         rc = cli.main(["distill", "--teacher-dir", str(run_dir), "--config", str(cfg2)])
         assert rc == 0
-        ddir = next(p for p in tmp_path.iterdir() if p.name.startswith("distill-"))
-        rec = json.loads((ddir / "metrics.json").read_text())
+        rec = assert_run_contract(tmp_path, "distill", 0)
+        ddir = tmp_path / rec["run_id"]
         acc = rec["accuracies"]
         assert acc["single"] is not None
         assert acc["teacher"] is not None
@@ -302,6 +326,34 @@ class TestDistillCmd:
 
     def test_missing_teacher_exit_2(self, tmp_path):
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
+
+
+class TestFusionCmd:
+    def test_retrains_head_and_keeps_the_run_record(self, boost_run, tmp_path, monkeypatch):
+        _, _, source = boost_run
+        run_dir = tmp_path / source.name
+        shutil.copytree(source, run_dir)
+        # an out root with no pretraining cache, so a pretrain would call pretrain_mlm
+        out = tmp_path / "out"
+        cfg = json.loads((run_dir / "config.json").read_text())
+        cfg["out_dir"] = str(out)
+        (run_dir / "config.json").write_text(json.dumps(cfg))
+        record = (run_dir / "metrics.json").read_bytes()
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("fusion pretrained an MLM trunk")
+
+        monkeypatch.setattr(enc, "pretrain_mlm", no_pretraining)
+        assert cli.main(["fusion", "--run-dir", str(run_dir), "--depth", "2"]) == 0
+        assert (run_dir / "metrics.json").read_bytes() == record
+        head = fusion.FusionHead.load(run_dir / "fusion.bgf")
+        assert len(head.dims) - 2 == 2
+        rec = assert_run_contract(out, "fusion", 0)
+        assert rec["extras"]["depth"] == 2
+        assert 0.0 <= rec["accuracies"]["boost_fusion"] <= 100.0
+        fusion_cfg = json.loads((out / rec["run_id"] / "config.json").read_text())
+        assert fusion_cfg["fusion"]["depth"] == 2
+        assert not list(out.glob("pretrained_*.bgv"))
 
 
 class TestPretraining:
