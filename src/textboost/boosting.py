@@ -16,7 +16,6 @@ owns only a linear head, and inference binds every head to the final trunk).
 from __future__ import annotations
 
 import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,15 +23,14 @@ from typing import Optional, Protocol
 
 import numpy as np
 
+from . import artifacts
 from . import encoder as enc
-from .encoder.params import join_container, split_container
+from .artifacts import ENSEMBLE_MAGIC
 
 ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
 # alpha at or below this is chance level up to rounding: at err = (K-1)/K
 # the formula can come out a few ulps above 0 (2.2e-16 for K=3)
 ALPHA_TOL = 1e-12
-
-ENSEMBLE_MAGIC = b"BGE1"
 
 SHARING_MODES = ("privacy", "sharing")
 
@@ -182,7 +180,7 @@ class BoostEnsemble:
         return hashlib.sha256(ensemble_to_bytes(self)).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(ensemble_to_bytes(self))
+        artifacts.write(path, ensemble_to_bytes(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "BoostEnsemble":
@@ -505,59 +503,37 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
     else:
         for r in ensemble.rounds:
             blobs.append(r.model.snapshot.to_bytes())
-    payload = [struct.pack("<I", len(blobs))]
-    for b in blobs:
-        payload += [struct.pack("<Q", len(b)), b]
-    return join_container(ENSEMBLE_MAGIC, header, *payload)
+    return artifacts.pack(ENSEMBLE_MAGIC, header, *artifacts.framed(blobs))
 
 
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
-    header, payload = split_container(blob, ENSEMBLE_MAGIC, "ensemble")
-    pos = 0
+    with artifacts.reading(blob, ENSEMBLE_MAGIC, "ensemble") as (header, payload):
+        blobs = artifacts.unframe(payload, "ensemble")
+        shared_trunk = None
+        if header["learner_kind"] == "stump":
+            from .baselines import Stump, StumpRoundModel
 
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(payload):
-            raise ValueError("ensemble file truncated")
-        pos += size
-        return payload[pos - size : pos]
-
-    (n_blobs,) = struct.unpack("<I", take(4))
-    blobs = [take(struct.unpack("<Q", take(8))[0]) for _ in range(n_blobs)]
-    if pos != len(payload):
-        raise ValueError(f"ensemble file has {len(payload) - pos} trailing bytes")
-
-    kind = header["learner_kind"]
-    meta = header["rounds"]
-    rounds: list[BoostRound] = []
-    shared_trunk = None
-    if kind == "stump":
-        from .baselines import Stump, StumpRoundModel
-
-        for rm, sd in zip(meta, header["stumps"]):
-            rounds.append(BoostRound(
-                index=rm["index"],
-                model=StumpRoundModel(stump=Stump.from_dict(sd), K=header["K"]),
-                alpha=rm["alpha"], err=rm["err"],
-            ))
-    elif header["sharing_mode"] == "sharing":
-        shared_trunk = enc.ModelSnapshot.from_bytes(blobs[0])
-        for rm, hb in zip(meta, blobs[1:]):
-            head = np.frombuffer(hb, dtype="<f8").astype(np.float64)
-            rounds.append(BoostRound(
-                index=rm["index"], model=SharedHeadRoundModel(head=head, trunk=shared_trunk),
-                alpha=rm["alpha"], err=rm["err"],
-            ))
-    else:
-        for rm, sb in zip(meta, blobs):
-            rounds.append(BoostRound(
-                index=rm["index"], model=NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)),
-                alpha=rm["alpha"], err=rm["err"],
-            ))
-    return BoostEnsemble(
-        K=header["K"],
-        learner_kind=kind,
-        sharing_mode=header["sharing_mode"],
-        rounds=rounds,
-        shared_trunk=shared_trunk,
-    )
+            models = [StumpRoundModel(stump=Stump.from_dict(sd), K=header["K"])
+                      for sd in header["stumps"]]
+            configs = []
+        elif header["sharing_mode"] == "sharing":
+            shared_trunk = enc.ModelSnapshot.from_bytes(blobs[0])
+            configs = [shared_trunk.config]
+            size = (configs[0].d_model + 1) * configs[0].K  # cls.w and cls.b
+            models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
+                                           trunk=shared_trunk) for hb in blobs[1:]]
+        else:
+            models = [NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)) for sb in blobs]
+            configs = [m.snapshot.config for m in models]
+        meta = header["rounds"]
+        if not len(models) == len(meta) == header["m_effective"] or any(
+                (c.kind, c.K) != (header["learner_kind"], header["K"]) for c in configs):
+            raise artifacts.ArtifactError("ensemble header does not match its parts")
+        return BoostEnsemble(
+            K=header["K"],
+            learner_kind=header["learner_kind"],
+            sharing_mode=header["sharing_mode"],
+            rounds=[BoostRound(index=rm["index"], model=model, alpha=rm["alpha"], err=rm["err"])
+                    for rm, model in zip(meta, models)],
+            shared_trunk=shared_trunk,
+        )

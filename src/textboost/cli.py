@@ -4,7 +4,7 @@ Commands: gen-data, train-boost, train-bag, fusion, distill, eval,
 fractions, compare, oracle-check. Runs are driven by a JSON config file
 (one canonical serialization, human-editable); --out, --seed and --vote
 override individual keys. Exit codes: 0 success, 1 runtime failure,
-2 configuration/validation failure.
+2 configuration/validation failure or a malformed or mismatched artifact.
 
 Every run writes its resolved config, artifacts, and one MetricsRecord
 line appended to ``<out_root>/metrics.jsonl``. The default output root is
@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import baselines, boosting, distill as distill_mod, fusion as fusion_mod, synthetic
-from . import encoder as enc
+from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
+from . import encoder as enc, synthetic
 from .encoder.training import _keep_freed_heap
 from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample, tokenize
 
@@ -269,9 +269,8 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
 
     The checkpoint is deterministic in (corpus, model config, pretrain
     hyperparameters, seed), so it may be cached on disk and shared across
-    commands keyed by that tuple. A cache entry is written to a temporary
-    file and moved into place, and one that fails to load is retrained and
-    replaced.
+    commands keyed by that tuple. A cache entry that fails to load is
+    retrained and replaced.
     """
     if bundle.pretrained is not None or not _pretrains(cfg):
         return
@@ -288,7 +287,7 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
             try:
                 bundle.pretrained = enc.ModelSnapshot.load(cache_path)
                 return
-            except ValueError:  # a truncated or corrupted entry: retrain and replace it
+            except artifacts.ArtifactError:  # a truncated or corrupted entry: retrain it
                 pass
     snap, _ = enc.pretrain_mlm(
         bundle.corpus_ids, model_cfg, steps, [cfg.seed, 41],
@@ -297,12 +296,7 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
     bundle.pretrained = snap
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
-        try:
-            snap.save(tmp)
-            os.replace(tmp, cache_path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        snap.save(cache_path)
 
 
 # ----------------------------------------------------------------------
@@ -335,17 +329,15 @@ def write_metrics(record: MetricsRecord, out_root: Path, run_dir: Path) -> None:
     out_root.mkdir(parents=True, exist_ok=True)
     with (out_root / "metrics.jsonl").open("a", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
-    (run_dir / "metrics.json").write_text(record.to_json() + "\n", encoding="utf-8")
+    artifacts.write(run_dir / "metrics.json", record.to_json() + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n", encoding="utf-8")
+    artifacts.write(path, json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    artifacts.write(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 def _out_root(explicit: Optional[str]) -> Path:
@@ -560,26 +552,28 @@ def _run_bag(cfg: RunConfig, bundle: TaskBundle):
 
 
 def cmd_fusion(args) -> int:
-    """Retrain the fusion head of ``--run-dir`` into its ``fusion.bgf``; the
-    record and the resolved config go to a ``fusion-<hash12>`` run dir, so
-    the retrained run keeps its own ``metrics.json`` and ``config.json``."""
-    run_dir = Path(args.run_dir)
-    ens_path = run_dir / "ensemble.bge"
+    """Retrain the fusion head of the ensemble in ``--run-dir``, which is left
+    as it is. The new head, a copy of the ensemble, the resolved config and
+    the record go to a ``fusion-<hash12>`` run dir, which ``eval`` and
+    ``distill`` read like the run dir of ``train-boost``."""
+    ens_path = Path(args.run_dir) / "ensemble.bge"
     if not ens_path.exists():
         raise ConfigError(f"no ensemble found at {ens_path}")
-    run = Run.open(args, run_dir / "config.json")
+    run = Run.open(args, ens_path.parent / "config.json")
     cfg, bundle = run.cfg, run.bundle
-    ensemble = boosting.BoostEnsemble.load(ens_path)
+    ens_bytes = ens_path.read_bytes()
+    ensemble = boosting.ensemble_from_bytes(ens_bytes)
     dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
         ensemble, bundle.train, bundle.dev, cfg.fusion_cfg(), cfg.seed,
         train_probs=ensemble.predict_proba_per_round(bundle.train), dev_probs=dev_probs,
     )
-    head.save(run_dir / "fusion.bgf")
+    head.save(run.dir / "fusion.bgf")
+    artifacts.write(run.dir / "ensemble.bge", ens_bytes)
     preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=dev_probs)
     acc = _accuracy(preds, bundle.dev)
     run.finish({"boost_fusion": acc}, extras={"depth": cfg.data["fusion"]["depth"]})
-    print(f"[{run.dir.name}] fusion={acc:.2f} (head written to {run_dir / 'fusion.bgf'})")
+    print(f"[{run.dir.name}] fusion={acc:.2f}")
     return 0
 
 
@@ -595,7 +589,7 @@ def cmd_distill(args) -> int:
     head = None
     if (teacher_dir / "fusion.bgf").exists():
         head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
-    targets = distill_mod.teacher_targets(ensemble, head, bundle.train, cache_dir=run.dir)
+    targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
 
     dcfg = distill_mod.DistillConfig(
         total_steps=cfg.data["distill"]["total_steps"],
@@ -686,6 +680,7 @@ def cmd_eval(args) -> int:
     )
 
     reports: dict[str, dict] = {}
+    snapshots = [p for p in (model_dir / "model.bgv", model_dir / "single.bgv") if p.exists()]
     if (model_dir / "ensemble.bge").exists():
         ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
         probs = ensemble.predict_proba_per_round(dataset)
@@ -695,14 +690,8 @@ def cmd_eval(args) -> int:
             head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
             fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)
             reports["boost_fusion"] = _classification_report(fpreds, dataset)
-    elif (model_dir / "model.bgv").exists():
-        snap = enc.ModelSnapshot.load(model_dir / "model.bgv")
-        model = enc.model_from_snapshot(snap)
-        preds = model.predict_proba(dataset.packed).argmax(axis=1)
-        reports["model"] = _classification_report(preds, dataset)
-    elif (model_dir / "single.bgv").exists():
-        snap = enc.ModelSnapshot.load(model_dir / "single.bgv")
-        model = enc.model_from_snapshot(snap)
+    elif snapshots:
+        model = enc.model_from_snapshot(enc.ModelSnapshot.load(snapshots[0]))
         preds = model.predict_proba(dataset.packed).argmax(axis=1)
         reports["model"] = _classification_report(preds, dataset)
     else:
@@ -926,7 +915,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, artifacts.ArtifactError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

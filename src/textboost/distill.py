@@ -3,15 +3,13 @@
 The student trains on a per-example mix of the gold label and the frozen
 teacher's distribution: ``lam * CE(gold) + (1 - lam) * CE(teacher)`` with
 ``lam = step / total_steps`` rising linearly from 0 to 1, so early steps
-lean on the teacher and late steps on the gold labels. Teacher targets are
-precomputed once and may be cached on disk keyed by (ensemble hash,
-dataset hash).
+lean on the teacher and late steps on the gold labels. The teacher
+targets are computed once, before the first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -19,11 +17,8 @@ import numpy as np
 from . import encoder as enc
 from .boosting import BoostEnsemble, vote_predict
 from .encoder.nnops import PROB_FLOOR
-from .encoder.params import f8_payload, join_container, split_container
 from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
-
-TARGET_CACHE_MAGIC = b"BGT1"
 
 
 @dataclass(frozen=True)
@@ -43,58 +38,16 @@ def teacher_targets(
     ensemble: BoostEnsemble,
     head: Optional[FusionHead],
     dataset: LabeledDataset,
-    cache_dir: Optional[str | Path] = None,
 ) -> np.ndarray:
     """(n, K) teacher distributions.
 
     With a fusion head the teacher is the fusion output; otherwise the soft
-    weighted-vote scores normalized by the alpha total. When ``cache_dir``
-    is given, targets are persisted keyed by the ensemble and dataset
-    hashes and replayed byte-identically.
+    weighted-vote scores normalized by the alpha total.
     """
-    ehash = ensemble.content_hash()
     if head is not None:
-        ehash = ehash + "+" + _fusion_tag(head)
-    dhash = dataset.content_hash
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"teacher_targets_{ehash[:12]}_{dhash[:12]}.bgt"
-        if cache_path.exists():
-            return _read_target_cache(cache_path, ehash, dhash, dataset.n, ensemble.K)
-    if head is not None:
-        _, targets = fusion_predict(ensemble, head, dataset)
-    else:
-        _, scores = vote_predict(ensemble, dataset, mode="soft")
-        targets = scores / ensemble.alphas.sum()
-    if cache_path is not None:
-        _write_target_cache(cache_path, ehash, dhash, targets)
-    return targets
-
-
-def _fusion_tag(head: FusionHead) -> str:
-    import hashlib
-
-    return hashlib.sha256(head.to_bytes()).hexdigest()[:12]
-
-
-def _write_target_cache(path: Path, ehash: str, dhash: str, targets: np.ndarray) -> None:
-    header = {
-        "ensemble_hash": ehash,
-        "dataset_hash": dhash,
-        "n": int(targets.shape[0]),
-        "K": int(targets.shape[1]),
-    }
-    path.write_bytes(join_container(TARGET_CACHE_MAGIC, header, targets.astype("<f8").tobytes()))
-
-
-def _read_target_cache(path: Path, ehash: str, dhash: str, n: int, K: int) -> np.ndarray:
-    header, payload = split_container(path.read_bytes(), TARGET_CACHE_MAGIC,
-                                      "teacher-target cache")
-    if header["ensemble_hash"] != ehash or header["dataset_hash"] != dhash:
-        raise ValueError("teacher-target cache key mismatch")
-    if header["n"] != n or header["K"] != K:
-        raise ValueError("teacher-target cache shape mismatch")
-    return f8_payload(payload, n * K, "teacher-target cache").reshape(n, K)
+        return fusion_predict(ensemble, head, dataset)[1]
+    _, scores = vote_predict(ensemble, dataset, mode="soft")
+    return scores / ensemble.alphas.sum()
 
 
 def annealed_lambda(step: int, total_steps: int) -> float:

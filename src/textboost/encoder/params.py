@@ -1,58 +1,23 @@
 """Flat parameter vectors, layout tables, snapshots, and checkpoint IO.
 
-Checkpoint container: magic ``BGV1``, a length-prefixed JSON header
-(kind, role, config, config hash, layout table, parameter count), then the
-parameter block as little-endian float64.
+A checkpoint is an ``artifacts`` container with magic ``BGV1``: a JSON
+header (kind, role, config, config hash, layout table, parameter count),
+then the parameter block as little-endian float64.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .. import artifacts
+from ..artifacts import CHECKPOINT_MAGIC
 from .config import EncoderConfig, SoftregConfig, config_from_dict, config_hash
 
-CHECKPOINT_MAGIC = b"BGV1"
-
 ROLES = ("random", "pretrained", "finetuned")
-
-
-def join_container(magic: bytes, header: dict, *payload: bytes) -> bytes:
-    """A ``magic | u32 header length | header | payload`` file, its header as
-    canonical JSON (sorted keys, no spaces); ``split_container`` reads it.
-    The payload comes in parts, joined with one copy."""
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return b"".join([magic, struct.pack("<I", len(hbytes)), hbytes, *payload])
-
-
-def split_container(blob: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
-    """The JSON header and the payload of a ``join_container`` file
-    (checkpoints, ensembles, fusion heads, teacher targets).
-
-    Raises ValueError on a wrong magic and on a blob that ends inside its
-    8-byte prefix or its header."""
-    if blob[:4] != magic:
-        raise ValueError(f"bad {what} magic (expected {magic.decode()})")
-    if len(blob) < 8:
-        raise ValueError(f"{what} truncated inside its prefix")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + hlen:
-        raise ValueError(f"{what} truncated inside its header")
-    return json.loads(blob[8 : 8 + hlen].decode()), blob[8 + hlen :]
-
-
-def f8_payload(payload: bytes, count: int, what: str) -> np.ndarray:
-    """``count`` little-endian float64 values; ValueError unless the payload
-    holds exactly that many."""
-    if len(payload) != 8 * count:
-        raise ValueError(f"{what} has {len(payload)} payload bytes, "
-                         f"its header promises {8 * count}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -204,20 +169,21 @@ class ModelSnapshot:
             "layout": self.layout.table(),
             "param_count": int(self.params.size),
         }
-        return join_container(CHECKPOINT_MAGIC, header, self.params.astype("<f8").tobytes())
+        return artifacts.pack(CHECKPOINT_MAGIC, header, self.params.astype("<f8").tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelSnapshot":
-        header, payload = split_container(blob, CHECKPOINT_MAGIC, "checkpoint")
-        cfg = config_from_dict(header["config"])
-        params = f8_payload(payload, header["param_count"], "checkpoint")
-        snap = cls(config=cfg, params=params, role=header["role"])
-        if snap.config_hash != header["config_hash"]:
-            raise ValueError("config hash mismatch in checkpoint")
+        with artifacts.reading(blob, CHECKPOINT_MAGIC, "checkpoint") as (header, payload):
+            cfg = config_from_dict(header["config"])
+            params = artifacts.f8(payload, header["param_count"], "checkpoint")
+            snap = cls(config=cfg, params=params, role=header["role"])
+            if [snap.config_hash, snap.kind, snap.layout.table()] != [
+                    header["config_hash"], header["kind"], header["layout"]]:
+                raise artifacts.ArtifactError("checkpoint header does not match its config")
         return snap
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        artifacts.write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelSnapshot":

@@ -14,12 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import artifacts
+from .artifacts import FUSION_MAGIC, ArtifactError
 from .boosting import BoostEnsemble
 from .encoder import fit_loop
 from .encoder.nnops import PROB_FLOOR, softmax_rows
-from .encoder.params import f8_payload, join_container, split_container, xavier_limit
-
-FUSION_MAGIC = b"BGF1"
+from .encoder.params import xavier_limit
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,17 @@ class FusionHead:
     # -- persistence ------------------------------------------------------
     def to_bytes(self) -> bytes:
         header = {"dims": list(self.dims), "ensemble_hash": self.ensemble_hash}
-        return join_container(FUSION_MAGIC, header, self.params.astype("<f8").tobytes())
+        return artifacts.pack(FUSION_MAGIC, header, self.params.astype("<f8").tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FusionHead":
-        header, payload = split_container(blob, FUSION_MAGIC, "fusion head")
-        dims = tuple(header["dims"])
-        params = f8_payload(payload, _param_count(dims), "fusion head")
-        return cls(dims, params=params, ensemble_hash=header["ensemble_hash"])
+        with artifacts.reading(blob, FUSION_MAGIC, "fusion head") as (header, payload):
+            dims = tuple(header["dims"])
+            params = artifacts.f8(payload, _param_count(dims), "fusion head")
+            return cls(dims, params=params, ensemble_hash=header["ensemble_hash"])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        artifacts.write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionHead":
@@ -223,13 +223,13 @@ def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
                    probs: Optional[np.ndarray] = None):
     """(label ids, probability rows) from the fusion head, over ``probs`` (the
     (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
-    now. A head bound to another ensemble is rejected."""
+    now. A head bound to another ensemble raises ArtifactError."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
-        raise ValueError(
+        raise ArtifactError(
             f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
         )
     if head.ensemble_hash and head.ensemble_hash != ensemble.content_hash():
-        raise ValueError("fusion head was trained for a different ensemble")
+        raise ArtifactError("fusion head was trained for a different ensemble")
     fused = head.probs(build_feature(ensemble, dataset, probs=probs))
     return fused.argmax(axis=1), fused

@@ -17,6 +17,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import artifacts
+
 # Reserved ids are fixed; corpus tokens start at 5.
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -119,9 +121,7 @@ class Vocabulary:
         return [table[i] for i in ids]
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
+        artifacts.write(path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from textboost import baselines, boosting
 from textboost import encoder as enc
+from textboost.artifacts import ArtifactError
 
 from conftest import make_token_dataset
 
@@ -400,7 +401,7 @@ class TestEnsembleSerialization:
         ens, _ = boosting.boost_train(dataset, learner, 2, seed=4)
         blob = boosting.ensemble_to_bytes(ens)
         for bad in (blob + b"junk", blob[:-8], blob[:10]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ArtifactError):
                 boosting.ensemble_from_bytes(bad)
 
     def test_neural_roundtrip_predictions_identical(self, tiny_config, tmp_path):

@@ -328,8 +328,18 @@ class TestDistillCmd:
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
 
 
+def no_training(monkeypatch):
+    """Make every MLM pretraining and every distillation fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a command trained that should only have read artifacts")
+
+    monkeypatch.setattr(enc, "pretrain_mlm", fail)
+    monkeypatch.setattr(cli.distill_mod, "distill_train", fail)
+
+
 class TestFusionCmd:
-    def test_retrains_head_and_keeps_the_run_record(self, boost_run, tmp_path, monkeypatch):
+    def test_retrains_head_and_keeps_the_run_record(self, boost_run, task_dir, tmp_path,
+                                                    monkeypatch):
         _, _, source = boost_run
         run_dir = tmp_path / source.name
         shutil.copytree(source, run_dir)
@@ -338,22 +348,59 @@ class TestFusionCmd:
         cfg = json.loads((run_dir / "config.json").read_text())
         cfg["out_dir"] = str(out)
         (run_dir / "config.json").write_text(json.dumps(cfg))
-        record = (run_dir / "metrics.json").read_bytes()
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
 
-        def no_pretraining(*args, **kwargs):
-            raise AssertionError("fusion pretrained an MLM trunk")
-
-        monkeypatch.setattr(enc, "pretrain_mlm", no_pretraining)
+        no_training(monkeypatch)
         assert cli.main(["fusion", "--run-dir", str(run_dir), "--depth", "2"]) == 0
-        assert (run_dir / "metrics.json").read_bytes() == record
-        head = fusion.FusionHead.load(run_dir / "fusion.bgf")
-        assert len(head.dims) - 2 == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         rec = assert_run_contract(out, "fusion", 0)
         assert rec["extras"]["depth"] == 2
-        assert 0.0 <= rec["accuracies"]["boost_fusion"] <= 100.0
-        fusion_cfg = json.loads((out / rec["run_id"] / "config.json").read_text())
+        fusion_dir = out / rec["run_id"]
+        head = fusion.FusionHead.load(fusion_dir / "fusion.bgf")
+        assert len(head.dims) - 2 == 2
+        assert (fusion_dir / "ensemble.bge").read_bytes() == before["ensemble.bge"]
+        fusion_cfg = json.loads((fusion_dir / "config.json").read_text())
         assert fusion_cfg["fusion"]["depth"] == 2
         assert not list(out.glob("pretrained_*.bgv"))
+        # the fusion dir is a model dir of its own: eval scores the new head
+        assert cli.main(["eval", "--model-dir", str(fusion_dir),
+                         "--data", str(task_dir / "dev.tsv")]) == 0
+        report = json.loads((fusion_dir / "eval_dev.json").read_text())
+        assert report["boost_fusion"]["accuracy"] == rec["accuracies"]["boost_fusion"]
+
+
+class TestArtifactErrors:
+    def test_eval_of_a_truncated_ensemble_exits_2(self, boost_run, task_dir, tmp_path):
+        _, _, source = boost_run
+        model_dir = tmp_path / source.name
+        shutil.copytree(source, model_dir)
+        blob = (model_dir / "ensemble.bge").read_bytes()
+        (model_dir / "ensemble.bge").write_bytes(blob[: len(blob) // 2])
+        assert cli.main(["eval", "--model-dir", str(model_dir),
+                         "--data", str(task_dir / "dev.tsv")]) == 2
+        assert not (model_dir / "eval_dev.json").exists()
+
+    def test_distill_with_a_head_of_another_ensemble_exits_2(self, boost_run, tmp_path,
+                                                             monkeypatch):
+        out, cfg_path, source = boost_run
+        teacher = tmp_path / source.name
+        shutil.copytree(source, teacher)
+        head = fusion.FusionHead.load(teacher / "fusion.bgf")
+        fusion.FusionHead(head.dims, head.params, ensemble_hash="0" * 64).save(
+            teacher / "fusion.bgf")
+        # the pretraining cache of boost_run, so that the student's trunk is read
+        out2 = tmp_path / "out"
+        out2.mkdir()
+        for cache in out.glob("pretrained_*.bgv"):
+            shutil.copy(cache, out2 / cache.name)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["out_dir"] = str(out2)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+
+        no_training(monkeypatch)
+        assert cli.main(["distill", "--teacher-dir", str(teacher),
+                         "--config", str(tmp_path / "c.json")]) == 2
+        assert not (out2 / "metrics.jsonl").exists()
 
 
 class TestPretraining:

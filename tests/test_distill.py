@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textboost import boosting, distill
+from textboost import distill
 from textboost import encoder as enc
 
 from conftest import make_token_dataset
@@ -85,33 +85,6 @@ class TestTeacherTargets:
         ds = make_token_dataset(rng, n=5, K=3)
         targets = distill.teacher_targets(ens, None, ds)
         assert np.allclose(targets.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_cache_replay_byte_identical(self, tmp_path, tiny_config):
-        dataset = make_token_dataset(np.random.default_rng(2), n=60)
-        learner = boosting.NeuralBoostLearner(
-            tiny_config, enc.TrainConfig(lr=3e-3, epochs=6), "random"
-        )
-        ens, _ = boosting.boost_train(dataset, learner, 2, seed=1)
-        a = distill.teacher_targets(ens, None, dataset, cache_dir=tmp_path)
-        cache_files = list(tmp_path.glob("teacher_targets_*.bgt"))
-        assert len(cache_files) == 1
-        blob_before = cache_files[0].read_bytes()
-        assert blob_before[:4] == b"BGT1"
-        b = distill.teacher_targets(ens, None, dataset, cache_dir=tmp_path)
-        assert np.array_equal(a, b)
-        assert cache_files[0].read_bytes() == blob_before
-
-    def test_every_truncation_and_one_extra_byte_rejected(self, tmp_path):
-        path = tmp_path / "t.bgt"
-        targets = np.random.default_rng(3).dirichlet(np.ones(3), size=5)
-        distill._write_target_cache(path, "ens", "data", targets)
-        blob = path.read_bytes()
-        assert np.array_equal(distill._read_target_cache(path, "ens", "data", 5, 3), targets)
-        for bad in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
-            path.write_bytes(bad)
-            with pytest.raises(ValueError) as err:
-                distill._read_target_cache(path, "ens", "data", 5, 3)
-            assert type(err.value) is ValueError, (len(bad), err.value)
 
 
 class TestDistillTrain:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from textboost import encoder as enc
+from textboost.artifacts import ArtifactError
 from textboost.encoder import nnops
 from textboost.textdata import SCORE_CHUNK, Packed
 
@@ -275,13 +276,13 @@ class TestSnapshot:
     def test_corrupt_magic_rejected(self, model, tmp_path):
         p = tmp_path / "m.bgv"
         p.write_bytes(b"XXXX" + model.snapshot("random").to_bytes()[4:])
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ArtifactError, match="magic"):
             enc.ModelSnapshot.load(p)
 
     def test_padded_or_truncated_checkpoint_rejected(self, model):
         blob = model.snapshot("random").to_bytes()
         for bad in (blob + bytes(8), blob[:-8], blob[:6]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ArtifactError):
                 enc.ModelSnapshot.from_bytes(bad)
 
 
