@@ -1,7 +1,9 @@
 """Comparators and correctness oracles.
 
 * A bagging ensemble: members fine-tuned independently on unweighted data
-  with different learning rates, combined by unweighted posterior averaging.
+  with different learning rates, returned as a ``BoostEnsemble`` of kind
+  "bag" whose rounds all carry alpha 1, so its vote averages the members'
+  posteriors.
 * A self-contained SAMME reference over exhaustive-search decision stumps,
   written independently of the main boosting loop so the two can be diffed
   round by round on the full (err, alpha, weights) trajectory.
@@ -10,13 +12,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import encoder as enc
-from .boosting import ALPHA_TOL
+from .boosting import ALPHA_TOL, BoostEnsemble, BoostRound, NeuralRoundModel
 from .textdata import LabeledDataset
 
 
@@ -227,18 +229,6 @@ def samme_oracle(features: np.ndarray, labels: np.ndarray, M: int, K: int) -> li
 # bagging
 # ----------------------------------------------------------------------
 
-@dataclass
-class BagEnsemble:
-    """Independently trained members combined by posterior averaging."""
-
-    members: list[enc.ModelSnapshot]
-    K: int
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 1:
-            raise ValueError("bagging ensemble needs at least one member")
-
-
 def bag_train(
     dataset: LabeledDataset,
     learning_rates: Sequence[float],
@@ -247,16 +237,17 @@ def bag_train(
     config,
     train_cfg: enc.TrainConfig,
     pretrained: Optional[enc.ModelSnapshot] = None,
-) -> tuple[BagEnsemble, list[dict]]:
+) -> tuple[BoostEnsemble, list[dict]]:
     """Fine-tune one member per learning rate on uniform (all-ones) weights.
 
-    Members that diverge are dropped with a warning; fewer than two
-    survivors is an error. All members share the base seed, so identical
-    learning rates produce identical members by construction.
+    The survivors are the rounds 1..M of a "bag" ensemble, with alpha 1.0
+    and no error. Members that diverge are dropped with a warning; fewer
+    than two survivors is an error. All members share the base seed, so
+    identical learning rates produce identical members by construction.
     """
     if len(learning_rates) < 2:
         raise ValueError("bagging needs at least 2 learning rates")
-    members: list[enc.ModelSnapshot] = []
+    rounds: list[BoostRound] = []
     log: list[dict] = []
     for lr in learning_rates:
         if pretrained is not None:
@@ -265,24 +256,15 @@ def bag_train(
         else:
             start = enc.new_model(config, seed=[seed, 11]).snapshot("random")
         model = enc.model_from_snapshot(start)
-        member_cfg = enc.TrainConfig(
-            lr=lr, batch_size=train_cfg.batch_size, epochs=train_cfg.epochs
-        )
-        snap, tlog = enc.train(model, dataset, member_cfg, [seed, 12])
+        snap, tlog = enc.train(model, dataset, replace(train_cfg, lr=lr), [seed, 12])
         if any(rec.get("event") == "diverged" for rec in tlog):
             warnings.warn(f"bagging member at lr={lr} diverged; dropped", RuntimeWarning)
             log.append({"lr": lr, "status": "diverged"})
             continue
-        members.append(snap)
+        rounds.append(BoostRound(index=len(rounds) + 1, model=NeuralRoundModel(snap),
+                                 alpha=1.0, err=None))
         log.append({"lr": lr, "status": "ok", "final_loss": tlog[-1]["loss"] if tlog else None})
-    if len(members) < 2:
+    if len(rounds) < 2:
         raise RuntimeError("fewer than 2 bagging members survived training")
-    return BagEnsemble(members=members, K=dataset.K), log
-
-
-def bag_predict(ensemble: BagEnsemble, dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted average of member posteriors; argmax picks the label."""
-    packed = dataset.packed if isinstance(dataset, LabeledDataset) else dataset
-    probs = [enc.model_from_snapshot(s).predict_proba(packed) for s in ensemble.members]
-    avg = np.mean(probs, axis=0)
-    return avg.argmax(axis=1), avg
+    return BoostEnsemble(K=dataset.K, learner_kind=config.kind, sharing_mode="privacy",
+                         rounds=rounds, ensemble_kind="bag"), log

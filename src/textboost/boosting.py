@@ -11,6 +11,10 @@ are discarded and boosting stops early.
 Two parameter regimes are supported: weight privacy (every round owns a
 full model) and weight sharing (one trunk evolves across rounds; each round
 owns only a linear head, and inference binds every head to the final trunk).
+
+A bag (``ensemble_kind="bag"``) is the same container: its rounds are
+independent members with alpha 1 and no error, so its vote is M times
+their unweighted posterior average.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
 ALPHA_TOL = 1e-12
 
 SHARING_MODES = ("privacy", "sharing")
+ENSEMBLE_KINDS = ("boost", "bag")
 
 
 class BoostingError(RuntimeError):
@@ -102,7 +107,7 @@ class BoostRound:
     index: int
     model: object  # RoundModel
     alpha: float
-    err: float
+    err: Optional[float]  # None for a bag member, which weighs no error
 
 
 @dataclass
@@ -112,6 +117,7 @@ class BoostEnsemble:
     sharing_mode: str
     rounds: list[BoostRound]
     shared_trunk: Optional[enc.ModelSnapshot] = None
+    ensemble_kind: str = "boost"
     # (n, M, K) per-round probabilities of the training and dev sets that
     # boost_train ran on, so that its callers score no round model again;
     # None on a loaded ensemble (and dev_probs without a dev set)
@@ -123,6 +129,10 @@ class BoostEnsemble:
             raise ValueError("ensemble must contain at least one round")
         if self.sharing_mode not in SHARING_MODES:
             raise ValueError(f"sharing_mode must be one of {SHARING_MODES}")
+        if self.ensemble_kind not in ENSEMBLE_KINDS:
+            raise ValueError(f"ensemble_kind must be one of {ENSEMBLE_KINDS}")
+        if self.ensemble_kind == "bag" and any(r.alpha != 1.0 for r in self.rounds):
+            raise ValueError("every member of a bag has alpha 1.0")
 
     @property
     def m_effective(self) -> int:
@@ -488,6 +498,7 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
         "K": ensemble.K,
         "learner_kind": ensemble.learner_kind,
         "sharing_mode": ensemble.sharing_mode,
+        "ensemble_kind": ensemble.ensemble_kind,
         "m_effective": ensemble.m_effective,
         "rounds": [
             {"index": r.index, "alpha": r.alpha, "err": r.err} for r in ensemble.rounds
@@ -536,4 +547,5 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
             rounds=[BoostRound(index=rm["index"], model=model, alpha=rm["alpha"], err=rm["err"])
                     for rm, model in zip(meta, models)],
             shared_trunk=shared_trunk,
+            ensemble_kind=header["ensemble_kind"],
         )

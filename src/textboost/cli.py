@@ -37,7 +37,7 @@ INIT_STRATEGIES = ("random", "pretrained", "finetuning", "incremental")
 COMPARE_AXES = {
     "init_strategy": INIT_STRATEGIES,
     "sharing_mode": ("privacy", "sharing"),
-    "ensemble_kind": ("boost", "bag"),
+    "ensemble_kind": boosting.ENSEMBLE_KINDS,
 }
 
 
@@ -533,21 +533,20 @@ def cmd_train_boost(args) -> int:
 def cmd_train_bag(args) -> int:
     run = Run.open(args, args.config)
     bag, bag_log, acc = _run_bag(run.cfg, run.bundle)
-    for i, member in enumerate(bag.members):
-        member.save(run.dir / f"bag_member_{i}.bgv")
-    run.finish({"bag": acc}, round_log=bag_log, extras={"members": len(bag.members)})
-    print(f"[{run.dir.name}] bag={acc:.2f} ({len(bag.members)} members)")
+    bag.save(run.dir / "ensemble.bge")
+    run.finish({"bag": acc}, round_log=bag_log, extras={"members": bag.m_effective})
+    print(f"[{run.dir.name}] bag={acc:.2f} ({bag.m_effective} members)")
     return 0
 
 
 def _run_bag(cfg: RunConfig, bundle: TaskBundle):
-    """The bagging baseline, its training log and its dev accuracy."""
+    """The bagging ensemble, its training log and its dev accuracy."""
     bag, log = baselines.bag_train(
         bundle.train, cfg.data["bag"]["learning_rates"], cfg.seed,
         config=encoder_config(cfg, bundle), train_cfg=cfg.train_cfg(),
         pretrained=bundle.pretrained,
     )
-    preds, _ = baselines.bag_predict(bag, bundle.dev)
+    preds, _ = boosting.vote_predict(bag, bundle.dev)
     return bag, log, _accuracy(preds, bundle.dev)
 
 
@@ -685,7 +684,8 @@ def cmd_eval(args) -> int:
         ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
         probs = ensemble.predict_proba_per_round(dataset)
         preds, _ = boosting.vote_predict(ensemble, mode=args.vote, probs=probs)
-        reports["boost_vote"] = _classification_report(preds, dataset)
+        vote_key = "bag" if ensemble.ensemble_kind == "bag" else "boost_vote"  # the record's key
+        reports[vote_key] = _classification_report(preds, dataset)
         if (model_dir / "fusion.bgf").exists():
             head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
             fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)

@@ -8,6 +8,7 @@ verified byte-for-byte around every training run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -139,6 +140,8 @@ class FusionHead:
         with artifacts.reading(blob, FUSION_MAGIC, "fusion head") as (header, payload):
             dims = tuple(header["dims"])
             params = artifacts.f8(payload, _param_count(dims), "fusion head")
+            if not re.fullmatch(r"[0-9a-f]{64}", header["ensemble_hash"]):
+                raise ArtifactError("fusion head is not bound to an ensemble (no sha256)")
             return cls(dims, params=params, ensemble_hash=header["ensemble_hash"])
 
     def save(self, path: str | Path) -> None:
@@ -223,13 +226,13 @@ def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
                    probs: Optional[np.ndarray] = None):
     """(label ids, probability rows) from the fusion head, over ``probs`` (the
     (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
-    now. A head bound to another ensemble raises ArtifactError."""
+    now. A head bound to another ensemble, or to none, raises ArtifactError."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
         raise ArtifactError(
             f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
         )
-    if head.ensemble_hash and head.ensemble_hash != ensemble.content_hash():
+    if head.ensemble_hash != ensemble.content_hash():
         raise ArtifactError("fusion head was trained for a different ensemble")
     fused = head.probs(build_feature(ensemble, dataset, probs=probs))
     return fused.argmax(axis=1), fused

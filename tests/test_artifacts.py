@@ -11,9 +11,9 @@ from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
 
 
-def ensemble(config, sharing_mode: str) -> boosting.BoostEnsemble:
+def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEnsemble:
     """Two untrained transformer rounds; under sharing both heads sit on the
-    first round's trunk."""
+    first round's trunk, and a bag's rounds carry alpha 1.0 and no error."""
     snaps = [enc.TransformerModel(config, seed=s).snapshot("finetuned") for s in (1, 2)]
     trunk = snaps[0] if sharing_mode == "sharing" else None
     if trunk is None:
@@ -22,10 +22,13 @@ def ensemble(config, sharing_mode: str) -> boosting.BoostEnsemble:
         models = [boosting.SharedHeadRoundModel(
             head=np.concatenate([s.view("cls.w").ravel(), s.view("cls.b")]), trunk=trunk)
             for s in snaps]
-    rounds = [boosting.BoostRound(index=m + 1, model=model, alpha=1.5 - m / 2, err=0.2)
+    bag = kind == "bag"
+    rounds = [boosting.BoostRound(index=m + 1, model=model, alpha=1.0 if bag else 1.5 - m / 2,
+                                  err=None if bag else 0.2)
               for m, model in enumerate(models)]
     return boosting.BoostEnsemble(K=config.K, learner_kind="transformer",
-                                  sharing_mode=sharing_mode, rounds=rounds, shared_trunk=trunk)
+                                  sharing_mode=sharing_mode, rounds=rounds, shared_trunk=trunk,
+                                  ensemble_kind=kind)
 
 
 # one layer of width 4 keeps the header, and so the flip loop, short
@@ -36,6 +39,8 @@ SMALL = enc.EncoderConfig(vocab_size=12, K=3, d_model=4, n_layers=1, n_heads=2, 
 FORMATS = {
     "bgv": (lambda cfg: enc.TransformerModel(cfg, seed=0).snapshot("pretrained").to_bytes(),
             enc.ModelSnapshot.from_bytes, enc.ModelSnapshot.to_bytes),
+    "bge-bag": (lambda cfg: boosting.ensemble_to_bytes(ensemble(cfg, "privacy", "bag")),
+                boosting.ensemble_from_bytes, boosting.ensemble_to_bytes),
     "bge-privacy": (lambda cfg: boosting.ensemble_to_bytes(ensemble(cfg, "privacy")),
                     boosting.ensemble_from_bytes, boosting.ensemble_to_bytes),
     "bge-sharing": (lambda cfg: boosting.ensemble_to_bytes(ensemble(cfg, "sharing")),
@@ -83,6 +88,16 @@ def test_every_bit_flip_in_prefix_and_header_is_rejected_or_loads(artifact):
             load(bytes(bad))  # a flip may load: another alpha, another hash of a head
         except ArtifactError:
             pass
+
+
+@pytest.mark.parametrize("field, other", [(b'"alpha":1.0', b'"alpha":2.0'),
+                                          (b'"ensemble_kind":"bag"', b'"ensemble_kind":"bog"')],
+                         ids=["alpha", "kind"])
+def test_bag_with_another_alpha_or_an_unknown_kind_is_rejected(field, other):
+    blob = boosting.ensemble_to_bytes(ensemble(SMALL, "privacy", "bag"))
+    assert field in blob
+    with pytest.raises(ArtifactError, match="alpha 1.0|ensemble_kind"):
+        boosting.ensemble_from_bytes(blob.replace(field, other, 1))
 
 
 def test_write_keeps_the_old_bytes_when_the_replace_fails(tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from textboost import baselines
+from textboost import baselines, boosting
 from textboost import encoder as enc
 
 from conftest import make_token_dataset
@@ -75,48 +76,64 @@ class TestSammeOracle:
 FAST = enc.TrainConfig(lr=3e-3, epochs=6)
 
 
+def member_posteriors(bag, dataset) -> list:
+    """Each member's (n, K) posteriors, scored on its own."""
+    return [enc.model_from_snapshot(r.model.snapshot).predict_proba(dataset.packed)
+            for r in bag.rounds]
+
+
 class TestBagging:
     @pytest.fixture
     def dataset(self):
         return make_token_dataset(np.random.default_rng(7), n=120)
 
+    @pytest.fixture
+    def bag3(self, tiny_config, dataset):
+        bag, _ = baselines.bag_train(
+            dataset, [8e-4, 1.6e-3, 3e-3], 5, config=tiny_config, train_cfg=FAST
+        )
+        return bag
+
+    def test_bag_is_an_ensemble_of_unit_alpha_rounds(self, bag3):
+        assert bag3.ensemble_kind == "bag" and bag3.sharing_mode == "privacy"
+        assert [(r.index, r.alpha, r.err) for r in bag3.rounds] == [
+            (1, 1.0, None), (2, 1.0, None), (3, 1.0, None)]
+
     def test_identical_rates_identical_members(self, tiny_config, dataset):
         bag, _ = baselines.bag_train(
             dataset, [1e-3, 1e-3], 5, config=tiny_config, train_cfg=FAST
         )
-        assert np.array_equal(bag.members[0].params, bag.members[1].params)
+        first, second = (r.model.snapshot.params for r in bag.rounds)
+        assert np.array_equal(first, second)
 
     def test_needs_two_rates(self, tiny_config, dataset):
         with pytest.raises(ValueError):
             baselines.bag_train(dataset, [1e-3], 5, config=tiny_config, train_cfg=FAST)
 
-    def test_hand_average(self):
-        p1 = np.array([[0.6, 0.4]])
-        p2 = np.array([[0.2, 0.8]])
-        avg = np.mean([p1, p2], axis=0)
-        assert np.allclose(avg, [[0.4, 0.6]])
-        assert avg.argmax(axis=1).tolist() == [1]
+    def test_member_mean_is_the_unit_alpha_vote(self, bag3, dataset):
+        # the reference: Breiman's unweighted average of member posteriors
+        mean = np.mean(member_posteriors(bag3, dataset), axis=0)
+        probs = bag3.predict_proba_per_round(dataset)
+        assert np.array_equal(bag3.vote_scores(probs) / bag3.m_effective, mean)
+        rng = np.random.default_rng(3)
+        for M in range(2, 18):
+            posteriors = rng.dirichlet(np.ones(3), size=(M, 40))
+            bag = dataclasses.replace(bag3, rounds=[bag3.rounds[0]] * M)
+            scores = bag.vote_scores(posteriors.transpose(1, 0, 2))
+            assert np.array_equal(scores / M, np.mean(list(posteriors), axis=0))
 
-    def test_bag_predict_average_and_order_invariance(self, tiny_config, dataset):
-        bag, _ = baselines.bag_train(
-            dataset, [8e-4, 1.6e-3, 3e-3], 5, config=tiny_config, train_cfg=FAST
-        )
-        preds, avg = baselines.bag_predict(bag, dataset)
-        assert np.allclose(avg.sum(axis=1), 1.0, atol=1e-6)
-        swapped = baselines.BagEnsemble(members=list(reversed(bag.members)), K=bag.K)
-        preds2, avg2 = baselines.bag_predict(swapped, dataset)
+    def test_vote_average_and_order_invariance(self, bag3, dataset):
+        preds, scores = boosting.vote_predict(bag3, dataset)
+        assert np.allclose(scores.sum(axis=1), bag3.m_effective, atol=1e-6)
+        swapped = dataclasses.replace(bag3, rounds=list(reversed(bag3.rounds)))
+        preds2, scores2 = boosting.vote_predict(swapped, dataset)
         assert np.array_equal(preds, preds2)
-        assert np.allclose(avg, avg2, atol=1e-12)
+        assert np.allclose(scores, scores2, atol=1e-12)
 
-    def test_single_member_predicts_like_member(self, tiny_config, dataset):
-        bag, _ = baselines.bag_train(
-            dataset, [1e-3, 2e-3], 5, config=tiny_config, train_cfg=FAST
-        )
-        solo = baselines.BagEnsemble(members=[bag.members[0]], K=bag.K)
-        preds, avg = baselines.bag_predict(solo, dataset)
-        model = enc.model_from_snapshot(bag.members[0])
-        want = model.predict_proba(dataset.packed)
-        assert np.allclose(avg, want, atol=1e-12)
+    def test_single_member_predicts_like_member(self, bag3, dataset):
+        solo = dataclasses.replace(bag3, rounds=bag3.rounds[:1])
+        _, scores = boosting.vote_predict(solo, dataset)
+        assert np.array_equal(scores, member_posteriors(bag3, dataset)[0])
 
     def test_diverged_members_dropped_and_too_few_is_an_error(self, tiny_config, dataset):
         with pytest.warns(RuntimeWarning, match="dropped"):
@@ -127,21 +144,14 @@ class TestBagging:
         bag, log = baselines.bag_train(
             dataset, [1e154, 1e-3, 2e-3], 5, config=tiny_config, train_cfg=FAST
         )
-        assert len(bag.members) == 2
+        assert [r.index for r in bag.rounds] == [1, 2]
         assert [rec["status"] for rec in log] == ["diverged", "ok", "ok"]
 
-    def test_members_not_above_min_rule(self, tiny_config, dataset):
+    def test_members_not_above_min_rule(self, bag3, dataset):
         # sanity trend: the averaged ensemble is at least as good as the
         # worst member on the data it was trained on, with 1-point slack
-        bag, _ = baselines.bag_train(
-            dataset, [8e-4, 1.6e-3, 3e-3], 5, config=tiny_config, train_cfg=FAST
-        )
-        member_accs = []
-        for snap in bag.members:
-            model = enc.model_from_snapshot(snap)
-            member_accs.append(
-                (model.predict_proba(dataset.packed).argmax(axis=1) == dataset.labels).mean() * 100
-            )
-        preds, _ = baselines.bag_predict(bag, dataset)
+        member_accs = [(p.argmax(axis=1) == dataset.labels).mean() * 100
+                       for p in member_posteriors(bag3, dataset)]
+        preds, _ = boosting.vote_predict(bag3, dataset)
         bag_acc = (preds == dataset.labels).mean() * 100
         assert bag_acc >= min(member_accs) - 1.0

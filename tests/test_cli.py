@@ -57,6 +57,61 @@ def boost_run(task_dir, tmp_path_factory):
     return out, cfg_path, run_dirs[0]
 
 
+def no_training(monkeypatch):
+    """Make every MLM pretraining and every distillation fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a command trained that should only have read artifacts")
+
+    monkeypatch.setattr(enc, "pretrain_mlm", fail)
+    monkeypatch.setattr(cli.distill_mod, "distill_train", fail)
+
+
+@pytest.fixture(scope="module")
+def fusion_run(boost_run, tmp_path_factory):
+    """``fusion --depth 2`` on a copy of boost_run's dir, with training made to
+    fail and an out root that holds no pretraining cache: (the out root, the
+    copy, the copy's files before the run)."""
+    _, _, source = boost_run
+    tmp = tmp_path_factory.mktemp("fusion")
+    run_dir = tmp / source.name
+    shutil.copytree(source, run_dir)
+    out = tmp / "out"
+    cfg = json.loads((run_dir / "config.json").read_text())
+    cfg["out_dir"] = str(out)
+    (run_dir / "config.json").write_text(json.dumps(cfg))
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    with pytest.MonkeyPatch.context() as mp:
+        no_training(mp)
+        assert cli.main(["fusion", "--run-dir", str(run_dir), "--depth", "2"]) == 0
+    return out, run_dir, before
+
+
+@pytest.fixture(scope="module")
+def distill_run(boost_run, tmp_path_factory):
+    """``distill`` from boost_run's dir into an out root of its own: (the out
+    root, the run's record)."""
+    _, cfg_path, teacher = boost_run
+    out = tmp_path_factory.mktemp("distill")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["out_dir"] = str(out)
+    (out / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(["distill", "--teacher-dir", str(teacher),
+                     "--config", str(out / "c.json")]) == 0
+    return out, assert_run_contract(out, "distill", 0)
+
+
+@pytest.fixture(scope="module")
+def bag_run(boost_run, task_dir, tmp_path_factory):
+    """``train-bag`` into an out root that holds boost_run's pretraining cache,
+    so the trunk is read, not trained again: (the out root, the run's record)."""
+    out = tmp_path_factory.mktemp("bag")
+    for cache in boost_run[0].glob("pretrained_*.bgv"):
+        shutil.copy(cache, out / cache.name)
+    cfg_path = write_config(out / "c.json", task_dir, out)
+    assert cli.main(["train-bag", "--config", str(cfg_path)]) == 0
+    return out, assert_run_contract(out, "train-bag", 0)
+
+
 class TestGenData:
     def test_writes_all_files(self, task_dir):
         for name in ("train.tsv", "dev.tsv", "corpus.txt", "meta.json"):
@@ -305,16 +360,9 @@ class TestCompare:
 
 
 class TestDistillCmd:
-    def test_distill_from_teacher_dir(self, boost_run, tmp_path):
-        out, cfg_path, run_dir = boost_run
-        cfg = json.loads(cfg_path.read_text())
-        cfg["out_dir"] = str(tmp_path)
-        cfg2 = tmp_path / "c.json"
-        cfg2.write_text(json.dumps(cfg))
-        rc = cli.main(["distill", "--teacher-dir", str(run_dir), "--config", str(cfg2)])
-        assert rc == 0
-        rec = assert_run_contract(tmp_path, "distill", 0)
-        ddir = tmp_path / rec["run_id"]
+    def test_distill_from_teacher_dir(self, distill_run):
+        out, rec = distill_run
+        ddir = out / rec["run_id"]
         acc = rec["accuracies"]
         assert acc["single"] is not None
         assert acc["teacher"] is not None
@@ -328,30 +376,36 @@ class TestDistillCmd:
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
 
 
-def no_training(monkeypatch):
-    """Make every MLM pretraining and every distillation fail the test."""
-    def fail(*args, **kwargs):
-        raise AssertionError("a command trained that should only have read artifacts")
+class TestTrainBag:
+    def test_one_ensemble_that_eval_reports_as_bag(self, bag_run, task_dir, capsys):
+        out, rec = bag_run
+        run_dir = out / rec["run_id"]
+        assert (run_dir / "ensemble.bge").is_file()
+        assert not list(run_dir.glob("bag_member_*.bgv"))
+        capsys.readouterr()
+        assert cli.main(["eval", "--model-dir", str(run_dir),
+                         "--data", str(task_dir / "dev.tsv")]) == 0
+        acc = rec["accuracies"]["bag"]
+        assert f"== bag ==\naccuracy: {acc:.2f}\n" in capsys.readouterr().out
+        report = json.loads((run_dir / "eval_dev.json").read_text())
+        assert list(report) == ["bag"]
+        assert report["bag"]["accuracy"] == acc
 
-    monkeypatch.setattr(enc, "pretrain_mlm", fail)
-    monkeypatch.setattr(cli.distill_mod, "distill_train", fail)
+
+@pytest.mark.parametrize("command, fixture", [
+    ("train-boost", "boost_run"), ("fusion", "fusion_run"), ("distill", "distill_run"),
+    ("train-bag", "bag_run")])
+def test_eval_reads_the_run_dir_of_every_command_that_leaves_a_model(request, task_dir,
+                                                                     command, fixture):
+    out = request.getfixturevalue(fixture)[0]
+    (run_dir,) = out.glob(f"{command}-*")
+    assert cli.main(["eval", "--model-dir", str(run_dir),
+                     "--data", str(task_dir / "train.tsv")]) == 0
 
 
 class TestFusionCmd:
-    def test_retrains_head_and_keeps_the_run_record(self, boost_run, task_dir, tmp_path,
-                                                    monkeypatch):
-        _, _, source = boost_run
-        run_dir = tmp_path / source.name
-        shutil.copytree(source, run_dir)
-        # an out root with no pretraining cache, so a pretrain would call pretrain_mlm
-        out = tmp_path / "out"
-        cfg = json.loads((run_dir / "config.json").read_text())
-        cfg["out_dir"] = str(out)
-        (run_dir / "config.json").write_text(json.dumps(cfg))
-        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-
-        no_training(monkeypatch)
-        assert cli.main(["fusion", "--run-dir", str(run_dir), "--depth", "2"]) == 0
+    def test_retrains_head_and_keeps_the_run_record(self, fusion_run, task_dir):
+        out, run_dir, before = fusion_run
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         rec = assert_run_contract(out, "fusion", 0)
         assert rec["extras"]["depth"] == 2
@@ -376,6 +430,16 @@ class TestArtifactErrors:
         shutil.copytree(source, model_dir)
         blob = (model_dir / "ensemble.bge").read_bytes()
         (model_dir / "ensemble.bge").write_bytes(blob[: len(blob) // 2])
+        assert cli.main(["eval", "--model-dir", str(model_dir),
+                         "--data", str(task_dir / "dev.tsv")]) == 2
+        assert not (model_dir / "eval_dev.json").exists()
+
+    def test_eval_with_an_unbound_fusion_head_exits_2(self, boost_run, task_dir, tmp_path):
+        _, _, source = boost_run
+        model_dir = tmp_path / source.name
+        shutil.copytree(source, model_dir)
+        head = fusion.FusionHead.load(model_dir / "fusion.bgf")
+        fusion.FusionHead(head.dims, head.params, ensemble_hash="").save(model_dir / "fusion.bgf")
         assert cli.main(["eval", "--model-dir", str(model_dir),
                          "--data", str(task_dir / "dev.tsv")]) == 2
         assert not (model_dir / "eval_dev.json").exists()

@@ -82,13 +82,20 @@ class TestFusionHead:
         assert worst < REL_TOL
 
     def test_save_load_roundtrip(self, tmp_path):
-        head = fusion.FusionHead((6, 24, 3), seed=5, ensemble_hash="abc")
+        head = fusion.FusionHead((6, 24, 3), seed=5, ensemble_hash="0123456789abcdef" * 4)
         head.save(tmp_path / "f.bgf")
         assert (tmp_path / "f.bgf").read_bytes()[:4] == b"BGF1"
         back = fusion.FusionHead.load(tmp_path / "f.bgf")
         assert back.dims == head.dims
-        assert back.ensemble_hash == "abc"
+        assert back.ensemble_hash == "0123456789abcdef" * 4
         assert np.array_equal(back.params, head.params)
+
+    @pytest.mark.parametrize("ensemble_hash", ["", "AB" * 32, "ab" * 31 + "a", "ab" * 32 + "\n"],
+                             ids=["empty", "upper-case", "63-digits", "newline"])
+    def test_head_without_a_sha256_binding_does_not_load(self, ensemble_hash):
+        blob = fusion.FusionHead((6, 24, 3), seed=5, ensemble_hash=ensemble_hash).to_bytes()
+        with pytest.raises(ArtifactError, match="not bound"):
+            fusion.FusionHead.from_bytes(blob)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,13 @@ class TestTrainFusion:
         wrong = fusion.FusionHead((4, 3), seed=0)
         with pytest.raises(ValueError, match="features"):
             fusion.fusion_predict(ens, wrong, dev)
+
+    def test_unbound_head_rejected(self, stump_setup):
+        _, dev, ens = stump_setup
+        head = fusion.FusionHead(fusion.head_dims(ens, fusion.FusionConfig()), seed=0)
+        assert head.ensemble_hash == ""
+        with pytest.raises(ArtifactError, match="different ensemble"):
+            fusion.fusion_predict(ens, head, dev)
 
     def test_head_of_another_ensemble_rejected(self, stump_setup):
         train, dev, ens = stump_setup
