@@ -250,11 +250,8 @@ def bag_train(
     rounds: list[BoostRound] = []
     log: list[dict] = []
     for lr in learning_rates:
-        if pretrained is not None:
-            ctx = enc.InitContext(config=config, seed=[seed, 11], pretrained=pretrained)
-            start = enc.init_weights(enc.InitStrategy.PRETRAINED, ctx)
-        else:
-            start = enc.new_model(config, seed=[seed, 11]).snapshot("random")
+        ctx = enc.InitContext(config=config, seed=[seed, 11], pretrained=pretrained)
+        start = enc.init_weights("pretrained" if pretrained is not None else "random", ctx)
         model = enc.model_from_snapshot(start)
         snap, tlog = enc.train(model, dataset, replace(train_cfg, lr=lr), [seed, 12])
         if any(rec.get("event") == "diverged" for rec in tlog):

@@ -19,17 +19,17 @@ their unweighted posterior average.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
 from . import artifacts
 from . import encoder as enc
 from .artifacts import ENSEMBLE_MAGIC
+from .encoder.init_strategies import _fresh_head
 
 ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
 # alpha at or below this is chance level up to rounding: at err = (K-1)/K
@@ -93,19 +93,15 @@ def update_weights(
 
 
 # ----------------------------------------------------------------------
-# learner protocol and ensemble containers
+# ensemble containers
 # ----------------------------------------------------------------------
-
-class RoundModel(Protocol):
-    def predict_proba(self, dataset) -> np.ndarray: ...
-
 
 @dataclass
 class BoostRound:
     """One accepted boosting round."""
 
     index: int
-    model: object  # RoundModel
+    model: object  # anything with predict_proba(dataset) -> (n, K) rows
     alpha: float
     err: Optional[float]  # None for a bag member, which weighs no error
 
@@ -172,17 +168,6 @@ class BoostEnsemble:
         else:
             raise ValueError(f"unknown vote mode {mode!r}")
         return (self.alphas[None, :, None] * contrib).sum(axis=1)
-
-    def params_digest(self) -> str:
-        """Digest over all frozen base parameters (frozen-base contract)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        if self.shared_trunk is not None:
-            h.update(self.shared_trunk.params.tobytes())
-        for r in self.rounds:
-            h.update(_round_payload_bytes(r.model))
-        return h.hexdigest()
 
     def content_hash(self) -> str:
         import hashlib
@@ -427,13 +412,10 @@ class NeuralBoostLearner:
 
     def _fit_uniform_source(self, dataset, seed) -> enc.ModelSnapshot:
         """One unweighted fine-tune, produced once before boosting."""
-        if self.kind == "transformer" and self.pretrained is not None:
-            ctx = enc.InitContext(
-                config=self.config, seed=_round_seed(seed, 0, 2), pretrained=self.pretrained
-            )
-            start = enc.init_weights(enc.InitStrategy.PRETRAINED, ctx)
-        else:
-            start = enc.new_model(self.config, seed=_round_seed(seed, 0, 2)).snapshot("random")
+        ctx = enc.InitContext(
+            config=self.config, seed=_round_seed(seed, 0, 2), pretrained=self.pretrained
+        )
+        start = enc.init_weights("pretrained" if self.pretrained is not None else "random", ctx)
         model = enc.model_from_snapshot(start)
         snap, _ = enc.train(model, dataset, self.train_cfg, _round_seed(seed, 0, 3))
         return snap
@@ -455,16 +437,13 @@ class NeuralBoostLearner:
         # sharing: trunk continues, head is redrawn each round
         if self._trunk_params is None:
             start = self._init_snapshot(1, dataset, seed)
-            self._trunk_params = np.array(start.params, copy=True)
-        model = enc.TransformerModel(self.config, params=self._trunk_params)
-        rng = np.random.default_rng(_round_seed(seed, m, 5))
-        lim = enc.xavier_limit(self.config.d_model, self.config.K)
-        model.p["cls.w"][:] = rng.uniform(-lim, lim, size=model.p["cls.w"].shape)
-        model.p["cls.b"][:] = 0.0
+            self._trunk_params = start.params
+        params = _fresh_head(self._trunk_params, self.config, _round_seed(seed, m, 5))
+        model = enc.TransformerModel(self.config, params=params)
         snap, tlog = enc.train(
             model, dataset, self.train_cfg, _round_seed(seed, m, 4), weights=weights
         )
-        self._trunk_params = np.array(snap.params, copy=True)
+        self._trunk_params = snap.params
         self.train_logs.append(tlog)
         if m == 1:
             self.round1_snapshot = snap
@@ -483,15 +462,6 @@ class NeuralBoostLearner:
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-
-def _round_payload_bytes(model) -> bytes:
-    if isinstance(model, NeuralRoundModel):
-        return model.snapshot.params.tobytes()
-    if isinstance(model, SharedHeadRoundModel):
-        return model.head.tobytes()
-    # stump payloads serialize through their dict form
-    return json.dumps(model.to_dict(), sort_keys=True).encode()
-
 
 def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
     header: dict = {

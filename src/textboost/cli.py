@@ -173,15 +173,10 @@ class RunConfig:
         return RunConfig(data=data)
 
     def train_cfg(self) -> enc.TrainConfig:
-        t = self.data["train"]
-        return enc.TrainConfig(lr=t["lr"], batch_size=t["batch_size"], epochs=t["epochs"])
+        return enc.TrainConfig(**self.data["train"])
 
     def fusion_cfg(self) -> fusion_mod.FusionConfig:
-        f = self.data["fusion"]
-        return fusion_mod.FusionConfig(
-            depth=f["depth"], hidden_multiple=f["hidden_multiple"], lr=f["lr"],
-            batch_size=f["batch_size"], max_epochs=f["max_epochs"], patience=f["patience"],
-        )
+        return fusion_mod.FusionConfig(**self.data["fusion"])
 
 
 # ----------------------------------------------------------------------
@@ -244,19 +239,9 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
 
 
 def encoder_config(cfg: RunConfig, bundle: TaskBundle):
-    e = cfg.data["encoder"]
     if cfg.data["learner"] == "softreg":
         return enc.SoftregConfig(vocab_size=bundle.vocab.size, K=bundle.K)
-    return enc.EncoderConfig(
-        vocab_size=bundle.vocab.size,
-        K=bundle.K,
-        d_model=e["d_model"],
-        n_layers=e["n_layers"],
-        n_heads=e["n_heads"],
-        d_ffn=e["d_ffn"],
-        max_seq_len=e["max_seq_len"],
-        dropout_rate=e["dropout_rate"],
-    )
+    return enc.EncoderConfig(vocab_size=bundle.vocab.size, K=bundle.K, **cfg.data["encoder"])
 
 
 def _pretrains(cfg: RunConfig) -> bool:
@@ -304,6 +289,15 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
 # ----------------------------------------------------------------------
 
 ACCURACY_KEYS = ("single", "boost_vote", "boost_fusion", "bag", "distilled")
+
+
+def _ensemble_keys(ensemble: boosting.BoostEnsemble) -> tuple[str, str]:
+    """The accuracy keys of an ensemble's vote and of a fusion head over it:
+    ``bag`` and ``bag_fusion`` for a bag, ``boost_vote`` and ``boost_fusion``
+    for a boosted ensemble."""
+    if ensemble.ensemble_kind == "bag":
+        return "bag", "bag_fusion"
+    return "boost_vote", "boost_fusion"
 
 
 @dataclass
@@ -370,7 +364,10 @@ class Run:
     validates it, prepares the task, gives the command its pretrained trunk
     (``fusion`` retrains a head on saved rounds and never uses one), and
     writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
-    config error leaves no run dir behind. ``finish`` writes the record.
+    config error leaves no run dir behind. A command that reads a saved
+    ensemble (``fusion``, ``distill``) passes its content hash as
+    ``source``, and the dir is ``<command>-<hash12>-<source hash12>``, so
+    two ensembles of one config get two dirs. ``finish`` writes the record.
     """
 
     command: str
@@ -381,7 +378,7 @@ class Run:
     t0: float
 
     @classmethod
-    def open(cls, args, config_path: str | Path) -> "Run":
+    def open(cls, args, config_path: str | Path, source: str = "") -> "Run":
         t0 = time.perf_counter()
         cfg = RunConfig.load(config_path).with_overrides(
             **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
@@ -393,7 +390,8 @@ class Run:
         out_root = _out_root(cfg.data["out_dir"])
         if args.command != "fusion":
             ensure_pretrained(cfg, bundle, out_root)
-        run_dir = out_root / f"{args.command}-{cfg.hash()[:12]}"
+        run_dir = out_root / (f"{args.command}-{cfg.hash()[:12]}"
+                              + (f"-{source[:12]}" if source else ""))
         run_dir.mkdir(parents=True, exist_ok=True)
         _save_task_artifacts(run_dir, cfg, bundle)
         return cls(args.command, cfg, bundle, out_root, run_dir, t0)
@@ -553,15 +551,15 @@ def _run_bag(cfg: RunConfig, bundle: TaskBundle):
 def cmd_fusion(args) -> int:
     """Retrain the fusion head of the ensemble in ``--run-dir``, which is left
     as it is. The new head, a copy of the ensemble, the resolved config and
-    the record go to a ``fusion-<hash12>`` run dir, which ``eval`` and
-    ``distill`` read like the run dir of ``train-boost``."""
+    the record go to a ``fusion-<hash12>-<ensemble hash12>`` run dir, which
+    ``eval`` and ``distill`` read like the run dir of ``train-boost``."""
     ens_path = Path(args.run_dir) / "ensemble.bge"
     if not ens_path.exists():
         raise ConfigError(f"no ensemble found at {ens_path}")
-    run = Run.open(args, ens_path.parent / "config.json")
-    cfg, bundle = run.cfg, run.bundle
     ens_bytes = ens_path.read_bytes()
     ensemble = boosting.ensemble_from_bytes(ens_bytes)
+    run = Run.open(args, ens_path.parent / "config.json", source=ensemble.content_hash())
+    cfg, bundle = run.cfg, run.bundle
     dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
         ensemble, bundle.train, bundle.dev, cfg.fusion_cfg(), cfg.seed,
@@ -571,7 +569,8 @@ def cmd_fusion(args) -> int:
     artifacts.write(run.dir / "ensemble.bge", ens_bytes)
     preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=dev_probs)
     acc = _accuracy(preds, bundle.dev)
-    run.finish({"boost_fusion": acc}, extras={"depth": cfg.data["fusion"]["depth"]})
+    run.finish({_ensemble_keys(ensemble)[1]: acc},
+               extras={"depth": cfg.data["fusion"]["depth"]})
     print(f"[{run.dir.name}] fusion={acc:.2f}")
     return 0
 
@@ -581,22 +580,17 @@ def cmd_distill(args) -> int:
     for required in ("ensemble.bge", "config.json"):
         if not (teacher_dir / required).exists():
             raise ConfigError(f"teacher artifact missing: {teacher_dir / required}")
-    run = Run.open(args, args.config or teacher_dir / "config.json")
-    cfg, bundle = run.cfg, run.bundle
-
     ensemble = boosting.BoostEnsemble.load(teacher_dir / "ensemble.bge")
+    run = Run.open(args, args.config or teacher_dir / "config.json",
+                   source=ensemble.content_hash())
+    cfg, bundle = run.cfg, run.bundle
     head = None
     if (teacher_dir / "fusion.bgf").exists():
         head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
     targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
 
-    dcfg = distill_mod.DistillConfig(
-        total_steps=cfg.data["distill"]["total_steps"],
-        student_config=encoder_config(cfg, bundle),
-        init_strategy=cfg.data["distill"]["init_strategy"],
-        lr=cfg.data["distill"]["lr"],
-        batch_size=cfg.data["distill"]["batch_size"],
-    )
+    dcfg = distill_mod.DistillConfig(student_config=encoder_config(cfg, bundle),
+                                     **cfg.data["distill"])
     student, dlog = distill_mod.distill_train(
         targets, bundle.train, dcfg, cfg.seed, pretrained=bundle.pretrained, dev=bundle.dev
     )
@@ -684,12 +678,12 @@ def cmd_eval(args) -> int:
         ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
         probs = ensemble.predict_proba_per_round(dataset)
         preds, _ = boosting.vote_predict(ensemble, mode=args.vote, probs=probs)
-        vote_key = "bag" if ensemble.ensemble_kind == "bag" else "boost_vote"  # the record's key
+        vote_key, fusion_key = _ensemble_keys(ensemble)
         reports[vote_key] = _classification_report(preds, dataset)
         if (model_dir / "fusion.bgf").exists():
             head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
             fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)
-            reports["boost_fusion"] = _classification_report(fpreds, dataset)
+            reports[fusion_key] = _classification_report(fpreds, dataset)
     elif snapshots:
         model = enc.model_from_snapshot(enc.ModelSnapshot.load(snapshots[0]))
         preds = model.predict_proba(dataset.packed).argmax(axis=1)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import encoder as enc
 from .boosting import BoostEnsemble, vote_predict
-from .encoder.nnops import PROB_FLOOR
 from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
 
@@ -57,25 +56,6 @@ def annealed_lambda(step: int, total_steps: int) -> float:
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return step / total_steps
-
-
-def distill_loss(
-    student_probs: np.ndarray,
-    gold: np.ndarray,
-    teacher: np.ndarray,
-    lam: float,
-) -> float:
-    """Mean of lam * CE(gold) + (1 - lam) * CE(teacher distribution)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
-    p = np.asarray(student_probs, dtype=np.float64)
-    logp = np.log(np.maximum(p, PROB_FLOOR))
-    gold = np.atleast_1d(np.asarray(gold, dtype=np.int64))
-    t = np.atleast_2d(np.asarray(teacher, dtype=np.float64))
-    logp = np.atleast_2d(logp)
-    gold_ce = -logp[np.arange(gold.size), gold]
-    teacher_ce = -(t * logp).sum(axis=1)
-    return float((lam * gold_ce + (1.0 - lam) * teacher_ce).mean())
 
 
 def distill_train(

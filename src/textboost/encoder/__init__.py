@@ -5,7 +5,7 @@ from .config import EncoderConfig, SoftregConfig, TrainConfig, config_from_dict,
 from .init_strategies import InitContext, InitStrategy, MissingContextError, init_weights
 from .nnops import DivergenceError
 from .optim import Adam
-from .params import HEAD_NAMES, ModelSnapshot, ParamLayout, layout_for, xavier_limit
+from .params import ModelSnapshot, ParamLayout, layout_for, xavier_limit
 from .softreg import SoftmaxRegressionModel, token_counts
 from .training import (
     evaluate_accuracy,
@@ -21,7 +21,6 @@ __all__ = [
     "Adam",
     "DivergenceError",
     "EncoderConfig",
-    "HEAD_NAMES",
     "InitContext",
     "InitStrategy",
     "MissingContextError",

@@ -1,4 +1,5 @@
-"""Flat parameter vectors, layout tables, snapshots, and checkpoint IO.
+"""Flat parameter vectors, layout tables, snapshots, checkpoint IO, and the
+skeleton both base learners share (``FlatModel``).
 
 A checkpoint is an ``artifacts`` container with magic ``BGV1``: a JSON
 header (kind, role, config, config hash, layout table, parameter count),
@@ -10,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .. import artifacts
 from ..artifacts import CHECKPOINT_MAGIC
+from ..textdata import SCORE_CHUNK, Packed
 from .config import EncoderConfig, SoftregConfig, config_from_dict, config_hash
 
 ROLES = ("random", "pretrained", "finetuned")
@@ -104,9 +107,6 @@ def layout_for(cfg) -> ParamLayout:
         return softreg_layout(cfg)
     raise TypeError(f"no layout for {type(cfg).__name__}")
 
-# Classification-head parameter names (everything else is the trunk).
-HEAD_NAMES = ("cls.w", "cls.b")
-
 
 def xavier_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
@@ -188,3 +188,63 @@ class ModelSnapshot:
     @classmethod
     def load(cls, path: str | Path) -> "ModelSnapshot":
         return cls.from_bytes(Path(path).read_bytes())
+
+
+class FlatModel:
+    """A mutable working model around a flat float64 parameter vector: the
+    skeleton of both base learners. A subclass names its ``kind`` and
+    defines ``forward_probs``, ``clf_loss_and_grad`` and ``clf_ranges``."""
+
+    kind: str
+
+    def __init__(self, config, params: Optional[np.ndarray] = None, *, seed=None):
+        self.config = config
+        self.layout = layout_for(config)
+        if params is None:
+            params = init_param_vector(self.layout, np.random.default_rng(seed))
+        else:
+            params = np.array(params, dtype=np.float64, copy=True)
+        self.params = params
+        self.p = self.layout.views(self.params)
+        self._out_views: Optional[tuple[np.ndarray, dict[str, np.ndarray]]] = None
+
+    @classmethod
+    def from_snapshot(cls, snap: ModelSnapshot) -> "FlatModel":
+        if snap.kind != cls.kind:
+            raise ValueError(f"snapshot kind {snap.kind!r} is not {cls.kind}")
+        return cls(snap.config, params=snap.params)
+
+    def snapshot(self, role: str) -> ModelSnapshot:
+        return ModelSnapshot(config=self.config, params=self.params, role=role)
+
+    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
+        """Eval-mode probabilities, chunked so that one chunk's activations
+        are alive at a time."""
+        out = np.empty((batch.n, self.config.K), dtype=np.float64)
+        for idx, part in batch.chunks(chunk):
+            out[idx] = self.forward_probs(part)
+        return out
+
+    def _targets_and_weights(self, B: int, targets: np.ndarray,
+                             weights: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(B, K) target distributions from label ids or distributions, and
+        the per-example weights (ones by default)."""
+        weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
+        targets = np.asarray(targets)
+        if targets.ndim == 1:
+            t = np.zeros((B, self.config.K), dtype=np.float64)
+            t[np.arange(B), targets.astype(np.int64)] = 1.0
+        else:
+            t = targets.astype(np.float64)
+        return t, weights
+
+    def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """``out`` (or a fresh zero vector) and its named views. The views of
+        the last ``out`` are kept, since ``fit_loop`` passes the same one at
+        every step."""
+        if out is None:
+            flat = np.zeros_like(self.params)
+            return flat, self.layout.views(flat)
+        if self._out_views is None or self._out_views[0] is not out:
+            self._out_views = (out, self.layout.views(out))
+        return self._out_views

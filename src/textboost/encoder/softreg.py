@@ -6,11 +6,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..textdata import PAD_ID, SCORE_CHUNK, Packed
+from ..textdata import PAD_ID, Packed
 from . import nnops
-from .config import SoftregConfig
 from .nnops import DivergenceError
-from .params import ModelSnapshot, init_param_vector, softreg_layout
+from .params import FlatModel
 
 
 def token_counts(batch: Packed, vocab_size: int) -> np.ndarray:
@@ -29,27 +28,10 @@ def token_counts(batch: Packed, vocab_size: int) -> np.ndarray:
     return counts
 
 
-class SoftmaxRegressionModel:
+class SoftmaxRegressionModel(FlatModel):
+    """One linear layer and a softmax over the token counts of a row."""
+
     kind = "softreg"
-
-    def __init__(self, config: SoftregConfig, params: Optional[np.ndarray] = None, *, seed=None):
-        self.config = config
-        self.layout = softreg_layout(config)
-        if params is None:
-            params = init_param_vector(self.layout, np.random.default_rng(seed))
-        else:
-            params = np.array(params, dtype=np.float64, copy=True)
-        self.params = params
-        self.p = self.layout.views(self.params)
-
-    @classmethod
-    def from_snapshot(cls, snap: ModelSnapshot) -> "SoftmaxRegressionModel":
-        if snap.kind != "softreg":
-            raise ValueError(f"snapshot kind {snap.kind!r} is not softreg")
-        return cls(snap.config, params=snap.params)
-
-    def snapshot(self, role: str) -> ModelSnapshot:
-        return ModelSnapshot(config=self.config, params=self.params, role=role)
 
     def clf_ranges(self) -> tuple[slice, ...]:
         """The parameter ranges ``clf_loss_and_grad`` reaches: all of them."""
@@ -61,14 +43,6 @@ class SoftmaxRegressionModel:
         if not np.isfinite(logits).all():
             raise DivergenceError("softreg logits")
         return nnops.softmax_rows(logits)
-
-    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
-        """Eval-mode probabilities, chunked so that one chunk's (rows, V)
-        count matrix is alive at a time."""
-        out = np.empty((batch.n, self.config.K), dtype=np.float64)
-        for idx, part in batch.chunks(chunk):
-            out[idx] = self.forward_probs(part)
-        return out
 
     def clf_loss_and_grad(
         self,
@@ -83,21 +57,14 @@ class SoftmaxRegressionModel:
         the gradient is added into ``out`` (zeroed by the caller) when given."""
         del train_mode, rng
         B = batch.n
-        weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
-        targets = np.asarray(targets)
-        if targets.ndim == 1:
-            t = np.zeros((B, self.config.K), dtype=np.float64)
-            t[np.arange(B), targets.astype(np.int64)] = 1.0
-        else:
-            t = targets.astype(np.float64)
+        t, weights = self._targets_and_weights(B, targets, weights)
         counts = token_counts(batch, self.config.vocab_size)
         probs = nnops.softmax_rows(counts @ self.p["cls.w"] + self.p["cls.b"])
         per_example = weights * -(t * np.log(np.maximum(probs, nnops.PROB_FLOOR))).sum(axis=1)
         loss = float(per_example.mean())
 
         d_logits = (probs - t) * (weights / B)[:, None]
-        g = np.zeros_like(self.params) if out is None else out
-        gv = self.layout.views(g)
+        g, gv = self._grad_vector(out)
         gv["cls.w"] += counts.T @ d_logits
         gv["cls.b"] += d_logits.sum(axis=0)
         return loss, per_example, g

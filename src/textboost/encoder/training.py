@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
-from .config import EncoderConfig, SoftregConfig, TrainConfig
+from .config import EncoderConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot
@@ -46,20 +46,16 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
+# the model class of each config and snapshot kind
+_MODEL_CLASSES = {cls.kind: cls for cls in (TransformerModel, SoftmaxRegressionModel)}
+
+
 def new_model(config, *, seed=None):
-    if isinstance(config, EncoderConfig):
-        return TransformerModel(config, seed=seed)
-    if isinstance(config, SoftregConfig):
-        return SoftmaxRegressionModel(config, seed=seed)
-    raise TypeError(f"no model for {type(config).__name__}")
+    return _MODEL_CLASSES[config.kind](config, seed=seed)
 
 
 def model_from_snapshot(snap: ModelSnapshot):
-    if snap.kind == "transformer":
-        return TransformerModel.from_snapshot(snap)
-    if snap.kind == "softreg":
-        return SoftmaxRegressionModel.from_snapshot(snap)
-    raise ValueError(f"unknown snapshot kind {snap.kind!r}")
+    return _MODEL_CLASSES[snap.kind].from_snapshot(snap)
 
 
 def fit_loop(

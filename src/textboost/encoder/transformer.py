@@ -29,9 +29,8 @@ import numpy as np
 
 from ..textdata import SCORE_CHUNK, Packed
 from . import nnops
-from .config import EncoderConfig
 from .nnops import DivergenceError
-from .params import ModelSnapshot, init_param_vector, transformer_layout
+from .params import FlatModel
 
 _NEG_BIAS = -1e30  # additive mask for padded key positions
 
@@ -71,31 +70,11 @@ def head_probs(cls_h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return nnops.softmax_rows(logits)
 
 
-class TransformerModel:
-    """Mutable working model around a flat float64 parameter vector."""
+class TransformerModel(FlatModel):
+    """The tiny transformer encoder with its classification and masked-token
+    heads."""
 
     kind = "transformer"
-
-    def __init__(self, config: EncoderConfig, params: Optional[np.ndarray] = None, *, seed=None):
-        self.config = config
-        self.layout = transformer_layout(config)
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = init_param_vector(self.layout, rng)
-        else:
-            params = np.array(params, dtype=np.float64, copy=True)
-        self.params = params
-        self.p = self.layout.views(self.params)
-        self._out_views: Optional[tuple[np.ndarray, dict[str, np.ndarray]]] = None
-
-    @classmethod
-    def from_snapshot(cls, snap: ModelSnapshot) -> "TransformerModel":
-        if snap.kind != "transformer":
-            raise ValueError(f"snapshot kind {snap.kind!r} is not a transformer")
-        return cls(snap.config, params=snap.params)
-
-    def snapshot(self, role: str) -> ModelSnapshot:
-        return ModelSnapshot(config=self.config, params=self.params, role=role)
 
     # ------------------------------------------------------------------
     # forward
@@ -287,13 +266,6 @@ class TransformerModel:
                                    query=_cls_query(batch.n))
         return h[:, 0, :]
 
-    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
-        """Eval-mode probabilities, chunked over large inputs."""
-        out = np.empty((batch.n, self.config.K), dtype=np.float64)
-        for idx, part in batch.chunks(chunk):
-            out[idx] = self.forward_probs(part)
-        return out
-
     def predict_proba_heads(
         self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]],
         chunk: int = SCORE_CHUNK,
@@ -311,17 +283,6 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # losses and gradients
     # ------------------------------------------------------------------
-    def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """``out`` (or a fresh zero vector) and its named views. The views of
-        the last ``out`` are kept, since ``fit_loop`` passes the same one at
-        every step."""
-        if out is None:
-            flat = np.zeros_like(self.params)
-            return flat, self.layout.views(flat)
-        if self._out_views is None or self._out_views[0] is not out:
-            self._out_views = (out, self.layout.views(out))
-        return self._out_views
-
     def clf_ranges(self) -> tuple[slice, ...]:
         """The parameter ranges ``clf_loss_and_grad`` reaches: all but the
         masked-token head."""
@@ -350,14 +311,7 @@ class TransformerModel:
         gradient is added into ``out`` (zeroed by the caller) when given.
         """
         B = batch.n
-        weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
-        targets = np.asarray(targets)
-        if targets.ndim == 1:
-            t = np.zeros((B, self.config.K), dtype=np.float64)
-            t[np.arange(B), targets.astype(np.int64)] = 1.0
-        else:
-            t = targets.astype(np.float64)
-
+        t, weights = self._targets_and_weights(B, targets, weights)
         h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
                                        keep_cache=True, query=_cls_query(B))
         cls_h = h[:, 0, :]

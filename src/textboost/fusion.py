@@ -184,15 +184,16 @@ def train_fusion(
     on dev accuracy with the configured patience; the best-dev parameters
     are returned. ``train_probs`` / ``dev_probs`` are the splits' (n, M, K)
     tensors when the caller has them; a split without one is scored here.
-    Asserts the base parameters are byte-identical before and after (the
-    bases are never part of this optimization).
+    Checks that the ensemble's content hash, which the head is bound to and
+    which covers every base parameter and alpha, is the same before and
+    after (the bases are never part of this optimization).
     """
-    digest_before = ensemble.params_digest()
+    ensemble_hash = ensemble.content_hash()
     feats_train = build_feature(ensemble, train_ds, probs=train_probs)
     feats_dev = build_feature(ensemble, dev_ds, probs=dev_probs) if dev_ds is not None else None
 
     rng = np.random.default_rng([seed, 21])
-    head = FusionHead(head_dims(ensemble, cfg), ensemble_hash=ensemble.content_hash(), seed=rng)
+    head = FusionHead(head_dims(ensemble, cfg), ensemble_hash=ensemble_hash, seed=rng)
     labels = train_ds.labels
     n = labels.shape[0]
     epoch, epoch_loss = 0, 0.0
@@ -217,8 +218,8 @@ def train_fusion(
     # the per-epoch records and a divergence; the step records stay here
     log = [r for r in log if "epoch" in r or "event" in r]
 
-    if ensemble.params_digest() != digest_before:
-        raise RuntimeError("fusion training mutated frozen base parameters")
+    if ensemble.content_hash() != ensemble_hash:
+        raise RuntimeError("fusion training mutated the frozen ensemble")
     return head, log
 
 

@@ -8,7 +8,6 @@ File formats:
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -230,10 +229,6 @@ class Packed:
     def n(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def max_len(self) -> int:
-        return self.ids.shape[1]
-
     def take(self, index: np.ndarray) -> "Packed":
         """Row subset, re-trimmed to the subset's longest sequence."""
         lengths = self.lengths[index]
@@ -305,16 +300,6 @@ class LabeledDataset:
     @cached_property
     def packed(self) -> Packed:
         return pack(self.examples)
-
-    @cached_property
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.n}|{self.K}|{','.join(self.label_names)}".encode())
-        p = self.packed
-        h.update(p.ids.tobytes())
-        h.update(p.segs.tobytes())
-        h.update(p.labels.tobytes())
-        return h.hexdigest()
 
     @classmethod
     def from_raw(

@@ -59,18 +59,20 @@ def jsonl_lines(out_root) -> int:
 
 def assert_run_contract(out_root, command: str, lines_before: int) -> dict:
     """Check what every config-driven command leaves: one ``<command>-<hash12>``
-    dir with the task artifacts and a record carrying exactly the
-    MetricsRecord fields and all five accuracy keys, appended to
+    dir (``<command>-<hash12>-<ensemble hash12>`` for the commands that read
+    a saved ensemble) with the task artifacts and a record carrying exactly
+    the MetricsRecord fields and all five accuracy keys, appended to
     ``metrics.jsonl`` as one line. Returns the record."""
     (run_dir,) = out_root.glob(f"{command}-*")
-    assert re.fullmatch(rf"{command}-[0-9a-f]{{12}}", run_dir.name)
+    hashes = re.fullmatch(rf"{command}-([0-9a-f]{{12}})(-[0-9a-f]{{12}})?", run_dir.name)
+    assert hashes and (hashes[2] is not None) == (command in ("fusion", "distill"))
     for name in ("config.json", "vocab.tsv", "task.json", "metrics.json"):
         assert (run_dir / name).is_file(), name
     rec = json.loads((run_dir / "metrics.json").read_text())
     assert set(rec) == {f.name for f in dataclasses.fields(cli.MetricsRecord)}
     assert set(cli.ACCURACY_KEYS) <= set(rec["accuracies"])
     assert rec["run_id"] == run_dir.name and rec["command"] == command
-    assert rec["config_hash"].startswith(run_dir.name[-12:])
+    assert rec["config_hash"].startswith(hashes[1])
     lines = (out_root / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == lines_before + 1
     assert json.loads(lines[-1]) == rec

@@ -1,5 +1,6 @@
 """Central finite-difference gradient checking helpers (float64, h=1e-4),
-and the weighted cross-entropy reference the gradient tests check against."""
+and the weighted cross-entropy and distillation references that the tests
+check the models' losses against."""
 
 import warnings
 
@@ -58,6 +59,20 @@ def weighted_ce_loss(probs, labels, weights) -> tuple[float, np.ndarray]:
         picked = np.maximum(picked, nnops.PROB_FLOOR)
     per_example = weights * -np.log(picked)
     return float(per_example.mean()), per_example
+
+
+def distill_loss(student_probs, gold, teacher, lam: float) -> float:
+    """Mean of lam * CE(gold) + (1 - lam) * CE(teacher distribution)."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must be in [0, 1]")
+    p = np.asarray(student_probs, dtype=np.float64)
+    logp = np.log(np.maximum(p, nnops.PROB_FLOOR))
+    gold = np.atleast_1d(np.asarray(gold, dtype=np.int64))
+    t = np.atleast_2d(np.asarray(teacher, dtype=np.float64))
+    logp = np.atleast_2d(logp)
+    gold_ce = -logp[np.arange(gold.size), gold]
+    teacher_ce = -(t * logp).sum(axis=1)
+    return float((lam * gold_ce + (1.0 - lam) * teacher_ce).mean())
 
 
 def gradients(model, batch, weights=None) -> np.ndarray:

@@ -423,6 +423,34 @@ class TestFusionCmd:
         assert report["boost_fusion"]["accuracy"] == rec["accuracies"]["boost_fusion"]
 
 
+    def test_a_bag_and_a_boost_dir_of_one_config_get_two_fusion_dirs(self, boost_run, bag_run,
+                                                                     task_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        sources = {}
+        for kind, source in (("boost", boost_run[2]), ("bag", bag_run[0] / bag_run[1]["run_id"])):
+            sources[kind] = tmp_path / source.name
+            shutil.copytree(source, sources[kind])
+            cfg = json.loads((source / "config.json").read_text())
+            cfg["out_dir"] = str(out)
+            (sources[kind] / "config.json").write_text(json.dumps(cfg))
+        assert sources["boost"].name[-12:] == sources["bag"].name[-12:]  # one config
+        records = {}
+        for kind, source in sources.items():
+            assert cli.main(["fusion", "--run-dir", str(source)]) == 0
+            records[kind] = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+        assert len(list(out.glob("fusion-*"))) == 2
+        assert records["boost"]["accuracies"].get("bag_fusion") is None
+        assert records["boost"]["accuracies"]["boost_fusion"] is not None
+        assert records["bag"]["accuracies"]["boost_fusion"] is None
+        bag_fusion = records["bag"]["accuracies"]["bag_fusion"]
+        bag_dir = out / records["bag"]["run_id"]
+        capsys.readouterr()
+        assert cli.main(["eval", "--model-dir", str(bag_dir),
+                         "--data", str(task_dir / "dev.tsv")]) == 0
+        assert f"== bag_fusion ==\naccuracy: {bag_fusion:.2f}\n" in capsys.readouterr().out
+        assert list(json.loads((bag_dir / "eval_dev.json").read_text())) == ["bag", "bag_fusion"]
+
+
 class TestArtifactErrors:
     def test_eval_of_a_truncated_ensemble_exits_2(self, boost_run, task_dir, tmp_path):
         _, _, source = boost_run

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from textboost import distill
 from textboost import encoder as enc
 
-from conftest import make_token_dataset
+from conftest import make_token_dataset, random_batch
+from gradcheck import distill_loss
 from test_fusion import fixed_ensemble
 
 
@@ -32,20 +33,20 @@ class TestAnnealedLambda:
 class TestDistillLoss:
     def test_lambda_one_is_gold_ce(self):
         p = np.array([[0.25, 0.75]])
-        got = distill.distill_loss(p, np.array([0]), np.array([[0.9, 0.1]]), 1.0)
+        got = distill_loss(p, np.array([0]), np.array([[0.9, 0.1]]), 1.0)
         assert np.isclose(got, -np.log(0.25), rtol=1e-12)
 
     def test_lambda_zero_is_teacher_ce(self):
         p = np.array([[0.25, 0.75]])
         t = np.array([[0.9, 0.1]])
-        got = distill.distill_loss(p, np.array([0]), t, 0.0)
+        got = distill_loss(p, np.array([0]), t, 0.0)
         want = -(0.9 * np.log(0.25) + 0.1 * np.log(0.75))
         assert np.isclose(got, want, rtol=1e-12)
 
     def test_hand_mixture(self):
         p = np.array([[0.5, 0.5]])
         t = np.array([[0.8, 0.2]])
-        got = distill.distill_loss(p, np.array([0]), t, 0.5)
+        got = distill_loss(p, np.array([0]), t, 0.5)
         assert np.isclose(got, np.log(2.0), rtol=1e-12)
 
     def test_linear_in_lambda(self):
@@ -53,7 +54,7 @@ class TestDistillLoss:
         p = rng.dirichlet(np.ones(4), size=6)
         t = rng.dirichlet(np.ones(4), size=6)
         gold = rng.integers(0, 4, size=6)
-        at = {lam: distill.distill_loss(p, gold, t, lam) for lam in (0, 0.25, 0.5, 0.75, 1)}
+        at = {lam: distill_loss(p, gold, t, lam) for lam in (0, 0.25, 0.5, 0.75, 1)}
         for lam in (0.25, 0.5, 0.75):
             want = (1 - lam) * at[0] + lam * at[1]
             assert np.isclose(at[lam], want, rtol=1e-12)
@@ -61,12 +62,28 @@ class TestDistillLoss:
     def test_one_hot_teacher_lambda_independent(self):
         p = np.array([[0.3, 0.7]])
         t = np.array([[1.0, 0.0]])
-        vals = [distill.distill_loss(p, np.array([0]), t, lam) for lam in (0, 0.5, 1)]
+        vals = [distill_loss(p, np.array([0]), t, lam) for lam in (0, 0.5, 1)]
         assert np.allclose(vals, vals[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("learner", ["transformer", "softreg"])
+    def test_model_loss_on_mixed_targets_is_the_annealed_loss(self, tiny_config, learner):
+        """``distill_train`` trains on ``lam * onehot + (1 - lam) * teacher``:
+        the model's cross-entropy on that mix equals the annealed loss."""
+        rng = np.random.default_rng(6)
+        batch = random_batch(rng, B=6, K=3)
+        config = tiny_config if learner == "transformer" else enc.SoftregConfig(20, 3)
+        model = enc.new_model(config, seed=7)
+        probs = model.forward_probs(batch)
+        teacher = rng.dirichlet(np.ones(3), size=6)
+        onehot = np.eye(3)[batch.labels]
+        for lam in (0.0, 0.2, 0.5, 0.9, 1.0):
+            loss, _, _ = model.clf_loss_and_grad(batch, lam * onehot + (1 - lam) * teacher)
+            assert np.isclose(loss, distill_loss(probs, batch.labels, teacher, lam),
+                              rtol=1e-12, atol=0.0)
 
     def test_lambda_range_checked(self):
         with pytest.raises(ValueError):
-            distill.distill_loss(np.array([[0.5, 0.5]]), np.array([0]),
+            distill_loss(np.array([[0.5, 0.5]]), np.array([0]),
                                  np.array([[1.0, 0.0]]), 1.5)
 
 

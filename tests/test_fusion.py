@@ -114,12 +114,26 @@ def stump_setup():
 class TestTrainFusion:
     def test_bases_frozen_and_deterministic(self, stump_setup):
         train, dev, ens = stump_setup
-        digest = ens.params_digest()
+        digest = ens.content_hash()
         cfg = fusion.FusionConfig(max_epochs=5)
         head1, _ = fusion.train_fusion(ens, train, dev, cfg, seed=1)
-        assert ens.params_digest() == digest
+        assert ens.content_hash() == digest == head1.ensemble_hash
         head2, _ = fusion.train_fusion(ens, train, dev, cfg, seed=1)
         assert np.array_equal(head1.params, head2.params)
+
+    def test_a_base_changed_during_training_raises(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        ens = fixed_ensemble([rng.dirichlet(np.ones(2), size=6) for _ in range(2)], [1.0, 0.5])
+        ds = make_token_dataset(rng, n=6, K=2)
+        real = fusion.FusionHead.loss_and_grad
+
+        def mutating(head, features, labels, out=None):
+            ens.rounds[1].model.probs[:] = 0.5
+            return real(head, features, labels, out=out)
+
+        monkeypatch.setattr(fusion.FusionHead, "loss_and_grad", mutating)
+        with pytest.raises(RuntimeError, match="mutated the frozen ensemble"):
+            fusion.train_fusion(ens, ds, None, fusion.FusionConfig(max_epochs=1), seed=0)
 
     def test_linear_head_at_least_matches_vote(self, stump_setup):
         train, dev, ens = stump_setup

@@ -243,9 +243,3 @@ class TestPacked:
         p = pack([long, short])
         sub = p.take(np.array([1]))
         assert sub.ids.shape == (1, 2)
-
-    def test_content_hash_stable_and_sensitive(self):
-        a, b = _dataset([3, 3]), _dataset([3, 3])
-        assert a.content_hash == b.content_hash
-        c = _dataset([3, 4])
-        assert a.content_hash != c.content_hash
