@@ -48,15 +48,6 @@ class Stump:
             "label_gt": self.label_gt,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Stump":
-        return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            label_le=int(d["label_le"]),
-            label_gt=int(d["label_gt"]),
-        )
-
 
 @dataclass
 class ArrayDataset:

@@ -112,7 +112,6 @@ class BoostEnsemble:
     learner_kind: str
     sharing_mode: str
     rounds: list[BoostRound]
-    shared_trunk: Optional[enc.ModelSnapshot] = None
     ensemble_kind: str = "boost"
     # (n, M, K) per-round probabilities of the training and dev sets that
     # boost_train ran on, so that its callers score no round model again;
@@ -133,6 +132,12 @@ class BoostEnsemble:
     @property
     def m_effective(self) -> int:
         return len(self.rounds)
+
+    @property
+    def shared_trunk(self) -> Optional[enc.ModelSnapshot]:
+        """Under weight sharing, the trunk that every head is bound to (the
+        first round's); None under privacy."""
+        return self.rounds[0].model.trunk if self.sharing_mode == "sharing" else None
 
     @property
     def alphas(self) -> np.ndarray:
@@ -271,7 +276,6 @@ def boost_train(
         learner_kind=learner.kind,
         sharing_mode=getattr(learner, "sharing_mode", "privacy"),
         rounds=kept,
-        shared_trunk=getattr(learner, "final_trunk", None),
     )
     if ensemble.sharing_mode == "sharing":
         # finalize re-bound every head to the last trunk, so the rows scored
@@ -327,12 +331,8 @@ class SharedHeadRoundModel:
     trunk: enc.ModelSnapshot
 
     def bound_snapshot(self) -> enc.ModelSnapshot:
-        layout = self.trunk.layout
         params = np.array(self.trunk.params, copy=True)
-        w_sl = layout.slice_of("cls.w")
-        b_sl = layout.slice_of("cls.b")
-        params[w_sl] = self.head[: w_sl.stop - w_sl.start]
-        params[b_sl] = self.head[w_sl.stop - w_sl.start :]
+        params[_head_slice(self.trunk)] = self.head
         return enc.ModelSnapshot(config=self.trunk.config, params=params, role=self.trunk.role)
 
     def predict_proba(self, dataset) -> np.ndarray:
@@ -345,11 +345,9 @@ class SharedHeadRoundModel:
         return self.head[:-K].reshape(-1, K), self.head[-K:]
 
 
-def _extract_head(snapshot: enc.ModelSnapshot) -> np.ndarray:
-    layout = snapshot.layout
-    w_sl = layout.slice_of("cls.w")
-    b_sl = layout.slice_of("cls.b")
-    return np.concatenate([snapshot.params[w_sl], snapshot.params[b_sl]])
+def _head_slice(snapshot: enc.ModelSnapshot) -> slice:
+    """The head, ``cls.w | cls.b``, which ends the transformer layout."""
+    return slice(snapshot.layout.slice_of("cls.w").start, None)
 
 
 class NeuralBoostLearner:
@@ -388,8 +386,6 @@ class NeuralBoostLearner:
             )
         self._previous: Optional[enc.ModelSnapshot] = None
         self._task_finetuned: Optional[enc.ModelSnapshot] = None
-        self._trunk_params: Optional[np.ndarray] = None
-        self.final_trunk: Optional[enc.ModelSnapshot] = None
         # round-1 model as it stood at train time; the single-model baseline
         self.round1_snapshot: Optional[enc.ModelSnapshot] = None
         # per-round step logs ({step, loss, lr} records from the optimizer)
@@ -422,38 +418,31 @@ class NeuralBoostLearner:
 
     # -- per-round fitting ----------------------------------------------
     def fit_round(self, m: int, dataset, weights: np.ndarray, seed):
-        if self.sharing_mode == "privacy":
+        sharing = self.sharing_mode == "sharing"
+        # under sharing the trunk carries over and every round draws a new head
+        if sharing and m > 1:
+            start = self._previous
+        else:
             start = self._init_snapshot(m, dataset, seed)
-            model = enc.model_from_snapshot(start)
-            snap, tlog = enc.train(
-                model, dataset, self.train_cfg, _round_seed(seed, m, 4), weights=weights
-            )
-            self._previous = snap
-            self.train_logs.append(tlog)
-            if m == 1:
-                self.round1_snapshot = snap
-            return NeuralRoundModel(snapshot=snap)
-
-        # sharing: trunk continues, head is redrawn each round
-        if self._trunk_params is None:
-            start = self._init_snapshot(1, dataset, seed)
-            self._trunk_params = start.params
-        params = _fresh_head(self._trunk_params, self.config, _round_seed(seed, m, 5))
-        model = enc.TransformerModel(self.config, params=params)
+        if sharing:
+            params = _fresh_head(start.params, self.config, _round_seed(seed, m, 5))
+            start = enc.ModelSnapshot(config=self.config, params=params, role=start.role)
+        model = enc.model_from_snapshot(start)
         snap, tlog = enc.train(
             model, dataset, self.train_cfg, _round_seed(seed, m, 4), weights=weights
         )
-        self._trunk_params = snap.params
+        self._previous = snap
         self.train_logs.append(tlog)
         if m == 1:
             self.round1_snapshot = snap
-        return SharedHeadRoundModel(head=_extract_head(snap), trunk=snap)
+        if sharing:  # a copy, so that the head does not keep the whole vector alive
+            return SharedHeadRoundModel(head=snap.params[_head_slice(snap)].copy(), trunk=snap)
+        return NeuralRoundModel(snapshot=snap)
 
     def finalize(self, rounds: list[BoostRound]) -> list[BoostRound]:
         if self.sharing_mode == "privacy":
             return rounds
         trunk = rounds[-1].model.trunk
-        self.final_trunk = trunk
         for r in rounds:
             r.model = SharedHeadRoundModel(head=r.model.head, trunk=trunk)
         return rounds
@@ -488,21 +477,17 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
 
 
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
+    """The ensemble of a ``.bge`` blob. A stump ensemble's header holds its
+    stumps so that ``content_hash`` covers them, but no parts, so it does
+    not load."""
     with artifacts.reading(blob, ENSEMBLE_MAGIC, "ensemble") as (header, payload):
         blobs = artifacts.unframe(payload, "ensemble")
-        shared_trunk = None
-        if header["learner_kind"] == "stump":
-            from .baselines import Stump, StumpRoundModel
-
-            models = [StumpRoundModel(stump=Stump.from_dict(sd), K=header["K"])
-                      for sd in header["stumps"]]
-            configs = []
-        elif header["sharing_mode"] == "sharing":
-            shared_trunk = enc.ModelSnapshot.from_bytes(blobs[0])
-            configs = [shared_trunk.config]
-            size = (configs[0].d_model + 1) * configs[0].K  # cls.w and cls.b
+        if header["sharing_mode"] == "sharing":
+            trunk = enc.ModelSnapshot.from_bytes(blobs[0])
+            configs = [trunk.config]
+            size = (trunk.config.d_model + 1) * trunk.config.K  # cls.w and cls.b
             models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
-                                           trunk=shared_trunk) for hb in blobs[1:]]
+                                           trunk=trunk) for hb in blobs[1:]]
         else:
             models = [NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)) for sb in blobs]
             configs = [m.snapshot.config for m in models]
@@ -516,6 +501,5 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
             sharing_mode=header["sharing_mode"],
             rounds=[BoostRound(index=rm["index"], model=model, alpha=rm["alpha"], err=rm["err"])
                     for rm, model in zip(meta, models)],
-            shared_trunk=shared_trunk,
             ensemble_kind=header["ensemble_kind"],
         )

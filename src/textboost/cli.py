@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -140,9 +140,17 @@ class RunConfig:
             problems.append(f"unknown sharing_mode {boost['sharing_mode']!r}")
         if boost["vote"] not in VOTE_MODES:
             problems.append(f"unknown vote mode {boost['vote']!r}")
+        if not isinstance(boost["rounds"], int) or boost["rounds"] < 1:
+            problems.append("boost.rounds must be an integer >= 1")
+        rates = self.data["bag"]["learning_rates"]
+        if not isinstance(rates, list) or len(rates) < 2:
+            problems.append("bag.learning_rates must list at least 2 rates")
         if self.data["learner"] == "softreg" and boost["sharing_mode"] == "sharing":
             problems.append("weight sharing requires the transformer learner")
-        if boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
+        steps = self.data["pretrain"]["steps"]
+        if not isinstance(steps, int) or steps < 0:
+            problems.append("pretrain.steps must be an integer >= 0")
+        elif boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
             problems.append(
                 f"init_strategy {boost['init_strategy']!r} needs an MLM checkpoint: "
                 "the transformer learner with pretrain.steps > 0"
@@ -361,13 +369,16 @@ class Run:
     """The setup and the record that every config-driven command shares.
 
     ``Run.open`` loads the command's config with its flag overrides,
-    validates it, prepares the task, gives the command its pretrained trunk
-    (``fusion`` retrains a head on saved rounds and never uses one), and
-    writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
-    config error leaves no run dir behind. A command that reads a saved
-    ensemble (``fusion``, ``distill``) passes its content hash as
-    ``source``, and the dir is ``<command>-<hash12>-<source hash12>``, so
-    two ensembles of one config get two dirs. ``finish`` writes the record.
+    validates it, prepares the task, builds the model, training, fusion,
+    distillation and bagging configs (a value they reject is a config
+    error), gives the command its pretrained trunk (``fusion`` retrains a
+    head on saved rounds and never uses one), and writes the task
+    artifacts into a fresh
+    ``<command>-<hash12>`` dir, so a config error leaves no run dir behind.
+    A command that reads a saved ensemble (``fusion``, ``distill``) passes
+    its content hash as ``source``, and the dir is
+    ``<command>-<hash12>-<source hash12>``, so two ensembles of one config
+    get two dirs. ``finish`` writes the record.
     """
 
     command: str
@@ -387,6 +398,14 @@ class Run:
         if args.command == "distill":
             _check_distill_init(cfg)
         bundle = prepare_task(cfg)
+        try:
+            model_cfg, train_cfg = encoder_config(cfg, bundle), cfg.train_cfg()
+            cfg.fusion_cfg()
+            distill_mod.DistillConfig(student_config=model_cfg, **cfg.data["distill"])
+            for lr in cfg.data["bag"]["learning_rates"]:
+                replace(train_cfg, lr=lr)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"invalid config: {e}") from e
         out_root = _out_root(cfg.data["out_dir"])
         if args.command != "fusion":
             ensure_pretrained(cfg, bundle, out_root)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import encoder as enc
 from .boosting import BoostEnsemble, vote_predict
+from .encoder.training import WARMUP_FRACTION
 from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
 
@@ -99,7 +100,7 @@ def distill_train(
         return {"step": step, "dev_acc": enc.evaluate_accuracy(model, dev)}
 
     log = enc.fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
-                       lr=cfg.lr, warmup=0.1, steps=cfg.total_steps,
+                       lr=cfg.lr, warmup=WARMUP_FRACTION, steps=cfg.total_steps,
                        after_pass=after_pass if dev is not None else None,
                        ranges=model.clf_ranges())
     return model.snapshot("finetuned"), log

@@ -79,20 +79,12 @@ def config_hash(cfg) -> str:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer-loop hyperparameters (batch 32 and 3 epochs by default).
-
-    ``warmup_fraction`` ramps the learning rate linearly over the first
-    fraction of steps; without it the early bias-corrected Adam updates act
-    like full-size sign steps and can scramble a warm-started model.
-    """
+    """Optimizer-loop hyperparameters (batch 32 and 3 epochs by default)."""
 
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 3
-    warmup_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid TrainConfig")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1]")

@@ -17,6 +17,10 @@ from .softreg import SoftmaxRegressionModel
 from .transformer import TransformerModel
 
 MLM_MASK_FRACTION = 0.15
+# fine-tuning, pretraining and distillation ramp the learning rate linearly
+# over this fraction of their steps; without it the early bias-corrected Adam
+# updates act like full-size sign steps and can scramble a warm-started model
+WARMUP_FRACTION = 0.1
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -183,7 +187,7 @@ def train(
         return loss, grad
 
     log = fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
-                   lr=cfg.lr, warmup=cfg.warmup_fraction, epochs=cfg.epochs,
+                   lr=cfg.lr, warmup=WARMUP_FRACTION, epochs=cfg.epochs,
                    ranges=model.clf_ranges())
     return model.snapshot("finetuned"), log
 
@@ -228,7 +232,7 @@ def pretrain_mlm(
                                        rng=rng, out=grad)
 
     log = fit_loop(model.params, lengths.size, batch_size, rng, loss_and_grad,
-                   lr=lr, warmup=0.1, steps=steps, ranges=model.mlm_ranges())
+                   lr=lr, warmup=WARMUP_FRACTION, steps=steps, ranges=model.mlm_ranges())
     return model.snapshot("pretrained"), log
 
 

@@ -20,7 +20,7 @@ from .artifacts import FUSION_MAGIC, ArtifactError
 from .boosting import BoostEnsemble
 from .encoder import fit_loop
 from .encoder.nnops import PROB_FLOOR, softmax_rows
-from .encoder.params import xavier_limit
+from .encoder.params import ParamLayout, init_param_vector
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,12 @@ class FusionConfig:
             raise ValueError("invalid FusionConfig")
 
 
-def _param_count(dims: tuple[int, ...]) -> int:
-    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+def _layout(dims: tuple[int, ...]) -> ParamLayout:
+    """A weight matrix and a bias for every layer, in order."""
+    entries = []
+    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+        entries += [(f"l{i}.w", (a, b)), (f"l{i}.b", (b,))]
+    return ParamLayout(entries=tuple(entries))
 
 
 class FusionHead:
@@ -52,18 +56,12 @@ class FusionHead:
             raise ValueError("dims needs at least input and output sizes")
         self.dims = tuple(int(d) for d in dims)
         self.ensemble_hash = ensemble_hash
-        total = _param_count(self.dims)
-        if params is None:
-            rng = np.random.default_rng(seed)
-            params = np.zeros(total, dtype=np.float64)
-            off = 0
-            for a, b in zip(self.dims[:-1], self.dims[1:]):
-                lim = xavier_limit(a, b)
-                params[off : off + a * b] = rng.uniform(-lim, lim, size=a * b)
-                off += a * b + b  # biases stay zero
+        self.layout = _layout(self.dims)
+        if params is None:  # Xavier-uniform weights, zero biases
+            params = init_param_vector(self.layout, np.random.default_rng(seed))
         else:
             params = np.array(params, dtype=np.float64, copy=True)
-            if params.shape != (total,):
+            if params.shape != (self.layout.total,):
                 raise ValueError("parameter vector does not match dims")
         self.params = params
 
@@ -76,15 +74,9 @@ class FusionHead:
         return self.params.size
 
     def _unpack(self, flat: np.ndarray):
-        out = []
-        off = 0
-        for a, b in zip(self.dims[:-1], self.dims[1:]):
-            w = flat[off : off + a * b].reshape(a, b)
-            off += a * b
-            bias = flat[off : off + b]
-            off += b
-            out.append((w, bias))
-        return out
+        """(weight, bias) views of ``flat`` for every layer."""
+        views = list(self.layout.views(flat).values())
+        return list(zip(views[::2], views[1::2]))
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         a = np.asarray(features, dtype=np.float64)
@@ -139,7 +131,7 @@ class FusionHead:
     def from_bytes(cls, blob: bytes) -> "FusionHead":
         with artifacts.reading(blob, FUSION_MAGIC, "fusion head") as (header, payload):
             dims = tuple(header["dims"])
-            params = artifacts.f8(payload, _param_count(dims), "fusion head")
+            params = artifacts.f8(payload, _layout(dims).total, "fusion head")
             if not re.fullmatch(r"[0-9a-f]{64}", header["ensemble_hash"]):
                 raise ArtifactError("fusion head is not bound to an ensemble (no sha256)")
             return cls(dims, params=params, ensemble_hash=header["ensemble_hash"])

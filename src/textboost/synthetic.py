@@ -43,7 +43,6 @@ class SynthConfig:
     corpus_size: int = 6000
     noise: float = 0.03
     hard_fraction: float = 0.25
-    decoys_per_hard: int = 1
     seed: int = 0
 
 
@@ -56,14 +55,13 @@ def _fillers(rng: np.random.Generator, n: int) -> list[str]:
     return words
 
 
-def _sentence(rng: np.random.Generator, cls: int, hard: bool, decoys: int) -> str:
+def _sentence(rng: np.random.Generator, cls: int, hard: bool) -> str:
     words = _fillers(rng, int(rng.integers(5, 11)))
     if hard:
         words.append(_RARE[cls][int(rng.integers(len(_RARE[cls])))])
         others = [c for c in range(3) if c != cls]
-        for _ in range(decoys):
-            oc = others[int(rng.integers(len(others)))]
-            words.append(_STRONG[oc][int(rng.integers(len(_STRONG[oc])))])
+        oc = others[int(rng.integers(len(others)))]
+        words.append(_STRONG[oc][int(rng.integers(len(_STRONG[oc])))])
     else:
         for _ in range(int(rng.integers(1, 3))):
             words.append(_STRONG[cls][int(rng.integers(len(_STRONG[cls])))])
@@ -74,14 +72,16 @@ def _sentence(rng: np.random.Generator, cls: int, hard: bool, decoys: int) -> st
 
 
 def generate_examples(
-    n: int, seed, *, noise: float = 0.0, hard_fraction: float = 0.25, decoys_per_hard: int = 1
+    n: int, seed, *, noise: float = 0.0, hard_fraction: float = 0.25
 ) -> list[RawExample]:
+    """Labeled sentences; with ``noise`` 0 no label is flipped and no draw is
+    spent on flips, so their texts also serve as the unlabeled corpus."""
     rng = np.random.default_rng(seed)
     out: list[RawExample] = []
     for _ in range(n):
         cls = int(rng.integers(3))
         hard = bool(rng.random() < hard_fraction)
-        text = _sentence(rng, cls, hard, decoys_per_hard)
+        text = _sentence(rng, cls, hard)
         label = cls
         if noise > 0 and rng.random() < noise:
             label = (cls + 1 + int(rng.integers(2))) % 3
@@ -89,35 +89,14 @@ def generate_examples(
     return out
 
 
-def generate_corpus(
-    n: int, seed, *, hard_fraction: float = 0.25, decoys_per_hard: int = 1
-) -> list[str]:
-    """Unlabeled sentences from the same distribution, for MLM pretraining."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    for _ in range(n):
-        cls = int(rng.integers(3))
-        hard = bool(rng.random() < hard_fraction)
-        lines.append(_sentence(rng, cls, hard, decoys_per_hard))
-    return lines
-
-
 def write_task(out_dir: str | Path, cfg: SynthConfig) -> dict:
     """Write train.tsv (noisy), dev.tsv (clean), and corpus.txt; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train = generate_examples(
-        cfg.train_size, [cfg.seed, 1], noise=cfg.noise,
-        hard_fraction=cfg.hard_fraction, decoys_per_hard=cfg.decoys_per_hard,
-    )
-    dev = generate_examples(
-        cfg.dev_size, [cfg.seed, 2], noise=0.0,
-        hard_fraction=cfg.hard_fraction, decoys_per_hard=cfg.decoys_per_hard,
-    )
-    corpus = generate_corpus(
-        cfg.corpus_size, [cfg.seed, 3],
-        hard_fraction=cfg.hard_fraction, decoys_per_hard=cfg.decoys_per_hard,
-    )
+    train = generate_examples(cfg.train_size, [cfg.seed, 1], noise=cfg.noise,
+                              hard_fraction=cfg.hard_fraction)
+    dev = generate_examples(cfg.dev_size, [cfg.seed, 2], hard_fraction=cfg.hard_fraction)
+    corpus = generate_examples(cfg.corpus_size, [cfg.seed, 3], hard_fraction=cfg.hard_fraction)
     paths = {
         "train": out / "train.tsv",
         "dev": out / "dev.tsv",
@@ -125,7 +104,7 @@ def write_task(out_dir: str | Path, cfg: SynthConfig) -> dict:
     }
     _write_tsv(paths["train"], train)
     _write_tsv(paths["dev"], dev)
-    paths["corpus"].write_text("\n".join(corpus) + "\n", encoding="utf-8")
+    paths["corpus"].write_text("\n".join(ex.text_a for ex in corpus) + "\n", encoding="utf-8")
     return {k: str(v) for k, v in paths.items()}
 
 

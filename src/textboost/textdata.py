@@ -47,15 +47,13 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def load_tsv(path: str | Path, schema: str = "auto") -> list[RawExample]:
+def load_tsv(path: str | Path) -> list[RawExample]:
     """Read a task TSV into RawExamples, order preserved.
 
-    ``schema`` is "single" (2 columns), "pair" (3 columns) or "auto"
-    (either, per line). Blank lines are skipped; any other deviation
-    raises MalformedLineError naming the offending line.
+    A line is ``label, text`` or a sentence pair ``label, text_a, text_b``,
+    tab-separated. Blank lines are skipped; any other deviation raises
+    MalformedLineError naming the offending line.
     """
-    if schema not in ("auto", "single", "pair"):
-        raise ValueError(f"unknown schema {schema!r}")
     path = Path(path)
     examples: list[RawExample] = []
     with path.open("r", encoding="utf-8") as fh:
@@ -64,17 +62,12 @@ def load_tsv(path: str | Path, schema: str = "auto") -> list[RawExample]:
             if not line.strip():
                 continue
             fields = line.split("\t")
-            if len(fields) == 2 and schema in ("auto", "single"):
-                label, text_a = fields
-                text_b = None
-            elif len(fields) == 3 and schema in ("auto", "pair"):
-                label, text_a, text_b = fields
-            else:
+            if len(fields) not in (2, 3):
                 raise MalformedLineError(
-                    f"{path}:{lineno}: expected "
-                    f"{'2 or 3' if schema == 'auto' else ('2' if schema == 'single' else '3')} "
-                    f"tab-separated fields, got {len(fields)}"
+                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}"
                 )
+            label, text_a = fields[:2]
+            text_b = fields[2] if len(fields) == 3 else None
             label = label.strip()
             if not label:
                 raise MalformedLineError(f"{path}:{lineno}: empty label")

@@ -27,8 +27,7 @@ def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEn
                                   err=None if bag else 0.2)
               for m, model in enumerate(models)]
     return boosting.BoostEnsemble(K=config.K, learner_kind="transformer",
-                                  sharing_mode=sharing_mode, rounds=rounds, shared_trunk=trunk,
-                                  ensemble_kind=kind)
+                                  sharing_mode=sharing_mode, rounds=rounds, ensemble_kind=kind)
 
 
 # one layer of width 4 keeps the header, and so the flip loop, short

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,6 +323,30 @@ class TestNeuralBoosting:
             assert r.model.head.size == head_size
             assert r.model.trunk is ens.shared_trunk
 
+    def test_sharing_rounds_start_from_the_last_round_with_a_fresh_head(self, tiny_config,
+                                                                        monkeypatch):
+        from textboost.encoder.init_strategies import _fresh_head
+
+        dataset = make_token_dataset(np.random.default_rng(1), n=96)
+        starts, ends = [], []
+        real_train = enc.train
+
+        def recording_train(model, *args, **kwargs):
+            starts.append(model.params.copy())
+            snap, log = real_train(model, *args, **kwargs)
+            ends.append(snap)
+            return snap, log
+
+        monkeypatch.setattr(enc, "train", recording_train)
+        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random", sharing_mode="sharing")
+        boosting.boost_train(dataset, learner, 3, seed=2)
+        assert len(starts) == 3
+        first = enc.init_weights("random", enc.InitContext(config=tiny_config, seed=[2, 1, 1]))
+        assert np.array_equal(starts[0], _fresh_head(first.params, tiny_config, [2, 1, 5]))
+        for m in (2, 3):
+            assert np.array_equal(starts[m - 1],
+                                  _fresh_head(ends[m - 2].params, tiny_config, [2, m, 5]))
+
     def test_sharing_requires_transformer(self):
         cfg = enc.SoftregConfig(vocab_size=16, K=3)
         with pytest.raises(ValueError, match="sharing"):
@@ -348,7 +373,7 @@ class TestScoredOnce:
             for m in range(M)
         ]
         return boosting.BoostEnsemble(K=config.K, learner_kind="transformer",
-                                      sharing_mode="sharing", rounds=rounds, shared_trunk=trunk)
+                                      sharing_mode="sharing", rounds=rounds)
 
     def test_sharing_trunk_pass_equals_per_round_models_across_chunks(self, tiny_config):
         # 300 rows: four full 64-row scoring chunks and a partial one
@@ -429,12 +454,15 @@ class TestEnsembleSerialization:
         b, _ = boosting.vote_predict(back, dataset)
         assert np.array_equal(a, b)
 
-    def test_stump_roundtrip(self, tmp_path):
+    def test_stump_ensemble_is_hashed_but_does_not_load(self):
         x, y = oracle_dataset(60, 2, 2)
         ds = baselines.ArrayDataset(features=x, labels=y, K=2)
         ens, _ = boosting.boost_train(ds, baselines.StumpBoostLearner(), 3, seed=0)
-        ens.save(tmp_path / "s.bge")
-        back = boosting.BoostEnsemble.load(tmp_path / "s.bge")
-        a, _ = boosting.vote_predict(ens, ds)
-        b, _ = boosting.vote_predict(back, ds)
-        assert np.array_equal(a, b)
+        digest = ens.content_hash()
+        with pytest.raises(ArtifactError, match="parts"):
+            boosting.ensemble_from_bytes(boosting.ensemble_to_bytes(ens))
+        # the header's stumps are what the hash covers
+        stump = ens.rounds[0].model.stump
+        ens.rounds[0].model = baselines.StumpRoundModel(
+            stump=dataclasses.replace(stump, threshold=stump.threshold + 1.0), K=2)
+        assert ens.content_hash() != digest

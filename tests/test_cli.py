@@ -193,6 +193,18 @@ class TestConfigErrors:
         ("distill", {"learner": "softreg", "boost": {"init_strategy": "random"}}),
         ("distill", {"distill": {"init_strategy": "incremental"}}),
         ("distill", {"distill": {"init_strategy": "finetuning"}}),
+        # values the config cannot hold
+        ("train-boost", {"train": {"lr": -1}}),
+        ("train-boost", {"train": {"lr": "fast"}}),
+        ("train-boost", {"fusion": {"depth": 7}}),
+        ("train-boost", {"encoder": {"d_model": 30, "n_heads": 4}}),
+        ("train-boost", {"boost": {"rounds": 0}}),
+        ("train-bag", {"bag": {"learning_rates": [0.001]}}),
+        ("train-boost", {"pretrain": {"steps": -5}, "boost": {"init_strategy": "random"}}),
+        ("train-boost", {"pretrain": {"steps": "5"}}),
+        ("train-bag", {"bag": {"learning_rates": 0.001}}),
+        ("train-bag", {"bag": {"learning_rates": ["fast", "slow"]}}),
+        ("distill", {"distill": {"total_steps": 0}}),
     ])
     def test_exit_2_and_no_run_dir(self, boost_run, task_dir, tmp_path, command, extra):
         _, _, teacher_dir = boost_run

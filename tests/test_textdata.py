@@ -58,12 +58,6 @@ class TestLoadTsv:
         p.write_text("pos\ta\n\nneg\tb\n", encoding="utf-8")
         assert len(load_tsv(p)) == 2
 
-    def test_schema_single_rejects_pairs(self, tmp_path):
-        p = tmp_path / "t.tsv"
-        p.write_text("ent\ta\tb\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError):
-            load_tsv(p, schema="single")
-
 
 class TestBuildVocab:
     def test_hand_counted_frequencies(self):
