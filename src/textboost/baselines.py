@@ -240,9 +240,8 @@ def bag_train(
         raise ValueError("bagging needs at least 2 learning rates")
     rounds: list[BoostRound] = []
     log: list[dict] = []
+    start = enc.fresh_start(config, [seed, 11], pretrained)
     for lr in learning_rates:
-        ctx = enc.InitContext(config=config, seed=[seed, 11], pretrained=pretrained)
-        start = enc.init_weights("pretrained" if pretrained is not None else "random", ctx)
         model = enc.model_from_snapshot(start)
         snap, tlog = enc.train(model, dataset, replace(train_cfg, lr=lr), [seed, 12])
         if any(rec.get("event") == "diverged" for rec in tlog):

@@ -1,6 +1,6 @@
 """Stage-1 multi-class boosting over base classifiers.
 
-Each round initializes a base model per the configured strategy, fine-tunes
+Each round starts a base model per the configured strategy, fine-tunes
 it with the current instance weights multiplied into the per-example loss
 (never renormalized), records its training-set predictions in eval mode,
 computes the weighted error and the multi-class alpha
@@ -29,7 +29,6 @@ import numpy as np
 from . import artifacts
 from . import encoder as enc
 from .artifacts import ENSEMBLE_MAGIC
-from .encoder.init_strategies import _fresh_head
 
 ERR_EPS = 1e-6  # alpha is singular at err in {0, 1}
 # alpha at or below this is chance level up to rounding: at err = (K-1)/K
@@ -38,6 +37,9 @@ ALPHA_TOL = 1e-12
 
 SHARING_MODES = ("privacy", "sharing")
 ENSEMBLE_KINDS = ("boost", "bag")
+VOTE_MODES = ("soft", "discrete")  # BoostEnsemble.vote_scores
+# where a round's fine-tune starts (NeuralBoostLearner)
+INIT_STRATEGIES = ("random", "pretrained", "finetuning", "incremental")
 
 
 class BoostingError(RuntimeError):
@@ -67,10 +69,17 @@ def weighted_error(predictions: np.ndarray, labels: np.ndarray, w: np.ndarray) -
 
 def compute_alpha(err: float, K: int) -> float:
     """alpha = ln((1-err)/err) + ln(K-1), with err clamped to [eps, 1-eps]."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
+    alpha = _clamped_alpha(err, K)
     if err <= 0.0 or err >= 1.0:
         warnings.warn(f"err={err} clamped into [{ERR_EPS}, {1 - ERR_EPS}]", RuntimeWarning)
+    return alpha
+
+
+def _clamped_alpha(err: float, K: int) -> float:
+    """``compute_alpha`` without the clamp warning; a loaded ensemble's
+    alphas are checked against it."""
+    if K < 2:
+        raise ValueError("K must be >= 2")
     err = min(max(err, ERR_EPS), 1.0 - ERR_EPS)
     return float(np.log((1.0 - err) / err) + np.log(K - 1))
 
@@ -171,7 +180,7 @@ class BoostEnsemble:
             hard = probs.argmax(axis=2)
             contrib[np.arange(n)[:, None], np.arange(m)[None, :], hard] = 1.0
         else:
-            raise ValueError(f"unknown vote mode {mode!r}")
+            raise ValueError(f"vote mode must be one of {VOTE_MODES}, not {mode!r}")
         return (self.alphas[None, :, None] * contrib).sum(axis=1)
 
     def content_hash(self) -> str:
@@ -353,80 +362,65 @@ def _head_slice(snapshot: enc.ModelSnapshot) -> slice:
 class NeuralBoostLearner:
     """Fits one transformer or softreg base classifier per round.
 
-    In privacy mode every round owns its full parameter set; in sharing
-    mode a single trunk is carried across rounds and every round trains the
-    trunk plus a freshly drawn private head.
+    Round m starts per ``init_strategy`` from a fresh draw (random), a fresh
+    head on the ``pretrained`` trunk (pretrained, incremental), one unweighted
+    fine-tune made before round 1 (finetuning), or from round 2 on round
+    m-1's model (incremental, and every strategy under sharing). In privacy
+    mode every round owns its full parameter set; in sharing mode every
+    round trains the carried trunk plus a freshly drawn private head.
     """
 
     def __init__(
         self,
         config,
         train_cfg: enc.TrainConfig,
-        init_strategy: "str | enc.InitStrategy" = "pretrained",
+        init_strategy: str = "pretrained",
         *,
         sharing_mode: str = "privacy",
         pretrained: Optional[enc.ModelSnapshot] = None,
     ):
         self.config = config
         self.train_cfg = train_cfg
-        self.init_strategy = enc.InitStrategy(init_strategy)
+        self.init_strategy = init_strategy
         self.sharing_mode = sharing_mode
         self.pretrained = pretrained
         self.kind = config.kind
+        if init_strategy not in INIT_STRATEGIES:
+            raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
         if sharing_mode not in SHARING_MODES:
             raise ValueError(f"sharing_mode must be one of {SHARING_MODES}")
         if sharing_mode == "sharing" and self.kind != "transformer":
             raise ValueError("weight sharing requires the transformer learner")
-        if self.kind != "transformer" and self.init_strategy in (
-            enc.InitStrategy.PRETRAINED,
-            enc.InitStrategy.INCREMENTAL,
-        ):
-            raise ValueError(
-                f"{self.init_strategy.value} initialization requires the transformer learner"
-            )
+        if init_strategy in ("pretrained", "incremental"):
+            if self.kind != "transformer":
+                raise ValueError(f"{init_strategy} initialization requires the transformer learner")
+            if pretrained is None:
+                raise ValueError(f"{init_strategy} initialization requires a pretrained trunk")
         self._previous: Optional[enc.ModelSnapshot] = None
-        self._task_finetuned: Optional[enc.ModelSnapshot] = None
+        self._finetuned: Optional[enc.ModelSnapshot] = None
         # round-1 model as it stood at train time; the single-model baseline
         self.round1_snapshot: Optional[enc.ModelSnapshot] = None
         # per-round step logs ({step, loss, lr} records from the optimizer)
         self.train_logs: list[list[dict]] = []
 
-    # -- initialization ------------------------------------------------
-    def _init_snapshot(self, m: int, dataset, seed) -> enc.ModelSnapshot:
-        ctx = enc.InitContext(
-            config=self.config,
-            seed=_round_seed(seed, m, 1),
-            pretrained=self.pretrained,
-            task_finetuned=self._task_finetuned,
-            previous_round=self._previous,
-            round_index=m,
-        )
-        if self.init_strategy is enc.InitStrategy.FINETUNING and self._task_finetuned is None:
-            self._task_finetuned = self._fit_uniform_source(dataset, seed)
-            ctx.task_finetuned = self._task_finetuned
-        return enc.init_weights(self.init_strategy, ctx)
+    def _start(self, m: int, dataset, seed) -> enc.ModelSnapshot:
+        """Round m's start per the strategy, before sharing redraws the head."""
+        if m > 1 and (self.sharing_mode == "sharing" or self.init_strategy == "incremental"):
+            return self._previous
+        if self.init_strategy == "finetuning":
+            if self._finetuned is None:  # one unweighted fine-tune, before round 1
+                start = enc.fresh_start(self.config, _round_seed(seed, 0, 2), self.pretrained)
+                self._finetuned, _ = enc.train(enc.model_from_snapshot(start), dataset,
+                                               self.train_cfg, _round_seed(seed, 0, 3))
+            return self._finetuned
+        trunk = None if self.init_strategy == "random" else self.pretrained
+        return enc.fresh_start(self.config, _round_seed(seed, m, 1), trunk)
 
-    def _fit_uniform_source(self, dataset, seed) -> enc.ModelSnapshot:
-        """One unweighted fine-tune, produced once before boosting."""
-        ctx = enc.InitContext(
-            config=self.config, seed=_round_seed(seed, 0, 2), pretrained=self.pretrained
-        )
-        start = enc.init_weights("pretrained" if self.pretrained is not None else "random", ctx)
-        model = enc.model_from_snapshot(start)
-        snap, _ = enc.train(model, dataset, self.train_cfg, _round_seed(seed, 0, 3))
-        return snap
-
-    # -- per-round fitting ----------------------------------------------
     def fit_round(self, m: int, dataset, weights: np.ndarray, seed):
         sharing = self.sharing_mode == "sharing"
-        # under sharing the trunk carries over and every round draws a new head
-        if sharing and m > 1:
-            start = self._previous
-        else:
-            start = self._init_snapshot(m, dataset, seed)
+        start = self._start(m, dataset, seed)
         if sharing:
-            params = _fresh_head(start.params, self.config, _round_seed(seed, m, 5))
-            start = enc.ModelSnapshot(config=self.config, params=params, role=start.role)
+            start = enc.fresh_start(self.config, _round_seed(seed, m, 5), start)
         model = enc.model_from_snapshot(start)
         snap, tlog = enc.train(
             model, dataset, self.train_cfg, _round_seed(seed, m, 4), weights=weights
@@ -495,7 +489,7 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
         if not len(models) == len(meta) == header["m_effective"] or any(
                 (c.kind, c.K) != (header["learner_kind"], header["K"]) for c in configs):
             raise artifacts.ArtifactError("ensemble header does not match its parts")
-        return BoostEnsemble(
+        ensemble = BoostEnsemble(
             K=header["K"],
             learner_kind=header["learner_kind"],
             sharing_mode=header["sharing_mode"],
@@ -503,3 +497,11 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
                     for rm, model in zip(meta, models)],
             ensemble_kind=header["ensemble_kind"],
         )
+        # the rounds are 1..M; a boost round's alpha is the one of its err, a
+        # bag member has none
+        bag = ensemble.ensemble_kind == "bag"
+        if [r.index for r in ensemble.rounds] != list(range(1, len(meta) + 1)) or any(
+                r.err is not None if bag else r.alpha != _clamped_alpha(r.err, ensemble.K)
+                for r in ensemble.rounds):
+            raise artifacts.ArtifactError("ensemble rounds do not match their index, alpha or err")
+        return ensemble

@@ -27,16 +27,14 @@ import numpy as np
 
 from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
 from . import encoder as enc, synthetic
-from .encoder.training import _keep_freed_heap
+from .encoder.training import _MODEL_CLASSES, _keep_freed_heap
 from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample, tokenize
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
-VOTE_MODES = ("soft", "discrete")
-INIT_STRATEGIES = ("random", "pretrained", "finetuning", "incremental")
 COMPARE_AXES = {
-    "init_strategy": INIT_STRATEGIES,
-    "sharing_mode": ("privacy", "sharing"),
+    "init_strategy": boosting.INIT_STRATEGIES,
+    "sharing_mode": boosting.SHARING_MODES,
     "ensemble_kind": boosting.ENSEMBLE_KINDS,
 }
 
@@ -132,13 +130,13 @@ class RunConfig:
             if cp is not None and not Path(cp).exists():
                 problems.append(f"corpus_path does not exist: {cp}")
         boost = self.data["boost"]
-        if self.data["learner"] not in ("transformer", "softreg"):
+        if self.data["learner"] not in tuple(_MODEL_CLASSES):
             problems.append(f"unknown learner {self.data['learner']!r}")
-        if boost["init_strategy"] not in INIT_STRATEGIES:
+        if boost["init_strategy"] not in boosting.INIT_STRATEGIES:
             problems.append(f"unknown init_strategy {boost['init_strategy']!r}")
-        if boost["sharing_mode"] not in ("privacy", "sharing"):
+        if boost["sharing_mode"] not in boosting.SHARING_MODES:
             problems.append(f"unknown sharing_mode {boost['sharing_mode']!r}")
-        if boost["vote"] not in VOTE_MODES:
+        if boost["vote"] not in boosting.VOTE_MODES:
             problems.append(f"unknown vote mode {boost['vote']!r}")
         if not isinstance(boost["rounds"], int) or boost["rounds"] < 1:
             problems.append("boost.rounds must be an integer >= 1")
@@ -433,10 +431,8 @@ class Run:
 
 
 def _check_distill_init(cfg: RunConfig) -> None:
-    init = cfg.data["distill"]["init_strategy"]
-    if init not in ("random", "pretrained"):
-        raise ConfigError(f"distill.init_strategy must be 'random' or 'pretrained', not {init!r}")
-    if init == "pretrained" and not _pretrains(cfg):
+    """A pretrained student needs a trunk (DistillConfig checks the name)."""
+    if cfg.data["distill"]["init_strategy"] == "pretrained" and not _pretrains(cfg):
         raise ConfigError("distill.init_strategy 'pretrained' needs an MLM checkpoint: "
                           "the transformer learner with pretrain.steps > 0")
 
@@ -456,7 +452,6 @@ def run_boost_pipeline(
     Returns models, logs, and dev accuracies for single / vote / fusion.
     """
     train_ds = train_ds if train_ds is not None else bundle.train
-    ensure_pretrained(cfg, bundle)
     model_cfg = encoder_config(cfg, bundle)
     learner = boosting.NeuralBoostLearner(
         model_cfg,
@@ -887,7 +882,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_, extra in (
         ("train-boost", cmd_train_boost, "run train-boost from a config file",
-         {"--vote": {"choices": VOTE_MODES, "default": None}}),
+         {"--vote": {"choices": boosting.VOTE_MODES, "default": None}}),
         ("train-bag", cmd_train_bag, "run train-bag from a config file", {}),
         ("distill", cmd_distill, "distill a trained ensemble into one student",
          {"--teacher-dir": {"required": True}}),
@@ -913,7 +908,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate saved artifacts on a TSV dataset")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--vote", choices=VOTE_MODES, default="soft")
+    p.add_argument("--vote", choices=boosting.VOTE_MODES, default="soft")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("oracle-check", help="diff the boosting engine against the SAMME oracle")

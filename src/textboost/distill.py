@@ -32,6 +32,9 @@ class DistillConfig:
     def __post_init__(self) -> None:
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        if self.init_strategy not in ("random", "pretrained"):
+            raise ValueError(f"init_strategy must be 'random' or 'pretrained', "
+                             f"not {self.init_strategy!r}")
 
 
 def teacher_targets(
@@ -72,17 +75,18 @@ def distill_train(
 
     Per-step targets are ``lam * onehot(gold) + (1 - lam) * teacher`` (the
     two cross-entropies are linear in the target distribution, so the mix
-    is exact). The best-dev snapshot is returned when a dev set is given,
-    also after a divergence.
+    is exact). The student starts from a random init, or under the
+    "pretrained" strategy from ``pretrained`` with a fresh head. The best-dev
+    snapshot is returned when a dev set is given, also after a divergence.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (dataset.n, dataset.K):
         raise ValueError("teacher targets must cover the training set")
 
-    strategy = enc.InitStrategy(cfg.init_strategy)
-    ctx = enc.InitContext(config=cfg.student_config, seed=[seed, 31], pretrained=pretrained)
-    start = enc.init_weights(strategy, ctx)
-    model = enc.model_from_snapshot(start)
+    if cfg.init_strategy == "pretrained" and pretrained is None:
+        raise ValueError("pretrained initialization requires a pretrained trunk")
+    trunk = pretrained if cfg.init_strategy == "pretrained" else None
+    model = enc.model_from_snapshot(enc.fresh_start(cfg.student_config, [seed, 31], trunk))
 
     rng = np.random.default_rng([seed, 32])
     packed = dataset.packed

@@ -1,8 +1,7 @@
 """Base classifiers: tiny transformer and softmax regression, weighted-CE
-training, toy MLM pretraining, initialization strategies, snapshots."""
+training, toy MLM pretraining, fine-tune starts, snapshots."""
 
 from .config import EncoderConfig, SoftregConfig, TrainConfig, config_from_dict, config_hash
-from .init_strategies import InitContext, InitStrategy, MissingContextError, init_weights
 from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot, ParamLayout, layout_for, xavier_limit
@@ -10,6 +9,7 @@ from .softreg import SoftmaxRegressionModel, token_counts
 from .training import (
     evaluate_accuracy,
     fit_loop,
+    fresh_start,
     model_from_snapshot,
     new_model,
     pretrain_mlm,
@@ -21,9 +21,6 @@ __all__ = [
     "Adam",
     "DivergenceError",
     "EncoderConfig",
-    "InitContext",
-    "InitStrategy",
-    "MissingContextError",
     "ModelSnapshot",
     "ParamLayout",
     "SoftmaxRegressionModel",
@@ -34,7 +31,7 @@ __all__ = [
     "config_hash",
     "evaluate_accuracy",
     "fit_loop",
-    "init_weights",
+    "fresh_start",
     "layout_for",
     "model_from_snapshot",
     "new_model",

@@ -9,10 +9,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
-from .config import EncoderConfig, TrainConfig
+from .config import EncoderConfig, TrainConfig, config_hash
 from .nnops import DivergenceError
 from .optim import Adam
-from .params import ModelSnapshot
+from .params import ModelSnapshot, xavier_limit
 from .softreg import SoftmaxRegressionModel
 from .transformer import TransformerModel
 
@@ -60,6 +60,24 @@ def new_model(config, *, seed=None):
 
 def model_from_snapshot(snap: ModelSnapshot):
     return _MODEL_CLASSES[snap.kind].from_snapshot(snap)
+
+
+def fresh_start(config, seed, trunk: Optional[ModelSnapshot] = None) -> ModelSnapshot:
+    """Where a fine-tune starts: ``trunk``'s parameters with the head
+    redrawn from ``seed`` (Xavier ``cls.w``, zero ``cls.b``), or without a
+    trunk a random init from ``seed``."""
+    if trunk is None:
+        return new_model(config, seed=seed).snapshot("random")
+    if config_hash(trunk.config) != config_hash(config):
+        raise ValueError("trunk config does not match the requested config")
+    rng = np.random.default_rng(seed)
+    params = np.array(trunk.params, copy=True)
+    views = trunk.layout.views(params)
+    w = views["cls.w"]
+    lim = xavier_limit(w.shape[0], w.shape[1])
+    w[:] = rng.uniform(-lim, lim, size=w.shape)
+    views["cls.b"][:] = 0.0
+    return ModelSnapshot(config=config, params=params, role=trunk.role)
 
 
 def fit_loop(

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .textdata import RawExample
 
 LABELS = ("alpha", "beta", "gamma")
@@ -102,13 +102,7 @@ def write_task(out_dir: str | Path, cfg: SynthConfig) -> dict:
         "dev": out / "dev.tsv",
         "corpus": out / "corpus.txt",
     }
-    _write_tsv(paths["train"], train)
-    _write_tsv(paths["dev"], dev)
-    paths["corpus"].write_text("\n".join(ex.text_a for ex in corpus) + "\n", encoding="utf-8")
+    for name, examples in (("train", train), ("dev", dev)):
+        artifacts.write(paths[name], "".join(f"{ex.label}\t{ex.text_a}\n" for ex in examples))
+    artifacts.write(paths["corpus"], "\n".join(ex.text_a for ex in corpus) + "\n")
     return {k: str(v) for k, v in paths.items()}
-
-
-def _write_tsv(path: Path, examples: Sequence[RawExample]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(f"{ex.label}\t{ex.text_a}\n")

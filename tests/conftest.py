@@ -51,6 +51,24 @@ def make_token_dataset(rng, n, K=3, vocab_size=20, max_len=10) -> LabeledDataset
                           label_names=tuple(f"c{k}" for k in range(K)))
 
 
+def record_fine_tunes(monkeypatch) -> tuple[list, list]:
+    """Record every ``enc.train`` call from now on: the parameters it starts
+    from and the snapshot it returns, in call order. A second call replaces
+    the first's recorder."""
+    from textboost.encoder.training import train as real_train
+
+    starts, ends = [], []
+
+    def recording_train(model, *args, **kwargs):
+        starts.append(model.params.copy())
+        snap, log = real_train(model, *args, **kwargs)
+        ends.append(snap)
+        return snap, log
+
+    monkeypatch.setattr(enc, "train", recording_train)
+    return starts, ends
+
+
 def jsonl_lines(out_root) -> int:
     """Lines of ``<out_root>/metrics.jsonl`` (0 before the first run)."""
     path = out_root / "metrics.jsonl"

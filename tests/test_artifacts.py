@@ -13,7 +13,8 @@ from textboost.artifacts import ArtifactError
 
 def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEnsemble:
     """Two untrained transformer rounds; under sharing both heads sit on the
-    first round's trunk, and a bag's rounds carry alpha 1.0 and no error."""
+    first round's trunk. Boost rounds carry errors 0.2 and 0.3 and their
+    alphas, a bag's rounds alpha 1.0 and no error."""
     snaps = [enc.TransformerModel(config, seed=s).snapshot("finetuned") for s in (1, 2)]
     trunk = snaps[0] if sharing_mode == "sharing" else None
     if trunk is None:
@@ -23,9 +24,10 @@ def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEn
             head=np.concatenate([s.view("cls.w").ravel(), s.view("cls.b")]), trunk=trunk)
             for s in snaps]
     bag = kind == "bag"
-    rounds = [boosting.BoostRound(index=m + 1, model=model, alpha=1.0 if bag else 1.5 - m / 2,
-                                  err=None if bag else 0.2)
-              for m, model in enumerate(models)]
+    errs = [None, None] if bag else [0.2, 0.3]
+    rounds = [boosting.BoostRound(index=m + 1, model=model, err=err,
+                                  alpha=1.0 if bag else boosting.compute_alpha(err, config.K))
+              for m, (model, err) in enumerate(zip(models, errs))]
     return boosting.BoostEnsemble(K=config.K, learner_kind="transformer",
                                   sharing_mode=sharing_mode, rounds=rounds, ensemble_kind=kind)
 
@@ -73,6 +75,12 @@ def test_every_truncation_and_one_extra_byte_rejected(artifact):
             load(bad)
 
 
+def rounds(loaded) -> list[tuple]:
+    """(index, alpha, err) of every round of a loaded ensemble; none for the
+    other formats."""
+    return [(r.index, r.alpha, r.err) for r in getattr(loaded, "rounds", [])]
+
+
 def test_every_bit_flip_in_prefix_and_header_is_rejected_or_loads(artifact):
     name, blob, load, _ = artifact
     end = header_end(blob)
@@ -80,13 +88,29 @@ def test_every_bit_flip_in_prefix_and_header_is_rejected_or_loads(artifact):
         # also the part count, the first part's length and that part's own
         # prefix and header
         end = header_end(blob, end + 12)
+    trained = rounds(load(blob))
     for bit in range(8 * end):
         bad = bytearray(blob)
         bad[bit // 8] ^= 1 << (bit % 8)
         try:
-            load(bytes(bad))  # a flip may load: another alpha, another hash of a head
+            loaded = load(bytes(bad))  # a flip may load: another hash of a head
         except ArtifactError:
-            pass
+            continue
+        assert rounds(loaded) == trained, bit
+
+
+@pytest.mark.parametrize("kind, field, other", [
+    ("boost", b'"index":2', b'"index":3'),
+    ("boost", b'"err":0.3', b'"err":0.4'),
+    ("boost", b'"alpha":2.0794415416798357', b'"alpha":2.0794415416798353'),
+    ("bag", b'"err":null', b'"err":0.25'),
+], ids=["index", "err", "alpha", "bag-err"])
+def test_rounds_out_of_order_or_with_another_alpha_or_err_are_rejected(kind, field, other):
+    # same-length edits, so that only the round fields are wrong
+    blob = boosting.ensemble_to_bytes(ensemble(SMALL, "privacy", kind))
+    assert field in blob and len(field) == len(other)
+    with pytest.raises(ArtifactError, match="index, alpha or err"):
+        boosting.ensemble_from_bytes(blob.replace(field, other, 1))
 
 
 @pytest.mark.parametrize("field, other", [(b'"alpha":1.0', b'"alpha":2.0'),

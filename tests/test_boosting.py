@@ -10,7 +10,7 @@ from textboost import baselines, boosting
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
 
-from conftest import make_token_dataset
+from conftest import make_token_dataset, record_fine_tunes
 
 
 class TestInitWeightsUniform:
@@ -325,27 +325,27 @@ class TestNeuralBoosting:
 
     def test_sharing_rounds_start_from_the_last_round_with_a_fresh_head(self, tiny_config,
                                                                         monkeypatch):
-        from textboost.encoder.init_strategies import _fresh_head
-
+        # round 1 starts from the strategy's pick, round m >= 2 from round
+        # m-1, whatever the strategy; each start then gets a head of its own
         dataset = make_token_dataset(np.random.default_rng(1), n=96)
-        starts, ends = [], []
-        real_train = enc.train
-
-        def recording_train(model, *args, **kwargs):
-            starts.append(model.params.copy())
-            snap, log = real_train(model, *args, **kwargs)
-            ends.append(snap)
-            return snap, log
-
-        monkeypatch.setattr(enc, "train", recording_train)
-        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random", sharing_mode="sharing")
-        boosting.boost_train(dataset, learner, 3, seed=2)
-        assert len(starts) == 3
-        first = enc.init_weights("random", enc.InitContext(config=tiny_config, seed=[2, 1, 1]))
-        assert np.array_equal(starts[0], _fresh_head(first.params, tiny_config, [2, 1, 5]))
-        for m in (2, 3):
-            assert np.array_equal(starts[m - 1],
-                                  _fresh_head(ends[m - 2].params, tiny_config, [2, m, 5]))
+        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
+        for strategy in boosting.INIT_STRATEGIES:
+            starts, ends = record_fine_tunes(monkeypatch)
+            learner = boosting.NeuralBoostLearner(tiny_config, FAST, strategy,
+                                                  sharing_mode="sharing", pretrained=mlm)
+            boosting.boost_train(dataset, learner, 3, seed=2)
+            if strategy == "finetuning":  # the source, then round 1 from it
+                pick = ends[0]
+                starts, ends = starts[1:], ends[1:]
+            else:
+                trunk = None if strategy == "random" else mlm
+                pick = enc.fresh_start(tiny_config, [2, 1, 1], trunk)
+            assert len(starts) == 3, strategy
+            for m in (1, 2, 3):
+                if m > 1:
+                    pick = ends[m - 2]
+                assert np.array_equal(starts[m - 1],
+                                      enc.fresh_start(tiny_config, [2, m, 5], pick).params)
 
     def test_sharing_requires_transformer(self):
         cfg = enc.SoftregConfig(vocab_size=16, K=3)

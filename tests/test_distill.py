@@ -133,3 +133,15 @@ class TestDistillTrain:
         assert lams[0] == 0.0
         assert lams == sorted(lams)
         assert lams[-1] == (cfg.total_steps - 1) / cfg.total_steps
+
+    @pytest.mark.parametrize("strategy", ["bogus", "finetuning", "incremental"])
+    def test_only_random_and_pretrained_students(self, tiny_config, strategy):
+        with pytest.raises(ValueError, match="init_strategy"):
+            distill.DistillConfig(total_steps=2, student_config=tiny_config,
+                                  init_strategy=strategy)
+
+    def test_a_pretrained_student_needs_a_trunk(self, tiny_config):
+        dataset = make_token_dataset(np.random.default_rng(4), n=10)
+        cfg = distill.DistillConfig(total_steps=2, student_config=tiny_config)
+        with pytest.raises(ValueError, match="trunk"):
+            distill.distill_train(np.full((10, 3), 1 / 3), dataset, cfg, seed=0)

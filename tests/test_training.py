@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from textboost import boosting
 from textboost import encoder as enc
 from textboost.encoder import training
 from textboost.encoder.training import MLM_MASK_FRACTION, _mask_batch, _mlm_corpus
 from textboost.textdata import CLS_ID, MASK_ID, SEP_ID
 
-from conftest import make_token_dataset
+from conftest import make_token_dataset, record_fine_tunes
 
 
 def mlm_masked_accuracy(snapshot, corpus, seed) -> float:
@@ -429,11 +430,27 @@ class TestPretrainMLM:
 
 
 class TestInitStrategies:
+    """``fresh_start``, and where ``NeuralBoostLearner`` starts each round's
+    fine-tune under each strategy (privacy mode)."""
+
+    FAST = enc.TrainConfig(lr=3e-3, epochs=8)
+
+    @staticmethod
+    def trunk(config):
+        return enc.pretrain_mlm([[5, 6, 7, 8]] * 4, config, steps=2, seed=1)[0]
+
+    def boost_starts(self, monkeypatch, config, strategy, trunk=None):
+        starts, ends = record_fine_tunes(monkeypatch)
+        learner = boosting.NeuralBoostLearner(config, self.FAST, strategy, pretrained=trunk)
+        boosting.boost_train(make_token_dataset(np.random.default_rng(1), n=96), learner, 3,
+                             seed=2)
+        assert len(starts) == len(ends) >= 2
+        return starts, ends
+
     def test_random_xavier_bound_and_reproducible(self, tiny_config):
-        ctx = enc.InitContext(config=tiny_config, seed=12)
-        a = enc.init_weights("random", ctx)
-        b = enc.init_weights("random", enc.InitContext(config=tiny_config, seed=12))
-        assert np.array_equal(a.params, b.params)
+        a = enc.fresh_start(tiny_config, 12)
+        assert np.array_equal(a.params, enc.fresh_start(tiny_config, 12).params)
+        assert np.array_equal(a.params, enc.new_model(tiny_config, seed=12).params)
         assert a.role == "random"
         for name, shape in a.layout.entries:
             view = a.view(name)
@@ -444,52 +461,61 @@ class TestInitStrategies:
             elif name.endswith(".b") and not name.endswith("ln.b"):
                 assert np.array_equal(view, np.zeros_like(view))
 
+    def test_random_and_pretrained_draw_every_round_afresh(self, tiny_config, monkeypatch):
+        mlm = self.trunk(tiny_config)
+        for strategy, trunk in (("random", None), ("pretrained", mlm)):
+            # a random learner ignores the trunk it is given
+            starts, _ = self.boost_starts(monkeypatch, tiny_config, strategy, mlm)
+            for m, start in enumerate(starts, 1):
+                assert np.array_equal(start, enc.fresh_start(tiny_config, [2, m, 1], trunk).params)
+
     def test_pretrained_copies_trunk_fresh_head(self, tiny_config):
-        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
-        out = enc.init_weights(
-            "pretrained", enc.InitContext(config=tiny_config, seed=2, pretrained=mlm)
-        )
-        head = {"cls.w", "cls.b"}
+        mlm = self.trunk(tiny_config)
+        out = enc.fresh_start(tiny_config, [2, 1, 5], mlm)
         for name, _ in out.layout.entries:
-            if name in head:
-                continue
-            assert np.array_equal(out.view(name), mlm.view(name)), name
-        assert not np.array_equal(out.view("cls.w"), mlm.view("cls.w"))
+            if name not in ("cls.w", "cls.b"):
+                assert np.array_equal(out.view(name), mlm.view(name)), name
+        w = mlm.view("cls.w")
+        lim = enc.xavier_limit(w.shape[0], w.shape[1])
+        drawn = np.random.default_rng([2, 1, 5]).uniform(-lim, lim, size=w.shape)
+        assert np.array_equal(out.view("cls.w"), drawn)
+        assert not np.array_equal(out.view("cls.w"), w)
+        assert np.array_equal(out.view("cls.b"), np.zeros(tiny_config.K))
         assert out.role == "pretrained"
 
     def test_pretrained_requires_checkpoint(self, tiny_config):
-        with pytest.raises(enc.MissingContextError):
-            enc.init_weights("pretrained", enc.InitContext(config=tiny_config, seed=2))
+        for strategy in ("pretrained", "incremental"):
+            with pytest.raises(ValueError, match="pretrained trunk"):
+                boosting.NeuralBoostLearner(tiny_config, self.FAST, strategy)
 
-    def test_incremental_falls_back_to_pretrained_at_round_one(self, tiny_config):
-        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
-        ctx = enc.InitContext(config=tiny_config, seed=2, pretrained=mlm, round_index=1)
-        fell_back = enc.init_weights("incremental", ctx)
-        direct = enc.init_weights("pretrained", ctx)
-        assert np.array_equal(fell_back.params, direct.params)
+    def test_unknown_strategy_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="init_strategy"):
+            boosting.NeuralBoostLearner(tiny_config, self.FAST, "bogus")
 
-    def test_incremental_copies_previous_round(self, tiny_config, dataset):
-        model = enc.TransformerModel(tiny_config, seed=5)
-        prev, _ = enc.train(model, dataset, enc.TrainConfig(epochs=1), seed=6)
-        ctx = enc.InitContext(config=tiny_config, seed=2, previous_round=prev, round_index=3)
-        out = enc.init_weights("incremental", ctx)
-        assert np.array_equal(out.params, prev.params)
-        assert out.role == "finetuned"
+    def test_incremental_falls_back_to_pretrained_at_round_one(self, tiny_config, monkeypatch):
+        mlm = self.trunk(tiny_config)
+        starts, _ = self.boost_starts(monkeypatch, tiny_config, "incremental", mlm)
+        assert np.array_equal(starts[0], enc.fresh_start(tiny_config, [2, 1, 1], mlm).params)
 
-    def test_finetuning_copies_source(self, tiny_config, dataset):
-        model = enc.TransformerModel(tiny_config, seed=5)
-        src, _ = enc.train(model, dataset, enc.TrainConfig(epochs=1), seed=6)
-        out = enc.init_weights(
-            "finetuning", enc.InitContext(config=tiny_config, seed=2, task_finetuned=src)
-        )
-        assert np.array_equal(out.params, src.params)
+    def test_incremental_copies_previous_round(self, tiny_config, monkeypatch):
+        mlm = self.trunk(tiny_config)
+        starts, ends = self.boost_starts(monkeypatch, tiny_config, "incremental", mlm)
+        for m in range(2, len(starts) + 1):
+            assert np.array_equal(starts[m - 1], ends[m - 2].params), m
+
+    def test_finetuning_copies_source(self, tiny_config, monkeypatch):
+        mlm = self.trunk(tiny_config)
+        for trunk in (None, mlm):
+            starts, ends = self.boost_starts(monkeypatch, tiny_config, "finetuning", trunk)
+            # the first fine-tune is the unweighted source, made before round 1
+            assert np.array_equal(starts[0], enc.fresh_start(tiny_config, [2, 0, 2], trunk).params)
+            for start in starts[1:]:
+                assert np.array_equal(start, ends[0].params)
 
     def test_config_mismatch_rejected(self, tiny_config):
         other = enc.EncoderConfig(
             vocab_size=20, K=3, d_model=16, n_layers=2, n_heads=2, d_ffn=16, max_seq_len=12
         )
-        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, other, steps=1, seed=1)
+        mlm = self.trunk(other)
         with pytest.raises(ValueError, match="config"):
-            enc.init_weights(
-                "pretrained", enc.InitContext(config=tiny_config, seed=2, pretrained=mlm)
-            )
+            enc.fresh_start(tiny_config, 2, mlm)
