@@ -400,8 +400,9 @@ class NeuralBoostLearner:
         self._finetuned: Optional[enc.ModelSnapshot] = None
         # round-1 model as it stood at train time; the single-model baseline
         self.round1_snapshot: Optional[enc.ModelSnapshot] = None
-        # per-round step logs ({step, loss, lr} records from the optimizer)
-        self.train_logs: list[list[dict]] = []
+        # step logs ({step, loss, lr} records from the optimizer) by round;
+        # round 0 is the finetuning strategy's unweighted source fine-tune
+        self.train_logs: dict[int, list[dict]] = {}
 
     def _start(self, m: int, dataset, seed) -> enc.ModelSnapshot:
         """Round m's start per the strategy, before sharing redraws the head."""
@@ -410,8 +411,9 @@ class NeuralBoostLearner:
         if self.init_strategy == "finetuning":
             if self._finetuned is None:  # one unweighted fine-tune, before round 1
                 start = enc.fresh_start(self.config, _round_seed(seed, 0, 2), self.pretrained)
-                self._finetuned, _ = enc.train(enc.model_from_snapshot(start), dataset,
-                                               self.train_cfg, _round_seed(seed, 0, 3))
+                self._finetuned, self.train_logs[0] = enc.train(
+                    enc.model_from_snapshot(start), dataset, self.train_cfg,
+                    _round_seed(seed, 0, 3))
             return self._finetuned
         trunk = None if self.init_strategy == "random" else self.pretrained
         return enc.fresh_start(self.config, _round_seed(seed, m, 1), trunk)
@@ -426,7 +428,7 @@ class NeuralBoostLearner:
             model, dataset, self.train_cfg, _round_seed(seed, m, 4), weights=weights
         )
         self._previous = snap
-        self.train_logs.append(tlog)
+        self.train_logs[m] = tlog
         if m == 1:
             self.round1_snapshot = snap
         if sharing:  # a copy, so that the head does not keep the whole vector alive

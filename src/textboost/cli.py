@@ -1,7 +1,7 @@
 """Command-line entry point and experiment orchestration.
 
 Commands: gen-data, train-boost, train-bag, fusion, distill, eval,
-fractions, compare, oracle-check. Runs are driven by a JSON config file
+compare, oracle-check. Runs are driven by a JSON config file
 (one canonical serialization, human-editable); --out, --seed and --vote
 override individual keys. Exit codes: 0 success, 1 runtime failure,
 2 configuration/validation failure or a malformed or mismatched artifact.
@@ -33,6 +33,7 @@ from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsamp
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
 COMPARE_AXES = {
+    "fraction": None,  # the training-set fractions of --fractions
     "init_strategy": boosting.INIT_STRATEGIES,
     "sharing_mode": boosting.SHARING_MODES,
     "ensemble_kind": boosting.ENSEMBLE_KINDS,
@@ -208,8 +209,8 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
 
     The vocabulary (and the MLM corpus) come from the unlabeled corpus file
     when one is given, else from the training texts, and stay fixed across
-    data-fraction sweeps, mirroring a fixed pretrained tokenizer. The corpus
-    is encoded only for a config that pretrains.
+    the cells of a ``fraction`` axis, mirroring a fixed pretrained
+    tokenizer. The corpus is encoded only for a config that pretrains.
     """
     raw_train = load_tsv(cfg.data["train_path"])
     raw_dev = load_tsv(cfg.data["dev_path"])
@@ -441,17 +442,11 @@ def _check_distill_init(cfg: RunConfig) -> None:
 # core pipelines (shared by commands)
 # ----------------------------------------------------------------------
 
-def run_boost_pipeline(
-    cfg: RunConfig,
-    bundle: TaskBundle,
-    *,
-    train_ds: Optional[LabeledDataset] = None,
-) -> dict:
-    """Boost + fusion on the bundle (or an override training set).
+def run_boost_pipeline(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledDataset) -> dict:
+    """Boost + fusion on ``train_ds``, scored on the bundle's dev set.
 
     Returns models, logs, and dev accuracies for single / vote / fusion.
     """
-    train_ds = train_ds if train_ds is not None else bundle.train
     model_cfg = encoder_config(cfg, bundle)
     learner = boosting.NeuralBoostLearner(
         model_cfg,
@@ -513,27 +508,27 @@ def cmd_gen_data(args) -> int:
 def cmd_train_boost(args) -> int:
     run = Run.open(args, args.config)
     cfg, bundle = run.cfg, run.bundle
-    result = run_boost_pipeline(cfg, bundle)
+    result = run_boost_pipeline(cfg, bundle, bundle.train)
     result["ensemble"].save(run.dir / "ensemble.bge")
     result["head"].save(run.dir / "fusion.bgf")
     result["single_snapshot"].save(run.dir / "single.bgv")
     if bundle.pretrained is not None:
         bundle.pretrained.save(run.dir / "pretrained.bgv")
     _write_jsonl(run.dir / "round_log.jsonl", result["round_log"])
+    train_logs = result["train_logs"]
     _write_jsonl(run.dir / "train_log.jsonl", [
-        {"round": m + 1, **rec} for m, rows in enumerate(result["train_logs"]) for rec in rows
+        {"round": m, **rec} for m, rows in train_logs.items() for rec in rows
     ])
+    extras = {
+        "m_effective": result["ensemble"].m_effective,
+        "vote": cfg.data["boost"]["vote"],
+        "train_size": bundle.train.n,
+        "dev_size": bundle.dev.n,
+    }
+    if 0 in train_logs:  # the finetuning strategy's source fine-tune ran
+        extras["source_fine_tune_steps"] = len(train_logs[0])
 
-    record = run.finish(
-        result["accuracies"],
-        round_log=result["round_log"],
-        extras={
-            "m_effective": result["ensemble"].m_effective,
-            "vote": cfg.data["boost"]["vote"],
-            "train_size": bundle.train.n,
-            "dev_size": bundle.dev.n,
-        },
-    )
+    record = run.finish(result["accuracies"], round_log=result["round_log"], extras=extras)
     acc = record.accuracies
     print(
         f"[{run.dir.name}] single={acc['single']:.2f} vote={acc['boost_vote']:.2f} "
@@ -544,17 +539,18 @@ def cmd_train_boost(args) -> int:
 
 def cmd_train_bag(args) -> int:
     run = Run.open(args, args.config)
-    bag, bag_log, acc = _run_bag(run.cfg, run.bundle)
+    bag, bag_log, acc = _run_bag(run.cfg, run.bundle, run.bundle.train)
     bag.save(run.dir / "ensemble.bge")
     run.finish({"bag": acc}, round_log=bag_log, extras={"members": bag.m_effective})
     print(f"[{run.dir.name}] bag={acc:.2f} ({bag.m_effective} members)")
     return 0
 
 
-def _run_bag(cfg: RunConfig, bundle: TaskBundle):
-    """The bagging ensemble, its training log and its dev accuracy."""
+def _run_bag(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledDataset):
+    """The bagging ensemble trained on ``train_ds``, its training log and its
+    dev accuracy."""
     bag, log = baselines.bag_train(
-        bundle.train, cfg.data["bag"]["learning_rates"], cfg.seed,
+        train_ds, cfg.data["bag"]["learning_rates"], cfg.seed,
         config=encoder_config(cfg, bundle), train_cfg=cfg.train_cfg(),
         pretrained=bundle.pretrained,
     )
@@ -737,44 +733,39 @@ def _classification_report(preds: np.ndarray, dataset: LabeledDataset) -> dict:
     }
 
 
-def cmd_fractions(args) -> int:
-    fractions = [float(f) for f in args.fractions.split(",")]
+def _parse_fractions(text: str) -> list[float]:
+    """The distinct training-set fractions of ``--fractions``, each in (0, 1]."""
+    try:
+        fractions = [float(f) for f in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--fractions {text!r} is not a comma-separated list of numbers") from e
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"fraction {f} outside (0, 1]")
-    run = Run.open(args, args.config)
-    cfg, bundle = run.cfg, run.bundle
-
-    rows = []
-    for frac in fractions:
-        sub = subsample(bundle.train, frac, cfg.seed)
-        result = run_boost_pipeline(cfg, bundle, train_ds=sub)
-        acc = result["accuracies"]
-        rows.append({"fraction": frac, "train_size": sub.n, **acc,
-                     "delta": acc["boost_fusion"] - acc["single"]})
-        print(
-            f"fraction={frac:g} n={sub.n} single={acc['single']:.2f} "
-            f"fusion={acc['boost_fusion']:.2f} delta={rows[-1]['delta']:+.2f}"
-        )
-
-    run.finish(acc, round_log=rows, extras={"fractions": fractions})
-    _write_json(run.dir / "fractions.json", rows)
-    return 0
+    if len(set(fractions)) < len(fractions):
+        raise ConfigError(f"--fractions {text!r} repeats a fraction")
+    return fractions
 
 
 def cmd_compare(args) -> int:
+    """One row per cell of the product of ``--axes``; each cell trains on
+    ``subsample(train, fraction, seed)``, and a failed cell does not stop
+    the grid."""
     axes = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not axes:
         raise ConfigError("axes must be non-empty")
     for axis in axes:
         if axis not in COMPARE_AXES:
             raise ConfigError(f"unknown axis {axis!r} (choose from {sorted(COMPARE_AXES)})")
+    if len(set(axes)) < len(axes):
+        raise ConfigError(f"--axes {args.axes!r} repeats an axis")
+    values = dict(COMPARE_AXES, fraction=_parse_fractions(args.fractions))
     run = Run.open(args, args.config)
     cfg, bundle = run.cfg, run.bundle
 
     grids: list[dict] = [{}]
     for axis in axes:
-        grids = [dict(g, **{axis: v}) for g in grids for v in COMPARE_AXES[axis]]
+        grids = [dict(g, **{axis: v}) for g in grids for v in values[axis]]
 
     rows = []
     for cell in grids:
@@ -787,8 +778,8 @@ def cmd_compare(args) -> int:
             continue
         row.update({"cell": cell, "status": "ok"})
         rows.append(row)
-        shown = {k: v for k, v in row.items() if k in ("single", "boost_fusion", "bag")}
-        print(f"[compare] {label}: " + " ".join(
+        shown = {k: v for k, v in row.items() if k in ("single", "boost_fusion", "bag", "delta")}
+        print(f"[compare] {label}: n={row['train_size']} " + " ".join(
             f"{k}={v:.2f}" for k, v in shown.items() if v is not None
         ))
 
@@ -798,14 +789,18 @@ def cmd_compare(args) -> int:
 
 
 def _run_compare_cell(cfg: RunConfig, bundle: TaskBundle, cell: dict) -> dict:
-    sub_cfg = cfg.with_overrides(
-        **{f"boost.{axis}": v for axis, v in cell.items() if axis != "ensemble_kind"}
-    )
+    sub_cfg = cfg.with_overrides(**{
+        f"boost.{axis}": v for axis, v in cell.items() if axis in ("init_strategy", "sharing_mode")
+    })
     sub_cfg.validate(need_data=False)
+    train_ds = subsample(bundle.train, cell.get("fraction", 1.0), cfg.seed)
     if cell.get("ensemble_kind") == "bag":
-        return {"single": None, "boost_vote": None, "boost_fusion": None,
-                "bag": _run_bag(sub_cfg, bundle)[2]}
-    return {**run_boost_pipeline(sub_cfg, bundle)["accuracies"], "bag": None}
+        row = {"single": None, "boost_vote": None, "boost_fusion": None, "delta": None,
+               "bag": _run_bag(sub_cfg, bundle, train_ds)[2]}
+    else:
+        acc = run_boost_pipeline(sub_cfg, bundle, train_ds)["accuracies"]
+        row = {**acc, "delta": acc["boost_fusion"] - acc["single"], "bag": None}
+    return {**row, "train_size": train_ds.n}
 
 
 def cmd_oracle_check(args) -> int:
@@ -886,10 +881,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("train-bag", cmd_train_bag, "run train-bag from a config file", {}),
         ("distill", cmd_distill, "distill a trained ensemble into one student",
          {"--teacher-dir": {"required": True}}),
-        ("fractions", cmd_fractions, "data-fraction sweep: single vs boosted",
-         {"--fractions": {"default": "0.05,0.2,1.0"}}),
-        ("compare", cmd_compare, "grid over init/sharing/ensemble-kind axes",
-         {"--axes": {"required": True}}),
+        ("compare", cmd_compare, "grid over fraction/init/sharing/ensemble-kind axes",
+         {"--axes": {"required": True}, "--fractions": {"default": "0.05,0.2,1.0"}}),
     ):
         p = sub.add_parser(name, help=help_)
         # distill reads the teacher's own config unless given one

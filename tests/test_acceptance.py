@@ -96,13 +96,18 @@ def boost_run(main_config):
     return run_dir, json.loads((run_dir / "metrics.json").read_text())
 
 
+def _compare(cfg_path: Path, out: Path, *flags: str) -> list:
+    """The rows of the compare.json that ``compare`` writes into ``out``. Both
+    compare runs share one out root, so the dir is found by its run_id."""
+    assert cli.main(["compare", "--config", str(cfg_path), *flags]) == 0
+    run_id = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])["run_id"]
+    return json.loads((out / run_id / "compare.json").read_text())
+
+
 @pytest.fixture(scope="session")
 def fractions_run(main_config, boost_run):
     cfg_path, out = main_config
-    assert cli.main(["fractions", "--config", str(cfg_path),
-                     "--fractions", "0.05,0.2,1.0"]) == 0
-    frac_dir = next(p for p in out.iterdir() if p.name.startswith("fractions-"))
-    return json.loads((frac_dir / "fractions.json").read_text())
+    return _compare(cfg_path, out, "--axes", "fraction", "--fractions", "0.05,0.2,1.0")
 
 
 @pytest.fixture(scope="session")
@@ -124,14 +129,15 @@ def distill_run(main_config, boost_run):
 
 
 @pytest.fixture(scope="session")
-def compare_run(acc_root, small_task_dir):
-    out = acc_root / "runs600"
+def compare_run(acc_root, small_task_dir, main_config):
+    # the main out root: the 600-row task has the main task's corpus, so its
+    # trunk is the main task's cached one, pretrained once for both
+    _, out = main_config
     cfg_path = acc_root / "config600.json"
     cfg_path.write_text(json.dumps(_base_config(small_task_dir, out), indent=2))
-    assert cli.main(["compare", "--config", str(cfg_path),
-                     "--axes", "init_strategy"]) == 0
-    comp_dir = next(p for p in out.iterdir() if p.name.startswith("compare-"))
-    return json.loads((comp_dir / "compare.json").read_text())
+    rows = _compare(cfg_path, out, "--axes", "init_strategy")
+    assert len(list(out.glob("pretrained_*.bgv"))) == 1
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +241,7 @@ def test_c05_boosting_gain(boost_run):
 
 
 def test_c06_small_data_amplification(fractions_run):
-    rows = {r["fraction"]: r["delta"] for r in fractions_run}
+    rows = {r["cell"]["fraction"]: r["delta"] for r in fractions_run}
     deltas = [rows[f] for f in (0.05, 0.2, 1.0)]
     inversions = sum(1 for a, b in zip(deltas, deltas[1:]) if b > a + 1e-9)
     ok = deltas[0] > deltas[-1] and inversions <= 1

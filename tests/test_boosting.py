@@ -347,6 +347,21 @@ class TestNeuralBoosting:
                 assert np.array_equal(starts[m - 1],
                                       enc.fresh_start(tiny_config, [2, m, 5], pick).params)
 
+    def test_finetuning_logs_its_source_fine_tune_as_round_0(self, tiny_config):
+        dataset = make_token_dataset(np.random.default_rng(1), n=96)
+        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
+        logs = {}
+        for strategy in boosting.INIT_STRATEGIES:
+            learner = boosting.NeuralBoostLearner(tiny_config, FAST, strategy, pretrained=mlm)
+            boosting.boost_train(dataset, learner, 2, seed=2)
+            logs[strategy] = learner.train_logs
+            assert list(logs[strategy]) == ([0, 1, 2] if strategy == "finetuning" else [1, 2])
+        # round 0 is the unweighted fine-tune that round 1 starts from
+        source = enc.model_from_snapshot(enc.fresh_start(tiny_config, [2, 0, 2], mlm))
+        _, expected = enc.train(source, dataset, FAST, [2, 0, 3])
+        assert logs["finetuning"][0] == expected
+        assert len(expected) == len(logs["finetuning"][1]) > 0
+
     def test_sharing_requires_transformer(self):
         cfg = enc.SoftregConfig(vocab_size=16, K=3)
         with pytest.raises(ValueError, match="sharing"):

@@ -132,6 +132,22 @@ class TestTrainBoost:
         step_log = [json.loads(l) for l in
                     (run_dir / "train_log.jsonl").read_text().splitlines()]
         assert all({"round", "step", "loss", "lr"} <= set(rec) for rec in step_log)
+        assert step_log[0]["round"] == 1  # no source fine-tune under incremental
+        rec = json.loads((run_dir / "metrics.json").read_text())
+        assert "source_fine_tune_steps" not in rec["extras"]
+
+    def test_finetuning_source_fit_is_logged_as_round_0(self, task_dir, tmp_path):
+        cfg_path = write_config(
+            tmp_path / "c.json", task_dir, tmp_path, learner="softreg",
+            boost={"rounds": 2, "init_strategy": "finetuning", "sharing_mode": "privacy",
+                   "vote": "soft"})
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        (run_dir,) = tmp_path.glob("train-boost-*")
+        rounds = [json.loads(l)["round"] for l in
+                  (run_dir / "train_log.jsonl").read_text().splitlines()]
+        assert rounds == sorted(rounds) and set(rounds) == {0, 1, 2}
+        rec = json.loads((run_dir / "metrics.json").read_text())
+        assert rec["extras"]["source_fine_tune_steps"] == rounds.count(0) == rounds.count(1)
 
     def test_metrics_record_shape(self, boost_run):
         out, _, _ = boost_run
@@ -245,7 +261,7 @@ class TestScoredOnce:
             return out
 
         monkeypatch.setattr(boosting, "boost_train", boost_then_count)
-        result = cli.run_boost_pipeline(cfg, bundle)
+        result = cli.run_boost_pipeline(cfg, bundle, bundle.train)
         assert late_calls == []
 
         # the accuracies of scoring every round model again
@@ -301,47 +317,70 @@ class TestEval:
         assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(bad)]) == 2
 
 
+def compare(cfg_path: Path, out: Path, *flags: str) -> tuple[dict, list]:
+    """Run ``compare`` into ``out``: (its record, the rows of its compare.json)."""
+    assert cli.main(["compare", "--config", str(cfg_path), *flags]) == 0
+    rec = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    return rec, json.loads((out / rec["run_id"] / "compare.json").read_text())
+
+
+def config_into(cfg_path: Path, out: Path, **boost) -> Path:
+    """A copy of the config at ``cfg_path`` that writes into ``out``."""
+    cfg = json.loads(cfg_path.read_text())
+    cfg["out_dir"] = str(out)
+    cfg["boost"].update(boost)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "c.json").write_text(json.dumps(cfg))
+    return out / "c.json"
+
+
 class TestFractions:
+    """The ``fraction`` axis of ``compare``."""
+
     def test_single_fraction_consistent_with_boost(self, boost_run, tmp_path):
         out, cfg_path, run_dir = boost_run
-        cfg = json.loads(cfg_path.read_text())
-        cfg["out_dir"] = str(tmp_path)
-        cfg2 = tmp_path / "c.json"
-        cfg2.write_text(json.dumps(cfg))
-        rc = cli.main(["fractions", "--config", str(cfg2), "--fractions", "1.0"])
-        assert rc == 0
-        rec = assert_run_contract(tmp_path, "fractions", 0)
-        frac_dir = tmp_path / rec["run_id"]
-        rows = json.loads((frac_dir / "fractions.json").read_text())
+        cfg2 = config_into(cfg_path, tmp_path)
+        assert cli.main(["compare", "--config", str(cfg2),
+                         "--axes", "fraction", "--fractions", "1.0"]) == 0
+        rec = assert_run_contract(tmp_path, "compare", 0)
+        rows = json.loads((tmp_path / rec["run_id"] / "compare.json").read_text())
         assert len(rows) == 1
         boost_rec = json.loads((run_dir / "metrics.json").read_text())
-        assert np.isclose(rows[0]["delta"],
-                          boost_rec["accuracies"]["boost_fusion"]
-                          - boost_rec["accuracies"]["single"], atol=1e-9)
+        # the 1.0 cell is train-boost's run of the same config, to the bit
+        assert rows[0]["delta"] == (boost_rec["accuracies"]["boost_fusion"]
+                                    - boost_rec["accuracies"]["single"])
         assert rows[0]["train_size"] == 400
 
     def test_row_bookkeeping_and_validation(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
-        cfg = json.loads(cfg_path.read_text())
-        cfg["out_dir"] = str(tmp_path)
-        cfg2 = tmp_path / "c.json"
-        cfg2.write_text(json.dumps(cfg))
-        assert cli.main(["fractions", "--config", str(cfg2), "--fractions", "0.5,1.5"]) == 2
-        rc = cli.main(["fractions", "--config", str(cfg2), "--fractions", "0.5,1.0"])
-        assert rc == 0
-        frac_dir = next(p for p in tmp_path.iterdir() if p.name.startswith("fractions-"))
-        rows = json.loads((frac_dir / "fractions.json").read_text())
-        assert [r["fraction"] for r in rows] == [0.5, 1.0]
+        cfg2 = config_into(cfg_path, tmp_path / "out")
+        for bad in ("0.5,1.5", "0.5,abc", "0.5,,1", "0.5,0.5"):
+            assert cli.main(["compare", "--config", str(cfg2), "--axes", "fraction",
+                             "--fractions", bad]) == 2, bad
+        assert not any((tmp_path / "out").glob("compare-*"))
+        _, rows = compare(cfg2, tmp_path / "out", "--axes", "fraction", "--fractions", "0.5,1.0")
+        assert [r["cell"]["fraction"] for r in rows] == [0.5, 1.0]
         assert rows[0]["train_size"] in (199, 200, 201)  # stratified rounding
+        assert rows[1]["train_size"] == 400
+        for r in rows:
+            assert r["status"] == "ok" and r["bag"] is None
+            assert r["delta"] == r["boost_fusion"] - r["single"]
+
+    def test_a_failed_fraction_is_reported_and_the_grid_goes_on(self, boost_run, tmp_path,
+                                                                capsys):
+        _, cfg_path, _ = boost_run
+        cfg2 = config_into(cfg_path, tmp_path, rounds=1)
+        # 0.001 of about 133 rows a class leaves every class empty
+        _, rows = compare(cfg2, tmp_path, "--axes", "fraction", "--fractions", "0.001,1.0")
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+        assert "empty" in rows[0]["error"]
+        assert "fraction=0.001: FAILED" in capsys.readouterr().err
 
 
 class TestCompare:
     def test_sharing_axis_two_runs(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
-        cfg = json.loads(cfg_path.read_text())
-        cfg["out_dir"] = str(tmp_path)
-        cfg2 = tmp_path / "c.json"
-        cfg2.write_text(json.dumps(cfg))
+        cfg2 = config_into(cfg_path, tmp_path)
         rc = cli.main(["compare", "--config", str(cfg2), "--axes", "sharing_mode"])
         assert rc == 0
         rec = assert_run_contract(tmp_path, "compare", 0)
@@ -351,24 +390,29 @@ class TestCompare:
         assert len(rows) == 2
         assert {r["cell"]["sharing_mode"] for r in rows} == {"privacy", "sharing"}
         assert all(r["status"] == "ok" for r in rows)
+        assert all(r["train_size"] == 400 for r in rows)
 
     def test_unknown_axis_exit_2(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
-        assert cli.main(["compare", "--config", str(cfg_path), "--axes", "nope"]) == 2
+        cfg2 = config_into(cfg_path, tmp_path / "out")
+        for axes in ("nope", "sharing_mode,sharing_mode", "fraction,init_strategy,fraction", ","):
+            assert cli.main(["compare", "--config", str(cfg2), "--axes", axes]) == 2, axes
+        assert not any((tmp_path / "out").glob("compare-*"))
 
     def test_grid_is_product_of_axes(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
-        cfg = json.loads(cfg_path.read_text())
-        cfg["out_dir"] = str(tmp_path)
-        cfg["boost"]["rounds"] = 1
-        cfg2 = tmp_path / "c.json"
-        cfg2.write_text(json.dumps(cfg))
-        rc = cli.main(["compare", "--config", str(cfg2),
-                       "--axes", "sharing_mode,ensemble_kind"])
-        assert rc == 0
-        comp_dir = next(p for p in tmp_path.iterdir() if p.name.startswith("compare-"))
-        rows = json.loads((comp_dir / "compare.json").read_text())
+        cfg2 = config_into(cfg_path, tmp_path / "a", rounds=1)
+        _, rows = compare(cfg2, tmp_path / "a", "--axes", "sharing_mode,ensemble_kind")
         assert len(rows) == 4
+        cfg3 = config_into(cfg_path, tmp_path / "b", rounds=1)
+        _, rows = compare(cfg3, tmp_path / "b", "--axes", "fraction,ensemble_kind",
+                          "--fractions", "0.5,1.0")
+        assert [(r["cell"]["fraction"], r["cell"]["ensemble_kind"]) for r in rows] == [
+            (0.5, "boost"), (0.5, "bag"), (1.0, "boost"), (1.0, "bag")]
+        assert all(r["status"] == "ok" for r in rows)
+        # the bag of a 0.5 cell trains on the 0.5 cell's subsample
+        assert rows[1]["train_size"] == rows[0]["train_size"] < rows[2]["train_size"] == 400
+        assert rows[1]["bag"] is not None and rows[1]["delta"] is None
 
 
 class TestDistillCmd:
