@@ -40,14 +40,6 @@ class Stump:
         le = features[:, self.feature] <= self.threshold
         return np.where(le, self.label_le, self.label_gt)
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "label_le": self.label_le,
-            "label_gt": self.label_gt,
-        }
-
 
 @dataclass
 class ArrayDataset:
@@ -126,9 +118,6 @@ class StumpRoundModel:
         out = np.zeros((preds.size, self.K), dtype=np.float64)
         out[np.arange(preds.size), preds] = 1.0
         return out
-
-    def to_dict(self) -> dict:
-        return self.stump.to_dict()
 
 
 class StumpBoostLearner:

@@ -460,9 +460,7 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
         ],
     }
     blobs: list[bytes] = []
-    if ensemble.learner_kind == "stump":
-        header["stumps"] = [r.model.to_dict() for r in ensemble.rounds]
-    elif ensemble.sharing_mode == "sharing":
+    if ensemble.sharing_mode == "sharing":
         blobs.append(ensemble.shared_trunk.to_bytes())
         for r in ensemble.rounds:
             blobs.append(r.model.head.astype("<f8").tobytes())
@@ -473,9 +471,8 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
 
 
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
-    """The ensemble of a ``.bge`` blob. A stump ensemble's header holds its
-    stumps so that ``content_hash`` covers them, but no parts, so it does
-    not load."""
+    """The ensemble of a ``.bge`` blob: one checkpoint part per round, or
+    under weight sharing the trunk and then one head part per round."""
     with artifacts.reading(blob, ENSEMBLE_MAGIC, "ensemble") as (header, payload):
         blobs = artifacts.unframe(payload, "ensemble")
         if header["sharing_mode"] == "sharing":

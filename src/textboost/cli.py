@@ -33,7 +33,7 @@ from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsamp
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
 COMPARE_AXES = {
-    "fraction": None,  # the training-set fractions of --fractions
+    "fraction": (0.05, 0.2, 1.0),  # training-set fractions; --fractions overrides them
     "init_strategy": boosting.INIT_STRATEGIES,
     "sharing_mode": boosting.SHARING_MODES,
     "ensemble_kind": boosting.ENSEMBLE_KINDS,
@@ -228,10 +228,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         corpus_lines = [ex.text_a for ex in raw_train] + [
             ex.text_b for ex in raw_train if ex.text_b is not None
         ]
-    from .textdata import RawExample
-
-    vocab_source = [RawExample(label="_", text_a=line) for line in corpus_lines]
-    vocab = build_vocab(vocab_source, min_count=cfg.data["vocab_min_count"])
+    vocab = build_vocab(corpus_lines, min_count=cfg.data["vocab_min_count"])
 
     label_names = tuple(sorted(train_labels))
     max_len = cfg.data["encoder"]["max_seq_len"]
@@ -375,9 +372,10 @@ class Run:
     artifacts into a fresh
     ``<command>-<hash12>`` dir, so a config error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
-    its content hash as ``source``, and the dir is
-    ``<command>-<hash12>-<source hash12>``, so two ensembles of one config
-    get two dirs. ``finish`` writes the record.
+    its content hash as ``source``, and ``compare`` the hash of its grid
+    (its axes and their values); the dir is then
+    ``<command>-<hash12>-<source hash12>``, so two ensembles, or two grids,
+    of one config get two dirs. ``finish`` writes the record.
     """
 
     command: str
@@ -759,8 +757,13 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown axis {axis!r} (choose from {sorted(COMPARE_AXES)})")
     if len(set(axes)) < len(axes):
         raise ConfigError(f"--axes {args.axes!r} repeats an axis")
-    values = dict(COMPARE_AXES, fraction=_parse_fractions(args.fractions))
-    run = Run.open(args, args.config)
+    values = dict(COMPARE_AXES)
+    if args.fractions is not None:
+        if "fraction" not in axes:
+            raise ConfigError("--fractions needs the fraction axis in --axes")
+        values["fraction"] = _parse_fractions(args.fractions)
+    grid = json.dumps([[axis, list(values[axis])] for axis in axes])
+    run = Run.open(args, args.config, source=hashlib.sha256(grid.encode()).hexdigest())
     cfg, bundle = run.cfg, run.bundle
 
     grids: list[dict] = [{}]
@@ -882,7 +885,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("distill", cmd_distill, "distill a trained ensemble into one student",
          {"--teacher-dir": {"required": True}}),
         ("compare", cmd_compare, "grid over fraction/init/sharing/ensemble-kind axes",
-         {"--axes": {"required": True}, "--fractions": {"default": "0.05,0.2,1.0"}}),
+         {"--axes": {"required": True}, "--fractions": {}}),
     ):
         p = sub.add_parser(name, help=help_)
         # distill reads the teacher's own config unless given one

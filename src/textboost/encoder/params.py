@@ -157,9 +157,6 @@ class ModelSnapshot:
     def layout(self) -> ParamLayout:
         return layout_for(self.config)
 
-    def view(self, name: str) -> np.ndarray:
-        return self.layout.views(np.asarray(self.params))[name]
-
     def to_bytes(self) -> bytes:
         header = {
             "kind": self.kind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -133,21 +134,22 @@ class Vocabulary:
         return cls(token_to_id=mapping)
 
 
-def build_vocab(examples: Sequence[RawExample], min_count: int = 1) -> Vocabulary:
+def build_vocab(texts: Sequence[str | RawExample], min_count: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary (lexicographic tie-break) over all texts.
 
-    Tokens with frequency below ``min_count`` are dropped; they will map to
-    UNK at encode time. An empty effective vocabulary is legal.
+    A RawExample counts as its text_a and text_b. Tokens with frequency
+    below ``min_count`` are dropped; they will map to UNK at encode time. An
+    empty effective vocabulary is legal.
     """
-    if not examples:
-        raise ValueError("examples must be non-empty")
+    if not texts:
+        raise ValueError("texts must be non-empty")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
-    for ex in examples:
-        counts.update(tokenize(ex.text_a))
-        if ex.text_b is not None:
-            counts.update(tokenize(ex.text_b))
+    for text in texts:
+        if isinstance(text, RawExample):
+            text = f"{text.text_a} {text.text_b or ''}"
+        counts.update(tokenize(text))
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
@@ -155,28 +157,14 @@ def build_vocab(examples: Sequence[RawExample], min_count: int = 1) -> Vocabular
     return Vocabulary(token_to_id={tok: 5 + i for i, tok in enumerate(kept)})
 
 
-@dataclass(frozen=True)
-class EncodedExample:
-    """Id-encoded instance: CLS-first token ids, segment ids, label."""
-
-    token_ids: tuple[int, ...]
-    segment_ids: tuple[int, ...]
-    label_id: int
-
-    def __post_init__(self) -> None:
-        if len(self.token_ids) != len(self.segment_ids):
-            raise ValueError("token_ids and segment_ids must have equal length")
-        if not self.token_ids or self.token_ids[0] != CLS_ID:
-            raise ValueError("token_ids must start with CLS")
-
-
 def encode(
     example: RawExample,
     vocab: Vocabulary,
     label_to_id: Mapping[str, int],
     max_seq_len: int,
-) -> EncodedExample:
-    """Encode one example as ``[CLS] a [SEP]`` or ``[CLS] a [SEP] b [SEP]``.
+) -> tuple[list[int], list[int], int]:
+    """(token ids, segment ids, label id) of ``[CLS] a [SEP]`` or
+    ``[CLS] a [SEP] b [SEP]``.
 
     Over-length inputs are truncated from the end of text_b first, then
     text_a; the CLS and every SEP are always retained, so a pair keeps two
@@ -202,16 +190,13 @@ def encode(
     if b is not None:
         ids += [vocab.lookup(t) for t in b] + [SEP_ID]
         segs += [1] * (len(ids) - len(segs))
-    return EncodedExample(
-        token_ids=tuple(ids),
-        segment_ids=tuple(segs),
-        label_id=label_to_id[example.label],
-    )
+    return ids, segs, label_to_id[example.label]
 
 
 @dataclass(frozen=True)
 class Packed:
-    """Dense batch view of encoded examples (PAD-padded, row-aligned)."""
+    """Rows of token ids, PAD-padded to a common width, with their segment
+    ids, lengths and labels."""
 
     ids: np.ndarray  # (n, L) int64
     segs: np.ndarray  # (n, L) int64
@@ -245,54 +230,42 @@ class Packed:
             yield idx, self.take(idx)
 
 
-def pack(examples: Sequence[EncodedExample]) -> Packed:
-    if not examples:
-        raise ValueError("cannot pack zero examples")
-    n = len(examples)
-    lmax = max(len(ex.token_ids) for ex in examples)
-    ids = np.full((n, lmax), PAD_ID, dtype=np.int64)
-    segs = np.zeros((n, lmax), dtype=np.int64)
-    lengths = np.zeros(n, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        m = len(ex.token_ids)
-        ids[i, :m] = ex.token_ids
-        segs[i, :m] = ex.segment_ids
-        lengths[i] = m
-        labels[i] = ex.label_id
-    return Packed(ids=ids, segs=segs, lengths=lengths, labels=labels)
-
-
 @dataclass
 class LabeledDataset:
-    """Encoded K-class dataset. Treat as immutable after construction."""
+    """Encoded K-class dataset: its padded id arrays. Treat as immutable
+    after construction."""
 
-    examples: tuple[EncodedExample, ...]
+    packed: Packed
     K: int
     label_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        self.examples = tuple(self.examples)
         self.label_names = tuple(self.label_names)
         if self.K < 2:
             raise ValueError("K must be >= 2")
         if len(self.label_names) != self.K:
             raise ValueError("label_names must have K entries")
-        for ex in self.examples:
-            if not 0 <= ex.label_id < self.K:
-                raise ValueError(f"label_id {ex.label_id} out of range for K={self.K}")
+        p = self.packed
+        n = p.ids.shape[0] if p.ids.ndim == 2 else -1
+        if p.segs.shape != p.ids.shape or p.lengths.shape != (n,) or p.labels.shape != (n,):
+            raise ValueError("ids and segs must have one (n, L) shape, lengths and labels (n,)")
+        if n == 0:
+            raise ValueError("a dataset needs at least one example")
+        if p.lengths.min() < 1 or p.lengths.max() > p.ids.shape[1]:
+            raise ValueError(f"lengths must lie in [1, {p.ids.shape[1]}]")
+        if (p.ids[:, 0] != CLS_ID).any():
+            raise ValueError("every row must start with CLS")
+        bad = p.labels[(p.labels < 0) | (p.labels >= self.K)]
+        if bad.size:
+            raise ValueError(f"label_id {bad[0]} out of range for K={self.K}")
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return self.packed.n
 
-    @cached_property
+    @property
     def labels(self) -> np.ndarray:
-        return np.array([ex.label_id for ex in self.examples], dtype=np.int64)
-
-    @cached_property
-    def packed(self) -> Packed:
-        return pack(self.examples)
+        return self.packed.labels
 
     @classmethod
     def from_raw(
@@ -302,27 +275,36 @@ class LabeledDataset:
         max_seq_len: int,
         label_names: Optional[Sequence[str]] = None,
     ) -> "LabeledDataset":
-        """Encode raw examples; label ids follow sorted label names unless given."""
+        """Encode raw examples (see ``encode``) straight into padded arrays;
+        label ids follow sorted label names unless given."""
         if label_names is None:
             label_names = sorted({ex.label for ex in raws})
         label_to_id = {name: i for i, name in enumerate(label_names)}
-        encoded = tuple(encode(ex, vocab, label_to_id, max_seq_len) for ex in raws)
-        return cls(examples=encoded, K=len(label_names), label_names=tuple(label_names))
+        rows = [encode(ex, vocab, label_to_id, max_seq_len) for ex in raws]
+        lengths = np.array([len(ids) for ids, _, _ in rows], dtype=np.int64)
+        # row-major boolean fill: each row's tokens land in its first cells
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        ids = np.full(filled.shape, PAD_ID, dtype=np.int64)
+        segs = np.zeros(filled.shape, dtype=np.int64)
+        total = int(lengths.sum())
+        ids[filled] = np.fromiter(chain.from_iterable(r[0] for r in rows), np.int64, total)
+        segs[filled] = np.fromiter(chain.from_iterable(r[1] for r in rows), np.int64, total)
+        labels = np.fromiter((r[2] for r in rows), np.int64, len(rows))
+        return cls(packed=Packed(ids=ids, segs=segs, lengths=lengths, labels=labels),
+                   K=len(label_names), label_names=tuple(label_names))
 
 
 def subsample(dataset: LabeledDataset, fraction: float, seed: int) -> LabeledDataset:
     """Stratified-by-class uniform subsample, deterministic given ``seed``.
 
     Per-class counts are ``round(fraction * count)``; a class that would
-    come out empty raises, naming the class. ``fraction == 1.0`` returns an
-    identical copy. Original relative example order is preserved.
+    come out empty raises, naming the class. ``fraction == 1.0`` returns the
+    dataset itself. Original relative example order is preserved.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return LabeledDataset(
-            examples=dataset.examples, K=dataset.K, label_names=dataset.label_names
-        )
+        return dataset
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     chosen: list[np.ndarray] = []
@@ -336,8 +318,5 @@ def subsample(dataset: LabeledDataset, fraction: float, seed: int) -> LabeledDat
             )
         chosen.append(rng.choice(class_idx, size=count, replace=False))
     keep = np.sort(np.concatenate(chosen))
-    return LabeledDataset(
-        examples=tuple(dataset.examples[i] for i in keep),
-        K=dataset.K,
-        label_names=dataset.label_names,
-    )
+    return LabeledDataset(packed=dataset.packed.take(keep), K=dataset.K,
+                          label_names=dataset.label_names)

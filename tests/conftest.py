@@ -7,7 +7,7 @@ import pytest
 
 from textboost import cli
 from textboost import encoder as enc
-from textboost.textdata import EncodedExample, LabeledDataset, Packed
+from textboost.textdata import PAD_ID, LabeledDataset, Packed
 
 
 @pytest.fixture
@@ -35,20 +35,35 @@ def random_batch(rng, vocab_size=20, B=4, L=7, K=3) -> Packed:
     )
 
 
+def dataset_of_rows(rows, labels, K, label_names=None) -> LabeledDataset:
+    """The dataset of CLS-first id rows in segment 0, PAD-padded into arrays;
+    its classes are named c0..c{K-1} unless ``label_names`` are given."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    ids = np.full((len(rows), lengths.max()), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+    packed = Packed(ids=ids, segs=np.zeros_like(ids), lengths=lengths,
+                    labels=np.array(labels, dtype=np.int64))
+    return LabeledDataset(packed=packed, K=K,
+                          label_names=label_names or tuple(f"c{k}" for k in range(K)))
+
+
 def make_token_dataset(rng, n, K=3, vocab_size=20, max_len=10) -> LabeledDataset:
     """Random-token dataset where the label is encoded by a keyword."""
-    examples = []
+    rows, labels = [], []
     for _ in range(n):
         label = int(rng.integers(K))
         ln = int(rng.integers(3, max_len - 2))
         toks = list(rng.integers(8, vocab_size, size=ln))
         toks[int(rng.integers(ln))] = 5 + label  # ids 5..7 are class keywords
-        ids = tuple([2] + toks + [3])
-        examples.append(EncodedExample(
-            token_ids=ids, segment_ids=tuple([0] * len(ids)), label_id=label,
-        ))
-    return LabeledDataset(examples=tuple(examples), K=K,
-                          label_names=tuple(f"c{k}" for k in range(K)))
+        rows.append([2] + toks + [3])
+        labels.append(label)
+    return dataset_of_rows(rows, labels, K)
+
+
+def view(snapshot, name: str) -> np.ndarray:
+    """The named parameter of a snapshot, shaped by its layout."""
+    return snapshot.layout.views(snapshot.params)[name]
 
 
 def record_fine_tunes(monkeypatch) -> tuple[list, list]:
@@ -77,13 +92,14 @@ def jsonl_lines(out_root) -> int:
 
 def assert_run_contract(out_root, command: str, lines_before: int) -> dict:
     """Check what every config-driven command leaves: one ``<command>-<hash12>``
-    dir (``<command>-<hash12>-<ensemble hash12>`` for the commands that read
-    a saved ensemble) with the task artifacts and a record carrying exactly
-    the MetricsRecord fields and all five accuracy keys, appended to
-    ``metrics.jsonl`` as one line. Returns the record."""
+    dir (``<command>-<hash12>-<source hash12>`` for the commands that read a
+    saved ensemble, and for ``compare``, whose source is its grid) with the
+    task artifacts and a record carrying exactly the MetricsRecord fields and
+    all five accuracy keys, appended to ``metrics.jsonl`` as one line.
+    Returns the record."""
     (run_dir,) = out_root.glob(f"{command}-*")
     hashes = re.fullmatch(rf"{command}-([0-9a-f]{{12}})(-[0-9a-f]{{12}})?", run_dir.name)
-    assert hashes and (hashes[2] is not None) == (command in ("fusion", "distill"))
+    assert hashes and (hashes[2] is not None) == (command in ("fusion", "distill", "compare"))
     for name in ("config.json", "vocab.tsv", "task.json", "metrics.json"):
         assert (run_dir / name).is_file(), name
     rec = json.loads((run_dir / "metrics.json").read_text())

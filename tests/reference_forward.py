@@ -34,7 +34,7 @@ def _gelu(x):
 def reference_probs(snapshot, token_ids, segment_ids):
     """Class probabilities for ONE example (lists of ids), eval mode."""
     cfg = snapshot.config
-    p = {name: snapshot.view(name) for name, _ in snapshot.layout.entries}
+    p = snapshot.layout.views(snapshot.params)
     L = len(token_ids)
     d, H = cfg.d_model, cfg.n_heads
     dh = d // H

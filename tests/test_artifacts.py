@@ -10,6 +10,8 @@ from textboost import artifacts, boosting, fusion
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
 
+from conftest import view
+
 
 def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEnsemble:
     """Two untrained transformer rounds; under sharing both heads sit on the
@@ -21,7 +23,7 @@ def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEn
         models = [boosting.NeuralRoundModel(s) for s in snaps]
     else:
         models = [boosting.SharedHeadRoundModel(
-            head=np.concatenate([s.view("cls.w").ravel(), s.view("cls.b")]), trunk=trunk)
+            head=np.concatenate([view(s, "cls.w").ravel(), view(s, "cls.b")]), trunk=trunk)
             for s in snaps]
     bag = kind == "bag"
     errs = [None, None] if bag else [0.2, 0.3]

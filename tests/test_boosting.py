@@ -1,16 +1,17 @@
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from textboost import baselines, boosting
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
 
-from conftest import make_token_dataset, record_fine_tunes
+from conftest import dataset_of_rows, make_token_dataset, record_fine_tunes
 
 
 class TestInitWeightsUniform:
@@ -163,6 +164,50 @@ class TestBoostTrainWithStumps:
                 assert abs(e["alpha"] - o.alpha) <= 1e-12
                 assert np.max(np.abs(e["weights_after"] - o.weights_after)) <= 1e-12
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trajectory_matches_oracle_bit_for_bit_on_random_data(self, data):
+        labels = data.draw(st.sampled_from(["random", "separable", "tied"]))
+        if labels == "tied":
+            # one binary feature whose values hold (pr, ps) and (qs, qr) rows
+            # of classes 0 and 1: after round 1 both leaves tie, so round 2
+            # sits at chance and is discarded (round 1 already when r = s)
+            p, q, r, s = (data.draw(st.integers(1, 3)) for _ in range(4))
+            counts = [p * r, p * s, q * s, q * r]
+            K = 2
+            x = np.repeat([[0.0], [0.0], [1.0], [1.0]], counts, axis=0)
+            y = np.repeat([0, 1, 0, 1], counts)
+        else:
+            # few levels tie feature values and candidate stumps, two make
+            # binary features; labels set by a threshold drive err to 0, the clamp
+            K = data.draw(st.integers(2, 5))
+            n, d = data.draw(st.integers(4, 39)), data.draw(st.integers(1, 3))
+            levels = data.draw(st.sampled_from([2, 3, 5, 40]))
+            x = data.draw(hnp.arrays(np.float64, (n, d), elements=st.integers(0, levels - 1)))
+            assume((x.min(axis=0) < x.max(axis=0)).any())
+            if labels == "separable":
+                y = (x[:, 0] > data.draw(st.integers(0, levels - 1))).astype(np.int64)
+            else:
+                y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, K - 1)))
+        rounds = data.draw(st.integers(1, 6))
+        ds = baselines.ArrayDataset(features=x, labels=y, K=K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # both sides warn at the clamp
+            oracle = baselines.samme_oracle(x, y, rounds, K)
+            if not oracle:
+                with pytest.raises(boosting.BoostingError):
+                    boosting.boost_train(ds, baselines.StumpBoostLearner(), rounds, seed=0)
+                return
+            ens, log = boosting.boost_train(ds, baselines.StumpBoostLearner(), rounds, seed=0,
+                                            record_weights=True)
+        # the loop keeps the oracle's rounds and stops where it does
+        discarded = log[-1].get("event") == "discarded"
+        assert ens.m_effective == len(oracle) == len(log) - discarded
+        assert discarded or len(oracle) == rounds
+        for e, o in zip(log, oracle):
+            assert (e["m"], e["err"], e["alpha"]) == (o.m, o.err, o.alpha)
+            assert np.array_equal(e["weights_after"], o.weights_after)
+
     def test_single_round_is_the_base_classifier(self):
         x, y = oracle_dataset(80, 2, 2)
         ds = baselines.ArrayDataset(features=x, labels=y, K=2)
@@ -287,20 +332,15 @@ class TestNeuralBoosting:
         # a dataset softmax regression cannot fit alone: class depends on a
         # token pair pattern that conflicts across regions of the space
         rng = np.random.default_rng(5)
-        from textboost.textdata import EncodedExample, LabeledDataset
-
-        examples = []
+        rows, labels = [], []
         for i in range(240):
             k = int(rng.integers(3))
             count = k + 1  # class encoded in the COUNT of token 9
             toks = [9] * count + list(rng.integers(10, 16, size=4))
             rng.shuffle(toks)
-            ids = tuple([2] + toks + [3])
-            examples.append(EncodedExample(
-                token_ids=ids, segment_ids=tuple([0] * len(ids)), label_id=k,
-            ))
-        dataset = LabeledDataset(examples=tuple(examples), K=3,
-                                 label_names=("a", "b", "c"))
+            rows.append([2] + toks + [3])
+            labels.append(k)
+        dataset = dataset_of_rows(rows, labels, K=3, label_names=("a", "b", "c"))
         cfg = enc.SoftregConfig(vocab_size=16, K=3)
         with pytest.raises(ValueError, match="transformer"):
             boosting.NeuralBoostLearner(cfg, FAST, "incremental")
@@ -468,16 +508,3 @@ class TestEnsembleSerialization:
         a, _ = boosting.vote_predict(ens, dataset)
         b, _ = boosting.vote_predict(back, dataset)
         assert np.array_equal(a, b)
-
-    def test_stump_ensemble_is_hashed_but_does_not_load(self):
-        x, y = oracle_dataset(60, 2, 2)
-        ds = baselines.ArrayDataset(features=x, labels=y, K=2)
-        ens, _ = boosting.boost_train(ds, baselines.StumpBoostLearner(), 3, seed=0)
-        digest = ens.content_hash()
-        with pytest.raises(ArtifactError, match="parts"):
-            boosting.ensemble_from_bytes(boosting.ensemble_to_bytes(ens))
-        # the header's stumps are what the hash covers
-        stump = ens.rounds[0].model.stump
-        ens.rounds[0].model = baselines.StumpRoundModel(
-            stump=dataclasses.replace(stump, threshold=stump.threshold + 1.0), K=2)
-        assert ens.content_hash() != digest

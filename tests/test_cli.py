@@ -395,18 +395,21 @@ class TestCompare:
     def test_unknown_axis_exit_2(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
         cfg2 = config_into(cfg_path, tmp_path / "out")
-        for axes in ("nope", "sharing_mode,sharing_mode", "fraction,init_strategy,fraction", ","):
-            assert cli.main(["compare", "--config", str(cfg2), "--axes", axes]) == 2, axes
+        for flags in (["nope"], ["sharing_mode,sharing_mode"], ["fraction,init_strategy,fraction"],
+                      [","], ["ensemble_kind", "--fractions", "0.05"]):
+            assert cli.main(["compare", "--config", str(cfg2), "--axes", *flags]) == 2, flags
         assert not any((tmp_path / "out").glob("compare-*"))
 
     def test_grid_is_product_of_axes(self, boost_run, tmp_path):
         _, cfg_path, _ = boost_run
-        cfg2 = config_into(cfg_path, tmp_path / "a", rounds=1)
-        _, rows = compare(cfg2, tmp_path / "a", "--axes", "sharing_mode,ensemble_kind")
+        cfg2 = config_into(cfg_path, tmp_path, rounds=1)
+        first, rows = compare(cfg2, tmp_path, "--axes", "sharing_mode,ensemble_kind")
         assert len(rows) == 4
-        cfg3 = config_into(cfg_path, tmp_path / "b", rounds=1)
-        _, rows = compare(cfg3, tmp_path / "b", "--axes", "fraction,ensemble_kind",
-                          "--fractions", "0.5,1.0")
+        # a second grid of the same config gets a dir of its own
+        second, rows = compare(cfg2, tmp_path, "--axes", "fraction,ensemble_kind",
+                               "--fractions", "0.5,1.0")
+        assert first["run_id"] != second["run_id"]
+        assert len(json.loads((tmp_path / first["run_id"] / "compare.json").read_text())) == 4
         assert [(r["cell"]["fraction"], r["cell"]["ensemble_kind"]) for r in rows] == [
             (0.5, "boost"), (0.5, "bag"), (1.0, "boost"), (1.0, "bag")]
         assert all(r["status"] == "ok" for r in rows)

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from textboost import baselines, boosting, fusion
+from textboost import boosting, fusion
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
+from textboost.textdata import LabeledDataset
 
 from conftest import make_token_dataset
 from gradcheck import REL_TOL, check_group
@@ -18,9 +19,6 @@ def fixed_ensemble(per_round_probs, alphas, K=2):
 
         def predict_proba(self, dataset):
             return self.probs
-
-        def to_dict(self):
-            return {"probs": self.probs.tolist()}
 
     rounds = [
         boosting.BoostRound(index=i + 1, model=Fixed(p), alpha=a, err=0.2)
@@ -99,21 +97,20 @@ class TestFusionHead:
 
 
 @pytest.fixture(scope="module")
-def stump_setup():
+def softreg_setup():
+    """Six boosted softmax regressions on a keyword task, with its dev set."""
     rng = np.random.default_rng(20240601)
-    x = rng.normal(size=(240, 3))
-    cuts = np.quantile(x[:, 0], [1 / 3, 2 / 3])
-    y = np.digitize(x[:, 0] + 0.4 * x[:, 1], np.quantile(x[:, 0] + 0.4 * x[:, 1], [1/3, 2/3]))
-    y = y.astype(np.int64)
-    train = baselines.ArrayDataset(features=x[:160], labels=y[:160], K=3)
-    dev = baselines.ArrayDataset(features=x[160:], labels=y[160:], K=3)
-    ens, _ = boosting.boost_train(train, baselines.StumpBoostLearner(), 6, seed=0)
+    train, dev = make_token_dataset(rng, n=160), make_token_dataset(rng, n=80)
+    learner = boosting.NeuralBoostLearner(
+        enc.SoftregConfig(vocab_size=20, K=3), enc.TrainConfig(lr=0.05, batch_size=16, epochs=1),
+        "random")
+    ens, _ = boosting.boost_train(train, learner, 6, seed=0)
     return train, dev, ens
 
 
 class TestTrainFusion:
-    def test_bases_frozen_and_deterministic(self, stump_setup):
-        train, dev, ens = stump_setup
+    def test_bases_frozen_and_deterministic(self, softreg_setup):
+        train, dev, ens = softreg_setup
         digest = ens.content_hash()
         cfg = fusion.FusionConfig(max_epochs=5)
         head1, _ = fusion.train_fusion(ens, train, dev, cfg, seed=1)
@@ -121,22 +118,24 @@ class TestTrainFusion:
         head2, _ = fusion.train_fusion(ens, train, dev, cfg, seed=1)
         assert np.array_equal(head1.params, head2.params)
 
-    def test_a_base_changed_during_training_raises(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        ens = fixed_ensemble([rng.dirichlet(np.ones(2), size=6) for _ in range(2)], [1.0, 0.5])
-        ds = make_token_dataset(rng, n=6, K=2)
+    def test_a_base_changed_during_training_raises(self, softreg_setup, monkeypatch):
+        train, _, shared = softreg_setup
+        # new rounds, so that swapping one leaves the module's ensemble as it is
+        ens = dataclasses.replace(shared, rounds=[dataclasses.replace(r) for r in shared.rounds])
+        snap = ens.rounds[1].model.snapshot
         real = fusion.FusionHead.loss_and_grad
 
         def mutating(head, features, labels, out=None):
-            ens.rounds[1].model.probs[:] = 0.5
+            ens.rounds[1].model = boosting.NeuralRoundModel(
+                dataclasses.replace(snap, params=snap.params + 0.5))
             return real(head, features, labels, out=out)
 
         monkeypatch.setattr(fusion.FusionHead, "loss_and_grad", mutating)
         with pytest.raises(RuntimeError, match="mutated the frozen ensemble"):
-            fusion.train_fusion(ens, ds, None, fusion.FusionConfig(max_epochs=1), seed=0)
+            fusion.train_fusion(ens, train, None, fusion.FusionConfig(max_epochs=1), seed=0)
 
-    def test_linear_head_at_least_matches_vote(self, stump_setup):
-        train, dev, ens = stump_setup
+    def test_linear_head_at_least_matches_vote(self, softreg_setup):
+        train, dev, ens = softreg_setup
         cfg = fusion.FusionConfig(depth=0, lr=5e-3, max_epochs=200, patience=200)
         head, _ = fusion.train_fusion(ens, train, dev, cfg, seed=2)
         vote_preds, _ = boosting.vote_predict(ens, dev)
@@ -145,21 +144,21 @@ class TestTrainFusion:
         fusion_acc = (fusion_preds == dev.labels).mean() * 100
         assert fusion_acc >= vote_acc - 0.5
 
-    def test_dimension_mismatch_rejected(self, stump_setup):
-        _, dev, ens = stump_setup
+    def test_dimension_mismatch_rejected(self, softreg_setup):
+        _, dev, ens = softreg_setup
         wrong = fusion.FusionHead((4, 3), seed=0)
         with pytest.raises(ValueError, match="features"):
             fusion.fusion_predict(ens, wrong, dev)
 
-    def test_unbound_head_rejected(self, stump_setup):
-        _, dev, ens = stump_setup
+    def test_unbound_head_rejected(self, softreg_setup):
+        _, dev, ens = softreg_setup
         head = fusion.FusionHead(fusion.head_dims(ens, fusion.FusionConfig()), seed=0)
         assert head.ensemble_hash == ""
         with pytest.raises(ArtifactError, match="different ensemble"):
             fusion.fusion_predict(ens, head, dev)
 
-    def test_head_of_another_ensemble_rejected(self, stump_setup):
-        train, dev, ens = stump_setup
+    def test_head_of_another_ensemble_rejected(self, softreg_setup):
+        train, dev, ens = softreg_setup
         # same rounds and M*K, other alphas: another ensemble, another hash
         other = boosting.BoostEnsemble(
             K=ens.K, learner_kind=ens.learner_kind, sharing_mode=ens.sharing_mode,
@@ -175,19 +174,19 @@ class TestTrainFusion:
         with pytest.raises(ArtifactError, match="different ensemble"):
             fusion.fusion_predict(other, head, dev)
 
-    def test_prediction_deterministic_and_order_independent(self, stump_setup):
-        train, dev, ens = stump_setup
+    def test_prediction_deterministic_and_order_independent(self, softreg_setup):
+        train, dev, ens = softreg_setup
         head, _ = fusion.train_fusion(ens, train, dev, fusion.FusionConfig(max_epochs=3), seed=3)
         preds, probs = fusion.fusion_predict(ens, head, dev)
         # reversing example order permutes outputs identically
-        rev = baselines.ArrayDataset(features=dev.features[::-1].copy(),
-                                     labels=dev.labels[::-1].copy(), K=3)
+        rev = LabeledDataset(packed=dev.packed.take(np.arange(dev.n)[::-1]), K=3,
+                             label_names=dev.label_names)
         preds_rev, probs_rev = fusion.fusion_predict(ens, head, rev)
         assert np.array_equal(preds_rev[::-1], preds)
         assert np.allclose(probs_rev[::-1], probs, atol=1e-12)
 
-    def test_head_dims_scale_with_ensemble(self, stump_setup):
-        _, _, ens = stump_setup
+    def test_head_dims_scale_with_ensemble(self, softreg_setup):
+        _, _, ens = softreg_setup
         dims = fusion.head_dims(ens, fusion.FusionConfig(depth=2, hidden_multiple=4))
         mk = ens.m_effective * ens.K
         assert dims == (mk, 4 * mk, 4 * mk, ens.K)

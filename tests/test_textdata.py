@@ -9,18 +9,24 @@ from textboost.textdata import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
-    EncodedExample,
     LabeledDataset,
     MalformedLineError,
+    Packed,
     RawExample,
     Vocabulary,
     build_vocab,
     encode,
     load_tsv,
-    pack,
     subsample,
     tokenize,
 )
+
+from conftest import dataset_of_rows
+
+
+def same_rows(a: LabeledDataset, b: LabeledDataset) -> bool:
+    return all(np.array_equal(getattr(a.packed, f), getattr(b.packed, f))
+               for f in ("ids", "segs", "lengths", "labels"))
 
 
 def test_reserved_ids_are_fixed():
@@ -61,30 +67,33 @@ class TestLoadTsv:
 
 class TestBuildVocab:
     def test_hand_counted_frequencies(self):
-        vocab = build_vocab([RawExample("x", "a b"), RawExample("x", "a")], min_count=1)
+        vocab = build_vocab(["a b", "a"], min_count=1)
         assert vocab.token_to_id == {"a": 5, "b": 6}
         assert vocab.size == 7
+        # an example counts both texts of its pair
+        vocab = build_vocab([RawExample("x", "a b"), RawExample("x", "a", "b b")])
+        assert vocab.token_to_id == {"b": 5, "a": 6}
 
     def test_min_count_filters(self):
-        vocab = build_vocab([RawExample("x", "a b"), RawExample("x", "a")], min_count=2)
+        vocab = build_vocab(["a b", "a"], min_count=2)
         assert vocab.token_to_id == {"a": 5}
 
     def test_empty_text_leaves_reserved_only(self):
-        vocab = build_vocab([RawExample("x", "   ")], min_count=1)
+        vocab = build_vocab(["   "], min_count=1)
         assert vocab.size == 5
         assert vocab.lookup("anything") == UNK_ID
 
     def test_frequency_then_lexicographic_order(self):
-        vocab = build_vocab([RawExample("x", "b b a a c")], min_count=1)
+        vocab = build_vocab(["b b a a c"], min_count=1)
         # a and b tie at 2, a wins lexicographically; c trails
         assert vocab.token_to_id == {"a": 5, "b": 6, "c": 7}
 
     def test_lowercasing(self):
-        vocab = build_vocab([RawExample("x", "Apple APPLE apple")], min_count=3)
+        vocab = build_vocab(["Apple APPLE apple"], min_count=3)
         assert "apple" in vocab.token_to_id
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_vocab([RawExample("x", "a b c b")], min_count=1)
+        vocab = build_vocab(["a b c b"], min_count=1)
         vocab.save(tmp_path / "v.tsv")
         back = Vocabulary.load(tmp_path / "v.tsv")
         assert back.token_to_id == vocab.token_to_id
@@ -94,43 +103,44 @@ class TestEncode:
     LMAP = {"pos": 0, "neg": 1}
 
     def test_single_sentence_layout(self):
-        vocab = build_vocab([RawExample("pos", "a b")], min_count=1)
-        ex = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
-        assert ex.token_ids == (CLS_ID, vocab.lookup("a"), vocab.lookup("b"), SEP_ID)
-        assert ex.segment_ids == (0, 0, 0, 0)
+        vocab = build_vocab(["a b"], min_count=1)
+        ids, segs, label = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
+        assert ids == [CLS_ID, vocab.lookup("a"), vocab.lookup("b"), SEP_ID]
+        assert segs == [0, 0, 0, 0]
+        assert label == 0
 
     def test_empty_text_degenerate(self):
-        vocab = build_vocab([RawExample("pos", "a")], min_count=1)
-        ex = encode(RawExample("pos", ""), vocab, self.LMAP, max_seq_len=8)
-        assert ex.token_ids == (CLS_ID, SEP_ID)
+        vocab = build_vocab(["a"], min_count=1)
+        ids, _, _ = encode(RawExample("pos", ""), vocab, self.LMAP, max_seq_len=8)
+        assert ids == [CLS_ID, SEP_ID]
 
     def test_unknown_token_maps_to_unk(self):
-        vocab = build_vocab([RawExample("pos", "a")], min_count=1)
-        ex = encode(RawExample("pos", "zzz"), vocab, self.LMAP, max_seq_len=8)
-        assert ex.token_ids[1] == UNK_ID
+        vocab = build_vocab(["a"], min_count=1)
+        ids, _, _ = encode(RawExample("pos", "zzz"), vocab, self.LMAP, max_seq_len=8)
+        assert ids[1] == UNK_ID
 
     def test_pair_truncation_drops_text_b_first(self):
         # 10 content tokens, max 6: all five b-tokens go, then two a-tokens,
         # leaving [CLS] a1 a2 a3 [SEP] [SEP]
-        vocab = build_vocab([RawExample("pos", "a1 a2 a3 a4 a5 b1 b2 b3 b4 b5")], min_count=1)
-        ex = encode(
+        vocab = build_vocab(["a1 a2 a3 a4 a5 b1 b2 b3 b4 b5"], min_count=1)
+        ids, segs, _ = encode(
             RawExample("pos", "a1 a2 a3 a4 a5", "b1 b2 b3 b4 b5"), vocab, self.LMAP, max_seq_len=6
         )
-        assert len(ex.token_ids) == 6
-        assert ex.token_ids == (
+        assert len(ids) == 6
+        assert ids == [
             CLS_ID, vocab.lookup("a1"), vocab.lookup("a2"), vocab.lookup("a3"), SEP_ID, SEP_ID,
-        )
-        assert ex.segment_ids == (0, 0, 0, 0, 0, 1)
+        ]
+        assert segs == [0, 0, 0, 0, 0, 1]
 
     def test_sep_count_invariant(self):
-        vocab = build_vocab([RawExample("pos", "a b c d e f")], min_count=1)
-        single = encode(RawExample("pos", "a b c d e f"), vocab, self.LMAP, max_seq_len=5)
-        assert single.token_ids.count(SEP_ID) == 1
-        pair = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
-        assert pair.token_ids.count(SEP_ID) == 2
+        vocab = build_vocab(["a b c d e f"], min_count=1)
+        single, _, _ = encode(RawExample("pos", "a b c d e f"), vocab, self.LMAP, max_seq_len=5)
+        assert single.count(SEP_ID) == 1
+        pair, _, _ = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
+        assert pair.count(SEP_ID) == 2
 
     def test_unknown_label_raises(self):
-        vocab = build_vocab([RawExample("pos", "a")], min_count=1)
+        vocab = build_vocab(["a"], min_count=1)
         with pytest.raises(ValueError, match="unknown label"):
             encode(RawExample("???", "a"), vocab, self.LMAP, max_seq_len=8)
 
@@ -141,11 +151,11 @@ class TestEncode:
     )
     @settings(max_examples=80, deadline=None)
     def test_sep_count_property_under_truncation(self, text_a, text_b, max_len):
-        vocab = build_vocab([RawExample("pos", "a b c")], min_count=1)
-        ex = encode(RawExample("pos", text_a, text_b), vocab, self.LMAP, max_len)
+        vocab = build_vocab(["a b c"], min_count=1)
+        ids, _, _ = encode(RawExample("pos", text_a, text_b), vocab, self.LMAP, max_len)
         want = 1 + (1 if text_b is not None else 0)
-        assert ex.token_ids.count(SEP_ID) == want
-        assert len(ex.token_ids) <= max_len
+        assert ids.count(SEP_ID) == want
+        assert len(ids) <= max_len
 
     @given(st.lists(st.text(alphabet="abcd ", min_size=1, max_size=20), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -153,42 +163,64 @@ class TestEncode:
         raws = [RawExample("pos", t) for t in texts if tokenize(t)]
         if not raws:
             return
-        vocab = build_vocab(raws, min_count=1)
+        vocab = build_vocab([raw.text_a for raw in raws], min_count=1)
         for raw in raws:
-            ex = encode(raw, vocab, self.LMAP, max_seq_len=64)
-            toks = vocab.decode(ex.token_ids)
+            ids, _, _ = encode(raw, vocab, self.LMAP, max_seq_len=64)
+            toks = vocab.decode(ids)
             assert toks[0] == "[CLS]" and toks[-1] == "[SEP]"
             assert toks[1:-1] == tokenize(raw.text_a)
 
+    @given(
+        st.lists(st.tuples(st.text(alphabet="abc ", min_size=1, max_size=20),
+                           st.one_of(st.none(), st.text(alphabet="abc ", max_size=20)),
+                           st.sampled_from(["pos", "neg"])), min_size=1, max_size=6),
+        st.integers(min_value=3, max_value=10),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_from_raw_rows_are_the_encoded_rows(self, rows, max_len):
+        raws = [RawExample(label, a, b) for a, b, label in rows]
+        vocab = build_vocab(["a b"], min_count=1)
+        p = LabeledDataset.from_raw(raws, vocab, max_len, label_names=("pos", "neg")).packed
+        assert p.ids.shape == p.segs.shape == (len(raws), p.lengths.max())
+        for i, raw in enumerate(raws):
+            ids, segs, label = encode(raw, vocab, self.LMAP, max_len)
+            m = len(ids)
+            assert (p.lengths[i], p.labels[i]) == (m, label)
+            assert p.ids[i, :m].tolist() == ids and p.segs[i, :m].tolist() == segs
+            assert (p.ids[i, m:] == PAD_ID).all() and (p.segs[i, m:] == 0).all()
 
-class TestEncodedExampleInvariants:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            EncodedExample(token_ids=(CLS_ID, 5), segment_ids=(0,), label_id=0)
 
-    def test_cls_first_required(self):
+class TestDatasetArrays:
+    GOOD = {"ids": [[CLS_ID, 5, SEP_ID]], "segs": [[0, 0, 0]], "lengths": [3], "labels": [1]}
+
+    @staticmethod
+    def dataset(**arrays):
+        packed = Packed(**{k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
+        return LabeledDataset(packed=packed, K=2, label_names=("c0", "c1"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("segs", [[0, 0]]),
+        ("ids", [[5, 5, SEP_ID]]),
+        ("lengths", [4]),
+        ("labels", [2]),
+    ], ids=["length-mismatch", "cls-first", "length-beyond-width", "label-out-of-range"])
+    def test_malformed_arrays_rejected(self, field, value):
+        assert self.dataset(**self.GOOD).n == 1
         with pytest.raises(ValueError):
-            EncodedExample(token_ids=(5, 5), segment_ids=(0, 0), label_id=0)
+            self.dataset(**dict(self.GOOD, **{field: value}))
 
 
 def _dataset(n_per_class, K=2):
-    examples = []
-    for k in range(K):
-        for i in range(n_per_class[k]):
-            examples.append(EncodedExample(
-                token_ids=(CLS_ID, 5 + k, 5 + K + i, SEP_ID),
-                segment_ids=(0, 0, 0, 0),
-                label_id=k,
-            ))
-    return LabeledDataset(examples=tuple(examples), K=K,
-                          label_names=tuple(f"c{k}" for k in range(K)))
+    rows = [[CLS_ID, 5 + k, 5 + K + i, SEP_ID] for k in range(K) for i in range(n_per_class[k])]
+    labels = [k for k in range(K) for _ in range(n_per_class[k])]
+    return dataset_of_rows(rows, labels, K)
 
 
 class TestSubsample:
     def test_identity_at_full_fraction(self):
         ds = _dataset([10, 10])
         out = subsample(ds, 1.0, seed=0)
-        assert out.examples == ds.examples
+        assert same_rows(out, ds)
 
     def test_stratified_counts(self):
         ds = _dataset([50, 50])
@@ -206,13 +238,13 @@ class TestSubsample:
         ds = _dataset([40, 40])
         a = subsample(ds, 0.25, seed=11)
         b = subsample(ds, 0.25, seed=11)
-        assert a.examples == b.examples
+        assert same_rows(a, b)
 
     def test_different_seeds_differ(self):
         ds = _dataset([40, 40])
         a = subsample(ds, 0.25, seed=11)
         b = subsample(ds, 0.25, seed=12)
-        assert a.examples != b.examples
+        assert not same_rows(a, b)
 
     def test_fraction_bounds(self):
         ds = _dataset([10, 10])
@@ -231,9 +263,6 @@ class TestPacked:
         assert p.labels.tolist() == [0, 0, 1]
 
     def test_take_trims_to_subset_max(self):
-        long = EncodedExample(token_ids=(CLS_ID, 5, 6, 7, SEP_ID),
-                              segment_ids=(0,) * 5, label_id=0)
-        short = EncodedExample(token_ids=(CLS_ID, SEP_ID), segment_ids=(0, 0), label_id=1)
-        p = pack([long, short])
+        p = dataset_of_rows([[CLS_ID, 5, 6, 7, SEP_ID], [CLS_ID, SEP_ID]], [0, 1], K=2).packed
         sub = p.take(np.array([1]))
         assert sub.ids.shape == (1, 2)

@@ -7,7 +7,7 @@ from textboost.encoder import training
 from textboost.encoder.training import MLM_MASK_FRACTION, _mask_batch, _mlm_corpus
 from textboost.textdata import CLS_ID, MASK_ID, SEP_ID
 
-from conftest import make_token_dataset, record_fine_tunes
+from conftest import make_token_dataset, record_fine_tunes, view
 
 
 def mlm_masked_accuracy(snapshot, corpus, seed) -> float:
@@ -453,13 +453,13 @@ class TestInitStrategies:
         assert np.array_equal(a.params, enc.new_model(tiny_config, seed=12).params)
         assert a.role == "random"
         for name, shape in a.layout.entries:
-            view = a.view(name)
+            values = view(a, name)
             if len(shape) == 2:
                 lim = enc.xavier_limit(shape[0], shape[1])
-                assert np.abs(view).max() <= lim
-                assert np.abs(view).max() > 0.5 * lim  # actually spread out
+                assert np.abs(values).max() <= lim
+                assert np.abs(values).max() > 0.5 * lim  # actually spread out
             elif name.endswith(".b") and not name.endswith("ln.b"):
-                assert np.array_equal(view, np.zeros_like(view))
+                assert np.array_equal(values, np.zeros_like(values))
 
     def test_random_and_pretrained_draw_every_round_afresh(self, tiny_config, monkeypatch):
         mlm = self.trunk(tiny_config)
@@ -474,13 +474,13 @@ class TestInitStrategies:
         out = enc.fresh_start(tiny_config, [2, 1, 5], mlm)
         for name, _ in out.layout.entries:
             if name not in ("cls.w", "cls.b"):
-                assert np.array_equal(out.view(name), mlm.view(name)), name
-        w = mlm.view("cls.w")
+                assert np.array_equal(view(out, name), view(mlm, name)), name
+        w = view(mlm, "cls.w")
         lim = enc.xavier_limit(w.shape[0], w.shape[1])
         drawn = np.random.default_rng([2, 1, 5]).uniform(-lim, lim, size=w.shape)
-        assert np.array_equal(out.view("cls.w"), drawn)
-        assert not np.array_equal(out.view("cls.w"), w)
-        assert np.array_equal(out.view("cls.b"), np.zeros(tiny_config.K))
+        assert np.array_equal(view(out, "cls.w"), drawn)
+        assert not np.array_equal(view(out, "cls.w"), w)
+        assert np.array_equal(view(out, "cls.b"), np.zeros(tiny_config.K))
         assert out.role == "pretrained"
 
     def test_pretrained_requires_checkpoint(self, tiny_config):
