@@ -56,10 +56,22 @@ def framed(parts: Sequence[bytes]) -> list[bytes]:
 
 
 @contextmanager
+def decoding(what: str) -> Iterator[None]:
+    """Whatever decoding an artifact raises in the block (a missing or
+    mistyped field, bad UTF-8 or JSON, a value its class rejects) comes out
+    as ArtifactError."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as e:
+        raise ArtifactError(f"malformed {what}: {e!r}") from e
+
+
+@contextmanager
 def reading(blob: bytes, magic: bytes, what: str) -> Iterator[tuple[dict, bytes]]:
-    """The header and the payload of a ``pack`` container. Whatever decoding
-    them raises in the block (a missing or mistyped field, bad UTF-8 or
-    JSON, a value its class rejects) comes out as ArtifactError."""
+    """The header and the payload of a ``pack`` container, decoded in the
+    block as by ``decoding``."""
     if blob[:4] != magic:
         raise ArtifactError(f"bad {what} magic (expected {magic.decode()})")
     if len(blob) < 8:
@@ -67,12 +79,8 @@ def reading(blob: bytes, magic: bytes, what: str) -> Iterator[tuple[dict, bytes]
     (hlen,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + hlen:
         raise ArtifactError(f"{what} truncated inside its header")
-    try:
+    with decoding(what):
         yield json.loads(blob[8 : 8 + hlen].decode()), blob[8 + hlen :]
-    except ArtifactError:
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as e:
-        raise ArtifactError(f"malformed {what}: {e!r}") from e
 
 
 def unframe(payload: bytes, what: str) -> list[bytes]:

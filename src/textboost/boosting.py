@@ -478,7 +478,7 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
         if header["sharing_mode"] == "sharing":
             trunk = enc.ModelSnapshot.from_bytes(blobs[0])
             configs = [trunk.config]
-            size = (trunk.config.d_model + 1) * trunk.config.K  # cls.w and cls.b
+            size = trunk.params[_head_slice(trunk)].size
             models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
                                            trunk=trunk) for hb in blobs[1:]]
         else:

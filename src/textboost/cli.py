@@ -54,7 +54,6 @@ _DEFAULTS: dict = {
     "dev_path": None,
     "corpus_path": None,
     "learner": "transformer",
-    "vocab_min_count": 1,
     "encoder": {
         "d_model": 32,
         "n_layers": 2,
@@ -65,16 +64,9 @@ _DEFAULTS: dict = {
     },
     "boost": {"rounds": 6, "init_strategy": "incremental", "sharing_mode": "privacy", "vote": "soft"},
     "train": {"lr": 1e-3, "batch_size": 32, "epochs": 3},
-    "pretrain": {"steps": 2500, "lr": 1e-3, "batch_size": 32},
-    "fusion": {
-        "depth": 1,
-        "hidden_multiple": 4,
-        "lr": 1e-3,
-        "batch_size": 32,
-        "max_epochs": 20,
-        "patience": 3,
-    },
-    "distill": {"total_steps": 600, "init_strategy": "pretrained", "lr": 1e-3, "batch_size": 32},
+    "pretrain": {"steps": 2500},
+    "fusion": {"depth": 1, "max_epochs": 20, "patience": 3},
+    "distill": {"total_steps": 600},
     "bag": {"learning_rates": [5e-4, 1e-3, 2e-3]},
     "out_dir": None,
 }
@@ -139,8 +131,10 @@ class RunConfig:
             problems.append(f"unknown sharing_mode {boost['sharing_mode']!r}")
         if boost["vote"] not in boosting.VOTE_MODES:
             problems.append(f"unknown vote mode {boost['vote']!r}")
-        if not isinstance(boost["rounds"], int) or boost["rounds"] < 1:
-            problems.append("boost.rounds must be an integer >= 1")
+        for key, val in (("boost.rounds", boost["rounds"]),
+                         ("distill.total_steps", self.data["distill"]["total_steps"])):
+            if not isinstance(val, int) or val < 1:
+                problems.append(f"{key} must be an integer >= 1")
         rates = self.data["bag"]["learning_rates"]
         if not isinstance(rates, list) or len(rates) < 2:
             problems.append("bag.learning_rates must list at least 2 rates")
@@ -195,7 +189,6 @@ class TaskBundle:
     train: LabeledDataset
     dev: LabeledDataset
     vocab: Vocabulary
-    label_names: tuple[str, ...]
     corpus_ids: list[list[int]]  # empty unless the config pretrains
     pretrained: Optional[enc.ModelSnapshot] = None
 
@@ -228,7 +221,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         corpus_lines = [ex.text_a for ex in raw_train] + [
             ex.text_b for ex in raw_train if ex.text_b is not None
         ]
-    vocab = build_vocab(corpus_lines, min_count=cfg.data["vocab_min_count"])
+    vocab = build_vocab(corpus_lines)
 
     label_names = tuple(sorted(train_labels))
     max_len = cfg.data["encoder"]["max_seq_len"]
@@ -238,7 +231,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         [vocab.lookup(t) for t in tokenize(line)][:max_len] for line in corpus_lines
     ] if _pretrains(cfg) else []
     return TaskBundle(
-        train=train_ds, dev=dev_ds, vocab=vocab, label_names=label_names, corpus_ids=corpus_ids
+        train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids
     )
 
 
@@ -257,8 +250,8 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
     """Pretrain the MLM trunk once per bundle if the config needs it.
 
     The checkpoint is deterministic in (corpus, model config, pretrain
-    hyperparameters, seed), so it may be cached on disk and shared across
-    commands keyed by that tuple. A cache entry that fails to load is
+    steps, seed), so it may be cached on disk and shared across commands
+    keyed by that tuple. A cache entry that fails to load is
     retrained and replaced.
     """
     if bundle.pretrained is not None or not _pretrains(cfg):
@@ -278,10 +271,7 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
                 return
             except artifacts.ArtifactError:  # a truncated or corrupted entry: retrain it
                 pass
-    snap, _ = enc.pretrain_mlm(
-        bundle.corpus_ids, model_cfg, steps, [cfg.seed, 41],
-        lr=cfg.data["pretrain"]["lr"], batch_size=cfg.data["pretrain"]["batch_size"],
-    )
+    snap, _ = enc.pretrain_mlm(bundle.corpus_ids, model_cfg, steps, [cfg.seed, 41])
     bundle.pretrained = snap
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -348,7 +338,7 @@ def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> N
     _write_json(run_dir / "config.json", cfg.data)
     bundle.vocab.save(run_dir / "vocab.tsv")
     task = {
-        "label_names": list(bundle.label_names),
+        "label_names": list(bundle.train.label_names),
         "max_seq_len": cfg.data["encoder"]["max_seq_len"],
         "learner": cfg.data["learner"],
         "K": bundle.K,
@@ -365,11 +355,10 @@ class Run:
     """The setup and the record that every config-driven command shares.
 
     ``Run.open`` loads the command's config with its flag overrides,
-    validates it, prepares the task, builds the model, training, fusion,
-    distillation and bagging configs (a value they reject is a config
-    error), gives the command its pretrained trunk (``fusion`` retrains a
-    head on saved rounds and never uses one), and writes the task
-    artifacts into a fresh
+    validates it, prepares the task, builds the model, training, fusion
+    and bagging configs (a value they reject is a config error), gives the
+    command its pretrained trunk (``fusion`` retrains a head on saved
+    rounds and never uses one), and writes the task artifacts into a fresh
     ``<command>-<hash12>`` dir, so a config error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
     its content hash as ``source``, and ``compare`` the hash of its grid
@@ -392,13 +381,11 @@ class Run:
             **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
         )
         cfg.validate()
-        if args.command == "distill":
-            _check_distill_init(cfg)
         bundle = prepare_task(cfg)
         try:
-            model_cfg, train_cfg = encoder_config(cfg, bundle), cfg.train_cfg()
+            encoder_config(cfg, bundle)
             cfg.fusion_cfg()
-            distill_mod.DistillConfig(student_config=model_cfg, **cfg.data["distill"])
+            train_cfg = cfg.train_cfg()
             for lr in cfg.data["bag"]["learning_rates"]:
                 replace(train_cfg, lr=lr)
         except (ValueError, TypeError) as e:
@@ -427,13 +414,6 @@ class Run:
         )
         write_metrics(record, self.out_root, self.dir)
         return record
-
-
-def _check_distill_init(cfg: RunConfig) -> None:
-    """A pretrained student needs a trunk (DistillConfig checks the name)."""
-    if cfg.data["distill"]["init_strategy"] == "pretrained" and not _pretrains(cfg):
-        raise ConfigError("distill.init_strategy 'pretrained' needs an MLM checkpoint: "
-                          "the transformer learner with pretrain.steps > 0")
 
 
 # ----------------------------------------------------------------------
@@ -597,10 +577,9 @@ def cmd_distill(args) -> int:
         head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
     targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
 
-    dcfg = distill_mod.DistillConfig(student_config=encoder_config(cfg, bundle),
-                                     **cfg.data["distill"])
     student, dlog = distill_mod.distill_train(
-        targets, bundle.train, dcfg, cfg.seed, pretrained=bundle.pretrained, dev=bundle.dev
+        targets, bundle.train, encoder_config(cfg, bundle), cfg.data["distill"]["total_steps"],
+        cfg.seed, pretrained=bundle.pretrained, dev=bundle.dev,
     )
     student.save(run.dir / "model.bgv")
     _write_jsonl(run.dir / "distill_log.jsonl", dlog)
@@ -670,8 +649,30 @@ def cmd_eval(args) -> int:
     for p in (task_path, vocab_path):
         if not p.exists():
             raise ConfigError(f"model artifact missing: {p}")
-    task = json.loads(task_path.read_text(encoding="utf-8"))
     vocab = Vocabulary.load(vocab_path)
+    with artifacts.decoding(f"task {task_path}"):
+        task = json.loads(task_path.read_text(encoding="utf-8"))
+        if not isinstance(task["max_seq_len"], int):
+            raise artifacts.ArtifactError(f"{task_path}: max_seq_len is not an integer")
+        # what the model must have been trained on: the vocabulary's ids and K
+        # classes, each named once
+        bound = (vocab.size, task["K"], len(set(task["label_names"])))
+    ensemble = snapshot = None
+    if (model_dir / "ensemble.bge").exists():
+        ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
+        configs = [(r.model.trunk if ensemble.sharing_mode == "sharing"
+                    else r.model.snapshot).config for r in ensemble.rounds]
+    elif (model_dir / "model.bgv").exists():
+        snapshot = enc.ModelSnapshot.load(model_dir / "model.bgv")
+        configs = [snapshot.config]
+    else:
+        raise ConfigError(f"no model artifacts found in {model_dir}")
+    for c in configs:
+        if (c.vocab_size, c.K, c.K) != bound:
+            raise artifacts.ArtifactError(
+                f"vocab.tsv and task.json (ids, K, label names: {bound}) do not match the "
+                f"model (vocab_size {c.vocab_size}, K={c.K})")
+
     raws = load_tsv(args.data)
     unknown = {ex.label for ex in raws} - set(task["label_names"])
     if unknown:
@@ -681,9 +682,7 @@ def cmd_eval(args) -> int:
     )
 
     reports: dict[str, dict] = {}
-    snapshots = [p for p in (model_dir / "model.bgv", model_dir / "single.bgv") if p.exists()]
-    if (model_dir / "ensemble.bge").exists():
-        ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
+    if ensemble is not None:
         probs = ensemble.predict_proba_per_round(dataset)
         preds, _ = boosting.vote_predict(ensemble, mode=args.vote, probs=probs)
         vote_key, fusion_key = _ensemble_keys(ensemble)
@@ -692,12 +691,10 @@ def cmd_eval(args) -> int:
             head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
             fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)
             reports[fusion_key] = _classification_report(fpreds, dataset)
-    elif snapshots:
-        model = enc.model_from_snapshot(enc.ModelSnapshot.load(snapshots[0]))
+    else:
+        model = enc.model_from_snapshot(snapshot)
         preds = model.predict_proba(dataset.packed).argmax(axis=1)
         reports["model"] = _classification_report(preds, dataset)
-    else:
-        raise ConfigError(f"no model artifacts found in {model_dir}")
 
     for name, rep in reports.items():
         print(f"== {name} ==")

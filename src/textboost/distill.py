@@ -9,7 +9,6 @@ targets are computed once, before the first step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,20 +20,9 @@ from .fusion import FusionHead, fusion_predict
 from .textdata import LabeledDataset
 
 
-@dataclass(frozen=True)
-class DistillConfig:
-    total_steps: int
-    student_config: object
-    init_strategy: str = "pretrained"
-    lr: float = 1e-3
-    batch_size: int = 32
-
-    def __post_init__(self) -> None:
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.init_strategy not in ("random", "pretrained"):
-            raise ValueError(f"init_strategy must be 'random' or 'pretrained', "
-                             f"not {self.init_strategy!r}")
+# the student's optimizer: Adam at this peak rate over batches of this size
+LR = 1e-3
+BATCH_SIZE = 32
 
 
 def teacher_targets(
@@ -65,7 +53,8 @@ def annealed_lambda(step: int, total_steps: int) -> float:
 def distill_train(
     targets: np.ndarray,
     dataset: LabeledDataset,
-    cfg: DistillConfig,
+    student_config,
+    total_steps: int,
     seed: int,
     *,
     pretrained: Optional[enc.ModelSnapshot] = None,
@@ -75,18 +64,16 @@ def distill_train(
 
     Per-step targets are ``lam * onehot(gold) + (1 - lam) * teacher`` (the
     two cross-entropies are linear in the target distribution, so the mix
-    is exact). The student starts from a random init, or under the
-    "pretrained" strategy from ``pretrained`` with a fresh head. The best-dev
-    snapshot is returned when a dev set is given, also after a divergence.
+    is exact). The student starts from the ``pretrained`` trunk with a fresh
+    head when there is one, else from a random init. The best-dev snapshot
+    is returned when a dev set is given, also after a divergence.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (dataset.n, dataset.K):
         raise ValueError("teacher targets must cover the training set")
-
-    if cfg.init_strategy == "pretrained" and pretrained is None:
-        raise ValueError("pretrained initialization requires a pretrained trunk")
-    trunk = pretrained if cfg.init_strategy == "pretrained" else None
-    model = enc.model_from_snapshot(enc.fresh_start(cfg.student_config, [seed, 31], trunk))
+    if total_steps < 1:
+        raise ValueError("total_steps must be >= 1")
+    model = enc.model_from_snapshot(enc.fresh_start(student_config, [seed, 31], pretrained))
 
     rng = np.random.default_rng([seed, 32])
     packed = dataset.packed
@@ -94,7 +81,7 @@ def distill_train(
     onehot[np.arange(dataset.n), dataset.labels] = 1.0
 
     def loss_and_grad(idx, step, grad):
-        lam = annealed_lambda(step, cfg.total_steps)
+        lam = annealed_lambda(step, total_steps)
         mixed = lam * onehot[idx] + (1.0 - lam) * targets[idx]
         loss, _, grad = model.clf_loss_and_grad(packed.take(idx), mixed, train_mode=True,
                                                 rng=rng, out=grad)
@@ -103,8 +90,8 @@ def distill_train(
     def after_pass(step):
         return {"step": step, "dev_acc": enc.evaluate_accuracy(model, dev)}
 
-    log = enc.fit_loop(model.params, dataset.n, cfg.batch_size, rng, loss_and_grad,
-                       lr=cfg.lr, warmup=WARMUP_FRACTION, steps=cfg.total_steps,
+    log = enc.fit_loop(model.params, dataset.n, BATCH_SIZE, rng, loss_and_grad,
+                       lr=LR, warmup=WARMUP_FRACTION, steps=total_steps,
                        after_pass=after_pass if dev is not None else None,
                        ranges=model.clf_ranges())
     return model.snapshot("finetuned"), log

@@ -23,19 +23,21 @@ from .encoder.nnops import PROB_FLOOR, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
 
 
+HIDDEN_MULTIPLE = 4  # hidden width = HIDDEN_MULTIPLE * M * K
+BATCH_SIZE = 32
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     depth: int = 1  # number of hidden layers, 0..3
-    hidden_multiple: int = 4  # hidden width = multiple * M * K
     lr: float = 1e-3
-    batch_size: int = 32
     max_epochs: int = 20
     patience: int = 3
 
     def __post_init__(self) -> None:
         if not 0 <= self.depth <= 3:
             raise ValueError("depth must be in 0..3")
-        if self.hidden_multiple < 1 or self.max_epochs < 1 or self.patience < 0:
+        if self.max_epochs < 1 or self.patience < 0:
             raise ValueError("invalid FusionConfig")
 
 
@@ -157,7 +159,7 @@ def build_feature(ensemble: BoostEnsemble, dataset=None, *,
 
 def head_dims(ensemble: BoostEnsemble, cfg: FusionConfig) -> tuple[int, ...]:
     mk = ensemble.m_effective * ensemble.K
-    return (mk, *([cfg.hidden_multiple * mk] * cfg.depth), ensemble.K)
+    return (mk, *([HIDDEN_MULTIPLE * mk] * cfg.depth), ensemble.K)
 
 
 def train_fusion(
@@ -205,7 +207,7 @@ def train_fusion(
             entry["dev_acc"] = float((preds == dev_ds.labels).mean() * 100.0)
         return entry
 
-    log = fit_loop(head.params, n, cfg.batch_size, rng, loss_and_grad, lr=cfg.lr,
+    log = fit_loop(head.params, n, BATCH_SIZE, rng, loss_and_grad, lr=cfg.lr,
                    epochs=cfg.max_epochs, after_pass=after_pass, patience=cfg.patience)
     # the per-epoch records and a divergence; the step records stay here
     log = [r for r in log if "epoch" in r or "event" in r]

@@ -118,8 +118,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """The vocabulary of a ``save``d file; a line that is not ``token \t
+        id``, a reserved id bound to another token, or corpus ids that are
+        not dense raise ArtifactError."""
         mapping: dict[str, int] = {}
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with artifacts.decoding(f"vocabulary {path}"), Path(path).open(encoding="utf-8") as fh:
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
@@ -127,33 +130,28 @@ class Vocabulary:
                 tok, sid = line.split("\t")
                 i = int(sid)
                 if i < 5:
-                    if RESERVED_TOKENS[i] != tok:
+                    if i < 0 or RESERVED_TOKENS[i] != tok:
                         raise ValueError(f"reserved id {i} bound to {tok!r}")
                     continue
                 mapping[tok] = i
-        return cls(token_to_id=mapping)
+            return cls(token_to_id=mapping)
 
 
-def build_vocab(texts: Sequence[str | RawExample], min_count: int = 1) -> Vocabulary:
-    """Frequency-ordered vocabulary (lexicographic tie-break) over all texts.
+def build_vocab(texts: Sequence[str | RawExample]) -> Vocabulary:
+    """Frequency-ordered vocabulary (lexicographic tie-break) over every
+    token of the texts.
 
-    A RawExample counts as its text_a and text_b. Tokens with frequency
-    below ``min_count`` are dropped; they will map to UNK at encode time. An
-    empty effective vocabulary is legal.
+    A RawExample counts as its text_a and text_b. A token absent here maps
+    to UNK at encode time. An empty effective vocabulary is legal.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
     for text in texts:
         if isinstance(text, RawExample):
             text = f"{text.text_a} {text.text_b or ''}"
         counts.update(tokenize(text))
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocabulary(token_to_id={tok: 5 + i for i, tok in enumerate(kept)})
 
 

@@ -45,11 +45,9 @@ def _base_config(task_dir: Path, out_dir: Path) -> dict:
         "boost": {"rounds": 6, "init_strategy": "incremental",
                   "sharing_mode": "privacy", "vote": "soft"},
         "train": {"lr": 1e-3, "batch_size": 32, "epochs": 3},
-        "pretrain": {"steps": 2500, "lr": 1e-3, "batch_size": 32},
-        "fusion": {"depth": 1, "hidden_multiple": 4, "lr": 1e-3, "batch_size": 32,
-                   "max_epochs": 20, "patience": 3},
-        "distill": {"total_steps": 600, "init_strategy": "pretrained",
-                    "lr": 1e-3, "batch_size": 32},
+        "pretrain": {"steps": 2500},
+        "fusion": {"depth": 1, "max_epochs": 20, "patience": 3},
+        "distill": {"total_steps": 600},
         "bag": {"learning_rates": [5e-4, 1e-3, 2e-3]},
         "out_dir": str(out_dir),
     }

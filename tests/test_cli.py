@@ -22,11 +22,9 @@ def write_config(path: Path, task_dir: Path, out_dir: Path, **extra) -> Path:
         "boost": {"rounds": 2, "init_strategy": "incremental",
                   "sharing_mode": "privacy", "vote": "soft"},
         "train": {"lr": 2e-3, "batch_size": 32, "epochs": 2},
-        "pretrain": {"steps": 150, "lr": 1e-3, "batch_size": 32},
-        "fusion": {"depth": 1, "hidden_multiple": 4, "lr": 1e-3, "batch_size": 32,
-                   "max_epochs": 4, "patience": 2},
-        "distill": {"total_steps": 30, "init_strategy": "pretrained",
-                    "lr": 1e-3, "batch_size": 32},
+        "pretrain": {"steps": 150},
+        "fusion": {"depth": 1, "max_epochs": 4, "patience": 2},
+        "distill": {"total_steps": 30},
         "bag": {"learning_rates": [5e-4, 1e-3]},
         "out_dir": str(out_dir),
     }
@@ -168,10 +166,24 @@ class TestTrainBoost:
         assert cli.main(["train-boost", "--config", str(cfg_path)]) == 2
 
     def test_unknown_config_key_exit_2(self, task_dir, tmp_path):
-        cfg = json.loads(write_config(tmp_path / "c.json", task_dir, tmp_path).read_text())
-        cfg["bogus_key"] = 1
-        (tmp_path / "c.json").write_text(json.dumps(cfg))
-        assert cli.main(["train-boost", "--config", str(tmp_path / "c.json")]) == 2
+        out = tmp_path / "out"
+        # a made-up key, and every key whose value now lives in the code
+        for section, key in ((None, "bogus_key"), (None, "vocab_min_count"),
+                             ("pretrain", "lr"), ("pretrain", "batch_size"),
+                             ("fusion", "hidden_multiple"), ("fusion", "lr"),
+                             ("fusion", "batch_size"), ("distill", "init_strategy"),
+                             ("distill", "lr"), ("distill", "batch_size")):
+            cfg = json.loads(write_config(tmp_path / "c.json", task_dir, out).read_text())
+            (cfg[section] if section else cfg)[key] = 1
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            assert cli.main(["train-boost", "--config", str(tmp_path / "c.json")]) == 2, key
+        assert not out.exists()
+
+    def test_readme_configuration_reference_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration reference", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == cli._DEFAULTS
 
     def test_single_round_vote_equals_single_model(self, task_dir, tmp_path):
         cfg = json.loads(write_config(tmp_path / "c.json", task_dir, tmp_path).read_text())
@@ -205,10 +217,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, extra", [
         ("train-boost", {"pretrain": {"steps": 0}, "boost": {"init_strategy": "incremental"}}),
         ("train-boost", {"pretrain": {"steps": 0}, "boost": {"init_strategy": "pretrained"}}),
-        # a softreg config keeps the default distill.init_strategy "pretrained"
-        ("distill", {"learner": "softreg", "boost": {"init_strategy": "random"}}),
-        ("distill", {"distill": {"init_strategy": "incremental"}}),
-        ("distill", {"distill": {"init_strategy": "finetuning"}}),
+        ("distill", {"distill": {"total_steps": 2.5}}),
+        ("distill", {"distill": {"total_steps": "600"}}),
+        ("distill", {"fusion": {"max_epochs": 0}}),
         # values the config cannot hold
         ("train-boost", {"train": {"lr": -1}}),
         ("train-boost", {"train": {"lr": "fast"}}),
@@ -434,6 +445,28 @@ class TestDistillCmd:
     def test_missing_teacher_exit_2(self, tmp_path):
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
 
+    def test_a_run_without_a_trunk_distills_a_random_student(self, task_dir, tmp_path,
+                                                             monkeypatch):
+        cfg_path = write_config(
+            tmp_path / "c.json", task_dir, tmp_path, learner="softreg",
+            boost={"rounds": 2, "init_strategy": "random", "sharing_mode": "privacy",
+                   "vote": "soft"})
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        (teacher,) = tmp_path.glob("train-boost-*")
+        trunks = []
+        real = cli.distill_mod.distill_train
+
+        def spy(*args, pretrained=None, **kwargs):
+            trunks.append(pretrained)
+            return real(*args, pretrained=pretrained, **kwargs)
+
+        monkeypatch.setattr(cli.distill_mod, "distill_train", spy)
+        assert cli.main(["distill", "--teacher-dir", str(teacher)]) == 0
+        assert trunks == [None]
+        rec = assert_run_contract(tmp_path, "distill", 1)
+        student = enc.ModelSnapshot.load(tmp_path / rec["run_id"] / "model.bgv")
+        assert student.config.kind == "softreg"
+
 
 class TestTrainBag:
     def test_one_ensemble_that_eval_reports_as_bag(self, bag_run, task_dir, capsys):
@@ -510,26 +543,63 @@ class TestFusionCmd:
         assert list(json.loads((bag_dir / "eval_dev.json").read_text())) == ["bag", "bag_fusion"]
 
 
+def _rewrite(edit):
+    """A change of a text file that rewrites its text through ``edit``."""
+    return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def _task_with_a_fourth_class(text):
+    task = json.loads(text)
+    return json.dumps({**task, "label_names": [*task["label_names"], "delta"], "K": 4})
+
+
 class TestArtifactErrors:
-    def test_eval_of_a_truncated_ensemble_exits_2(self, boost_run, task_dir, tmp_path):
+    @staticmethod
+    def eval_of_a_changed_copy(boost_run, task_dir, tmp_path, name, change) -> int:
+        """``eval`` of a copy of boost_run's dir whose file ``name`` went
+        through ``change``; checks that no report was written."""
         _, _, source = boost_run
         model_dir = tmp_path / source.name
         shutil.copytree(source, model_dir)
-        blob = (model_dir / "ensemble.bge").read_bytes()
-        (model_dir / "ensemble.bge").write_bytes(blob[: len(blob) // 2])
-        assert cli.main(["eval", "--model-dir", str(model_dir),
-                         "--data", str(task_dir / "dev.tsv")]) == 2
+        change(model_dir / name)
+        rc = cli.main(["eval", "--model-dir", str(model_dir), "--data", str(task_dir / "dev.tsv")])
         assert not (model_dir / "eval_dev.json").exists()
+        return rc
+
+    def test_eval_of_a_truncated_ensemble_exits_2(self, boost_run, task_dir, tmp_path):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+        assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, "ensemble.bge",
+                                           truncate) == 2
 
     def test_eval_with_an_unbound_fusion_head_exits_2(self, boost_run, task_dir, tmp_path):
-        _, _, source = boost_run
-        model_dir = tmp_path / source.name
-        shutil.copytree(source, model_dir)
-        head = fusion.FusionHead.load(model_dir / "fusion.bgf")
-        fusion.FusionHead(head.dims, head.params, ensemble_hash="").save(model_dir / "fusion.bgf")
-        assert cli.main(["eval", "--model-dir", str(model_dir),
-                         "--data", str(task_dir / "dev.tsv")]) == 2
-        assert not (model_dir / "eval_dev.json").exists()
+        def unbind(path):
+            head = fusion.FusionHead.load(path)
+            fusion.FusionHead(head.dims, head.params, ensemble_hash="").save(path)
+
+        assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, "fusion.bgf",
+                                           unbind) == 2
+
+    @pytest.mark.parametrize("name, change", [
+        # well formed, but 20 ids against the model's vocabulary
+        pytest.param("vocab.tsv", _rewrite(lambda text: "".join(text.splitlines(True)[:20])),
+                     id="vocab-cut"),
+        pytest.param("vocab.tsv", _rewrite(lambda text: text + "notab\n"), id="vocab-no-tab"),
+        pytest.param("vocab.tsv", _rewrite(lambda text: text + "word\tseven\n"),
+                     id="vocab-bad-id"),
+        pytest.param("vocab.tsv", _rewrite(lambda text: text.replace("[CLS]", "[CLZ]")),
+                     id="vocab-reserved"),
+        pytest.param("task.json", _rewrite(lambda text: text[: len(text) // 2]), id="task-cut"),
+        pytest.param("task.json", _rewrite(lambda text: text.replace('"K": 3', '"K": 4')),
+                     id="task-K-not-its-labels"),
+        # well formed, but K=4 against the model's 3
+        pytest.param("task.json", _rewrite(_task_with_a_fourth_class),
+                     id="task-K-not-the-model"),
+    ])
+    def test_eval_with_a_malformed_or_mismatched_vocabulary_or_task_exits_2(
+            self, boost_run, task_dir, tmp_path, name, change):
+        assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, name, change) == 2
 
     def test_distill_with_a_head_of_another_ensemble_exits_2(self, boost_run, tmp_path,
                                                              monkeypatch):
@@ -561,7 +631,7 @@ class TestPretraining:
                                                   encoded):
         cfg = cli.RunConfig.load(write_config(
             tmp_path / "c.json", task_dir, tmp_path, learner=learner,
-            pretrain={"steps": steps, "lr": 1e-3, "batch_size": 32}))
+            pretrain={"steps": steps}))
         assert bool(cli.prepare_task(cfg).corpus_ids) == encoded
 
     def test_truncated_cache_entry_is_retrained_and_replaced(self, task_dir, tmp_path):
@@ -571,7 +641,7 @@ class TestPretraining:
             boost={"rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
                    "vote": "soft"},
             train={"lr": 3e-3, "batch_size": 16, "epochs": 3},
-            pretrain={"steps": 20, "lr": 1e-3, "batch_size": 32},
+            pretrain={"steps": 20},
         )
         argv = ["train-boost", "--config", str(cfg_path)]
         assert cli.main(argv) == 0

@@ -108,40 +108,41 @@ class TestDistillTrain:
     def test_student_architecture_and_determinism(self, tiny_config):
         dataset = make_token_dataset(np.random.default_rng(3), n=96)
         targets = np.full((96, 3), 1 / 3)
-        cfg = distill.DistillConfig(total_steps=6, student_config=tiny_config,
-                                    init_strategy="random")
-        a, _ = distill.distill_train(targets, dataset, cfg, seed=4)
-        b, _ = distill.distill_train(targets, dataset, cfg, seed=4)
+        a, _ = distill.distill_train(targets, dataset, tiny_config, 6, seed=4)
+        b, _ = distill.distill_train(targets, dataset, tiny_config, 6, seed=4)
         base = enc.TransformerModel(tiny_config, seed=0)
         assert a.params.size == base.params.size
         assert np.array_equal(a.params, b.params)
 
     def test_targets_must_cover_training_set(self, tiny_config):
         dataset = make_token_dataset(np.random.default_rng(4), n=10)
-        cfg = distill.DistillConfig(total_steps=2, student_config=tiny_config,
-                                    init_strategy="random")
         with pytest.raises(ValueError, match="cover"):
-            distill.distill_train(np.full((5, 3), 1 / 3), dataset, cfg, seed=0)
+            distill.distill_train(np.full((5, 3), 1 / 3), dataset, tiny_config, 2, seed=0)
 
     def test_lambda_schedule_reaches_gold(self, tiny_config):
         dataset = make_token_dataset(np.random.default_rng(5), n=64)
         targets = np.full((64, 3), 1 / 3)
-        cfg = distill.DistillConfig(total_steps=10, student_config=tiny_config,
-                                    init_strategy="random")
-        _, log = distill.distill_train(targets, dataset, cfg, seed=1)
+        _, log = distill.distill_train(targets, dataset, tiny_config, 10, seed=1)
         lams = [rec["lambda"] for rec in log if "lambda" in rec]
         assert lams[0] == 0.0
         assert lams == sorted(lams)
-        assert lams[-1] == (cfg.total_steps - 1) / cfg.total_steps
+        assert lams[-1] == 9 / 10
 
-    @pytest.mark.parametrize("strategy", ["bogus", "finetuning", "incremental"])
-    def test_only_random_and_pretrained_students(self, tiny_config, strategy):
-        with pytest.raises(ValueError, match="init_strategy"):
-            distill.DistillConfig(total_steps=2, student_config=tiny_config,
-                                  init_strategy=strategy)
-
-    def test_a_pretrained_student_needs_a_trunk(self, tiny_config):
+    def test_the_student_starts_from_the_trunk_or_at_random(self, tiny_config, monkeypatch):
         dataset = make_token_dataset(np.random.default_rng(4), n=10)
-        cfg = distill.DistillConfig(total_steps=2, student_config=tiny_config)
-        with pytest.raises(ValueError, match="trunk"):
-            distill.distill_train(np.full((10, 3), 1 / 3), dataset, cfg, seed=0)
+        targets = np.full((10, 3), 1 / 3)
+        trunk = enc.TransformerModel(tiny_config, seed=9).snapshot("pretrained")
+        body = slice(0, trunk.layout.slice_of("cls.w").start)
+        monkeypatch.setattr(enc, "fit_loop", lambda *a, **k: [])  # no step: the start comes back
+        warm, _ = distill.distill_train(targets, dataset, tiny_config, 2, seed=0, pretrained=trunk)
+        cold, _ = distill.distill_train(targets, dataset, tiny_config, 2, seed=0)
+        # the trunk's body under a fresh head, else the random init of the seed
+        assert np.array_equal(warm.params[body], trunk.params[body])
+        assert not np.array_equal(warm.params, trunk.params)
+        assert np.array_equal(cold.params, enc.new_model(tiny_config, seed=[0, 31]).params)
+        assert not np.array_equal(cold.params[body], trunk.params[body])
+
+    def test_at_least_one_step(self, tiny_config):
+        dataset = make_token_dataset(np.random.default_rng(4), n=10)
+        with pytest.raises(ValueError, match="total_steps"):
+            distill.distill_train(np.full((10, 3), 1 / 3), dataset, tiny_config, 0, seed=0)

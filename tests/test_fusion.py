@@ -187,7 +187,7 @@ class TestTrainFusion:
 
     def test_head_dims_scale_with_ensemble(self, softreg_setup):
         _, _, ens = softreg_setup
-        dims = fusion.head_dims(ens, fusion.FusionConfig(depth=2, hidden_multiple=4))
+        dims = fusion.head_dims(ens, fusion.FusionConfig(depth=2))
         mk = ens.m_effective * ens.K
         assert dims == (mk, 4 * mk, 4 * mk, ens.K)
 

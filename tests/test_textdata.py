@@ -67,33 +67,30 @@ class TestLoadTsv:
 
 class TestBuildVocab:
     def test_hand_counted_frequencies(self):
-        vocab = build_vocab(["a b", "a"], min_count=1)
+        vocab = build_vocab(["a b", "a"])
         assert vocab.token_to_id == {"a": 5, "b": 6}
         assert vocab.size == 7
         # an example counts both texts of its pair
         vocab = build_vocab([RawExample("x", "a b"), RawExample("x", "a", "b b")])
         assert vocab.token_to_id == {"b": 5, "a": 6}
 
-    def test_min_count_filters(self):
-        vocab = build_vocab(["a b", "a"], min_count=2)
-        assert vocab.token_to_id == {"a": 5}
-
     def test_empty_text_leaves_reserved_only(self):
-        vocab = build_vocab(["   "], min_count=1)
+        vocab = build_vocab(["   "])
         assert vocab.size == 5
         assert vocab.lookup("anything") == UNK_ID
 
     def test_frequency_then_lexicographic_order(self):
-        vocab = build_vocab(["b b a a c"], min_count=1)
+        vocab = build_vocab(["b b a a c"])
         # a and b tie at 2, a wins lexicographically; c trails
         assert vocab.token_to_id == {"a": 5, "b": 6, "c": 7}
 
     def test_lowercasing(self):
-        vocab = build_vocab(["Apple APPLE apple"], min_count=3)
-        assert "apple" in vocab.token_to_id
+        vocab = build_vocab(["Apple APPLE apple"])
+        assert vocab.token_to_id == {"apple": 5}
+        assert vocab.lookup("aPPle") == 5
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_vocab(["a b c b"], min_count=1)
+        vocab = build_vocab(["a b c b"])
         vocab.save(tmp_path / "v.tsv")
         back = Vocabulary.load(tmp_path / "v.tsv")
         assert back.token_to_id == vocab.token_to_id
@@ -103,26 +100,26 @@ class TestEncode:
     LMAP = {"pos": 0, "neg": 1}
 
     def test_single_sentence_layout(self):
-        vocab = build_vocab(["a b"], min_count=1)
+        vocab = build_vocab(["a b"])
         ids, segs, label = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
         assert ids == [CLS_ID, vocab.lookup("a"), vocab.lookup("b"), SEP_ID]
         assert segs == [0, 0, 0, 0]
         assert label == 0
 
     def test_empty_text_degenerate(self):
-        vocab = build_vocab(["a"], min_count=1)
+        vocab = build_vocab(["a"])
         ids, _, _ = encode(RawExample("pos", ""), vocab, self.LMAP, max_seq_len=8)
         assert ids == [CLS_ID, SEP_ID]
 
     def test_unknown_token_maps_to_unk(self):
-        vocab = build_vocab(["a"], min_count=1)
+        vocab = build_vocab(["a"])
         ids, _, _ = encode(RawExample("pos", "zzz"), vocab, self.LMAP, max_seq_len=8)
         assert ids[1] == UNK_ID
 
     def test_pair_truncation_drops_text_b_first(self):
         # 10 content tokens, max 6: all five b-tokens go, then two a-tokens,
         # leaving [CLS] a1 a2 a3 [SEP] [SEP]
-        vocab = build_vocab(["a1 a2 a3 a4 a5 b1 b2 b3 b4 b5"], min_count=1)
+        vocab = build_vocab(["a1 a2 a3 a4 a5 b1 b2 b3 b4 b5"])
         ids, segs, _ = encode(
             RawExample("pos", "a1 a2 a3 a4 a5", "b1 b2 b3 b4 b5"), vocab, self.LMAP, max_seq_len=6
         )
@@ -133,14 +130,14 @@ class TestEncode:
         assert segs == [0, 0, 0, 0, 0, 1]
 
     def test_sep_count_invariant(self):
-        vocab = build_vocab(["a b c d e f"], min_count=1)
+        vocab = build_vocab(["a b c d e f"])
         single, _, _ = encode(RawExample("pos", "a b c d e f"), vocab, self.LMAP, max_seq_len=5)
         assert single.count(SEP_ID) == 1
         pair, _, _ = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
         assert pair.count(SEP_ID) == 2
 
     def test_unknown_label_raises(self):
-        vocab = build_vocab(["a"], min_count=1)
+        vocab = build_vocab(["a"])
         with pytest.raises(ValueError, match="unknown label"):
             encode(RawExample("???", "a"), vocab, self.LMAP, max_seq_len=8)
 
@@ -151,7 +148,7 @@ class TestEncode:
     )
     @settings(max_examples=80, deadline=None)
     def test_sep_count_property_under_truncation(self, text_a, text_b, max_len):
-        vocab = build_vocab(["a b c"], min_count=1)
+        vocab = build_vocab(["a b c"])
         ids, _, _ = encode(RawExample("pos", text_a, text_b), vocab, self.LMAP, max_len)
         want = 1 + (1 if text_b is not None else 0)
         assert ids.count(SEP_ID) == want
@@ -163,7 +160,7 @@ class TestEncode:
         raws = [RawExample("pos", t) for t in texts if tokenize(t)]
         if not raws:
             return
-        vocab = build_vocab([raw.text_a for raw in raws], min_count=1)
+        vocab = build_vocab([raw.text_a for raw in raws])
         for raw in raws:
             ids, _, _ = encode(raw, vocab, self.LMAP, max_seq_len=64)
             toks = vocab.decode(ids)
@@ -179,7 +176,7 @@ class TestEncode:
     @settings(max_examples=50, deadline=None)
     def test_from_raw_rows_are_the_encoded_rows(self, rows, max_len):
         raws = [RawExample(label, a, b) for a, b, label in rows]
-        vocab = build_vocab(["a b"], min_count=1)
+        vocab = build_vocab(["a b"])
         p = LabeledDataset.from_raw(raws, vocab, max_len, label_names=("pos", "neg")).packed
         assert p.ids.shape == p.segs.shape == (len(raws), p.lengths.max())
         for i, raw in enumerate(raws):
