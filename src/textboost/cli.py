@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,28 +50,91 @@ class ConfigError(ValueError):
 # configuration
 # ----------------------------------------------------------------------
 
-_DEFAULTS: dict = {
-    "seed": None,
-    "train_path": None,
-    "dev_path": None,
-    "corpus_path": None,
-    "learner": "transformer",
+# A rule is (what a value must be, the test it must pass). Values are never
+# coerced, so a valid config keeps its bytes and its hash; `type(v) is int`
+# turns a bool away.
+
+def _int(lo: int, hi: float = math.inf):
+    return (f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
+            lambda v: type(v) is int and lo <= v <= hi)
+
+
+def _number(what: str, ok):
+    return f"a finite number {what}", lambda v: (
+        type(v) is int or (type(v) is float and math.isfinite(v))) and ok(v)
+
+
+def _one_of(choices: Sequence[str]):
+    return f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices
+
+
+def _or_null(rule):
+    return f"null or {rule[0]}", lambda v: v is None or rule[1](v)
+
+
+_FILE = ("the path of a file", lambda v: isinstance(v, str) and Path(v).is_file())
+_POSITIVE = _number("> 0", lambda x: x > 0)
+_RATES = ("a list of at least 2 finite numbers > 0",
+          lambda v: isinstance(v, list) and len(v) >= 2 and all(_POSITIVE[1](r) for r in v))
+
+# Every settable key of the run config: (default, rule).
+_SCHEMA: dict = {
+    "seed": (None, _int(0)),
+    "train_path": (None, _FILE),
+    "dev_path": (None, _FILE),
+    "corpus_path": (None, _or_null(_FILE)),
+    "learner": ("transformer", _one_of(tuple(_MODEL_CLASSES))),
     "encoder": {
-        "d_model": 32,
-        "n_layers": 2,
-        "n_heads": 2,
-        "d_ffn": 64,
-        "max_seq_len": 24,
-        "dropout_rate": 0.1,
+        "d_model": (32, _int(1)),
+        "n_layers": (2, _int(1)),
+        "n_heads": (2, _int(1)),
+        "d_ffn": (64, _int(1)),
+        "max_seq_len": (24, _int(3)),  # CLS, SEP and one token to mask
+        "dropout_rate": (0.1, _number("in [0, 1)", lambda x: 0 <= x < 1)),
     },
-    "boost": {"rounds": 6, "init_strategy": "incremental", "sharing_mode": "privacy", "vote": "soft"},
-    "train": {"lr": 1e-3, "batch_size": 32, "epochs": 3},
-    "pretrain": {"steps": 2500},
-    "fusion": {"depth": 1, "max_epochs": 20, "patience": 3},
-    "distill": {"total_steps": 600},
-    "bag": {"learning_rates": [5e-4, 1e-3, 2e-3]},
-    "out_dir": None,
+    "boost": {
+        "rounds": (6, _int(1)),
+        "init_strategy": ("incremental", _one_of(boosting.INIT_STRATEGIES)),
+        "sharing_mode": ("privacy", _one_of(boosting.SHARING_MODES)),
+        "vote": ("soft", _one_of(boosting.VOTE_MODES)),
+    },
+    "train": {"lr": (1e-3, _POSITIVE), "batch_size": (32, _int(1)), "epochs": (3, _int(0))},
+    "pretrain": {"steps": (2500, _int(0))},
+    "fusion": {"depth": (1, _int(0, 3)), "max_epochs": (20, _int(1)), "patience": (3, _int(0))},
+    "distill": {"total_steps": (600, _int(1))},
+    "bag": {"learning_rates": ([5e-4, 1e-3, 2e-3], _RATES)},
+    "out_dir": (None, _or_null(("a string", lambda v: isinstance(v, str)))),
 }
+
+
+def _pick(schema: dict, i: int) -> dict:
+    return {key: _pick(entry, i) if isinstance(entry, dict) else entry[i]
+            for key, entry in schema.items()}
+
+
+_DEFAULTS, _RULES = _pick(_SCHEMA, 0), _pick(_SCHEMA, 1)
+
+
+def _problems(rules: dict, data: dict, path: str = "") -> list[str]:
+    """What each value of ``data`` must be and is not."""
+    out = []
+    for key, rule in rules.items():
+        if isinstance(rule, dict):
+            out += _problems(rule, data[key], f"{path}{key}.")
+        elif not rule[1](data[key]):
+            out.append(f"{path}{key} must be {rule[0]}, not {data[key]!r}")
+    return out
+
+
+def _flags(args, rules: dict) -> dict:
+    """The values of the flags that ``rules`` names, each checked against its
+    rule before the command writes anything."""
+    values = {flag: getattr(args, flag) for flag in rules}
+    problems = [f"--{flag.replace('_', '-')} must be {what}, not {values[flag]!r}"
+                for flag, (what, ok) in rules.items() if not ok(values[flag])]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return values
 
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -100,60 +165,35 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {p} is not valid JSON: {e}") from e
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"config {p} is not a readable UTF-8 JSON file: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {p} is not a JSON object")
         return cls(data=_merge(_DEFAULTS, raw))
 
-    def validate(self, *, need_data: bool = True) -> None:
-        problems: list[str] = []
-        if self.data["seed"] is None:
-            problems.append("seed must be set explicitly (no entropy defaults)")
-        if need_data:
-            for key in ("train_path", "dev_path"):
-                val = self.data[key]
-                if val is None:
-                    problems.append(f"{key} is required")
-                elif not Path(val).exists():
-                    problems.append(f"{key} does not exist: {val}")
-            cp = self.data["corpus_path"]
-            if cp is not None and not Path(cp).exists():
-                problems.append(f"corpus_path does not exist: {cp}")
-        boost = self.data["boost"]
-        if self.data["learner"] not in tuple(_MODEL_CLASSES):
-            problems.append(f"unknown learner {self.data['learner']!r}")
-        if boost["init_strategy"] not in boosting.INIT_STRATEGIES:
-            problems.append(f"unknown init_strategy {boost['init_strategy']!r}")
-        if boost["sharing_mode"] not in boosting.SHARING_MODES:
-            problems.append(f"unknown sharing_mode {boost['sharing_mode']!r}")
-        if boost["vote"] not in boosting.VOTE_MODES:
-            problems.append(f"unknown vote mode {boost['vote']!r}")
-        for key, val in (("boost.rounds", boost["rounds"]),
-                         ("distill.total_steps", self.data["distill"]["total_steps"])):
-            if not isinstance(val, int) or val < 1:
-                problems.append(f"{key} must be an integer >= 1")
-        rates = self.data["bag"]["learning_rates"]
-        if not isinstance(rates, list) or len(rates) < 2:
-            problems.append("bag.learning_rates must list at least 2 rates")
-        if self.data["learner"] == "softreg" and boost["sharing_mode"] == "sharing":
-            problems.append("weight sharing requires the transformer learner")
-        steps = self.data["pretrain"]["steps"]
-        if not isinstance(steps, int) or steps < 0:
-            problems.append("pretrain.steps must be an integer >= 0")
-        elif boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
-            problems.append(
-                f"init_strategy {boost['init_strategy']!r} needs an MLM checkpoint: "
-                "the transformer learner with pretrain.steps > 0"
-            )
+    def validate(self) -> None:
+        """Every value against its rule in ``_SCHEMA``, then the rules that
+        span keys; a config that breaks one raises ConfigError."""
+        problems = _problems(_RULES, self.data)
+        if not problems:
+            encoder, boost = self.data["encoder"], self.data["boost"]
+            if encoder["d_model"] % encoder["n_heads"]:
+                problems.append("encoder.n_heads must divide encoder.d_model")
+            if self.data["learner"] == "softreg" and boost["sharing_mode"] == "sharing":
+                problems.append("weight sharing requires the transformer learner")
+            if boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
+                problems.append(
+                    f"init_strategy {boost['init_strategy']!r} needs an MLM checkpoint: "
+                    "the transformer learner with pretrain.steps > 0"
+                )
         if problems:
             raise ConfigError("; ".join(problems))
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     def hash(self) -> str:
         # out_dir says where artifacts go, not what gets computed
@@ -197,6 +237,17 @@ class TaskBundle:
         return self.train.K
 
 
+@contextmanager
+def _input_data():
+    """A task file that cannot be read or encoded (a malformed or empty TSV,
+    a corpus with no non-blank line, a training set of one label) raises
+    ConfigError in the block."""
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        raise ConfigError(str(e)) from e
+
+
 def prepare_task(cfg: RunConfig) -> TaskBundle:
     """Load TSVs, build the vocabulary, and encode both splits.
 
@@ -205,28 +256,27 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
     the cells of a ``fraction`` axis, mirroring a fixed pretrained
     tokenizer. The corpus is encoded only for a config that pretrains.
     """
-    raw_train = load_tsv(cfg.data["train_path"])
-    raw_dev = load_tsv(cfg.data["dev_path"])
-    train_labels = {ex.label for ex in raw_train}
-    dev_only = {ex.label for ex in raw_dev} - train_labels
-    if dev_only:
-        raise ConfigError(f"dev labels missing from training data: {sorted(dev_only)}")
+    with _input_data():
+        raw_train = load_tsv(cfg.data["train_path"])
+        raw_dev = load_tsv(cfg.data["dev_path"])
+        train_labels = {ex.label for ex in raw_train}
+        dev_only = {ex.label for ex in raw_dev} - train_labels
+        if dev_only:
+            raise ConfigError(f"dev labels missing from training data: {sorted(dev_only)}")
 
-    if cfg.data["corpus_path"] is not None:
-        corpus_lines = [
-            line for line in Path(cfg.data["corpus_path"]).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-    else:
-        corpus_lines = [ex.text_a for ex in raw_train] + [
-            ex.text_b for ex in raw_train if ex.text_b is not None
-        ]
-    vocab = build_vocab(corpus_lines)
+        if cfg.data["corpus_path"] is not None:
+            text = Path(cfg.data["corpus_path"]).read_text(encoding="utf-8")
+            corpus_lines = [line for line in text.splitlines() if line.strip()]
+        else:
+            corpus_lines = [ex.text_a for ex in raw_train] + [
+                ex.text_b for ex in raw_train if ex.text_b is not None
+            ]
+        vocab = build_vocab(corpus_lines)
 
-    label_names = tuple(sorted(train_labels))
-    max_len = cfg.data["encoder"]["max_seq_len"]
-    train_ds = LabeledDataset.from_raw(raw_train, vocab, max_len, label_names=label_names)
-    dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
+        label_names = tuple(sorted(train_labels))
+        max_len = cfg.data["encoder"]["max_seq_len"]
+        train_ds = LabeledDataset.from_raw(raw_train, vocab, max_len, label_names=label_names)
+        dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
     corpus_ids = [
         [vocab.lookup(t) for t in tokenize(line)][:max_len] for line in corpus_lines
     ] if _pretrains(cfg) else []
@@ -350,21 +400,39 @@ def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> N
 _FLAG_KEYS = {"seed": "seed", "out": "out_dir", "vote": "boost.vote", "depth": "fusion.depth"}
 
 
+def _trained_task(model_dir: Path) -> tuple[Vocabulary, dict]:
+    """The vocabulary and the ``task.json`` record (label names, max_seq_len,
+    K) that the model of a run dir was trained on."""
+    task_path, vocab_path = model_dir / "task.json", model_dir / "vocab.tsv"
+    for p in (task_path, vocab_path):
+        if not p.exists():
+            raise ConfigError(f"model artifact missing: {p}")
+    vocab = Vocabulary.load(vocab_path)
+    with artifacts.decoding(f"task {task_path}"):
+        task = json.loads(task_path.read_text(encoding="utf-8"))
+        if not isinstance(task["max_seq_len"], int):
+            raise artifacts.ArtifactError(f"{task_path}: max_seq_len is not an integer")
+        if len(set(task["label_names"])) != task["K"]:
+            raise artifacts.ArtifactError(f"{task_path}: K={task['K']} classes are not "
+                                          f"the {len(set(task['label_names']))} label names")
+    return vocab, task
+
+
 @dataclass
 class Run:
     """The setup and the record that every config-driven command shares.
 
     ``Run.open`` loads the command's config with its flag overrides,
-    validates it, prepares the task, builds the model, training, fusion
-    and bagging configs (a value they reject is a config error), gives the
-    command its pretrained trunk (``fusion`` retrains a head on saved
-    rounds and never uses one), and writes the task artifacts into a fresh
-    ``<command>-<hash12>`` dir, so a config error leaves no run dir behind.
+    validates it, prepares the task, gives the command its pretrained trunk
+    (``fusion`` retrains a head on saved rounds and never uses one), and
+    writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
+    config or input-data error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
-    its content hash as ``source``, and ``compare`` the hash of its grid
-    (its axes and their values); the dir is then
-    ``<command>-<hash12>-<source hash12>``, so two ensembles, or two grids,
-    of one config get two dirs. ``finish`` writes the record.
+    its content hash as ``source`` and its dir as ``trained_on``, whose
+    vocabulary, label names and max_seq_len the prepared task must equal;
+    ``compare`` passes the hash of its grid (its axes and their values). The
+    dir is then ``<command>-<hash12>-<source hash12>``, so two ensembles, or
+    two grids, of one config get two dirs. ``finish`` writes the record.
     """
 
     command: str
@@ -375,21 +443,21 @@ class Run:
     t0: float
 
     @classmethod
-    def open(cls, args, config_path: str | Path, source: str = "") -> "Run":
+    def open(cls, args, config_path: str | Path, source: str = "",
+             trained_on: Optional[Path] = None) -> "Run":
         t0 = time.perf_counter()
         cfg = RunConfig.load(config_path).with_overrides(
             **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
         )
         cfg.validate()
         bundle = prepare_task(cfg)
-        try:
-            encoder_config(cfg, bundle)
-            cfg.fusion_cfg()
-            train_cfg = cfg.train_cfg()
-            for lr in cfg.data["bag"]["learning_rates"]:
-                replace(train_cfg, lr=lr)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"invalid config: {e}") from e
+        if trained_on is not None:
+            vocab, task = _trained_task(trained_on)
+            if (vocab, task["label_names"], task["max_seq_len"]) != (
+                    bundle.vocab, list(bundle.train.label_names),
+                    cfg.data["encoder"]["max_seq_len"]):
+                raise ConfigError(f"the config's task (vocabulary, label names, max_seq_len) "
+                                  f"is not the one the model in {trained_on} was trained on")
         out_root = _out_root(cfg.data["out_dir"])
         if args.command != "fusion":
             ensure_pretrained(cfg, bundle, out_root)
@@ -466,14 +534,10 @@ def run_boost_pipeline(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledData
 # ----------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    cfg = synthetic.SynthConfig(
-        train_size=args.train_size,
-        dev_size=args.dev_size,
-        corpus_size=args.corpus_size,
-        noise=args.noise,
-        hard_fraction=args.hard_fraction,
-        seed=args.seed,
-    )
+    fraction = _number("in [0, 1]", lambda x: 0 <= x <= 1)
+    cfg = synthetic.SynthConfig(**_flags(args, {
+        "train_size": _int(1), "dev_size": _int(1), "corpus_size": _int(1),
+        "noise": fraction, "hard_fraction": fraction, "seed": _int(0)}))
     paths = synthetic.write_task(args.out, cfg)
     meta = dict(paths)
     meta["config"] = asdict(cfg)
@@ -546,7 +610,8 @@ def cmd_fusion(args) -> int:
         raise ConfigError(f"no ensemble found at {ens_path}")
     ens_bytes = ens_path.read_bytes()
     ensemble = boosting.ensemble_from_bytes(ens_bytes)
-    run = Run.open(args, ens_path.parent / "config.json", source=ensemble.content_hash())
+    run = Run.open(args, ens_path.parent / "config.json", source=ensemble.content_hash(),
+                   trained_on=ens_path.parent)
     cfg, bundle = run.cfg, run.bundle
     dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
@@ -568,13 +633,15 @@ def cmd_distill(args) -> int:
     for required in ("ensemble.bge", "config.json"):
         if not (teacher_dir / required).exists():
             raise ConfigError(f"teacher artifact missing: {teacher_dir / required}")
+    # the teacher's files are read before the run dir is made, so a malformed one leaves none
     ensemble = boosting.BoostEnsemble.load(teacher_dir / "ensemble.bge")
-    run = Run.open(args, args.config or teacher_dir / "config.json",
-                   source=ensemble.content_hash())
-    cfg, bundle = run.cfg, run.bundle
     head = None
     if (teacher_dir / "fusion.bgf").exists():
         head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
+    teacher_single = _teacher_single_accuracy(teacher_dir)
+    run = Run.open(args, args.config or teacher_dir / "config.json",
+                   source=ensemble.content_hash(), trained_on=teacher_dir)
+    cfg, bundle = run.cfg, run.bundle
     targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
 
     student, dlog = distill_mod.distill_train(
@@ -603,7 +670,7 @@ def cmd_distill(args) -> int:
 
     record = run.finish(
         {
-            "single": _teacher_single_accuracy(teacher_dir),
+            "single": teacher_single,
             "teacher": _accuracy(teacher_preds, bundle.dev),
             "distilled": _accuracy(student_preds, bundle.dev),
         },
@@ -636,27 +703,16 @@ def _round_param_count(r: boosting.BoostRound, ensemble: boosting.BoostEnsemble)
 
 def _teacher_single_accuracy(teacher_dir: Path) -> Optional[float]:
     metrics_path = teacher_dir / "metrics.json"
-    if metrics_path.exists():
+    if not metrics_path.exists():
+        return None
+    with artifacts.decoding(f"teacher record {metrics_path}"):
         rec = json.loads(metrics_path.read_text(encoding="utf-8"))
         return rec.get("accuracies", {}).get("single")
-    return None
 
 
 def cmd_eval(args) -> int:
     model_dir = Path(args.model_dir)
-    task_path = model_dir / "task.json"
-    vocab_path = model_dir / "vocab.tsv"
-    for p in (task_path, vocab_path):
-        if not p.exists():
-            raise ConfigError(f"model artifact missing: {p}")
-    vocab = Vocabulary.load(vocab_path)
-    with artifacts.decoding(f"task {task_path}"):
-        task = json.loads(task_path.read_text(encoding="utf-8"))
-        if not isinstance(task["max_seq_len"], int):
-            raise artifacts.ArtifactError(f"{task_path}: max_seq_len is not an integer")
-        # what the model must have been trained on: the vocabulary's ids and K
-        # classes, each named once
-        bound = (vocab.size, task["K"], len(set(task["label_names"])))
+    vocab, task = _trained_task(model_dir)
     ensemble = snapshot = None
     if (model_dir / "ensemble.bge").exists():
         ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
@@ -668,18 +724,19 @@ def cmd_eval(args) -> int:
     else:
         raise ConfigError(f"no model artifacts found in {model_dir}")
     for c in configs:
-        if (c.vocab_size, c.K, c.K) != bound:
+        if (c.vocab_size, c.K) != (vocab.size, task["K"]):
             raise artifacts.ArtifactError(
-                f"vocab.tsv and task.json (ids, K, label names: {bound}) do not match the "
+                f"vocab.tsv and task.json ({vocab.size} ids, K={task['K']}) do not match the "
                 f"model (vocab_size {c.vocab_size}, K={c.K})")
 
-    raws = load_tsv(args.data)
-    unknown = {ex.label for ex in raws} - set(task["label_names"])
-    if unknown:
-        raise ConfigError(f"dataset labels unknown to this model: {sorted(unknown)}")
-    dataset = LabeledDataset.from_raw(
-        raws, vocab, task["max_seq_len"], label_names=task["label_names"]
-    )
+    with _input_data():
+        raws = load_tsv(args.data)
+        unknown = {ex.label for ex in raws} - set(task["label_names"])
+        if unknown:
+            raise ConfigError(f"dataset labels unknown to this model: {sorted(unknown)}")
+        dataset = LabeledDataset.from_raw(
+            raws, vocab, task["max_seq_len"], label_names=task["label_names"]
+        )
 
     reports: dict[str, dict] = {}
     if ensemble is not None:
@@ -792,7 +849,7 @@ def _run_compare_cell(cfg: RunConfig, bundle: TaskBundle, cell: dict) -> dict:
     sub_cfg = cfg.with_overrides(**{
         f"boost.{axis}": v for axis, v in cell.items() if axis in ("init_strategy", "sharing_mode")
     })
-    sub_cfg.validate(need_data=False)
+    sub_cfg.validate()
     train_ds = subsample(bundle.train, cell.get("fraction", 1.0), cfg.seed)
     if cell.get("ensemble_kind") == "bag":
         row = {"single": None, "boost_vote": None, "boost_fusion": None, "delta": None,
@@ -804,6 +861,7 @@ def _run_compare_cell(cfg: RunConfig, bundle: TaskBundle, cell: dict) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
+    _flags(args, {"rounds": _int(1)})
     out_dir = Path(args.out) if args.out else _out_root(None) / "oracle-check"
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0.0

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from textboost import cli, fusion
 from textboost import encoder as enc
@@ -42,6 +44,22 @@ def task_dir(tmp_path_factory):
     ])
     assert rc == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def other_task(tmp_path_factory):
+    """A second, smaller task (its vocabulary is not task_dir's) and the run
+    dir of a softreg ensemble trained on it: (the task dir, the run dir)."""
+    d = tmp_path_factory.mktemp("other")
+    assert cli.main(["gen-data", "--out", str(d), "--seed", "5", "--train-size", "300",
+                     "--dev-size", "60", "--corpus-size", "100"]) == 0
+    cfg_path = write_config(
+        d / "c.json", d, d / "out", learner="softreg",
+        boost={"rounds": 2, "init_strategy": "random", "sharing_mode": "privacy",
+               "vote": "soft"})
+    assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+    (run_dir,) = (d / "out").glob("train-boost-*")
+    return d, run_dir
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +136,14 @@ class TestGenData:
         assert len(lines) == 400
         labels = {line.split("\t")[0] for line in lines}
         assert labels == {"alpha", "beta", "gamma"}
+
+    @pytest.mark.parametrize("flags", [
+        ["--train-size", "-5"], ["--dev-size", "0"], ["--noise", "1.5"], ["--noise", "nan"],
+        ["--hard-fraction", "2"], ["--seed", "-1"]], ids=" ".join)
+    def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, flags):
+        argv = ["gen-data", "--out", str(tmp_path / "task"), "--seed", "1", *flags]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "task").exists()
 
 
 class TestTrainBoost:
@@ -213,6 +239,31 @@ class TestTrainBoost:
         assert a == b
 
 
+# the keys of write_config's config, each with values it must reject; null
+# is a bad value of every key but corpus_path and out_dir, which may be null
+_BAD_VALUES = {
+    "seed": [None, 1.5], "train_path": [None], "dev_path": [None], "corpus_path": [],
+    "learner": [None, "svm"], "out_dir": [],
+    "encoder.d_model": [None, 0, 16.0], "encoder.n_layers": [None, 0],
+    "encoder.n_heads": [None, 0, 3], "encoder.d_ffn": [None, 0],
+    "encoder.max_seq_len": [None, 1, 2], "encoder.dropout_rate": [None, 1, 1.5],
+    "boost.rounds": [None, 0], "boost.init_strategy": [None, "warm"],
+    "boost.sharing_mode": [None, "both"], "boost.vote": [None, "hard"],
+    "train.lr": [None, 0], "train.batch_size": [None, 0], "train.epochs": [None, 1.5],
+    "pretrain.steps": [None, 2.0],
+    "fusion.depth": [None, 4], "fusion.max_epochs": [None, 0], "fusion.patience": [None, 0.5],
+    "distill.total_steps": [None, 0],
+    "bag.learning_rates": [None, [0.001], [float("nan"), 0.001], [True, 0.001], [-1, 0.001]],
+}
+# wrong for every key (a string only where the key is not a free string)
+_BAD_ANY = [True, False, "no-such-file", [], ["a", "b"], {}, {"a": 1},
+            float("nan"), float("inf"), float("-inf"), -1, -0.5]
+
+
+def _bad_values_of(key: str) -> list:
+    return _BAD_VALUES[key] + [v for v in _BAD_ANY if key != "out_dir" or not isinstance(v, str)]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command, extra", [
         ("train-boost", {"pretrain": {"steps": 0}, "boost": {"init_strategy": "incremental"}}),
@@ -232,16 +283,93 @@ class TestConfigErrors:
         ("train-bag", {"bag": {"learning_rates": 0.001}}),
         ("train-bag", {"bag": {"learning_rates": ["fast", "slow"]}}),
         ("distill", {"distill": {"total_steps": 0}}),
+        # a bool is not an integer, and a number is finite
+        *[pytest.param("train-boost", extra, id=name) for name, extra in (
+            ("seed-true", {"seed": True}),
+            ("seed-1.5", {"seed": 1.5}),
+            ("seed-negative", {"seed": -1}),
+            ("seed-str", {"seed": "abc"}),
+            ("seed-object", {"seed": {}}),
+            ("rounds-true", {"boost": {"rounds": True}}),
+            ("patience-true", {"fusion": {"patience": True}}),
+            ("depth-1.5", {"fusion": {"depth": 1.5}}),
+            ("epochs-1.5", {"train": {"epochs": 1.5}}),
+            ("lr-nan", {"train": {"lr": float("nan")}}),
+            ("lr-inf", {"train": {"lr": float("inf")}}),
+            ("d_model-float", {"encoder": {"d_model": 32.0}}),
+            # room for CLS, SEP and one token to mask
+            ("max_seq_len-1", {"encoder": {"max_seq_len": 1}}),
+            ("max_seq_len-2-pretraining", {"encoder": {"max_seq_len": 2}}),
+        )],
+        pytest.param("train-bag", {"bag": {"learning_rates": [float("nan"), 0.001]}},
+                     id="rates-nan"),
+        pytest.param("train-boost", lambda task_dir: {"train_path": str(task_dir)},
+                     id="train_path-a-dir"),
+        pytest.param("train-boost", [1], id="top-level-list"),
     ])
     def test_exit_2_and_no_run_dir(self, boost_run, task_dir, tmp_path, command, extra):
         _, _, teacher_dir = boost_run
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "c.json", task_dir, out, **extra)
+        if callable(extra):
+            extra = extra(task_dir)
+        if isinstance(extra, list):
+            cfg_path = tmp_path / "c.json"
+            cfg_path.write_text(json.dumps(extra))
+        else:
+            cfg_path = write_config(tmp_path / "c.json", task_dir, out, **extra)
         argv = [command, "--config", str(cfg_path)]
         if command == "distill":
             argv += ["--teacher-dir", str(teacher_dir)]
         assert cli.main(argv) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("train, dev, corpus", [
+        pytest.param("", "alpha\tone\n", None, id="empty-train"),
+        pytest.param("alpha\tone\nbeta no tab\n", "alpha\tone\n", None, id="malformed-line"),
+        pytest.param("alpha\tone\nbeta\ttwo\n", "alpha\tone\n", "\n  \n", id="blank-corpus"),
+        pytest.param("alpha\tone\nalpha\ttwo\n", "alpha\tone\n", None, id="one-label"),
+    ])
+    def test_bad_task_data_exits_2_and_no_run_dir(self, task_dir, tmp_path, train, dev, corpus):
+        out = tmp_path / "out"
+        paths = {}
+        for key, text in (("train_path", train), ("dev_path", dev), ("corpus_path", corpus)):
+            if text is not None:
+                paths[key] = str(tmp_path / key)
+                (tmp_path / key).write_text(text)
+        cfg_path = write_config(tmp_path / "c.json", task_dir, out, **paths)
+        if corpus is None:
+            cfg = json.loads(cfg_path.read_text())
+            cfg["corpus_path"] = None
+            cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_bad_values_of(key)))))
+    def test_one_bad_value_fails_every_config_driven_command(self, boost_run, task_dir,
+                                                            tmp_path, monkeypatch, bad):
+        """The test config with one key set to a value of a wrong type or out of
+        range: every command that reads a config exits 2, before it trains or
+        makes a run dir."""
+        key, value = bad
+        no_training(monkeypatch)
+        teacher = tmp_path / "teacher"
+        if not teacher.exists():
+            shutil.copytree(boost_run[2], teacher)
+        cfg = json.loads(write_config(tmp_path / "c.json", task_dir, tmp_path / "out").read_text())
+        section, _, leaf = key.rpartition(".")
+        (cfg[section] if section else cfg)[leaf] = value
+        for path in (tmp_path / "c.json", teacher / "config.json"):
+            path.write_text(json.dumps(cfg))
+        config = ["--config", str(tmp_path / "c.json")]
+        for argv in (["train-boost", *config], ["train-bag", *config],
+                     ["compare", *config, "--axes", "ensemble_kind"],
+                     ["distill", "--teacher-dir", str(boost_run[2]), *config],
+                     ["fusion", "--run-dir", str(teacher)]):
+            assert cli.main(argv) == 2, (argv[0], key, value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "teacher"]
 
 
 class TestScoredOnce:
@@ -319,7 +447,15 @@ class TestEval:
         _, _, run_dir = boost_run
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
-        assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(empty)]) == 1
+        assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(empty)]) == 2
+        assert not (run_dir / "eval_empty.json").exists()
+
+    def test_malformed_dataset_is_config_error(self, boost_run, tmp_path):
+        _, _, run_dir = boost_run
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("alpha\tsome text\nbeta without a tab\n")
+        assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(bad)]) == 2
+        assert not (run_dir / "eval_bad.json").exists()
 
     def test_unknown_label_is_config_error(self, boost_run, tmp_path):
         _, _, run_dir = boost_run
@@ -445,6 +581,46 @@ class TestDistillCmd:
     def test_missing_teacher_exit_2(self, tmp_path):
         assert cli.main(["distill", "--teacher-dir", str(tmp_path)]) == 2
 
+    def test_malformed_teacher_record_exits_2_before_training(self, boost_run, tmp_path,
+                                                             monkeypatch):
+        teacher = tmp_path / "teacher"
+        shutil.copytree(boost_run[2], teacher)
+        (teacher / "metrics.json").write_text("[1,2")
+        cfg = json.loads(boost_run[1].read_text())
+        cfg["out_dir"] = str(tmp_path / "out")
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        no_training(monkeypatch)
+        assert cli.main(["distill", "--teacher-dir", str(teacher),
+                         "--config", str(tmp_path / "c.json")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["smaller-vocab", "larger-vocab", "label-names",
+                                      "max_seq_len"])
+    def test_a_config_of_another_task_exits_2_before_training(self, boost_run, other_task,
+                                                             task_dir, tmp_path, monkeypatch,
+                                                             case):
+        """The student trains on ids the teacher reads: the config's vocabulary,
+        label names and max_seq_len must be the teacher dir's."""
+        teacher, task, extra = boost_run[2], other_task[0], {}
+        if case == "larger-vocab":
+            teacher, task = other_task[1], task_dir
+        elif case == "label-names":
+            task = task_dir
+            for name in ("train_path", "dev_path"):
+                text = (task_dir / f"{name[:-5]}.tsv").read_text()
+                (tmp_path / name).write_text(text.replace("alpha\t", "delta\t"))
+                extra[name] = str(tmp_path / name)
+        elif case == "max_seq_len":
+            task = task_dir
+            extra["encoder"] = {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ffn": 32,
+                                "max_seq_len": 20}
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", task, out, **extra)
+        no_training(monkeypatch)
+        assert cli.main(["distill", "--teacher-dir", str(teacher),
+                         "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
     def test_a_run_without_a_trunk_distills_a_random_student(self, task_dir, tmp_path,
                                                              monkeypatch):
         cfg_path = write_config(
@@ -514,6 +690,15 @@ class TestFusionCmd:
         report = json.loads((fusion_dir / "eval_dev.json").read_text())
         assert report["boost_fusion"]["accuracy"] == rec["accuracies"]["boost_fusion"]
 
+
+    def test_a_config_of_another_task_exits_2(self, boost_run, other_task, tmp_path):
+        """A run dir whose config now names other data files: the head would
+        read ids its ensemble never saw."""
+        run_dir = tmp_path / boost_run[2].name
+        shutil.copytree(boost_run[2], run_dir)
+        write_config(run_dir / "config.json", other_task[0], tmp_path / "out")
+        assert cli.main(["fusion", "--run-dir", str(run_dir)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_a_bag_and_a_boost_dir_of_one_config_get_two_fusion_dirs(self, boost_run, bag_run,
                                                                      task_dir, tmp_path, capsys):
@@ -665,6 +850,10 @@ class TestOracleCheck:
         assert "worst deviation" in out
         assert (tmp_path / "trajectory_0_engine.jsonl").exists()
         assert (tmp_path / "trajectory_0_oracle.jsonl").exists()
+
+    def test_zero_rounds_exits_2_and_writes_nothing(self, tmp_path):
+        assert cli.main(["oracle-check", "--out", str(tmp_path / "o"), "--rounds", "0"]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestOutRootEnv:
