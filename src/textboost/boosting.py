@@ -262,12 +262,12 @@ def boost_train(
         dev_acc = None
         if dev is not None:
             dev_probs.append(model.predict_proba(dev))
-            dev_acc = float((dev_probs[-1].argmax(axis=1) == dev.labels).mean() * 100.0)
+            dev_acc = enc.percent_correct(dev_probs[-1].argmax(axis=1), dev.labels)
         entry = {
             "m": m,
             "err": err,
             "alpha": alpha,
-            "train_acc": float((preds == labels).mean() * 100.0),
+            "train_acc": enc.percent_correct(preds, labels),
             "dev_acc": dev_acc,
             "weight_sum": float(w_next.sum()),
         }

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
 from . import encoder as enc, synthetic
-from .encoder.training import _MODEL_CLASSES, _keep_freed_heap
+from .encoder.training import _MODEL_CLASSES, _keep_freed_heap, _one_blas_thread
 from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample, tokenize
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
@@ -335,13 +335,18 @@ def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Pa
 ACCURACY_KEYS = ("single", "boost_vote", "boost_fusion", "bag", "distilled")
 
 
-def _ensemble_keys(ensemble: boosting.BoostEnsemble) -> tuple[str, str]:
-    """The accuracy keys of an ensemble's vote and of a fusion head over it:
-    ``bag`` and ``bag_fusion`` for a bag, ``boost_vote`` and ``boost_fusion``
-    for a boosted ensemble."""
-    if ensemble.ensemble_kind == "bag":
-        return "bag", "bag_fusion"
-    return "boost_vote", "boost_fusion"
+def _predictions(ensemble: boosting.BoostEnsemble, head: Optional[fusion_mod.FusionHead],
+                 probs: np.ndarray, vote: str) -> dict[str, np.ndarray]:
+    """The label ids of the ``vote`` over ``probs``, the (n, M, K) tensor of
+    ``predict_proba_per_round``, then those of ``head`` when given, under the
+    accuracy keys ``bag``/``bag_fusion`` or ``boost_vote``/``boost_fusion``."""
+    bag = ensemble.ensemble_kind == "bag"
+    preds = {"bag" if bag else "boost_vote":
+             boosting.vote_predict(ensemble, mode=vote, probs=probs)[0]}
+    if head is not None:
+        preds["bag_fusion" if bag else "boost_fusion"] = fusion_mod.fusion_predict(
+            ensemble, head, probs=probs)[0]
+    return preds
 
 
 @dataclass
@@ -357,10 +362,6 @@ class MetricsRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-def _accuracy(preds: np.ndarray, dataset: LabeledDataset) -> float:
-    return float((preds == dataset.labels).mean() * 100.0)
 
 
 def write_metrics(record: MetricsRecord, out_root: Path, run_dir: Path) -> None:
@@ -400,22 +401,60 @@ def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> N
 _FLAG_KEYS = {"seed": "seed", "out": "out_dir", "vote": "boost.vote", "depth": "fusion.depth"}
 
 
-def _trained_task(model_dir: Path) -> tuple[Vocabulary, dict]:
-    """The vocabulary and the ``task.json`` record (label names, max_seq_len,
-    K) that the model of a run dir was trained on."""
-    task_path, vocab_path = model_dir / "task.json", model_dir / "vocab.tsv"
-    for p in (task_path, vocab_path):
-        if not p.exists():
-            raise ConfigError(f"model artifact missing: {p}")
-    vocab = Vocabulary.load(vocab_path)
-    with artifacts.decoding(f"task {task_path}"):
-        task = json.loads(task_path.read_text(encoding="utf-8"))
-        if not isinstance(task["max_seq_len"], int):
-            raise artifacts.ArtifactError(f"{task_path}: max_seq_len is not an integer")
-        if len(set(task["label_names"])) != task["K"]:
-            raise artifacts.ArtifactError(f"{task_path}: K={task['K']} classes are not "
-                                          f"the {len(set(task['label_names']))} label names")
-    return vocab, task
+@dataclass(frozen=True)
+class TrainedDir:
+    """The model of a run dir and the task it was trained on, read and
+    checked against each other by ``read``: an ensemble (with the fusion head
+    bound to it, when the dir holds one) or else a distilled student."""
+
+    path: Path
+    vocab: Vocabulary
+    task: dict  # task.json: label_names, max_seq_len, learner, K
+    ensemble: Optional[boosting.BoostEnsemble]
+    head: Optional[fusion_mod.FusionHead]
+    snapshot: Optional[enc.ModelSnapshot]
+
+    @classmethod
+    def read(cls, path: str | Path, *, need_ensemble: bool = False) -> "TrainedDir":
+        """Every file of the dir that a command reads, before it does any work;
+        a missing, malformed or mismatched one raises ConfigError or
+        ArtifactError."""
+        path = Path(path)
+        task_path, vocab_path = path / "task.json", path / "vocab.tsv"
+        for p in (task_path, vocab_path):
+            if not p.exists():
+                raise ConfigError(f"model artifact missing: {p}")
+        vocab = Vocabulary.load(vocab_path)
+        with artifacts.decoding(f"task {task_path}"):
+            task = json.loads(task_path.read_text(encoding="utf-8"))
+            if not isinstance(task["max_seq_len"], int):
+                raise artifacts.ArtifactError(f"{task_path}: max_seq_len is not an integer")
+            if len(set(task["label_names"])) != task["K"]:
+                raise artifacts.ArtifactError(f"{task_path}: K={task['K']} classes are not "
+                                              f"the {len(set(task['label_names']))} label names")
+        ensemble = head = snapshot = None
+        if (path / "ensemble.bge").exists():
+            ensemble = boosting.BoostEnsemble.load(path / "ensemble.bge")
+            configs = [(r.model.trunk if ensemble.sharing_mode == "sharing"
+                        else r.model.snapshot).config for r in ensemble.rounds]
+            if (path / "fusion.bgf").exists():
+                head = fusion_mod.FusionHead.load(path / "fusion.bgf")
+                fusion_mod.check_bound(ensemble, head)
+        elif (path / "model.bgv").exists() and not need_ensemble:
+            snapshot = enc.ModelSnapshot.load(path / "model.bgv")
+            configs = [snapshot.config]
+        else:
+            raise ConfigError(f"no {'ensemble' if need_ensemble else 'model'} artifacts "
+                              f"found in {path}")
+        for c in configs:
+            # softreg reads a sequence of any length
+            max_len = getattr(c, "max_seq_len", task["max_seq_len"])
+            if (c.vocab_size, c.K, max_len) != (vocab.size, task["K"], task["max_seq_len"]):
+                raise artifacts.ArtifactError(
+                    f"vocab.tsv and task.json ({vocab.size} ids, K={task['K']}, max_seq_len "
+                    f"{task['max_seq_len']}) do not match the model (vocab_size "
+                    f"{c.vocab_size}, K={c.K}, max_seq_len {max_len})")
+        return cls(path, vocab, task, ensemble, head, snapshot)
 
 
 @dataclass
@@ -428,11 +467,12 @@ class Run:
     writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
     config or input-data error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
-    its content hash as ``source`` and its dir as ``trained_on``, whose
-    vocabulary, label names and max_seq_len the prepared task must equal;
-    ``compare`` passes the hash of its grid (its axes and their values). The
-    dir is then ``<command>-<hash12>-<source hash12>``, so two ensembles, or
-    two grids, of one config get two dirs. ``finish`` writes the record.
+    its ``TrainedDir`` as ``trained_on``, whose vocabulary, label names and
+    max_seq_len the prepared task must equal, and whose ensemble's content
+    hash is the ``source``; ``compare`` passes the hash of its grid (its axes
+    and their values) as ``source``. The dir is then
+    ``<command>-<hash12>-<source hash12>``, so two ensembles, or two grids,
+    of one config get two dirs. ``finish`` writes the record.
     """
 
     command: str
@@ -444,7 +484,7 @@ class Run:
 
     @classmethod
     def open(cls, args, config_path: str | Path, source: str = "",
-             trained_on: Optional[Path] = None) -> "Run":
+             trained_on: Optional[TrainedDir] = None) -> "Run":
         t0 = time.perf_counter()
         cfg = RunConfig.load(config_path).with_overrides(
             **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
@@ -452,12 +492,14 @@ class Run:
         cfg.validate()
         bundle = prepare_task(cfg)
         if trained_on is not None:
-            vocab, task = _trained_task(trained_on)
-            if (vocab, task["label_names"], task["max_seq_len"]) != (
+            task = trained_on.task
+            if (trained_on.vocab, task["label_names"], task["max_seq_len"]) != (
                     bundle.vocab, list(bundle.train.label_names),
                     cfg.data["encoder"]["max_seq_len"]):
                 raise ConfigError(f"the config's task (vocabulary, label names, max_seq_len) "
-                                  f"is not the one the model in {trained_on} was trained on")
+                                  f"is not the one the model in {trained_on.path} was "
+                                  f"trained on")
+            source = trained_on.ensemble.content_hash()
         out_root = _out_root(cfg.data["out_dir"])
         if args.command != "fusion":
             ensure_pretrained(cfg, bundle, out_root)
@@ -510,9 +552,7 @@ def run_boost_pipeline(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledData
         train_probs=ensemble.train_probs, dev_probs=ensemble.dev_probs,
     )
 
-    vote_mode = cfg.data["boost"]["vote"]
-    vote_preds, _ = boosting.vote_predict(ensemble, mode=vote_mode, probs=ensemble.dev_probs)
-    fusion_preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=ensemble.dev_probs)
+    preds = _predictions(ensemble, head, ensemble.dev_probs, cfg.data["boost"]["vote"])
     return {
         "ensemble": ensemble,
         "head": head,
@@ -523,8 +563,7 @@ def run_boost_pipeline(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledData
             # the round-1 model as trained, scored on dev inside boost_train
             # (under weight sharing its head has since moved onto the final trunk)
             "single": round_log[0]["dev_acc"],
-            "boost_vote": _accuracy(vote_preds, bundle.dev),
-            "boost_fusion": _accuracy(fusion_preds, bundle.dev),
+            **{key: enc.percent_correct(p, bundle.dev.labels) for key, p in preds.items()},
         },
     }
 
@@ -596,8 +635,8 @@ def _run_bag(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledDataset):
         config=encoder_config(cfg, bundle), train_cfg=cfg.train_cfg(),
         pretrained=bundle.pretrained,
     )
-    preds, _ = boosting.vote_predict(bag, bundle.dev)
-    return bag, log, _accuracy(preds, bundle.dev)
+    preds = _predictions(bag, None, bag.predict_proba_per_round(bundle.dev), "soft")
+    return bag, log, enc.percent_correct(preds["bag"], bundle.dev.labels)
 
 
 def cmd_fusion(args) -> int:
@@ -605,13 +644,9 @@ def cmd_fusion(args) -> int:
     as it is. The new head, a copy of the ensemble, the resolved config and
     the record go to a ``fusion-<hash12>-<ensemble hash12>`` run dir, which
     ``eval`` and ``distill`` read like the run dir of ``train-boost``."""
-    ens_path = Path(args.run_dir) / "ensemble.bge"
-    if not ens_path.exists():
-        raise ConfigError(f"no ensemble found at {ens_path}")
-    ens_bytes = ens_path.read_bytes()
-    ensemble = boosting.ensemble_from_bytes(ens_bytes)
-    run = Run.open(args, ens_path.parent / "config.json", source=ensemble.content_hash(),
-                   trained_on=ens_path.parent)
+    trained = TrainedDir.read(args.run_dir, need_ensemble=True)
+    ensemble = trained.ensemble
+    run = Run.open(args, trained.path / "config.json", trained_on=trained)
     cfg, bundle = run.cfg, run.bundle
     dev_probs = ensemble.predict_proba_per_round(bundle.dev)
     head, _ = fusion_mod.train_fusion(
@@ -619,28 +654,21 @@ def cmd_fusion(args) -> int:
         train_probs=ensemble.predict_proba_per_round(bundle.train), dev_probs=dev_probs,
     )
     head.save(run.dir / "fusion.bgf")
-    artifacts.write(run.dir / "ensemble.bge", ens_bytes)
-    preds, _ = fusion_mod.fusion_predict(ensemble, head, probs=dev_probs)
-    acc = _accuracy(preds, bundle.dev)
-    run.finish({_ensemble_keys(ensemble)[1]: acc},
-               extras={"depth": cfg.data["fusion"]["depth"]})
+    artifacts.write(run.dir / "ensemble.bge", (trained.path / "ensemble.bge").read_bytes())
+    # the record holds only the new head's accuracy, the last of the predictions
+    key, preds = _predictions(ensemble, head, dev_probs, "soft").popitem()
+    acc = enc.percent_correct(preds, bundle.dev.labels)
+    run.finish({key: acc}, extras={"depth": cfg.data["fusion"]["depth"]})
     print(f"[{run.dir.name}] fusion={acc:.2f}")
     return 0
 
 
 def cmd_distill(args) -> int:
-    teacher_dir = Path(args.teacher_dir)
-    for required in ("ensemble.bge", "config.json"):
-        if not (teacher_dir / required).exists():
-            raise ConfigError(f"teacher artifact missing: {teacher_dir / required}")
     # the teacher's files are read before the run dir is made, so a malformed one leaves none
-    ensemble = boosting.BoostEnsemble.load(teacher_dir / "ensemble.bge")
-    head = None
-    if (teacher_dir / "fusion.bgf").exists():
-        head = fusion_mod.FusionHead.load(teacher_dir / "fusion.bgf")
-    teacher_single = _teacher_single_accuracy(teacher_dir)
-    run = Run.open(args, args.config or teacher_dir / "config.json",
-                   source=ensemble.content_hash(), trained_on=teacher_dir)
+    teacher = TrainedDir.read(args.teacher_dir, need_ensemble=True)
+    ensemble, head = teacher.ensemble, teacher.head
+    teacher_single = _teacher_single_accuracy(teacher.path)
+    run = Run.open(args, args.config or teacher.path / "config.json", trained_on=teacher)
     cfg, bundle = run.cfg, run.bundle
     targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
 
@@ -652,10 +680,9 @@ def cmd_distill(args) -> int:
     _write_jsonl(run.dir / "distill_log.jsonl", dlog)
 
     t_teach = time.perf_counter()
-    if head is not None:
-        teacher_preds, _ = fusion_mod.fusion_predict(ensemble, head, bundle.dev)
-    else:
-        teacher_preds, _ = boosting.vote_predict(ensemble, bundle.dev)
+    # the teacher is the fusion head when there is one, else the soft vote
+    *_, teacher_preds = _predictions(
+        ensemble, head, ensemble.predict_proba_per_round(bundle.dev), "soft").values()
     teacher_time = time.perf_counter() - t_teach
     t_stud = time.perf_counter()
     student_model = enc.model_from_snapshot(student)
@@ -671,8 +698,8 @@ def cmd_distill(args) -> int:
     record = run.finish(
         {
             "single": teacher_single,
-            "teacher": _accuracy(teacher_preds, bundle.dev),
-            "distilled": _accuracy(student_preds, bundle.dev),
+            "teacher": enc.percent_correct(teacher_preds, bundle.dev.labels),
+            "distilled": enc.percent_correct(student_preds, bundle.dev.labels),
         },
         extras={
             "student_params": int(student.params.size),
@@ -711,47 +738,24 @@ def _teacher_single_accuracy(teacher_dir: Path) -> Optional[float]:
 
 
 def cmd_eval(args) -> int:
-    model_dir = Path(args.model_dir)
-    vocab, task = _trained_task(model_dir)
-    ensemble = snapshot = None
-    if (model_dir / "ensemble.bge").exists():
-        ensemble = boosting.BoostEnsemble.load(model_dir / "ensemble.bge")
-        configs = [(r.model.trunk if ensemble.sharing_mode == "sharing"
-                    else r.model.snapshot).config for r in ensemble.rounds]
-    elif (model_dir / "model.bgv").exists():
-        snapshot = enc.ModelSnapshot.load(model_dir / "model.bgv")
-        configs = [snapshot.config]
-    else:
-        raise ConfigError(f"no model artifacts found in {model_dir}")
-    for c in configs:
-        if (c.vocab_size, c.K) != (vocab.size, task["K"]):
-            raise artifacts.ArtifactError(
-                f"vocab.tsv and task.json ({vocab.size} ids, K={task['K']}) do not match the "
-                f"model (vocab_size {c.vocab_size}, K={c.K})")
-
+    trained = TrainedDir.read(args.model_dir)
+    task, ensemble = trained.task, trained.ensemble
     with _input_data():
         raws = load_tsv(args.data)
         unknown = {ex.label for ex in raws} - set(task["label_names"])
         if unknown:
             raise ConfigError(f"dataset labels unknown to this model: {sorted(unknown)}")
         dataset = LabeledDataset.from_raw(
-            raws, vocab, task["max_seq_len"], label_names=task["label_names"]
+            raws, trained.vocab, task["max_seq_len"], label_names=task["label_names"]
         )
 
-    reports: dict[str, dict] = {}
     if ensemble is not None:
-        probs = ensemble.predict_proba_per_round(dataset)
-        preds, _ = boosting.vote_predict(ensemble, mode=args.vote, probs=probs)
-        vote_key, fusion_key = _ensemble_keys(ensemble)
-        reports[vote_key] = _classification_report(preds, dataset)
-        if (model_dir / "fusion.bgf").exists():
-            head = fusion_mod.FusionHead.load(model_dir / "fusion.bgf")
-            fpreds, _ = fusion_mod.fusion_predict(ensemble, head, probs=probs)
-            reports[fusion_key] = _classification_report(fpreds, dataset)
+        predictions = _predictions(ensemble, trained.head,
+                                   ensemble.predict_proba_per_round(dataset), args.vote)
     else:
-        model = enc.model_from_snapshot(snapshot)
-        preds = model.predict_proba(dataset.packed).argmax(axis=1)
-        reports["model"] = _classification_report(preds, dataset)
+        model = enc.model_from_snapshot(trained.snapshot)
+        predictions = {"model": model.predict_proba(dataset.packed).argmax(axis=1)}
+    reports = {key: _classification_report(preds, dataset) for key, preds in predictions.items()}
 
     for name, rep in reports.items():
         print(f"== {name} ==")
@@ -763,7 +767,7 @@ def cmd_eval(args) -> int:
         print("confusion matrix (rows = gold):")
         for row in rep["confusion"]:
             print("  " + " ".join(f"{v:6d}" for v in row))
-    out_path = model_dir / f"eval_{Path(args.data).stem}.json"
+    out_path = trained.path / f"eval_{Path(args.data).stem}.json"
     _write_json(out_path, reports)
     print(f"wrote {out_path}")
     return 0
@@ -778,7 +782,7 @@ def _classification_report(preds: np.ndarray, dataset: LabeledDataset) -> dict:
     with np.errstate(invalid="ignore"):
         recall = np.where(support > 0, np.diag(confusion) / np.maximum(support, 1) * 100.0, 0.0)
     return {
-        "accuracy": float((preds == gold).mean() * 100.0),
+        "accuracy": enc.percent_correct(preds, gold),
         "per_class_recall": [float(r) for r in recall],
         "support": [int(s) for s in support],
         "confusion": confusion.tolist(),
@@ -971,6 +975,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -12,6 +12,7 @@ from .training import (
     fresh_start,
     model_from_snapshot,
     new_model,
+    percent_correct,
     pretrain_mlm,
     train,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "layout_for",
     "model_from_snapshot",
     "new_model",
+    "percent_correct",
     "pretrain_mlm",
     "token_counts",
     "train",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,21 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 8 << 20)
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS that numpy's wheel bundles on one thread, as in an
+    ``OPENBLAS_NUM_THREADS=1`` process; any other BLAS is left alone.
+
+    More threads split a long inner dimension (``(32, 2000) @ (2000, 32)``)
+    and reorder its sums, which would tie the bytes of a trained model to the
+    core count. ``fit_loop`` calls this, and so does ``cli.main``, for scoring.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads(1)
 
 
 # the model class of each config and snapshot kind
@@ -118,7 +134,7 @@ def fit_loop(
     "event": "diverged"}`` record and ``params`` at the last finite update.
 
     Under glibc, the heap keeps the freed working set of a step for the next
-    (``_keep_freed_heap``).
+    (``_keep_freed_heap``), and BLAS runs on one thread (``_one_blas_thread``).
 
     ``after_pass(step)``, when given, runs after every pass that did not
     diverge (a pass cut short by the step cap included) and returns a record
@@ -130,6 +146,7 @@ def fit_loop(
     if (epochs is None) == (steps is None):
         raise ValueError("give exactly one of epochs and steps")
     _keep_freed_heap()
+    _one_blas_thread()
     total = steps if steps is not None else epochs * -(-n // batch_size)
     warmup_steps = max(1, int(round(warmup * total)))
     ranges = (slice(0, params.size),) if ranges is None else tuple(ranges)
@@ -210,10 +227,14 @@ def train(
     return model.snapshot("finetuned"), log
 
 
+def percent_correct(preds: np.ndarray, labels: np.ndarray) -> float:
+    """The percentage of ``preds`` that equal ``labels``."""
+    return float((preds == labels).mean() * 100.0)
+
+
 def evaluate_accuracy(model, dataset: LabeledDataset) -> float:
     """Percent accuracy in eval mode."""
-    probs = model.predict_proba(dataset.packed)
-    return float((probs.argmax(axis=1) == dataset.labels).mean() * 100.0)
+    return percent_correct(model.predict_proba(dataset.packed).argmax(axis=1), dataset.labels)
 
 
 def pretrain_mlm(

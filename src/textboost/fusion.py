@@ -18,7 +18,7 @@ import numpy as np
 from . import artifacts
 from .artifacts import FUSION_MAGIC, ArtifactError
 from .boosting import BoostEnsemble
-from .encoder import fit_loop
+from .encoder import fit_loop, percent_correct
 from .encoder.nnops import PROB_FLOOR, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
 
@@ -204,7 +204,7 @@ def train_fusion(
         epoch, epoch_loss = epoch + 1, 0.0
         if feats_dev is not None:
             preds = head.probs(feats_dev).argmax(axis=1)
-            entry["dev_acc"] = float((preds == dev_ds.labels).mean() * 100.0)
+            entry["dev_acc"] = percent_correct(preds, dev_ds.labels)
         return entry
 
     log = fit_loop(head.params, n, BATCH_SIZE, rng, loss_and_grad, lr=cfg.lr,
@@ -217,11 +217,9 @@ def train_fusion(
     return head, log
 
 
-def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
-                   probs: Optional[np.ndarray] = None):
-    """(label ids, probability rows) from the fusion head, over ``probs`` (the
-    (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
-    now. A head bound to another ensemble, or to none, raises ArtifactError."""
+def check_bound(ensemble: BoostEnsemble, head: FusionHead) -> None:
+    """Raise ArtifactError unless ``head`` reads the features of ``ensemble``
+    and is bound to its content hash."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
         raise ArtifactError(
@@ -229,5 +227,14 @@ def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
         )
     if head.ensemble_hash != ensemble.content_hash():
         raise ArtifactError("fusion head was trained for a different ensemble")
+
+
+def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
+                   probs: Optional[np.ndarray] = None):
+    """(label ids, probability rows) from the fusion head, over ``probs`` (the
+    (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
+    now. A head bound to another ensemble, or to none, raises ArtifactError
+    (``check_bound``)."""
+    check_bound(ensemble, head)
     fused = head.probs(build_feature(ensemble, dataset, probs=probs))
     return fused.argmax(axis=1), fused

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from textboost import cli, fusion
+from textboost import boosting, cli, fusion
 from textboost import encoder as enc
 
 from conftest import assert_run_contract
@@ -73,13 +73,14 @@ def boost_run(task_dir, tmp_path_factory):
     return out, cfg_path, run_dirs[0]
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("a command did work that should only have read artifacts")
+
+
 def no_training(monkeypatch):
     """Make every MLM pretraining and every distillation fail the test."""
-    def fail(*args, **kwargs):
-        raise AssertionError("a command trained that should only have read artifacts")
-
-    monkeypatch.setattr(enc, "pretrain_mlm", fail)
-    monkeypatch.setattr(cli.distill_mod, "distill_train", fail)
+    monkeypatch.setattr(enc, "pretrain_mlm", _fail)
+    monkeypatch.setattr(cli.distill_mod, "distill_train", _fail)
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +105,12 @@ def fusion_run(boost_run, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def distill_run(boost_run, tmp_path_factory):
-    """``distill`` from boost_run's dir into an out root of its own: (the out
-    root, the run's record)."""
-    _, cfg_path, teacher = boost_run
+    """``distill --config`` from a copy of boost_run's dir without its
+    config.json, into an out root of its own: (the out root, the run's
+    record)."""
+    _, cfg_path, source = boost_run
+    teacher = tmp_path_factory.mktemp("teacher") / source.name
+    shutil.copytree(source, teacher, ignore=shutil.ignore_patterns("config.json"))
     out = tmp_path_factory.mktemp("distill")
     cfg = json.loads(cfg_path.read_text())
     cfg["out_dir"] = str(out)
@@ -738,6 +742,33 @@ def _task_with_a_fourth_class(text):
     return json.dumps({**task, "label_names": [*task["label_names"], "delta"], "K": 4})
 
 
+def _bind_to(ensemble_hash):
+    """A change of a fusion head file that binds the head to ``ensemble_hash``."""
+    def bind(path):
+        head = fusion.FusionHead.load(path)
+        fusion.FusionHead(head.dims, head.params, ensemble_hash=ensemble_hash).save(path)
+    return bind
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# a change of one file of a run dir that no command may read past
+_BAD_RUN_DIRS = {
+    "truncated-ensemble": ("ensemble.bge", _truncate),
+    "head-of-another-ensemble": ("fusion.bgf", _bind_to("0" * 64)),
+    # well formed, but 20 ids against the model's vocabulary
+    "vocab-cut": ("vocab.tsv", _rewrite(lambda text: "".join(text.splitlines(True)[:20]))),
+    # well formed, but K=4 against the model's 3
+    "task-fourth-class": ("task.json", _rewrite(_task_with_a_fourth_class)),
+    # well formed, but sequences longer than the model's 24 positions
+    "task-longer-sequences": ("task.json", _rewrite(lambda text: text.replace(
+        '"max_seq_len": 24', '"max_seq_len": 40'))),
+    "task-missing": ("task.json", Path.unlink),
+}
+
+
 class TestArtifactErrors:
     @staticmethod
     def eval_of_a_changed_copy(boost_run, task_dir, tmp_path, name, change) -> int:
@@ -751,25 +782,11 @@ class TestArtifactErrors:
         assert not (model_dir / "eval_dev.json").exists()
         return rc
 
-    def test_eval_of_a_truncated_ensemble_exits_2(self, boost_run, task_dir, tmp_path):
-        def truncate(path):
-            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-
-        assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, "ensemble.bge",
-                                           truncate) == 2
-
     def test_eval_with_an_unbound_fusion_head_exits_2(self, boost_run, task_dir, tmp_path):
-        def unbind(path):
-            head = fusion.FusionHead.load(path)
-            fusion.FusionHead(head.dims, head.params, ensemble_hash="").save(path)
-
         assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, "fusion.bgf",
-                                           unbind) == 2
+                                           _bind_to("")) == 2
 
     @pytest.mark.parametrize("name, change", [
-        # well formed, but 20 ids against the model's vocabulary
-        pytest.param("vocab.tsv", _rewrite(lambda text: "".join(text.splitlines(True)[:20])),
-                     id="vocab-cut"),
         pytest.param("vocab.tsv", _rewrite(lambda text: text + "notab\n"), id="vocab-no-tab"),
         pytest.param("vocab.tsv", _rewrite(lambda text: text + "word\tseven\n"),
                      id="vocab-bad-id"),
@@ -778,35 +795,41 @@ class TestArtifactErrors:
         pytest.param("task.json", _rewrite(lambda text: text[: len(text) // 2]), id="task-cut"),
         pytest.param("task.json", _rewrite(lambda text: text.replace('"K": 3', '"K": 4')),
                      id="task-K-not-its-labels"),
-        # well formed, but K=4 against the model's 3
-        pytest.param("task.json", _rewrite(_task_with_a_fourth_class),
-                     id="task-K-not-the-model"),
     ])
     def test_eval_with_a_malformed_or_mismatched_vocabulary_or_task_exits_2(
             self, boost_run, task_dir, tmp_path, name, change):
         assert self.eval_of_a_changed_copy(boost_run, task_dir, tmp_path, name, change) == 2
 
-    def test_distill_with_a_head_of_another_ensemble_exits_2(self, boost_run, tmp_path,
-                                                             monkeypatch):
+    @pytest.mark.parametrize("case", list(_BAD_RUN_DIRS))
+    @pytest.mark.parametrize("command", ["fusion", "distill", "eval"])
+    def test_a_bad_run_dir_exits_2_before_any_work(self, boost_run, task_dir, tmp_path,
+                                                   monkeypatch, command, case):
+        """Each command that reads a run dir reads and checks it whole before
+        it makes a run dir, pretrains, trains or scores."""
         out, cfg_path, source = boost_run
-        teacher = tmp_path / source.name
-        shutil.copytree(source, teacher)
-        head = fusion.FusionHead.load(teacher / "fusion.bgf")
-        fusion.FusionHead(head.dims, head.params, ensemble_hash="0" * 64).save(
-            teacher / "fusion.bgf")
-        # the pretraining cache of boost_run, so that the student's trunk is read
+        model_dir = tmp_path / source.name
+        shutil.copytree(source, model_dir, ignore=shutil.ignore_patterns("eval_*.json"))
+        # the pretraining cache of boost_run, so that a student's trunk would be read
         out2 = tmp_path / "out"
         out2.mkdir()
         for cache in out.glob("pretrained_*.bgv"):
             shutil.copy(cache, out2 / cache.name)
         cfg = json.loads(cfg_path.read_text())
         cfg["out_dir"] = str(out2)
-        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        for path in (model_dir / "config.json", tmp_path / "c.json"):
+            path.write_text(json.dumps(cfg))
+        name, change = _BAD_RUN_DIRS[case]
+        change(model_dir / name)
+        before = sorted(out2.iterdir())
 
         no_training(monkeypatch)
-        assert cli.main(["distill", "--teacher-dir", str(teacher),
-                         "--config", str(tmp_path / "c.json")]) == 2
-        assert not (out2 / "metrics.jsonl").exists()
+        monkeypatch.setattr(boosting.BoostEnsemble, "predict_proba_per_round", _fail)
+        flags = {"fusion": ["--run-dir", str(model_dir)],
+                 "distill": ["--teacher-dir", str(model_dir), "--config", str(tmp_path / "c.json")],
+                 "eval": ["--model-dir", str(model_dir), "--data", str(task_dir / "dev.tsv")]}
+        assert cli.main([command, *flags[command]]) == 2
+        assert sorted(out2.iterdir()) == before
+        assert not list(model_dir.glob("eval_*.json"))
 
 
 class TestPretraining:
