@@ -19,6 +19,7 @@ their unweighted posterior average.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,8 +185,6 @@ class BoostEnsemble:
         return (self.alphas[None, :, None] * contrib).sum(axis=1)
 
     def content_hash(self) -> str:
-        import hashlib
-
         return hashlib.sha256(ensemble_to_bytes(self)).hexdigest()
 
     def save(self, path: str | Path) -> None:

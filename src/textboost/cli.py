@@ -14,6 +14,7 @@ line appended to ``<out_root>/metrics.jsonl``. The default output root is
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -156,6 +157,12 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+def _digest(obj) -> str:
+    """sha256 of the canonical JSON of ``obj`` (sorted keys, no spaces)."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+                          ).hexdigest()
+
+
 @dataclass
 class RunConfig:
     """Resolved experiment configuration (all defaults applied)."""
@@ -197,9 +204,7 @@ class RunConfig:
 
     def hash(self) -> str:
         # out_dir says where artifacts go, not what gets computed
-        data = {k: v for k, v in self.data.items() if k != "out_dir"}
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _digest({k: v for k, v in self.data.items() if k != "out_dir"})
 
     def with_overrides(self, **kv) -> "RunConfig":
         data = json.loads(json.dumps(self.data))
@@ -213,12 +218,6 @@ class RunConfig:
             section[parts[-1]] = val
         return RunConfig(data=data)
 
-    def train_cfg(self) -> enc.TrainConfig:
-        return enc.TrainConfig(**self.data["train"])
-
-    def fusion_cfg(self) -> fusion_mod.FusionConfig:
-        return fusion_mod.FusionConfig(**self.data["fusion"])
-
 
 # ----------------------------------------------------------------------
 # task preparation
@@ -230,11 +229,6 @@ class TaskBundle:
     dev: LabeledDataset
     vocab: Vocabulary
     corpus_ids: list[list[int]]  # empty unless the config pretrains
-    pretrained: Optional[enc.ModelSnapshot] = None
-
-    @property
-    def K(self) -> int:
-        return self.train.K
 
 
 @contextmanager
@@ -280,15 +274,13 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
     corpus_ids = [
         [vocab.lookup(t) for t in tokenize(line)][:max_len] for line in corpus_lines
     ] if _pretrains(cfg) else []
-    return TaskBundle(
-        train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids
-    )
+    return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids)
 
 
-def encoder_config(cfg: RunConfig, bundle: TaskBundle):
+def encoder_config(cfg: RunConfig, vocab_size: int, K: int):
     if cfg.data["learner"] == "softreg":
-        return enc.SoftregConfig(vocab_size=bundle.vocab.size, K=bundle.K)
-    return enc.EncoderConfig(vocab_size=bundle.vocab.size, K=bundle.K, **cfg.data["encoder"])
+        return enc.SoftregConfig(vocab_size=vocab_size, K=K)
+    return enc.EncoderConfig(vocab_size=vocab_size, K=K, **cfg.data["encoder"])
 
 
 def _pretrains(cfg: RunConfig) -> bool:
@@ -296,36 +288,145 @@ def _pretrains(cfg: RunConfig) -> bool:
     return cfg.data["learner"] == "transformer" and cfg.data["pretrain"]["steps"] > 0
 
 
-def ensure_pretrained(cfg: RunConfig, bundle: TaskBundle, cache_dir: Optional[Path] = None):
-    """Pretrain the MLM trunk once per bundle if the config needs it.
+# ----------------------------------------------------------------------
+# keyed stages
+# ----------------------------------------------------------------------
 
-    The checkpoint is deterministic in (corpus, model config, pretrain
-    steps, seed), so it may be cached on disk and shared across commands
-    keyed by that tuple. A cache entry that fails to load is
-    retrained and replaced.
-    """
-    if bundle.pretrained is not None or not _pretrains(cfg):
-        return
-    steps = cfg.data["pretrain"]["steps"]
-    model_cfg = encoder_config(cfg, bundle)
-    cache_path = None
-    if cache_dir is not None:
-        key = hashlib.sha256(json.dumps([
-            [list(s) for s in bundle.corpus_ids],
-            model_cfg.to_dict(), cfg.data["pretrain"], cfg.seed,
-        ], sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
-        cache_path = Path(cache_dir) / f"pretrained_{key}.bgv"
-        if cache_path.exists():
+class Keyed(NamedTuple):
+    """A value under its key: a stage's files under the stage key, or a model
+    read from a run dir under the hash of its bytes."""
+
+    key: str
+    value: object
+
+
+def _stage(name: str, reads: tuple[str, ...], *parts: str):
+    """Make the decorated ``fit(cfg, **inputs)`` a stage: a trained result
+    named ``name`` that reads the config values ``reads`` (dotted keys) and
+    is the ``{file: model or log}`` of the files ``parts``."""
+    def mark(fit):
+        fit.stage = (name, reads, parts)
+        return fit
+    return mark
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the relative path and the bytes of every textboost module."""
+    root, h = Path(__file__).parent, hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _key_of(value):
+    """What a stage key holds of an input: a Keyed's key, a model config's
+    fields, the hash of a dataset's arrays, else the (JSON) value itself."""
+    if isinstance(value, (enc.EncoderConfig, enc.SoftregConfig)):
+        return value.to_dict()
+    if isinstance(value, LabeledDataset):
+        h = hashlib.sha256(json.dumps(value.label_names).encode())
+        for a in (value.packed.ids, value.packed.segs, value.packed.lengths, value.labels):
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+        return h.hexdigest()
+    return value.key if isinstance(value, Keyed) else value
+
+
+def _save(path: Path, part) -> None:
+    if path.suffix == ".jsonl":
+        return _write_jsonl(path, part)
+    part.save(path)
+
+
+def _load(path: Path):
+    """The part ``_save`` wrote to ``path``; a malformed one raises ArtifactError."""
+    if path.suffix == ".jsonl":
+        with artifacts.decoding(f"log {path}"):
+            return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return {".bgv": enc.ModelSnapshot, ".bge": boosting.BoostEnsemble,
+            ".bgf": fusion_mod.FusionHead}[path.suffix].load(path)
+
+
+@dataclass
+class Store:
+    """The stage outputs under an out root: ``<name>_<key16><suffix>`` for a
+    stage of one file, else a ``<name>_<key16>`` dir of its files."""
+
+    root: Path
+    memo: dict = field(default_factory=dict)
+
+    def get(self, fit, cfg: RunConfig, **inputs) -> Keyed:
+        """The files of ``fit``'s stage, keyed by the sha256 of the values it
+        reads, its inputs' keys and the textboost source: from the memo, else
+        from its entry, else fitted now and written there. An entry that
+        lacks a file or fails to load is fitted again and replaced."""
+        name, reads, parts = fit.stage
+        values = [functools.reduce(lambda d, k: d[k], key.split("."), cfg.data) for key in reads]
+        key = _digest([name, _source_digest(), values, {k: _key_of(v) for k, v in inputs.items()}])
+        paths = {part: self.root / (f"{name}_{key[:16]}{Path(part).suffix}" if len(parts) == 1
+                                    else f"{name}_{key[:16]}/{part}") for part in parts}
+        if key not in self.memo:
             try:
-                bundle.pretrained = enc.ModelSnapshot.load(cache_path)
-                return
-            except artifacts.ArtifactError:  # a truncated or corrupted entry: retrain it
-                pass
-    snap, _ = enc.pretrain_mlm(bundle.corpus_ids, model_cfg, steps, [cfg.seed, 41])
-    bundle.pretrained = snap
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        snap.save(cache_path)
+                self.memo[key] = {part: _load(path) for part, path in paths.items()}
+            except (OSError, artifacts.ArtifactError):  # no entry, or a cut or corrupted one
+                self.memo[key] = fit(cfg, **{k: v.value if isinstance(v, Keyed) else v
+                                             for k, v in inputs.items()})
+                for part, path in paths.items():
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    _save(path, self.memo[key][part])
+        return Keyed(key, self.memo[key])
+
+
+@_stage("pretrained", ("seed", "pretrain"), "pretrained.bgv")
+def ensure_pretrained(cfg: RunConfig, model, corpus: list) -> dict:
+    """The MLM trunk of the ``model`` config, trained on the encoded corpus."""
+    snap, _ = enc.pretrain_mlm(corpus, model, cfg.data["pretrain"]["steps"], [cfg.seed, 41])
+    return {"pretrained.bgv": snap}
+
+
+@_stage("boost", ("seed", "train", "boost.rounds", "boost.init_strategy", "boost.sharing_mode"),
+        "ensemble.bge", "single.bgv", "round_log.jsonl", "train_log.jsonl")
+def _fit_boost(cfg: RunConfig, model, trunk, train: LabeledDataset, dev: LabeledDataset) -> dict:
+    """The boosted ensemble, its round-1 model as trained, the round log and
+    every round's optimizer steps under its ``round``."""
+    boost = cfg.data["boost"]
+    learner = boosting.NeuralBoostLearner(
+        model, enc.TrainConfig(**cfg.data["train"]), boost["init_strategy"],
+        sharing_mode=boost["sharing_mode"], pretrained=trunk)
+    ensemble, round_log = boosting.boost_train(train, learner, boost["rounds"], cfg.seed, dev=dev)
+    return {"ensemble.bge": ensemble, "single.bgv": learner.round1_snapshot,
+            "round_log.jsonl": round_log,
+            "train_log.jsonl": [{"round": m, **rec} for m, rows in learner.train_logs.items()
+                                for rec in rows]}
+
+
+@_stage("fusion", ("seed", "fusion"), "fusion.bgf")
+def _fit_head(cfg: RunConfig, ensemble: boosting.BoostEnsemble, train: LabeledDataset,
+              dev: LabeledDataset) -> dict:
+    """The fusion head, on the rows that ``boost_train`` scored when it has them."""
+    head, _ = fusion_mod.train_fusion(
+        ensemble, train, dev, fusion_mod.FusionConfig(**cfg.data["fusion"]), cfg.seed,
+        train_probs=ensemble.train_probs, dev_probs=ensemble.dev_probs)
+    return {"fusion.bgf": head}
+
+
+@_stage("bag", ("seed", "train", "bag"), "ensemble.bge", "bag_log.jsonl")
+def _fit_bag(cfg: RunConfig, model, trunk, train: LabeledDataset) -> dict:
+    """The bagging ensemble and its members' log."""
+    bag, log = baselines.bag_train(
+        train, cfg.data["bag"]["learning_rates"], cfg.seed, config=model,
+        train_cfg=enc.TrainConfig(**cfg.data["train"]), pretrained=trunk)
+    return {"ensemble.bge": bag, "bag_log.jsonl": log}
+
+
+@_stage("student", ("seed", "distill"), "model.bgv", "distill_log.jsonl")
+def _fit_student(cfg: RunConfig, model, teacher: "TrainedDir", trunk, train: LabeledDataset,
+                 dev: LabeledDataset) -> dict:
+    """The student distilled from the teacher dir's ensemble and head, and its log."""
+    student, log = distill_mod.distill_train(
+        distill_mod.teacher_targets(teacher.ensemble, teacher.head, train), train, model,
+        cfg.data["distill"]["total_steps"], cfg.seed, pretrained=trunk, dev=dev)
+    return {"model.bgv": student, "distill_log.jsonl": log}
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +481,7 @@ def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
 
 
 def _out_root(explicit: Optional[str]) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+    return Path(explicit or os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
 def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> None:
@@ -392,7 +491,7 @@ def _save_task_artifacts(run_dir: Path, cfg: RunConfig, bundle: TaskBundle) -> N
         "label_names": list(bundle.train.label_names),
         "max_seq_len": cfg.data["encoder"]["max_seq_len"],
         "learner": cfg.data["learner"],
-        "K": bundle.K,
+        "K": bundle.train.K,
     }
     _write_json(run_dir / "task.json", task)
 
@@ -449,11 +548,12 @@ class TrainedDir:
         for c in configs:
             # softreg reads a sequence of any length
             max_len = getattr(c, "max_seq_len", task["max_seq_len"])
-            if (c.vocab_size, c.K, max_len) != (vocab.size, task["K"], task["max_seq_len"]):
+            if (c.kind, c.vocab_size, c.K, max_len) != (
+                    task.get("learner"), vocab.size, task["K"], task["max_seq_len"]):
                 raise artifacts.ArtifactError(
-                    f"vocab.tsv and task.json ({vocab.size} ids, K={task['K']}, max_seq_len "
-                    f"{task['max_seq_len']}) do not match the model (vocab_size "
-                    f"{c.vocab_size}, K={c.K}, max_seq_len {max_len})")
+                    f"vocab.tsv and task.json ({task.get('learner')}, {vocab.size} ids, "
+                    f"K={task['K']}, max_seq_len {task['max_seq_len']}) do not match the model "
+                    f"({c.kind}, vocab_size {c.vocab_size}, K={c.K}, max_seq_len {max_len})")
         return cls(path, vocab, task, ensemble, head, snapshot)
 
 
@@ -463,9 +563,9 @@ class Run:
 
     ``Run.open`` loads the command's config with its flag overrides,
     validates it, prepares the task, gives the command its pretrained trunk
-    (``fusion`` retrains a head on saved rounds and never uses one), and
-    writes the task artifacts into a fresh ``<command>-<hash12>`` dir, so a
-    config or input-data error leaves no run dir behind.
+    from the store (``fusion`` retrains a head on saved rounds and never uses
+    one), and writes the task artifacts into a fresh ``<command>-<hash12>``
+    dir, so a config or input-data error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
     its ``TrainedDir`` as ``trained_on``, whose vocabulary, label names and
     max_seq_len the prepared task must equal, and whose ensemble's content
@@ -481,14 +581,16 @@ class Run:
     out_root: Path
     dir: Path
     t0: float
+    store: Store
+    model: object  # the base learner's config: EncoderConfig or SoftregConfig
+    trunk: Optional[Keyed]  # the pretrained snapshot under its stage key
 
     @classmethod
     def open(cls, args, config_path: str | Path, source: str = "",
              trained_on: Optional[TrainedDir] = None) -> "Run":
         t0 = time.perf_counter()
         cfg = RunConfig.load(config_path).with_overrides(
-            **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
-        )
+            **{key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()})
         cfg.validate()
         bundle = prepare_task(cfg)
         if trained_on is not None:
@@ -501,13 +603,16 @@ class Run:
                                   f"trained on")
             source = trained_on.ensemble.content_hash()
         out_root = _out_root(cfg.data["out_dir"])
-        if args.command != "fusion":
-            ensure_pretrained(cfg, bundle, out_root)
+        store, trunk = Store(out_root), None
+        model = encoder_config(cfg, bundle.vocab.size, bundle.train.K)
+        if args.command != "fusion" and _pretrains(cfg):
+            key, parts = store.get(ensure_pretrained, cfg, model=model, corpus=bundle.corpus_ids)
+            trunk = Keyed(key, parts["pretrained.bgv"])
         run_dir = out_root / (f"{args.command}-{cfg.hash()[:12]}"
                               + (f"-{source[:12]}" if source else ""))
         run_dir.mkdir(parents=True, exist_ok=True)
         _save_task_artifacts(run_dir, cfg, bundle)
-        return cls(args.command, cfg, bundle, out_root, run_dir, t0)
+        return cls(args.command, cfg, bundle, out_root, run_dir, t0, store, model, trunk)
 
     def finish(self, accuracies: dict, *, round_log: Sequence[dict] = (),
                extras: Optional[dict] = None, timing: Optional[dict] = None) -> MetricsRecord:
@@ -525,47 +630,32 @@ class Run:
         write_metrics(record, self.out_root, self.dir)
         return record
 
-
-# ----------------------------------------------------------------------
-# core pipelines (shared by commands)
-# ----------------------------------------------------------------------
-
-def run_boost_pipeline(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledDataset) -> dict:
-    """Boost + fusion on ``train_ds``, scored on the bundle's dev set.
-
-    Returns models, logs, and dev accuracies for single / vote / fusion.
-    """
-    model_cfg = encoder_config(cfg, bundle)
-    learner = boosting.NeuralBoostLearner(
-        model_cfg,
-        cfg.train_cfg(),
-        cfg.data["boost"]["init_strategy"],
-        sharing_mode=cfg.data["boost"]["sharing_mode"],
-        pretrained=bundle.pretrained,
-    )
-    ensemble, round_log = boosting.boost_train(
-        train_ds, learner, cfg.data["boost"]["rounds"], cfg.seed, dev=bundle.dev
-    )
-    # boost_train scored every round on both splits; nothing is scored again
-    head, _ = fusion_mod.train_fusion(
-        ensemble, train_ds, bundle.dev, cfg.fusion_cfg(), cfg.seed,
-        train_probs=ensemble.train_probs, dev_probs=ensemble.dev_probs,
-    )
-
-    preds = _predictions(ensemble, head, ensemble.dev_probs, cfg.data["boost"]["vote"])
-    return {
-        "ensemble": ensemble,
-        "head": head,
-        "round_log": round_log,
-        "train_logs": learner.train_logs,
-        "single_snapshot": learner.round1_snapshot,
-        "accuracies": {
+    def boost(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, dict]:
+        """``cfg``'s boosted ensemble on ``train`` and its fusion head, from the
+        store: (their files, their dev accuracies single / vote / fusion)."""
+        dev = self.bundle.dev
+        boost = self.store.get(_fit_boost, cfg, model=self.model, trunk=self.trunk, train=train,
+                               dev=dev)
+        ensemble = boost.value["ensemble.bge"]
+        if ensemble.dev_probs is None:  # read from its entry: scored once, here
+            ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
+        head = self.store.get(_fit_head, cfg, ensemble=Keyed(boost.key, ensemble), train=train,
+                              dev=dev).value
+        preds = _predictions(ensemble, head["fusion.bgf"], ensemble.dev_probs,
+                             cfg.data["boost"]["vote"])
+        return {**boost.value, **head}, {
             # the round-1 model as trained, scored on dev inside boost_train
             # (under weight sharing its head has since moved onto the final trunk)
-            "single": round_log[0]["dev_acc"],
-            **{key: enc.percent_correct(p, bundle.dev.labels) for key, p in preds.items()},
-        },
-    }
+            "single": boost.value["round_log.jsonl"][0]["dev_acc"],
+            **{key: enc.percent_correct(p, dev.labels) for key, p in preds.items()},
+        }
+
+    def bag(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, float]:
+        """``cfg``'s bag on ``train``, from the store: (its files, its dev accuracy)."""
+        bag = self.store.get(_fit_bag, cfg, model=self.model, trunk=self.trunk,
+                             train=train).value
+        preds, _ = boosting.vote_predict(bag["ensemble.bge"], self.bundle.dev)
+        return bag, enc.percent_correct(preds, self.bundle.dev.labels)
 
 
 # ----------------------------------------------------------------------
@@ -578,9 +668,7 @@ def cmd_gen_data(args) -> int:
         "train_size": _int(1), "dev_size": _int(1), "corpus_size": _int(1),
         "noise": fraction, "hard_fraction": fraction, "seed": _int(0)}))
     paths = synthetic.write_task(args.out, cfg)
-    meta = dict(paths)
-    meta["config"] = asdict(cfg)
-    _write_json(Path(args.out, "meta.json"), meta)
+    _write_json(Path(args.out, "meta.json"), {**paths, "config": asdict(cfg)})
     for name, p in paths.items():
         print(f"wrote {name}: {p}")
     return 0
@@ -589,27 +677,21 @@ def cmd_gen_data(args) -> int:
 def cmd_train_boost(args) -> int:
     run = Run.open(args, args.config)
     cfg, bundle = run.cfg, run.bundle
-    result = run_boost_pipeline(cfg, bundle, bundle.train)
-    result["ensemble"].save(run.dir / "ensemble.bge")
-    result["head"].save(run.dir / "fusion.bgf")
-    result["single_snapshot"].save(run.dir / "single.bgv")
-    if bundle.pretrained is not None:
-        bundle.pretrained.save(run.dir / "pretrained.bgv")
-    _write_jsonl(run.dir / "round_log.jsonl", result["round_log"])
-    train_logs = result["train_logs"]
-    _write_jsonl(run.dir / "train_log.jsonl", [
-        {"round": m, **rec} for m, rows in train_logs.items() for rec in rows
-    ])
+    parts, accuracies = run.boost(cfg, bundle.train)
+    if run.trunk is not None:
+        parts["pretrained.bgv"] = run.trunk.value
+    for name, part in parts.items():
+        _save(run.dir / name, part)
     extras = {
-        "m_effective": result["ensemble"].m_effective,
+        "m_effective": parts["ensemble.bge"].m_effective,
         "vote": cfg.data["boost"]["vote"],
         "train_size": bundle.train.n,
         "dev_size": bundle.dev.n,
     }
-    if 0 in train_logs:  # the finetuning strategy's source fine-tune ran
-        extras["source_fine_tune_steps"] = len(train_logs[0])
+    if cfg.data["boost"]["init_strategy"] == "finetuning":  # its source fine-tune is round 0
+        extras["source_fine_tune_steps"] = sum(r["round"] == 0 for r in parts["train_log.jsonl"])
 
-    record = run.finish(result["accuracies"], round_log=result["round_log"], extras=extras)
+    record = run.finish(accuracies, round_log=parts["round_log.jsonl"], extras=extras)
     acc = record.accuracies
     print(
         f"[{run.dir.name}] single={acc['single']:.2f} vote={acc['boost_vote']:.2f} "
@@ -620,23 +702,12 @@ def cmd_train_boost(args) -> int:
 
 def cmd_train_bag(args) -> int:
     run = Run.open(args, args.config)
-    bag, bag_log, acc = _run_bag(run.cfg, run.bundle, run.bundle.train)
+    parts, acc = run.bag(run.cfg, run.bundle.train)
+    bag = parts["ensemble.bge"]
     bag.save(run.dir / "ensemble.bge")
-    run.finish({"bag": acc}, round_log=bag_log, extras={"members": bag.m_effective})
+    run.finish({"bag": acc}, round_log=parts["bag_log.jsonl"], extras={"members": bag.m_effective})
     print(f"[{run.dir.name}] bag={acc:.2f} ({bag.m_effective} members)")
     return 0
-
-
-def _run_bag(cfg: RunConfig, bundle: TaskBundle, train_ds: LabeledDataset):
-    """The bagging ensemble trained on ``train_ds``, its training log and its
-    dev accuracy."""
-    bag, log = baselines.bag_train(
-        train_ds, cfg.data["bag"]["learning_rates"], cfg.seed,
-        config=encoder_config(cfg, bundle), train_cfg=cfg.train_cfg(),
-        pretrained=bundle.pretrained,
-    )
-    preds = _predictions(bag, None, bag.predict_proba_per_round(bundle.dev), "soft")
-    return bag, log, enc.percent_correct(preds["bag"], bundle.dev.labels)
 
 
 def cmd_fusion(args) -> int:
@@ -648,15 +719,13 @@ def cmd_fusion(args) -> int:
     ensemble = trained.ensemble
     run = Run.open(args, trained.path / "config.json", trained_on=trained)
     cfg, bundle = run.cfg, run.bundle
-    dev_probs = ensemble.predict_proba_per_round(bundle.dev)
-    head, _ = fusion_mod.train_fusion(
-        ensemble, bundle.train, bundle.dev, cfg.fusion_cfg(), cfg.seed,
-        train_probs=ensemble.predict_proba_per_round(bundle.train), dev_probs=dev_probs,
-    )
+    ensemble.dev_probs = ensemble.predict_proba_per_round(bundle.dev)
+    head = run.store.get(_fit_head, cfg, ensemble=Keyed(ensemble.content_hash(), ensemble),
+                         train=bundle.train, dev=bundle.dev).value["fusion.bgf"]
     head.save(run.dir / "fusion.bgf")
     artifacts.write(run.dir / "ensemble.bge", (trained.path / "ensemble.bge").read_bytes())
     # the record holds only the new head's accuracy, the last of the predictions
-    key, preds = _predictions(ensemble, head, dev_probs, "soft").popitem()
+    key, preds = _predictions(ensemble, head, ensemble.dev_probs, "soft").popitem()
     acc = enc.percent_correct(preds, bundle.dev.labels)
     run.finish({key: acc}, extras={"depth": cfg.data["fusion"]["depth"]})
     print(f"[{run.dir.name}] fusion={acc:.2f}")
@@ -667,17 +736,19 @@ def cmd_distill(args) -> int:
     # the teacher's files are read before the run dir is made, so a malformed one leaves none
     teacher = TrainedDir.read(args.teacher_dir, need_ensemble=True)
     ensemble, head = teacher.ensemble, teacher.head
-    teacher_single = _teacher_single_accuracy(teacher.path)
+    record_path = teacher.path / "metrics.json"
+    with artifacts.decoding(f"teacher record {record_path}"):
+        teacher_single = json.loads(record_path.read_text(encoding="utf-8")).get(
+            "accuracies", {}).get("single") if record_path.exists() else None
     run = Run.open(args, args.config or teacher.path / "config.json", trained_on=teacher)
     cfg, bundle = run.cfg, run.bundle
-    targets = distill_mod.teacher_targets(ensemble, head, bundle.train)
-
-    student, dlog = distill_mod.distill_train(
-        targets, bundle.train, encoder_config(cfg, bundle), cfg.data["distill"]["total_steps"],
-        cfg.seed, pretrained=bundle.pretrained, dev=bundle.dev,
-    )
-    student.save(run.dir / "model.bgv")
-    _write_jsonl(run.dir / "distill_log.jsonl", dlog)
+    teacher_key = _digest([ensemble.content_hash(),
+                           head and hashlib.sha256(head.to_bytes()).hexdigest()])
+    parts = run.store.get(_fit_student, cfg, model=run.model, teacher=Keyed(teacher_key, teacher),
+                          trunk=run.trunk, train=bundle.train, dev=bundle.dev).value
+    for name, part in parts.items():
+        _save(run.dir / name, part)
+    student = parts["model.bgv"]
 
     t_teach = time.perf_counter()
     # the teacher is the fusion head when there is one, else the soft vote
@@ -689,11 +760,11 @@ def cmd_distill(args) -> int:
     student_preds = student_model.predict_proba(bundle.dev.packed).argmax(axis=1)
     student_time = time.perf_counter() - t_stud
 
-    teacher_params = sum(
-        _round_param_count(r, ensemble) for r in ensemble.rounds
-    ) + (ensemble.shared_trunk.params.size if ensemble.shared_trunk is not None else 0)
-    if head is not None:
-        teacher_params += head.n_params
+    # every round's model (under sharing its head, and the one trunk) and the head
+    trunk = ensemble.shared_trunk
+    teacher_params = sum(r.model.snapshot.params.size if trunk is None else r.model.head.size
+                         for r in ensemble.rounds)
+    teacher_params += (0 if trunk is None else trunk.params.size) + (head.n_params if head else 0)
 
     record = run.finish(
         {
@@ -722,21 +793,6 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _round_param_count(r: boosting.BoostRound, ensemble: boosting.BoostEnsemble) -> int:
-    if ensemble.sharing_mode == "sharing":
-        return int(r.model.head.size)
-    return int(r.model.snapshot.params.size)
-
-
-def _teacher_single_accuracy(teacher_dir: Path) -> Optional[float]:
-    metrics_path = teacher_dir / "metrics.json"
-    if not metrics_path.exists():
-        return None
-    with artifacts.decoding(f"teacher record {metrics_path}"):
-        rec = json.loads(metrics_path.read_text(encoding="utf-8"))
-        return rec.get("accuracies", {}).get("single")
-
-
 def cmd_eval(args) -> int:
     trained = TrainedDir.read(args.model_dir)
     task, ensemble = trained.task, trained.ensemble
@@ -745,9 +801,8 @@ def cmd_eval(args) -> int:
         unknown = {ex.label for ex in raws} - set(task["label_names"])
         if unknown:
             raise ConfigError(f"dataset labels unknown to this model: {sorted(unknown)}")
-        dataset = LabeledDataset.from_raw(
-            raws, trained.vocab, task["max_seq_len"], label_names=task["label_names"]
-        )
+        dataset = LabeledDataset.from_raw(raws, trained.vocab, task["max_seq_len"],
+                                          label_names=task["label_names"])
 
     if ensemble is not None:
         predictions = _predictions(ensemble, trained.head,
@@ -758,11 +813,9 @@ def cmd_eval(args) -> int:
     reports = {key: _classification_report(preds, dataset) for key, preds in predictions.items()}
 
     for name, rep in reports.items():
-        print(f"== {name} ==")
-        print(f"accuracy: {rep['accuracy']:.2f}")
-        for label, recall, support in zip(
-            task["label_names"], rep["per_class_recall"], rep["support"]
-        ):
+        print(f"== {name} ==\naccuracy: {rep['accuracy']:.2f}")
+        for label, recall, support in zip(task["label_names"], rep["per_class_recall"],
+                                          rep["support"]):
             print(f"  recall[{label}]: {recall:.2f}  (support {support})")
         print("confusion matrix (rows = gold):")
         for row in rep["confusion"]:
@@ -779,8 +832,7 @@ def _classification_report(preds: np.ndarray, dataset: LabeledDataset) -> dict:
     confusion = np.zeros((K, K), dtype=np.int64)
     np.add.at(confusion, (gold, preds), 1)
     support = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        recall = np.where(support > 0, np.diag(confusion) / np.maximum(support, 1) * 100.0, 0.0)
+    recall = np.where(support > 0, np.diag(confusion) / np.maximum(support, 1) * 100.0, 0.0)
     return {
         "accuracy": enc.percent_correct(preds, gold),
         "per_class_recall": [float(r) for r in recall],
@@ -832,12 +884,21 @@ def cmd_compare(args) -> int:
     for cell in grids:
         label = ",".join(f"{k}={v}" for k, v in cell.items())
         try:
-            row = _run_compare_cell(cfg, bundle, cell)
+            cell_cfg = cfg.with_overrides(**{f"boost.{axis}": v for axis, v in cell.items()
+                                             if axis in ("init_strategy", "sharing_mode")})
+            cell_cfg.validate()
+            train = subsample(bundle.train, cell.get("fraction", 1.0), cfg.seed)
+            if cell.get("ensemble_kind") == "bag":
+                row = {"single": None, "boost_vote": None, "boost_fusion": None, "delta": None,
+                       "bag": run.bag(cell_cfg, train)[1]}
+            else:
+                acc = run.boost(cell_cfg, train)[1]
+                row = {**acc, "delta": acc["boost_fusion"] - acc["single"], "bag": None}
         except Exception as e:  # per-run failures reported, grid continues
             print(f"[compare] {label}: FAILED ({e})", file=sys.stderr)
             rows.append({"cell": cell, "status": "failed", "error": str(e)})
             continue
-        row.update({"cell": cell, "status": "ok"})
+        row.update({"train_size": train.n, "cell": cell, "status": "ok"})
         rows.append(row)
         shown = {k: v for k, v in row.items() if k in ("single", "boost_fusion", "bag", "delta")}
         print(f"[compare] {label}: n={row['train_size']} " + " ".join(
@@ -847,21 +908,6 @@ def cmd_compare(args) -> int:
     run.finish({}, round_log=rows, extras={"axes": axes, "cells": len(grids)})
     _write_json(run.dir / "compare.json", rows)
     return 0
-
-
-def _run_compare_cell(cfg: RunConfig, bundle: TaskBundle, cell: dict) -> dict:
-    sub_cfg = cfg.with_overrides(**{
-        f"boost.{axis}": v for axis, v in cell.items() if axis in ("init_strategy", "sharing_mode")
-    })
-    sub_cfg.validate()
-    train_ds = subsample(bundle.train, cell.get("fraction", 1.0), cfg.seed)
-    if cell.get("ensemble_kind") == "bag":
-        row = {"single": None, "boost_vote": None, "boost_fusion": None, "delta": None,
-               "bag": _run_bag(sub_cfg, bundle, train_ds)[2]}
-    else:
-        acc = run_boost_pipeline(sub_cfg, bundle, train_ds)["accuracies"]
-        row = {**acc, "delta": acc["boost_fusion"] - acc["single"], "bag": None}
-    return {**row, "train_size": train_ds.n}
 
 
 def cmd_oracle_check(args) -> int:
@@ -896,11 +942,9 @@ def cmd_oracle_check(args) -> int:
 def _trajectory_deviation(engine_rows: list[dict], oracle_rows: list[dict]) -> float:
     if len(engine_rows) != len(oracle_rows):
         return float("inf")
-    worst = 0.0
-    for e, o in zip(engine_rows, oracle_rows):
-        worst = max(worst, abs(e["err"] - o["err"]), abs(e["alpha"] - o["alpha"]))
-        worst = max(worst, float(np.max(np.abs(np.array(e["weights"]) - np.array(o["weights"])))))
-    return worst
+    return max((max(abs(e["err"] - o["err"]), abs(e["alpha"] - o["alpha"]),
+                    float(np.max(np.abs(np.subtract(e["weights"], o["weights"])))))
+                for e, o in zip(engine_rows, oracle_rows)), default=0.0)
 
 
 def _oracle_datasets():

@@ -17,28 +17,3 @@ from .training import (
     train,
 )
 from .transformer import TransformerModel
-
-__all__ = [
-    "Adam",
-    "DivergenceError",
-    "EncoderConfig",
-    "ModelSnapshot",
-    "ParamLayout",
-    "SoftmaxRegressionModel",
-    "SoftregConfig",
-    "TrainConfig",
-    "TransformerModel",
-    "config_from_dict",
-    "config_hash",
-    "evaluate_accuracy",
-    "fit_loop",
-    "fresh_start",
-    "layout_for",
-    "model_from_snapshot",
-    "new_model",
-    "percent_correct",
-    "pretrain_mlm",
-    "token_counts",
-    "train",
-    "xavier_limit",
-]

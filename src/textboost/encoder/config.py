@@ -38,9 +38,7 @@ class EncoderConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = self.kind
-        return d
+        return {**asdict(self), "kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,7 @@ class SoftregConfig:
             raise ValueError("vocab_size must be >= 1 and K >= 2")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = self.kind
-        return d
+        return {**asdict(self), "kind": self.kind}
 
 
 def config_from_dict(d: dict):

@@ -67,26 +67,12 @@ def transformer_layout(cfg: EncoderConfig) -> ParamLayout:
         ("emb_ln.g", (d,)),
         ("emb_ln.b", (d,)),
     ]
+    layer = (("wq", (d, d)), ("bq", (d,)), ("wk", (d, d)), ("bk", (d,)), ("wv", (d, d)),
+             ("bv", (d,)), ("wo", (d, d)), ("bo", (d,)), ("ln1.g", (d,)), ("ln1.b", (d,)),
+             ("w1", (d, f)), ("b1", (f,)), ("w2", (f, d)), ("b2", (d,)), ("ln2.g", (d,)),
+             ("ln2.b", (d,)))
     for l in range(cfg.n_layers):
-        p = f"layer{l}"
-        entries += [
-            (f"{p}.wq", (d, d)),
-            (f"{p}.bq", (d,)),
-            (f"{p}.wk", (d, d)),
-            (f"{p}.bk", (d,)),
-            (f"{p}.wv", (d, d)),
-            (f"{p}.bv", (d,)),
-            (f"{p}.wo", (d, d)),
-            (f"{p}.bo", (d,)),
-            (f"{p}.ln1.g", (d,)),
-            (f"{p}.ln1.b", (d,)),
-            (f"{p}.w1", (d, f)),
-            (f"{p}.b1", (f,)),
-            (f"{p}.w2", (f, d)),
-            (f"{p}.b2", (d,)),
-            (f"{p}.ln2.g", (d,)),
-            (f"{p}.ln2.b", (d,)),
-        ]
+        entries += [(f"layer{l}.{name}", shape) for name, shape in layer]
     entries += [
         ("mlm.w", (d, V)),
         ("mlm.b", (V,)),

@@ -14,17 +14,13 @@ from .params import FlatModel
 
 def token_counts(batch: Packed, vocab_size: int) -> np.ndarray:
     """(B, V) matrix of non-PAD token counts (CLS/SEP included; they act
-    as a duplicated bias and are harmless).
-
-    Kept on ``np.add.at``: a bincount over ``row * V + id`` is bit-equal but
-    measured no faster at these sizes (39.0 vs 37.7 us on numpy 2.4.6)."""
-    B, L = batch.ids.shape
-    valid = np.arange(L)[None, :] < batch.lengths[:, None]
-    valid &= batch.ids != PAD_ID
-    rows = np.repeat(np.arange(B), L)[valid.ravel()]
-    cols = batch.ids.ravel()[valid.ravel()]
+    as a duplicated bias and are harmless). A row's PAD cells are exactly
+    those at or past its length (``LabeledDataset`` checks it), so the ids
+    alone give the counts."""
+    B = batch.ids.shape[0]
     counts = np.zeros((B, vocab_size), dtype=np.float64)
-    np.add.at(counts, (rows, cols), 1.0)
+    np.add.at(counts, (np.arange(B)[:, None], batch.ids), 1.0)
+    counts[:, PAD_ID] = 0.0
     return counts
 
 

@@ -251,6 +251,8 @@ class LabeledDataset:
             raise ValueError("a dataset needs at least one example")
         if p.lengths.min() < 1 or p.lengths.max() > p.ids.shape[1]:
             raise ValueError(f"lengths must lie in [1, {p.ids.shape[1]}]")
+        if ((p.ids == PAD_ID) != (np.arange(p.ids.shape[1]) >= p.lengths[:, None])).any():
+            raise ValueError("a row's PAD cells must be exactly those at or past its length")
         if (p.ids[:, 0] != CLS_ID).any():
             raise ValueError("every row must start with CLS")
         bad = p.labels[(p.labels < 0) | (p.labels >= self.K)]

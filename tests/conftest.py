@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -82,6 +84,28 @@ def record_fine_tunes(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(enc, "train", recording_train)
     return starts, ends
+
+
+def count_fits(monkeypatch) -> Counter:
+    """Count every ``fit_loop`` call from now on under the function that asked
+    for it: ``pretrain_mlm``, ``train_fusion``, ``distill_train``, or for a
+    fine-tune (``train``) its caller, ``fit_round``, ``_start`` (the
+    finetuning strategy's source fine-tune) or ``bag_train``."""
+    from textboost import fusion
+    from textboost.encoder import training
+
+    real, fits = training.fit_loop, Counter()
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "train":
+            caller = caller.f_back
+        fits[caller.f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    for module in (training, enc, fusion):
+        monkeypatch.setattr(module, "fit_loop", counting)
+    return fits
 
 
 def jsonl_lines(out_root) -> int:

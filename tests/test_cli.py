@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from textboost import boosting, cli, fusion
 from textboost import encoder as enc
 
-from conftest import assert_run_contract
+from conftest import assert_run_contract, count_fits
 
 
 def write_config(path: Path, task_dir: Path, out_dir: Path, **extra) -> Path:
@@ -382,14 +382,12 @@ class TestScoredOnce:
         from textboost import boosting, fusion
         from textboost import encoder as enc
 
+        out = tmp_path / "out"
         cfg_path = write_config(
-            tmp_path / "config.json", task_dir, tmp_path / "out", learner="softreg",
+            tmp_path / "config.json", task_dir, out, learner="softreg",
             boost={"rounds": 3, "init_strategy": "random", "sharing_mode": "privacy",
                    "vote": "soft"},
         )
-        cfg = cli.RunConfig.load(cfg_path)
-        cfg.validate()
-        bundle = cli.prepare_task(cfg)
         real_boost_train = boosting.boost_train
         real_predict = boosting.NeuralRoundModel.predict_proba
         late_calls = []
@@ -399,20 +397,25 @@ class TestScoredOnce:
             return real_predict(model, dataset)
 
         def boost_then_count(*args, **kwargs):
-            out = real_boost_train(*args, **kwargs)
+            result = real_boost_train(*args, **kwargs)
             monkeypatch.setattr(boosting.NeuralRoundModel, "predict_proba", counting_predict)
-            return out
+            return result
 
         monkeypatch.setattr(boosting, "boost_train", boost_then_count)
-        result = cli.run_boost_pipeline(cfg, bundle, bundle.train)
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
         assert late_calls == []
+        monkeypatch.undo()
 
-        # the accuracies of scoring every round model again
-        ens, head, dev = result["ensemble"], result["head"], bundle.dev
+        # the accuracies of scoring every saved round model again
+        (run_dir,) = out.glob("train-boost-*")
+        ens = boosting.BoostEnsemble.load(run_dir / "ensemble.bge")
+        head = fusion.FusionHead.load(run_dir / "fusion.bgf")
+        dev = cli.prepare_task(cli.RunConfig.load(cfg_path)).dev
         vote_preds, _ = boosting.vote_predict(ens, dev)
         fusion_preds, _ = fusion.fusion_predict(ens, head, dev)
-        single = enc.model_from_snapshot(result["single_snapshot"])
-        assert result["accuracies"] == {
+        single = enc.model_from_snapshot(enc.ModelSnapshot.load(run_dir / "single.bgv"))
+        rec = json.loads((run_dir / "metrics.json").read_text())
+        assert {k: v for k, v in rec["accuracies"].items() if v is not None} == {
             "single": enc.evaluate_accuracy(single, dev),
             "boost_vote": float((vote_preds == dev.labels).mean() * 100.0),
             "boost_fusion": float((fusion_preds == dev.labels).mean() * 100.0),
@@ -766,6 +769,9 @@ _BAD_RUN_DIRS = {
     "task-longer-sequences": ("task.json", _rewrite(lambda text: text.replace(
         '"max_seq_len": 24', '"max_seq_len": 40'))),
     "task-missing": ("task.json", Path.unlink),
+    # well formed, but the learner is not the model's
+    "task-other-learner": ("task.json", _rewrite(lambda text: text.replace(
+        '"learner": "transformer"', '"learner": "softreg"'))),
 }
 
 
@@ -842,7 +848,16 @@ class TestPretraining:
             pretrain={"steps": steps}))
         assert bool(cli.prepare_task(cfg).corpus_ids) == encoded
 
-    def test_truncated_cache_entry_is_retrained_and_replaced(self, task_dir, tmp_path):
+    @pytest.mark.parametrize("command, entry, refits", [
+        pytest.param("train-boost", "pretrained_*.bgv", {"pretrain_mlm": 1}, id="trunk"),
+        pytest.param("train-boost", "boost_*/ensemble.bge", {"fit_round": 1}, id="ensemble"),
+        pytest.param("train-boost", "fusion_*.bgf", {"train_fusion": 1}, id="head"),
+        pytest.param("train-bag", "bag_*/ensemble.bge", {"bag_train": 2}, id="bag"),
+    ])
+    def test_truncated_cache_entry_is_retrained_and_replaced(self, task_dir, tmp_path,
+                                                             monkeypatch, command, entry, refits):
+        """A store entry cut by a crash is fitted again, alone, and replaced
+        with its old bytes; the run dir's artifacts do not change."""
         out = tmp_path / "out"
         cfg_path = write_config(
             tmp_path / "c.json", task_dir, out,
@@ -851,18 +866,119 @@ class TestPretraining:
             train={"lr": 3e-3, "batch_size": 16, "epochs": 3},
             pretrain={"steps": 20},
         )
-        argv = ["train-boost", "--config", str(cfg_path)]
+        argv = [command, "--config", str(cfg_path)]
         assert cli.main(argv) == 0
-        (cache,) = out.glob("pretrained_*.bgv")
-        (run_dir,) = out.glob("train-boost-*")
-        names = ("ensemble.bge", "fusion.bgf", "single.bgv", "pretrained.bgv")
-        first = {name: (run_dir / name).read_bytes() for name in names}
+        (cache,) = out.glob(entry)
+        (run_dir,) = out.glob(f"{command}-*")
+
+        def artifacts():
+            return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "metrics.json"}
+
+        first = artifacts()
         good = cache.read_bytes()
         cache.write_bytes(good[: len(good) // 2])  # what a crash mid-write leaves
+        fits = count_fits(monkeypatch)
         assert cli.main(argv) == 0
-        assert {name: (run_dir / name).read_bytes() for name in names} == first
+        assert fits == refits
+        assert artifacts() == first
         assert cache.read_bytes() == good
-        assert not list(out.glob("*.tmp"))
+        assert not list(out.rglob("*.tmp"))
+
+    def test_another_source_writes_new_entries_and_reads_none_of_the_old(
+            self, task_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = write_config(
+            tmp_path / "c.json", task_dir, out,
+            boost={"rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
+                   "vote": "soft"},
+            pretrain={"steps": 20})
+        argv = ["train-boost", "--config", str(cfg_path)]
+        assert cli.main(argv) == 0
+        entries = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()
+                   and p.name != "metrics.jsonl" and not p.parent.name.startswith("train-boost-")}
+        assert len(entries) == 6  # trunk, head and the ensemble's four files
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        fits = count_fits(monkeypatch)
+        assert cli.main(argv) == 0
+        assert fits == {"pretrain_mlm": 1, "fit_round": 1, "train_fusion": 1}
+        assert {p: p.read_bytes() for p in entries} == entries
+        assert len(list(out.glob("pretrained_*.bgv"))) == len(list(out.glob("boost_*"))) == 2
+
+
+class TestStore:
+    """Each trained stage is fitted once per key: repeats across compare
+    cells and commands are read from the out root's store."""
+
+    @staticmethod
+    def config(task_dir, out, path, **extra):
+        return write_config(
+            path, task_dir, out, pretrain={"steps": 20},
+            train={"lr": 3e-3, "batch_size": 16, "epochs": 3},
+            bag={"learning_rates": [5e-4, 1e-3, 2e-3]}, **extra)
+
+    def test_compare_fits_each_bag_member_once_across_sharing_modes(self, task_dir, tmp_path,
+                                                                   monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = self.config(task_dir, out, tmp_path / "c.json", boost={
+            "rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
+            "vote": "soft"})
+        fits = count_fits(monkeypatch)
+        _, rows = compare(cfg_path, out, "--axes", "ensemble_kind,sharing_mode")
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert rows[2]["bag"] == rows[3]["bag"] is not None
+        assert fits["bag_train"] == 3
+        assert fits == {"pretrain_mlm": 1, "fit_round": 2, "train_fusion": 2, "bag_train": 3}
+
+    def test_the_full_fraction_after_train_boost_fits_nothing(self, task_dir, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = self.config(task_dir, out, tmp_path / "c.json")
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        boost_rec = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+        fits = count_fits(monkeypatch)
+        _, rows = compare(cfg_path, out, "--axes", "fraction", "--fractions", "1.0")
+        assert fits == {}
+        assert {k: rows[0][k] for k in ("single", "boost_vote", "boost_fusion")} == {
+            k: boost_rec["accuracies"][k] for k in ("single", "boost_vote", "boost_fusion")}
+
+    def test_configs_that_differ_only_outside_the_bag_fit_one_bag(self, task_dir, tmp_path,
+                                                                  monkeypatch):
+        out = tmp_path / "out"
+        fits = count_fits(monkeypatch)
+        for i, extra in enumerate([
+                {}, {"boost": {"rounds": 4, "init_strategy": "finetuning",
+                               "sharing_mode": "sharing", "vote": "discrete"}},
+                {"fusion": {"depth": 3, "max_epochs": 2, "patience": 0},
+                 "distill": {"total_steps": 7}}]):
+            cfg_path = self.config(task_dir, out, tmp_path / f"c{i}.json", **extra)
+            assert cli.main(["train-bag", "--config", str(cfg_path)]) == 0
+        bags = sorted(out.glob("train-bag-*"))
+        assert len(bags) == 3
+        assert len({(d / "ensemble.bge").read_bytes() for d in bags}) == 1
+        assert fits == {"pretrain_mlm": 1, "bag_train": 3}
+
+    def test_softreg_configs_that_differ_only_in_encoder_fit_one_ensemble(self, task_dir,
+                                                                          tmp_path, monkeypatch):
+        """Softreg's model config holds no ``encoder`` value, so its key holds none."""
+        out = tmp_path / "out"
+        fits = count_fits(monkeypatch)
+        for d_model in (16, 32):
+            cfg_path = write_config(
+                tmp_path / "c.json", task_dir, out, learner="softreg",
+                boost={"rounds": 2, "init_strategy": "random", "sharing_mode": "privacy",
+                       "vote": "soft"},
+                encoder={"d_model": d_model, "n_layers": 1, "n_heads": 2, "d_ffn": 32,
+                         "max_seq_len": 24, "dropout_rate": 0.1})
+            assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        assert len(list(out.glob("train-boost-*"))) == 2
+        assert fits == {"fit_round": 2, "train_fusion": 1}
+
+    def test_train_boost_into_a_fresh_out_root_fits_every_round(self, task_dir, tmp_path,
+                                                                monkeypatch):
+        cfg_path = self.config(task_dir, tmp_path / "out", tmp_path / "c.json")
+        fits = count_fits(monkeypatch)
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        assert fits == {"pretrain_mlm": 1, "fit_round": 2, "train_fusion": 1}
 
 
 class TestOracleCheck:

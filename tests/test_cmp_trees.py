@@ -1,0 +1,48 @@
+"""The pairing and comparison rules of ``tools/cmp_trees.py``, on small
+hand-made output trees (the pipeline itself is not run here)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "cmp_trees", Path(__file__).parents[1] / "tools" / "cmp_trees.py")
+cmp_trees = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cmp_trees)
+
+
+def tree(root: Path, run_id: str, files: dict, wall_time: float = 1.0) -> Path:
+    """An output tree: a task file, one run dir with its record, and ``files``
+    (paths under ``out``) with their text."""
+    record = json.dumps({"run_id": run_id, "accuracies": {"single": 80.0},
+                         "wall_time_s": wall_time, "timing": {"x": wall_time}}) + "\n"
+    for path, text in {"task/train.tsv": "a\tb\n", "out/metrics.jsonl": record,
+                       f"out/{run_id}/metrics.json": record,
+                       **{f"out/{k}": v for k, v in files.items()}}.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text)
+    return root
+
+
+def test_records_skip_the_volatile_fields_and_a_rekeyed_entry_is_paired(tmp_path):
+    run = "train-boost-aaaaaaaaaaaa"
+    a = tree(tmp_path / "a", run, {f"{run}/model.bge": "m", "pretrained_0123456789abcdef.bgv": "t"})
+    b = tree(tmp_path / "b", run, {f"{run}/model.bge": "m", "pretrained_fedcba9876543210.bgv": "t",
+                                   "boost_00112233445566ff/ensemble.bge": "new"}, wall_time=2.0)
+    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    assert (differ, only_a) == ([], [])
+    assert only_b == ["out/boost_00112233445566ff/ensemble.bge"]
+    assert same == 5  # train.tsv, metrics.jsonl, metrics.json, model.bge, the trunk
+
+
+def test_a_renamed_run_dir_is_compared_file_by_file(tmp_path):
+    a = tree(tmp_path / "a", "run-000000000000", {"run-000000000000/model.bge": "m",
+                                                  "run-000000000000/log.jsonl": "x"})
+    b = tree(tmp_path / "b", "run-111111111111", {"run-111111111111/model.bge": "M"})
+    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    # the records name their run dir, so they differ with it
+    a_dir, b_dir = "out/run-000000000000", "out/run-111111111111"
+    assert sorted(differ) == ["out/metrics.jsonl <> out/metrics.jsonl",
+                              f"{a_dir}/metrics.json <> {b_dir}/metrics.json",
+                              f"{a_dir}/model.bge <> {b_dir}/model.bge"]
+    assert (only_a, only_b, same) == (["out/run-000000000000/log.jsonl"], [], 1)

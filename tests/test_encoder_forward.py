@@ -301,6 +301,14 @@ class TestSoftreg:
         assert counts[0].sum() == batch.lengths[0]
         assert counts[:, 0].sum() == 0  # PAD column empty
 
+    def test_token_counts_equal_a_per_row_bincount(self):
+        rng = np.random.default_rng(3)
+        for B, L in ((1, 3), (7, 9), (32, 24), (64, 24)):
+            batch = random_batch(rng, vocab_size=20, B=B, L=L)
+            expected = np.stack([np.bincount(row[:n], minlength=20)
+                                 for row, n in zip(batch.ids, batch.lengths)])
+            np.testing.assert_array_equal(enc.token_counts(batch, 20), expected)
+
     def test_chunked_scoring_equals_one_pass(self):
         cfg = enc.SoftregConfig(vocab_size=20, K=3)
         model = enc.SoftmaxRegressionModel(cfg, seed=0)

@@ -200,7 +200,10 @@ class TestDatasetArrays:
         ("ids", [[5, 5, SEP_ID]]),
         ("lengths", [4]),
         ("labels", [2]),
-    ], ids=["length-mismatch", "cls-first", "length-beyond-width", "label-out-of-range"])
+        ("lengths", [2]),
+        ("ids", [[CLS_ID, PAD_ID, SEP_ID]]),
+    ], ids=["length-mismatch", "cls-first", "length-beyond-width", "label-out-of-range",
+            "token-past-length", "pad-inside-length"])
     def test_malformed_arrays_rejected(self, field, value):
         assert self.dataset(**self.GOOD).n == 1
         with pytest.raises(ValueError):

@@ -1,0 +1,208 @@
+"""Run one small pipeline from two source trees and compare what they wrote.
+
+    python tools/cmp_trees.py TREE_A TREE_B [--work DIR]
+
+Each tree is a checkout of this repository (``TREE/src/textboost``). The
+pipeline runs once from each, in child processes at ``OPENBLAS_NUM_THREADS=1``
+and at the same paths (``DIR/run``, moved to ``DIR/a`` and ``DIR/b`` after
+each tree), because run dirs record their paths:
+
+* ``gen-data --seed 99`` with 400 training rows;
+* ``train-boost`` with a transformer, a softreg and a weight-sharing config;
+* ``train-bag`` with the transformer config;
+* ``fusion --depth 2`` on the transformer boost dir and on the bag dir;
+* ``distill`` of each boost dir;
+* ``compare --axes init_strategy,fraction --fractions 0.5,1.0``;
+* ``eval`` of every dir that holds a model, on the dev set.
+
+Run dirs are paired by their order in ``metrics.jsonl``, so the files of a
+renamed dir are still compared (its records differ, as they name it). Every
+other file is paired by its path, or else by its name with every run of 12
+or more hex digits masked, when that name is unique on both sides (a store
+entry whose key changed). Records (``metrics.json`` and the lines of
+``metrics.jsonl``) are compared as JSON without ``wall_time_s`` and
+``timing``; every other file byte for byte.
+
+Prints every paired file that differs and every file that only one tree
+has. Exits 1 when a paired file differs or B lacks a file that A has, 2 when
+a command of the pipeline fails, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIG = {
+    "seed": 13,
+    "encoder": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ffn": 32,
+                "max_seq_len": 24, "dropout_rate": 0.1},
+    "boost": {"rounds": 3, "init_strategy": "incremental", "sharing_mode": "privacy",
+              "vote": "soft"},
+    "train": {"lr": 2e-3, "batch_size": 32, "epochs": 2},
+    "pretrain": {"steps": 150},
+    "fusion": {"depth": 1, "max_epochs": 4, "patience": 2},
+    "distill": {"total_steps": 30},
+    "bag": {"learning_rates": [5e-4, 1e-3]},
+}
+VARIANTS = {
+    "transformer": {},
+    "softreg": {"learner": "softreg", "boost": {**CONFIG["boost"], "init_strategy": "random"}},
+    "sharing": {"boost": {**CONFIG["boost"], "sharing_mode": "sharing"}},
+}
+VOLATILE = ("wall_time_s", "timing")
+HEX = re.compile(r"[0-9a-f]{12,}")
+
+
+class PipelineError(RuntimeError):
+    pass
+
+
+def run_pipeline(tree: Path, run: Path) -> None:
+    """The pipeline from ``tree``'s sources, into ``run``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str((tree / "src").resolve())}
+    out, task = run / "out", run / "task"
+
+    def cli(*args: str) -> str:
+        """Run one command; the run_id of the record it appended, if any."""
+        proc = subprocess.run([sys.executable, "-m", "textboost.cli", *args], env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise PipelineError(f"{tree}: textboost {' '.join(args)} exited "
+                                f"{proc.returncode}: {proc.stderr.strip()}")
+        metrics = out / "metrics.jsonl"
+        if not metrics.exists():
+            return ""
+        return json.loads(metrics.read_text().splitlines()[-1])["run_id"]
+
+    cli("gen-data", "--out", str(task), "--seed", "99", "--train-size", "400",
+        "--dev-size", "120", "--corpus-size", "800")
+    configs = {}
+    for name, extra in VARIANTS.items():
+        cfg = {**CONFIG, **extra, "train_path": str(task / "train.tsv"),
+               "dev_path": str(task / "dev.tsv"), "corpus_path": str(task / "corpus.txt"),
+               "out_dir": str(out)}
+        configs[name] = run / f"{name}.json"
+        configs[name].write_text(json.dumps(cfg, indent=2), encoding="utf-8")
+    boosts = [cli("train-boost", "--config", str(path)) for path in configs.values()]
+    bag = cli("train-bag", "--config", str(configs["transformer"]))
+    models = [*boosts, bag]
+    models += [cli("fusion", "--run-dir", str(out / d), "--depth", "2") for d in (boosts[0], bag)]
+    models += [cli("distill", "--teacher-dir", str(out / d)) for d in boosts]
+    cli("compare", "--config", str(configs["transformer"]), "--axes", "init_strategy,fraction",
+        "--fractions", "0.5,1.0")
+    for d in models:
+        cli("eval", "--model-dir", str(out / d), "--data", str(task / "dev.tsv"))
+
+
+def _record(line: str) -> dict:
+    return {k: v for k, v in json.loads(line).items() if k not in VOLATILE}
+
+
+def _same(a: Path, b: Path) -> bool:
+    if a.name in ("metrics.json", "metrics.jsonl"):
+        lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+        return len(lines_a) == len(lines_b) and all(
+            _record(x) == _record(y) for x, y in zip(lines_a, lines_b))
+    return a.read_bytes() == b.read_bytes()
+
+
+def _pair_names(names_a: set[str], names_b: set[str]) -> list[tuple[str | None, str | None]]:
+    """Equal names, then names equal with their hex runs masked when unique on
+    both sides, then the rest unpaired."""
+    pairs = [(n, n) for n in sorted(names_a & names_b)]
+    rest_a, rest_b = names_a - names_b, names_b - names_a
+    masked_a, masked_b = {}, {}
+    for rest, masked in ((rest_a, masked_a), (rest_b, masked_b)):
+        for n in rest:
+            masked.setdefault(HEX.sub("#", n), []).append(n)
+    for m, (na,) in ((m, v) for m, v in masked_a.items() if len(v) == 1):
+        if len(masked_b.get(m, ())) == 1:
+            nb = masked_b[m][0]
+            pairs.append((na, nb))
+            rest_a.discard(na)
+            rest_b.discard(nb)
+    return pairs + [(n, None) for n in sorted(rest_a)] + [(None, n) for n in sorted(rest_b)]
+
+
+def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str], int]:
+    """(differing pairs, files only in A, files only in B, identical pairs)."""
+    differ, only_a, only_b, same = [], [], [], 0
+    pairs: list[tuple[Path | None, Path | None]] = []
+
+    def walk(a: Path | None, b: Path | None) -> None:
+        if a is not None and b is not None and a.is_dir() and b.is_dir():
+            names = {p.name for p in a.iterdir()}, {p.name for p in b.iterdir()}
+            for na, nb in _pair_names(*names):
+                walk(a / na if na else None, b / nb if nb else None)
+        else:
+            pairs.append((a, b))
+
+    runs = []
+    for root in (root_a, root_b):
+        metrics = root / "out" / "metrics.jsonl"
+        runs.append([json.loads(l)["run_id"] for l in metrics.read_text().splitlines()])
+    for ra, rb in zip(*runs):
+        walk(root_a / "out" / ra, root_b / "out" / rb)
+    paired_runs = ({*runs[0][:len(runs[1])]}, {*runs[1][:len(runs[0])]})
+    for sub in ("task", "out"):
+        a, b = root_a / sub, root_b / sub
+        names = ({p.name for p in a.iterdir()} - paired_runs[0],
+                 {p.name for p in b.iterdir()} - paired_runs[1])
+        for na, nb in _pair_names(*names):
+            walk(a / na if na else None, b / nb if nb else None)
+
+    for a, b in pairs:
+        files_a = sorted(a.rglob("*")) if a is not None and a.is_dir() else [a]
+        files_b = sorted(b.rglob("*")) if b is not None and b.is_dir() else [b]
+        if a is None or b is None or a.is_dir() != b.is_dir():
+            only_a += [str(f.relative_to(root_a)) for f in files_a if f is not None and f.is_file()]
+            only_b += [str(f.relative_to(root_b)) for f in files_b if f is not None and f.is_file()]
+        elif _same(a, b):
+            same += 1
+        else:
+            differ.append(f"{a.relative_to(root_a)} <> {b.relative_to(root_b)}")
+    return differ, only_a, only_b, same
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="an empty or new dir for both pipelines (default: a temporary dir)")
+    args = parser.parse_args(argv)
+    work = args.work or Path(tempfile.mkdtemp(prefix="cmp_trees_"))
+    work.mkdir(parents=True, exist_ok=True)
+    for tree in (args.tree_a, args.tree_b):
+        if not (tree / "src" / "textboost" / "cli.py").is_file():
+            print(f"error: no textboost sources under {tree}", file=sys.stderr)
+            return 2
+    for side, tree in (("a", args.tree_a), ("b", args.tree_b)):
+        shutil.rmtree(work / "run", ignore_errors=True)
+        try:
+            run_pipeline(tree, work / "run")
+        except PipelineError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        shutil.rmtree(work / side, ignore_errors=True)
+        (work / "run").rename(work / side)
+    differ, only_a, only_b, same = compare(work / "a", work / "b")
+    for title, items in (("differ", differ), ("only in A", only_a), ("only in B", only_b)):
+        print(f"{title}: {len(items)}")
+        for item in items:
+            print(f"  {item}")
+    print(f"identical: {same} paired files (outputs in {work})")
+    return 1 if differ or only_a else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
