@@ -150,6 +150,21 @@ class BoostEnsemble:
         return self.rounds[0].model.trunk if self.sharing_mode == "sharing" else None
 
     @property
+    def snapshots(self) -> list[enc.ModelSnapshot]:
+        """The snapshots that its rounds score with: under weight sharing the
+        one trunk, else each round's own."""
+        if self.sharing_mode == "sharing":
+            return [self.shared_trunk]
+        return [r.model.snapshot for r in self.rounds]
+
+    @property
+    def n_params(self) -> int:
+        """Its parameter count: its snapshots', and under sharing every head's."""
+        heads = self.sharing_mode == "sharing"
+        return sum(s.params.size for s in self.snapshots) + sum(
+            r.model.head.size for r in self.rounds if heads)
+
+    @property
     def alphas(self) -> np.ndarray:
         return np.array([r.alpha for r in self.rounds], dtype=np.float64)
 
@@ -458,14 +473,9 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
             {"index": r.index, "alpha": r.alpha, "err": r.err} for r in ensemble.rounds
         ],
     }
-    blobs: list[bytes] = []
+    blobs = [s.to_bytes() for s in ensemble.snapshots]
     if ensemble.sharing_mode == "sharing":
-        blobs.append(ensemble.shared_trunk.to_bytes())
-        for r in ensemble.rounds:
-            blobs.append(r.model.head.astype("<f8").tobytes())
-    else:
-        for r in ensemble.rounds:
-            blobs.append(r.model.snapshot.to_bytes())
+        blobs += [r.model.head.astype("<f8").tobytes() for r in ensemble.rounds]
     return artifacts.pack(ENSEMBLE_MAGIC, header, *artifacts.framed(blobs))
 
 
@@ -476,17 +486,12 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
         blobs = artifacts.unframe(payload, "ensemble")
         if header["sharing_mode"] == "sharing":
             trunk = enc.ModelSnapshot.from_bytes(blobs[0])
-            configs = [trunk.config]
             size = trunk.params[_head_slice(trunk)].size
             models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
                                            trunk=trunk) for hb in blobs[1:]]
         else:
             models = [NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)) for sb in blobs]
-            configs = [m.snapshot.config for m in models]
         meta = header["rounds"]
-        if not len(models) == len(meta) == header["m_effective"] or any(
-                (c.kind, c.K) != (header["learner_kind"], header["K"]) for c in configs):
-            raise artifacts.ArtifactError("ensemble header does not match its parts")
         ensemble = BoostEnsemble(
             K=header["K"],
             learner_kind=header["learner_kind"],
@@ -495,6 +500,10 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
                     for rm, model in zip(meta, models)],
             ensemble_kind=header["ensemble_kind"],
         )
+        if not len(models) == len(meta) == header["m_effective"] or any(
+                (s.config.kind, s.config.K) != (ensemble.learner_kind, ensemble.K)
+                for s in ensemble.snapshots):
+            raise artifacts.ArtifactError("ensemble header does not match its parts")
         # the rounds are 1..M; a boost round's alpha is the one of its err, a
         # bag member has none
         bag = ensemble.ensemble_kind == "bag"

@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -292,14 +292,6 @@ def _pretrains(cfg: RunConfig) -> bool:
 # keyed stages
 # ----------------------------------------------------------------------
 
-class Keyed(NamedTuple):
-    """A value under its key: a stage's files under the stage key, or a model
-    read from a run dir under the hash of its bytes."""
-
-    key: str
-    value: object
-
-
 def _stage(name: str, reads: tuple[str, ...], *parts: str):
     """Make the decorated ``fit(cfg, **inputs)`` a stage: a trained result
     named ``name`` that reads the config values ``reads`` (dotted keys) and
@@ -320,8 +312,9 @@ def _source_digest() -> str:
 
 
 def _key_of(value):
-    """What a stage key holds of an input: a Keyed's key, a model config's
-    fields, the hash of a dataset's arrays, else the (JSON) value itself."""
+    """What a stage key holds of an input: a model config's fields, the sha256
+    of a model's bytes (of a run dir's ensemble and head), the hash of a
+    dataset's arrays, else the (JSON) value itself."""
     if isinstance(value, (enc.EncoderConfig, enc.SoftregConfig)):
         return value.to_dict()
     if isinstance(value, LabeledDataset):
@@ -329,7 +322,13 @@ def _key_of(value):
         for a in (value.packed.ids, value.packed.segs, value.packed.lengths, value.labels):
             h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
         return h.hexdigest()
-    return value.key if isinstance(value, Keyed) else value
+    if isinstance(value, boosting.BoostEnsemble):
+        return value.content_hash()
+    if isinstance(value, (enc.ModelSnapshot, fusion_mod.FusionHead)):
+        return hashlib.sha256(value.to_bytes()).hexdigest()
+    if isinstance(value, TrainedDir):
+        return [_key_of(value.ensemble), _key_of(value.head)]
+    return value
 
 
 def _save(path: Path, part) -> None:
@@ -355,7 +354,7 @@ class Store:
     root: Path
     memo: dict = field(default_factory=dict)
 
-    def get(self, fit, cfg: RunConfig, **inputs) -> Keyed:
+    def get(self, fit, cfg: RunConfig, **inputs) -> dict:
         """The files of ``fit``'s stage, keyed by the sha256 of the values it
         reads, its inputs' keys and the textboost source: from the memo, else
         from its entry, else fitted now and written there. An entry that
@@ -369,12 +368,11 @@ class Store:
             try:
                 self.memo[key] = {part: _load(path) for part, path in paths.items()}
             except (OSError, artifacts.ArtifactError):  # no entry, or a cut or corrupted one
-                self.memo[key] = fit(cfg, **{k: v.value if isinstance(v, Keyed) else v
-                                             for k, v in inputs.items()})
+                self.memo[key] = fit(cfg, **inputs)
                 for part, path in paths.items():
                     path.parent.mkdir(parents=True, exist_ok=True)
                     _save(path, self.memo[key][part])
-        return Keyed(key, self.memo[key])
+        return self.memo[key]
 
 
 @_stage("pretrained", ("seed", "pretrain"), "pretrained.bgv")
@@ -534,8 +532,7 @@ class TrainedDir:
         ensemble = head = snapshot = None
         if (path / "ensemble.bge").exists():
             ensemble = boosting.BoostEnsemble.load(path / "ensemble.bge")
-            configs = [(r.model.trunk if ensemble.sharing_mode == "sharing"
-                        else r.model.snapshot).config for r in ensemble.rounds]
+            configs = [s.config for s in ensemble.snapshots]
             if (path / "fusion.bgf").exists():
                 head = fusion_mod.FusionHead.load(path / "fusion.bgf")
                 fusion_mod.check_bound(ensemble, head)
@@ -559,11 +556,11 @@ class TrainedDir:
 
 @dataclass
 class Run:
-    """The setup and the record that every config-driven command shares.
+    """The skeleton that every config-driven command shares.
 
     ``Run.open`` loads the command's config with its flag overrides,
     validates it, prepares the task, gives the command its pretrained trunk
-    from the store (``fusion`` retrains a head on saved rounds and never uses
+    from the store (``fusion`` fits a head on saved rounds and never uses
     one), and writes the task artifacts into a fresh ``<command>-<hash12>``
     dir, so a config or input-data error leaves no run dir behind.
     A command that reads a saved ensemble (``fusion``, ``distill``) passes
@@ -572,7 +569,8 @@ class Run:
     hash is the ``source``; ``compare`` passes the hash of its grid (its axes
     and their values) as ``source``. The dir is then
     ``<command>-<hash12>-<source hash12>``, so two ensembles, or two grids,
-    of one config get two dirs. ``finish`` writes the record.
+    of one config get two dirs. ``finish`` writes the trained parts and the
+    record.
     """
 
     command: str
@@ -583,7 +581,7 @@ class Run:
     t0: float
     store: Store
     model: object  # the base learner's config: EncoderConfig or SoftregConfig
-    trunk: Optional[Keyed]  # the pretrained snapshot under its stage key
+    trunk: Optional[enc.ModelSnapshot]  # the pretrained trunk
 
     @classmethod
     def open(cls, args, config_path: str | Path, source: str = "",
@@ -606,17 +604,21 @@ class Run:
         store, trunk = Store(out_root), None
         model = encoder_config(cfg, bundle.vocab.size, bundle.train.K)
         if args.command != "fusion" and _pretrains(cfg):
-            key, parts = store.get(ensure_pretrained, cfg, model=model, corpus=bundle.corpus_ids)
-            trunk = Keyed(key, parts["pretrained.bgv"])
+            trunk = store.get(ensure_pretrained, cfg, model=model,
+                              corpus=bundle.corpus_ids)["pretrained.bgv"]
         run_dir = out_root / (f"{args.command}-{cfg.hash()[:12]}"
                               + (f"-{source[:12]}" if source else ""))
         run_dir.mkdir(parents=True, exist_ok=True)
         _save_task_artifacts(run_dir, cfg, bundle)
         return cls(args.command, cfg, bundle, out_root, run_dir, t0, store, model, trunk)
 
-    def finish(self, accuracies: dict, *, round_log: Sequence[dict] = (),
-               extras: Optional[dict] = None, timing: Optional[dict] = None) -> MetricsRecord:
-        """Write the run's record; accuracies it does not fill read None."""
+    def finish(self, accuracies: dict, *, parts: Optional[dict] = None,
+               round_log: Sequence[dict] = (), extras: Optional[dict] = None,
+               timing: Optional[dict] = None) -> MetricsRecord:
+        """Write ``parts`` (``{file: model or log}``) into the run dir, then the
+        run's record; accuracies it does not fill read None."""
+        for name, part in (parts or {}).items():
+            _save(self.dir / name, part)
         record = MetricsRecord(
             run_id=self.dir.name,
             command=self.command,
@@ -630,30 +632,36 @@ class Run:
         write_metrics(record, self.out_root, self.dir)
         return record
 
+    def head(self, cfg: RunConfig, ensemble: boosting.BoostEnsemble,
+             train: LabeledDataset) -> fusion_mod.FusionHead:
+        """``cfg``'s fusion head of ``ensemble`` on ``train``, from the store;
+        an ensemble without dev rows (one read from a file) scores the dev set
+        first, once."""
+        dev = self.bundle.dev
+        if ensemble.dev_probs is None:
+            ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
+        return self.store.get(_fit_head, cfg, ensemble=ensemble, train=train,
+                              dev=dev)["fusion.bgf"]
+
     def boost(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, dict]:
         """``cfg``'s boosted ensemble on ``train`` and its fusion head, from the
         store: (their files, their dev accuracies single / vote / fusion)."""
         dev = self.bundle.dev
-        boost = self.store.get(_fit_boost, cfg, model=self.model, trunk=self.trunk, train=train,
+        parts = self.store.get(_fit_boost, cfg, model=self.model, trunk=self.trunk, train=train,
                                dev=dev)
-        ensemble = boost.value["ensemble.bge"]
-        if ensemble.dev_probs is None:  # read from its entry: scored once, here
-            ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
-        head = self.store.get(_fit_head, cfg, ensemble=Keyed(boost.key, ensemble), train=train,
-                              dev=dev).value
-        preds = _predictions(ensemble, head["fusion.bgf"], ensemble.dev_probs,
-                             cfg.data["boost"]["vote"])
-        return {**boost.value, **head}, {
+        ensemble = parts["ensemble.bge"]
+        head = self.head(cfg, ensemble, train)
+        preds = _predictions(ensemble, head, ensemble.dev_probs, cfg.data["boost"]["vote"])
+        return {**parts, "fusion.bgf": head}, {
             # the round-1 model as trained, scored on dev inside boost_train
             # (under weight sharing its head has since moved onto the final trunk)
-            "single": boost.value["round_log.jsonl"][0]["dev_acc"],
+            "single": parts["round_log.jsonl"][0]["dev_acc"],
             **{key: enc.percent_correct(p, dev.labels) for key, p in preds.items()},
         }
 
     def bag(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, float]:
         """``cfg``'s bag on ``train``, from the store: (its files, its dev accuracy)."""
-        bag = self.store.get(_fit_bag, cfg, model=self.model, trunk=self.trunk,
-                             train=train).value
+        bag = self.store.get(_fit_bag, cfg, model=self.model, trunk=self.trunk, train=train)
         preds, _ = boosting.vote_predict(bag["ensemble.bge"], self.bundle.dev)
         return bag, enc.percent_correct(preds, self.bundle.dev.labels)
 
@@ -679,9 +687,7 @@ def cmd_train_boost(args) -> int:
     cfg, bundle = run.cfg, run.bundle
     parts, accuracies = run.boost(cfg, bundle.train)
     if run.trunk is not None:
-        parts["pretrained.bgv"] = run.trunk.value
-    for name, part in parts.items():
-        _save(run.dir / name, part)
+        parts["pretrained.bgv"] = run.trunk
     extras = {
         "m_effective": parts["ensemble.bge"].m_effective,
         "vote": cfg.data["boost"]["vote"],
@@ -691,7 +697,8 @@ def cmd_train_boost(args) -> int:
     if cfg.data["boost"]["init_strategy"] == "finetuning":  # its source fine-tune is round 0
         extras["source_fine_tune_steps"] = sum(r["round"] == 0 for r in parts["train_log.jsonl"])
 
-    record = run.finish(accuracies, round_log=parts["round_log.jsonl"], extras=extras)
+    record = run.finish(accuracies, parts=parts, round_log=parts["round_log.jsonl"],
+                        extras=extras)
     acc = record.accuracies
     print(
         f"[{run.dir.name}] single={acc['single']:.2f} vote={acc['boost_vote']:.2f} "
@@ -704,30 +711,28 @@ def cmd_train_bag(args) -> int:
     run = Run.open(args, args.config)
     parts, acc = run.bag(run.cfg, run.bundle.train)
     bag = parts["ensemble.bge"]
-    bag.save(run.dir / "ensemble.bge")
-    run.finish({"bag": acc}, round_log=parts["bag_log.jsonl"], extras={"members": bag.m_effective})
+    run.finish({"bag": acc}, parts={"ensemble.bge": bag}, round_log=parts["bag_log.jsonl"],
+               extras={"members": bag.m_effective})
     print(f"[{run.dir.name}] bag={acc:.2f} ({bag.m_effective} members)")
     return 0
 
 
 def cmd_fusion(args) -> int:
-    """Retrain the fusion head of the ensemble in ``--run-dir``, which is left
-    as it is. The new head, a copy of the ensemble, the resolved config and
-    the record go to a ``fusion-<hash12>-<ensemble hash12>`` run dir, which
-    ``eval`` and ``distill`` read like the run dir of ``train-boost``."""
+    """The fusion head of the ensemble in ``--run-dir``, which is left as it
+    is, from the store. The head, a copy of the ensemble, the resolved config
+    and the record go to a ``fusion-<hash12>-<ensemble hash12>`` run dir,
+    which ``eval`` and ``distill`` read like the run dir of ``train-boost``."""
     trained = TrainedDir.read(args.run_dir, need_ensemble=True)
     ensemble = trained.ensemble
     run = Run.open(args, trained.path / "config.json", trained_on=trained)
     cfg, bundle = run.cfg, run.bundle
-    ensemble.dev_probs = ensemble.predict_proba_per_round(bundle.dev)
-    head = run.store.get(_fit_head, cfg, ensemble=Keyed(ensemble.content_hash(), ensemble),
-                         train=bundle.train, dev=bundle.dev).value["fusion.bgf"]
-    head.save(run.dir / "fusion.bgf")
+    head = run.head(cfg, ensemble, bundle.train)
     artifacts.write(run.dir / "ensemble.bge", (trained.path / "ensemble.bge").read_bytes())
-    # the record holds only the new head's accuracy, the last of the predictions
+    # the record holds only the head's accuracy, the last of the predictions
     key, preds = _predictions(ensemble, head, ensemble.dev_probs, "soft").popitem()
     acc = enc.percent_correct(preds, bundle.dev.labels)
-    run.finish({key: acc}, extras={"depth": cfg.data["fusion"]["depth"]})
+    run.finish({key: acc}, parts={"fusion.bgf": head},
+               extras={"depth": cfg.data["fusion"]["depth"]})
     print(f"[{run.dir.name}] fusion={acc:.2f}")
     return 0
 
@@ -742,12 +747,8 @@ def cmd_distill(args) -> int:
             "accuracies", {}).get("single") if record_path.exists() else None
     run = Run.open(args, args.config or teacher.path / "config.json", trained_on=teacher)
     cfg, bundle = run.cfg, run.bundle
-    teacher_key = _digest([ensemble.content_hash(),
-                           head and hashlib.sha256(head.to_bytes()).hexdigest()])
-    parts = run.store.get(_fit_student, cfg, model=run.model, teacher=Keyed(teacher_key, teacher),
-                          trunk=run.trunk, train=bundle.train, dev=bundle.dev).value
-    for name, part in parts.items():
-        _save(run.dir / name, part)
+    parts = run.store.get(_fit_student, cfg, model=run.model, teacher=teacher, trunk=run.trunk,
+                          train=bundle.train, dev=bundle.dev)
     student = parts["model.bgv"]
 
     t_teach = time.perf_counter()
@@ -760,18 +761,14 @@ def cmd_distill(args) -> int:
     student_preds = student_model.predict_proba(bundle.dev.packed).argmax(axis=1)
     student_time = time.perf_counter() - t_stud
 
-    # every round's model (under sharing its head, and the one trunk) and the head
-    trunk = ensemble.shared_trunk
-    teacher_params = sum(r.model.snapshot.params.size if trunk is None else r.model.head.size
-                         for r in ensemble.rounds)
-    teacher_params += (0 if trunk is None else trunk.params.size) + (head.n_params if head else 0)
-
+    teacher_params = ensemble.n_params + (head.n_params if head else 0)
     record = run.finish(
         {
             "single": teacher_single,
             "teacher": enc.percent_correct(teacher_preds, bundle.dev.labels),
             "distilled": enc.percent_correct(student_preds, bundle.dev.labels),
         },
+        parts=parts,
         extras={
             "student_params": int(student.params.size),
             "teacher_params": int(teacher_params),

@@ -9,20 +9,17 @@ from dataclasses import asdict, dataclass
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Tiny transformer encoder configuration.
-
-    Defaults are sized so a full experiment grid runs in minutes on a
-    laptop: 2 layers of width 32 with 2 heads.
-    """
+    """Tiny transformer encoder configuration; the run config's ``encoder``
+    section gives every size (``cli._SCHEMA`` holds their defaults)."""
 
     vocab_size: int
     K: int
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ffn: int = 64
-    max_seq_len: int = 64
-    dropout_rate: float = 0.1
+    d_model: int
+    n_layers: int
+    n_heads: int
+    d_ffn: int
+    max_seq_len: int
+    dropout_rate: float
 
     kind = "transformer"
 

@@ -33,8 +33,7 @@ class SoftmaxRegressionModel(FlatModel):
         """The parameter ranges ``clf_loss_and_grad`` reaches: all of them."""
         return (slice(0, self.params.size),)
 
-    def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
-        del train_mode, rng  # no stochastic layers
+    def forward_probs(self, batch: Packed) -> np.ndarray:
         logits = token_counts(batch, self.config.vocab_size) @ self.p["cls.w"] + self.p["cls.b"]
         if not np.isfinite(logits).all():
             raise DivergenceError("softreg logits")

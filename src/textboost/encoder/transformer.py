@@ -254,11 +254,9 @@ class TransformerModel(FlatModel):
         g[f"{pre}.b{nm}"] += np.add.reduce(d_flat, axis=0)
         return (d_flat @ self.p[f"{pre}.w{nm}"].T).reshape(x.shape)
 
-    def forward_probs(self, batch: Packed, train_mode: bool = False, rng=None) -> np.ndarray:
-        """Per-example softmax over the K classes; rows sum to 1."""
-        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
-                                   query=_cls_query(batch.n))
-        return head_probs(h[:, 0, :], self.p["cls.w"], self.p["cls.b"])
+    def forward_probs(self, batch: Packed) -> np.ndarray:
+        """Eval-mode per-example softmax over the K classes; rows sum to 1."""
+        return head_probs(self.cls_rows(batch), self.p["cls.w"], self.p["cls.b"])
 
     def cls_rows(self, batch: Packed) -> np.ndarray:
         """Eval-mode (B, d_model) CLS rows of the last layer."""

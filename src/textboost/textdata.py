@@ -109,10 +109,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token.lower(), UNK_ID)
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        table = self.id_to_token
-        return [table[i] for i in ids]
-
     def save(self, path: str | Path) -> None:
         artifacts.write(path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
 

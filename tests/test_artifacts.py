@@ -36,7 +36,7 @@ def ensemble(config, sharing_mode: str, kind: str = "boost") -> boosting.BoostEn
 
 # one layer of width 4 keeps the header, and so the flip loop, short
 SMALL = enc.EncoderConfig(vocab_size=12, K=3, d_model=4, n_layers=1, n_heads=2, d_ffn=8,
-                          max_seq_len=6)
+                          max_seq_len=6, dropout_rate=0.1)
 
 # format -> (blob from a config, reader, writer)
 FORMATS = {

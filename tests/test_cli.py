@@ -973,6 +973,34 @@ class TestStore:
         assert len(list(out.glob("train-boost-*"))) == 2
         assert fits == {"fit_round": 2, "train_fusion": 1}
 
+    def test_fusion_of_a_run_dir_at_its_own_config_fits_no_head(self, task_dir, tmp_path,
+                                                               monkeypatch):
+        """The head is keyed by the ensemble's bytes, so ``fusion`` reads the
+        head that ``train-boost`` stored for the same ensemble."""
+        out = tmp_path / "out"
+        cfg_path = self.config(task_dir, out, tmp_path / "c.json")
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        (boost_dir,) = out.glob("train-boost-*")
+        fits = count_fits(monkeypatch)
+        assert cli.main(["fusion", "--run-dir", str(boost_dir)]) == 0
+        assert fits == {}
+        (fusion_dir,) = out.glob("fusion-*")
+        assert (fusion_dir / "fusion.bgf").read_bytes() == (boost_dir / "fusion.bgf").read_bytes()
+
+    def test_distill_of_a_copied_teacher_dir_fits_no_student(self, task_dir, tmp_path,
+                                                            monkeypatch):
+        """The teacher is keyed by its ensemble's and head's bytes, not its path."""
+        out = tmp_path / "out"
+        cfg_path = self.config(task_dir, out, tmp_path / "c.json")
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
+        (teacher,) = out.glob("train-boost-*")
+        assert cli.main(["distill", "--teacher-dir", str(teacher)]) == 0
+        copy = tmp_path / "elsewhere" / teacher.name
+        shutil.copytree(teacher, copy)
+        fits = count_fits(monkeypatch)
+        assert cli.main(["distill", "--teacher-dir", str(copy)]) == 0
+        assert fits == {}
+
     def test_train_boost_into_a_fresh_out_root_fits_every_round(self, task_dir, tmp_path,
                                                                 monkeypatch):
         cfg_path = self.config(task_dir, tmp_path / "out", tmp_path / "c.json")

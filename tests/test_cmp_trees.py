@@ -46,3 +46,20 @@ def test_a_renamed_run_dir_is_compared_file_by_file(tmp_path):
                               f"{a_dir}/metrics.json <> {b_dir}/metrics.json",
                               f"{a_dir}/model.bge <> {b_dir}/model.bge"]
     assert (only_a, only_b, same) == (["out/run-000000000000/log.jsonl"], [], 1)
+
+
+def test_rekeyed_entries_of_one_stage_are_paired_by_their_bytes(tmp_path):
+    run = "train-boost-aaaaaaaaaaaa"
+    a = tree(tmp_path / "a", run, {"boost_0000000000000001/ensemble.bge": "one",
+                                   "boost_0000000000000002/ensemble.bge": "two",
+                                   "fusion_0000000000000003.bgf": "h1",
+                                   "fusion_0000000000000004.bgf": "h2"})
+    b = tree(tmp_path / "b", run, {"boost_1000000000000000/ensemble.bge": "two",
+                                   "boost_2000000000000000/ensemble.bge": "one",
+                                   "fusion_3000000000000000.bgf": "h2",
+                                   "fusion_4000000000000000.bgf": "h3"})
+    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    assert differ == []
+    assert (only_a, only_b) == (["out/fusion_0000000000000003.bgf"],
+                                ["out/fusion_4000000000000000.bgf"])
+    assert same == 6  # train.tsv, metrics.jsonl, metrics.json, two ensembles, one head

@@ -94,9 +94,12 @@ class TestForward:
 
     def test_dropout_train_mode_is_stochastic_but_seeded(self, model):
         batch = random_batch(np.random.default_rng(5))
-        a = model.forward_probs(batch, train_mode=True, rng=np.random.default_rng(9))
-        b = model.forward_probs(batch, train_mode=True, rng=np.random.default_rng(9))
-        c = model.forward_probs(batch, train_mode=True, rng=np.random.default_rng(10))
+
+        def per_example_losses(seed):
+            return model.clf_loss_and_grad(batch, batch.labels, train_mode=True,
+                                           rng=np.random.default_rng(seed))[1]
+
+        a, b, c = per_example_losses(9), per_example_losses(9), per_example_losses(10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 

@@ -163,7 +163,7 @@ class TestEncode:
         vocab = build_vocab([raw.text_a for raw in raws])
         for raw in raws:
             ids, _, _ = encode(raw, vocab, self.LMAP, max_seq_len=64)
-            toks = vocab.decode(ids)
+            toks = [vocab.id_to_token[i] for i in ids]
             assert toks[0] == "[CLS]" and toks[-1] == "[SEP]"
             assert toks[1:-1] == tokenize(raw.text_a)
 

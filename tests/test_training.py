@@ -514,8 +514,8 @@ class TestInitStrategies:
 
     def test_config_mismatch_rejected(self, tiny_config):
         other = enc.EncoderConfig(
-            vocab_size=20, K=3, d_model=16, n_layers=2, n_heads=2, d_ffn=16, max_seq_len=12
-        )
+            vocab_size=20, K=3, d_model=16, n_layers=2, n_heads=2, d_ffn=16, max_seq_len=12,
+            dropout_rate=0.1)
         mlm = self.trunk(other)
         with pytest.raises(ValueError, match="config"):
             enc.fresh_start(tiny_config, 2, mlm)

@@ -11,6 +11,8 @@ each tree), because run dirs record their paths:
 * ``train-boost`` with a transformer, a softreg and a weight-sharing config;
 * ``train-bag`` with the transformer config;
 * ``fusion --depth 2`` on the transformer boost dir and on the bag dir;
+* ``fusion`` on the transformer boost dir at its own config, whose head
+  comes from the store;
 * ``distill`` of each boost dir;
 * ``compare --axes init_strategy,fraction --fractions 0.5,1.0``;
 * ``eval`` of every dir that holds a model, on the dev set.
@@ -18,8 +20,9 @@ each tree), because run dirs record their paths:
 Run dirs are paired by their order in ``metrics.jsonl``, so the files of a
 renamed dir are still compared (its records differ, as they name it). Every
 other file is paired by its path, or else by its name with every run of 12
-or more hex digits masked, when that name is unique on both sides (a store
-entry whose key changed). Records (``metrics.json`` and the lines of
+or more hex digits masked (a store entry whose key changed): when that name
+is unique on both sides, or else with an entry of that name that holds the
+same bytes. Records (``metrics.json`` and the lines of
 ``metrics.jsonl``) are compared as JSON without ``wall_time_s`` and
 ``timing``; every other file byte for byte.
 
@@ -96,6 +99,7 @@ def run_pipeline(tree: Path, run: Path) -> None:
     bag = cli("train-bag", "--config", str(configs["transformer"]))
     models = [*boosts, bag]
     models += [cli("fusion", "--run-dir", str(out / d), "--depth", "2") for d in (boosts[0], bag)]
+    models.append(cli("fusion", "--run-dir", str(out / boosts[0])))
     models += [cli("distill", "--teacher-dir", str(out / d)) for d in boosts]
     cli("compare", "--config", str(configs["transformer"]), "--axes", "init_strategy,fraction",
         "--fractions", "0.5,1.0")
@@ -115,9 +119,18 @@ def _same(a: Path, b: Path) -> bool:
     return a.read_bytes() == b.read_bytes()
 
 
-def _pair_names(names_a: set[str], names_b: set[str]) -> list[tuple[str | None, str | None]]:
-    """Equal names, then names equal with their hex runs masked when unique on
-    both sides, then the rest unpaired."""
+def _contents(path: Path) -> dict:
+    """The bytes of a file, or of every file under a dir by relative path."""
+    if path.is_file():
+        return {"": path.read_bytes()}
+    return {str(f.relative_to(path)): f.read_bytes() for f in path.rglob("*") if f.is_file()}
+
+
+def _pair_names(dir_a: Path, dir_b: Path, names_a: set[str],
+                names_b: set[str]) -> list[tuple[str | None, str | None]]:
+    """Equal names of the two dirs, then names equal with their hex runs
+    masked when unique on both sides, or else when their contents are equal,
+    then the rest unpaired."""
     pairs = [(n, n) for n in sorted(names_a & names_b)]
     rest_a, rest_b = names_a - names_b, names_b - names_a
     masked_a, masked_b = {}, {}
@@ -127,6 +140,13 @@ def _pair_names(names_a: set[str], names_b: set[str]) -> list[tuple[str | None, 
     for m, (na,) in ((m, v) for m, v in masked_a.items() if len(v) == 1):
         if len(masked_b.get(m, ())) == 1:
             nb = masked_b[m][0]
+            pairs.append((na, nb))
+            rest_a.discard(na)
+            rest_b.discard(nb)
+    for na in sorted(rest_a):
+        nb = next((nb for nb in sorted(rest_b) if HEX.sub("#", nb) == HEX.sub("#", na)
+                   and _contents(dir_a / na) == _contents(dir_b / nb)), None)
+        if nb is not None:
             pairs.append((na, nb))
             rest_a.discard(na)
             rest_b.discard(nb)
@@ -141,7 +161,7 @@ def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str]
     def walk(a: Path | None, b: Path | None) -> None:
         if a is not None and b is not None and a.is_dir() and b.is_dir():
             names = {p.name for p in a.iterdir()}, {p.name for p in b.iterdir()}
-            for na, nb in _pair_names(*names):
+            for na, nb in _pair_names(a, b, *names):
                 walk(a / na if na else None, b / nb if nb else None)
         else:
             pairs.append((a, b))
@@ -157,7 +177,7 @@ def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str]
         a, b = root_a / sub, root_b / sub
         names = ({p.name for p in a.iterdir()} - paired_runs[0],
                  {p.name for p in b.iterdir()} - paired_runs[1])
-        for na, nb in _pair_names(*names):
+        for na, nb in _pair_names(a, b, *names):
             walk(a / na if na else None, b / nb if nb else None)
 
     for a, b in pairs:
