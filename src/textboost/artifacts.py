@@ -10,6 +10,7 @@ nothing else; every file of a run dir is written by ``write``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -40,18 +41,28 @@ def write(path: str | Path, data: bytes | str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def pack(magic: bytes, header: dict, *payload: bytes) -> bytes:
-    """The container of ``header`` and the payload, which comes in parts and
-    is joined with one copy."""
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+def _canonical(obj) -> bytes:
+    """The canonical JSON of ``obj``: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def digest(obj) -> str:
+    """sha256 of the canonical JSON of ``obj``: a config hash, or a stage key."""
+    return hashlib.sha256(_canonical(obj)).hexdigest()
+
+
+def pack(magic: bytes, header: dict, *payload) -> bytes:
+    """The container of ``header`` and the payload, which comes in parts
+    (bytes, or contiguous arrays read in place) and is joined with one copy."""
+    hbytes = _canonical(header)
     return b"".join([magic, struct.pack("<I", len(hbytes)), hbytes, *payload])
 
 
-def framed(parts: Sequence[bytes]) -> list[bytes]:
-    """An ensemble payload for ``pack``: the part count, each part after its length."""
+def framed(parts: Sequence) -> list:
+    """An ensemble payload for ``pack``: the part count, each part after its byte length."""
     out = [struct.pack("<I", len(parts))]
     for part in parts:
-        out += [struct.pack("<Q", len(part)), part]
+        out += [struct.pack("<Q", memoryview(part).nbytes), part]
     return out
 
 

@@ -355,7 +355,7 @@ class SharedHeadRoundModel:
 
     def bound_snapshot(self) -> enc.ModelSnapshot:
         params = np.array(self.trunk.params, copy=True)
-        params[_head_slice(self.trunk)] = self.head
+        params[self.trunk.layout.head] = self.head
         return enc.ModelSnapshot(config=self.trunk.config, params=params, role=self.trunk.role)
 
     def predict_proba(self, dataset) -> np.ndarray:
@@ -366,11 +366,6 @@ class SharedHeadRoundModel:
         """(cls.w, cls.b) views of the head vector."""
         K = self.trunk.config.K
         return self.head[:-K].reshape(-1, K), self.head[-K:]
-
-
-def _head_slice(snapshot: enc.ModelSnapshot) -> slice:
-    """The head, ``cls.w | cls.b``, which ends the transformer layout."""
-    return slice(snapshot.layout.slice_of("cls.w").start, None)
 
 
 class NeuralBoostLearner:
@@ -388,7 +383,7 @@ class NeuralBoostLearner:
         self,
         config,
         train_cfg: enc.TrainConfig,
-        init_strategy: str = "pretrained",
+        init_strategy: str,
         *,
         sharing_mode: str = "privacy",
         pretrained: Optional[enc.ModelSnapshot] = None,
@@ -446,7 +441,7 @@ class NeuralBoostLearner:
         if m == 1:
             self.round1_snapshot = snap
         if sharing:  # a copy, so that the head does not keep the whole vector alive
-            return SharedHeadRoundModel(head=snap.params[_head_slice(snap)].copy(), trunk=snap)
+            return SharedHeadRoundModel(head=snap.params[snap.layout.head].copy(), trunk=snap)
         return NeuralRoundModel(snapshot=snap)
 
     def finalize(self, rounds: list[BoostRound]) -> list[BoostRound]:
@@ -475,7 +470,7 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
     }
     blobs = [s.to_bytes() for s in ensemble.snapshots]
     if ensemble.sharing_mode == "sharing":
-        blobs += [r.model.head.astype("<f8").tobytes() for r in ensemble.rounds]
+        blobs += [r.model.head.astype("<f8", copy=False) for r in ensemble.rounds]
     return artifacts.pack(ENSEMBLE_MAGIC, header, *artifacts.framed(blobs))
 
 
@@ -486,7 +481,7 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
         blobs = artifacts.unframe(payload, "ensemble")
         if header["sharing_mode"] == "sharing":
             trunk = enc.ModelSnapshot.from_bytes(blobs[0])
-            size = trunk.params[_head_slice(trunk)].size
+            size = trunk.params[trunk.layout.head].size
             models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
                                            trunk=trunk) for hb in blobs[1:]]
         else:

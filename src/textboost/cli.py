@@ -157,12 +157,6 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
-def _digest(obj) -> str:
-    """sha256 of the canonical JSON of ``obj`` (sorted keys, no spaces)."""
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-                          ).hexdigest()
-
-
 @dataclass
 class RunConfig:
     """Resolved experiment configuration (all defaults applied)."""
@@ -204,7 +198,7 @@ class RunConfig:
 
     def hash(self) -> str:
         # out_dir says where artifacts go, not what gets computed
-        return _digest({k: v for k, v in self.data.items() if k != "out_dir"})
+        return artifacts.digest({k: v for k, v in self.data.items() if k != "out_dir"})
 
     def with_overrides(self, **kv) -> "RunConfig":
         data = json.loads(json.dumps(self.data))
@@ -361,7 +355,8 @@ class Store:
         lacks a file or fails to load is fitted again and replaced."""
         name, reads, parts = fit.stage
         values = [functools.reduce(lambda d, k: d[k], key.split("."), cfg.data) for key in reads]
-        key = _digest([name, _source_digest(), values, {k: _key_of(v) for k, v in inputs.items()}])
+        key = artifacts.digest([name, _source_digest(), values,
+                                {k: _key_of(v) for k, v in inputs.items()}])
         paths = {part: self.root / (f"{name}_{key[:16]}{Path(part).suffix}" if len(parts) == 1
                                     else f"{name}_{key[:16]}/{part}") for part in parts}
         if key not in self.memo:

@@ -1,7 +1,7 @@
 """Base classifiers: tiny transformer and softmax regression, weighted-CE
 training, toy MLM pretraining, fine-tune starts, snapshots."""
 
-from .config import EncoderConfig, SoftregConfig, TrainConfig, config_from_dict, config_hash
+from .config import EncoderConfig, SoftregConfig, TrainConfig, config_from_dict
 from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot, ParamLayout, layout_for, xavier_limit

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 
@@ -63,11 +61,6 @@ def config_from_dict(d: dict):
     if kind == "softreg":
         return SoftregConfig(**d)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def config_hash(cfg) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

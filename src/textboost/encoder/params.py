@@ -1,5 +1,6 @@
 """Flat parameter vectors, layout tables, snapshots, checkpoint IO, and the
-skeleton both base learners share (``FlatModel``).
+skeleton both base learners share (``FlatModel``): one linear softmax head
+over each learner's feature map.
 
 A checkpoint is an ``artifacts`` container with magic ``BGV1``: a JSON
 header (kind, role, config, config hash, layout table, parameter count),
@@ -18,7 +19,9 @@ import numpy as np
 from .. import artifacts
 from ..artifacts import CHECKPOINT_MAGIC
 from ..textdata import SCORE_CHUNK, Packed
-from .config import EncoderConfig, SoftregConfig, config_from_dict, config_hash
+from . import nnops
+from .config import EncoderConfig, SoftregConfig, config_from_dict
+from .nnops import DivergenceError
 
 ROLES = ("random", "pretrained", "finetuned")
 
@@ -43,6 +46,11 @@ class ParamLayout:
     @cached_property
     def total(self) -> int:
         return sum(stop - start for start, stop, _ in self._spans.values())
+
+    @cached_property
+    def head(self) -> slice:
+        """The classification head, ``cls.w | cls.b``, which ends every base layout."""
+        return slice(self._spans["cls.w"][0], self.total)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         if flat.shape != (self.total,):
@@ -137,7 +145,7 @@ class ModelSnapshot:
 
     @property
     def config_hash(self) -> str:
-        return config_hash(self.config)
+        return artifacts.digest(self.config.to_dict())
 
     @property
     def layout(self) -> ParamLayout:
@@ -152,7 +160,7 @@ class ModelSnapshot:
             "layout": self.layout.table(),
             "param_count": int(self.params.size),
         }
-        return artifacts.pack(CHECKPOINT_MAGIC, header, self.params.astype("<f8").tobytes())
+        return artifacts.pack(CHECKPOINT_MAGIC, header, self.params.astype("<f8", copy=False))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelSnapshot":
@@ -174,9 +182,11 @@ class ModelSnapshot:
 
 
 class FlatModel:
-    """A mutable working model around a flat float64 parameter vector: the
-    skeleton of both base learners. A subclass names its ``kind`` and
-    defines ``forward_probs``, ``clf_loss_and_grad`` and ``clf_ranges``."""
+    """A mutable working model around a flat float64 parameter vector: a
+    feature map under the head ``cls.w | cls.b``. A subclass names its
+    ``kind`` and defines ``features``, ``forward_probs`` and
+    ``clf_loss_and_grad``, which call ``head_probs`` and ``_head_loss`` on
+    its features, and ``clf_ranges`` when its features have parameters."""
 
     kind: str
 
@@ -200,6 +210,10 @@ class FlatModel:
     def snapshot(self, role: str) -> ModelSnapshot:
         return ModelSnapshot(config=self.config, params=self.params, role=role)
 
+    def clf_ranges(self) -> tuple[slice, ...]:
+        """The parameter ranges ``clf_loss_and_grad`` reaches: the head."""
+        return (self.layout.head,)
+
     def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
         """Eval-mode probabilities, chunked so that one chunk's activations
         are alive at a time."""
@@ -208,18 +222,62 @@ class FlatModel:
             out[idx] = self.forward_probs(part)
         return out
 
-    def _targets_and_weights(self, B: int, targets: np.ndarray,
-                             weights: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(B, K) target distributions from label ids or distributions, and
-        the per-example weights (ones by default)."""
+    def predict_proba_heads(
+        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]],
+        chunk: int = SCORE_CHUNK,
+    ) -> np.ndarray:
+        """(n, M, K) eval-mode probabilities of M (w, b) heads over this
+        model's features: one feature pass per chunk serves every head, and
+        each head's rows equal ``predict_proba`` of the model carrying it."""
+        out = np.empty((batch.n, len(heads), self.config.K), dtype=np.float64)
+        for idx, part in batch.chunks(chunk):
+            feats = self.features(part)
+            for m, (w, b) in enumerate(heads):
+                out[idx, m] = self.head_probs(feats, w, b)
+        return out
+
+    def head_probs(self, feats: np.ndarray, w: Optional[np.ndarray] = None,
+                   b: Optional[np.ndarray] = None) -> np.ndarray:
+        """Softmax rows of the head over (B, F) features: this model's head,
+        or the (w, b) given. Non-finite logits raise DivergenceError."""
+        logits = feats @ (self.p["cls.w"] if w is None else w)
+        logits += self.p["cls.b"] if b is None else b
+        if not np.isfinite(logits).all():
+            raise DivergenceError("classification head")
+        return nnops.softmax_rows(logits)
+
+    def _head_loss(self, feats: np.ndarray, targets: np.ndarray,
+                   weights: Optional[np.ndarray], out: Optional[np.ndarray]):
+        """Weighted cross-entropy of the head over (B, F) features against
+        label ids or (B, K) distributions: (the batch mean of w_i * CE_i,
+        the per-example losses, the gradient vector, its views, d_logits).
+        The head's gradient is added into ``out`` (zeroed by the caller) when
+        given. Logits are not checked; a non-finite loss reaches ``fit_loop``."""
+        B, K = feats.shape[0], self.config.K
         weights = np.ones(B) if weights is None else np.asarray(weights, dtype=np.float64)
         targets = np.asarray(targets)
         if targets.ndim == 1:
-            t = np.zeros((B, self.config.K), dtype=np.float64)
+            t = np.zeros((B, K), dtype=np.float64)
             t[np.arange(B), targets.astype(np.int64)] = 1.0
         else:
             t = targets.astype(np.float64)
-        return t, weights
+        logits = feats @ self.p["cls.w"]
+        logits += self.p["cls.b"]
+        probs = nnops.softmax_rows(logits)
+        log_p = np.maximum(probs, nnops.PROB_FLOOR)
+        np.log(log_p, out=log_p)
+        log_p *= t
+        per_example = -np.add.reduce(log_p, axis=1)
+        per_example *= weights
+        loss = float(np.add.reduce(per_example)) / B  # per_example.mean()
+
+        d_logits = probs
+        d_logits -= t
+        d_logits *= (weights / B)[:, None]
+        g, gv = self._grad_vector(out)
+        gv["cls.w"] += feats.T @ d_logits
+        gv["cls.b"] += np.add.reduce(d_logits, axis=0)
+        return loss, per_example, g, gv, d_logits
 
     def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """``out`` (or a fresh zero vector) and its named views. The views of

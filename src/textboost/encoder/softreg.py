@@ -7,8 +7,6 @@ from typing import Optional
 import numpy as np
 
 from ..textdata import PAD_ID, Packed
-from . import nnops
-from .nnops import DivergenceError
 from .params import FlatModel
 
 
@@ -25,19 +23,15 @@ def token_counts(batch: Packed, vocab_size: int) -> np.ndarray:
 
 
 class SoftmaxRegressionModel(FlatModel):
-    """One linear layer and a softmax over the token counts of a row."""
+    """The head over the token counts of a row."""
 
     kind = "softreg"
 
-    def clf_ranges(self) -> tuple[slice, ...]:
-        """The parameter ranges ``clf_loss_and_grad`` reaches: all of them."""
-        return (slice(0, self.params.size),)
+    def features(self, batch: Packed) -> np.ndarray:
+        return token_counts(batch, self.config.vocab_size)
 
     def forward_probs(self, batch: Packed) -> np.ndarray:
-        logits = token_counts(batch, self.config.vocab_size) @ self.p["cls.w"] + self.p["cls.b"]
-        if not np.isfinite(logits).all():
-            raise DivergenceError("softreg logits")
-        return nnops.softmax_rows(logits)
+        return self.head_probs(self.features(batch))
 
     def clf_loss_and_grad(
         self,
@@ -51,15 +45,5 @@ class SoftmaxRegressionModel(FlatModel):
         """Weighted cross-entropy, as ``TransformerModel.clf_loss_and_grad``;
         the gradient is added into ``out`` (zeroed by the caller) when given."""
         del train_mode, rng
-        B = batch.n
-        t, weights = self._targets_and_weights(B, targets, weights)
-        counts = token_counts(batch, self.config.vocab_size)
-        probs = nnops.softmax_rows(counts @ self.p["cls.w"] + self.p["cls.b"])
-        per_example = weights * -(t * np.log(np.maximum(probs, nnops.PROB_FLOOR))).sum(axis=1)
-        loss = float(per_example.mean())
-
-        d_logits = (probs - t) * (weights / B)[:, None]
-        g, gv = self._grad_vector(out)
-        gv["cls.w"] += counts.T @ d_logits
-        gv["cls.b"] += d_logits.sum(axis=0)
+        loss, per_example, g, _, _ = self._head_loss(self.features(batch), targets, weights, out)
         return loss, per_example, g

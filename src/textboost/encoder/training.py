@@ -9,8 +9,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .. import artifacts
 from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
-from .config import EncoderConfig, TrainConfig, config_hash
+from .config import EncoderConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot, xavier_limit
@@ -84,7 +85,7 @@ def fresh_start(config, seed, trunk: Optional[ModelSnapshot] = None) -> ModelSna
     trunk a random init from ``seed``."""
     if trunk is None:
         return new_model(config, seed=seed).snapshot("random")
-    if config_hash(trunk.config) != config_hash(config):
+    if trunk.config_hash != artifacts.digest(config.to_dict()):
         raise ValueError("trunk config does not match the requested config")
     rng = np.random.default_rng(seed)
     params = np.array(trunk.params, copy=True)

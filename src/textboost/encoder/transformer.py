@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..textdata import SCORE_CHUNK, Packed
+from ..textdata import Packed
 from . import nnops
 from .nnops import DivergenceError
 from .params import FlatModel
@@ -61,18 +61,9 @@ def _scatter_rows(ids: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
     return np.bincount(flat, weights=grad.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-def head_probs(cls_h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Softmax rows of the linear classification head over CLS rows."""
-    logits = cls_h @ w
-    logits += b
-    if not np.isfinite(logits).all():
-        raise DivergenceError("classification head")
-    return nnops.softmax_rows(logits)
-
-
 class TransformerModel(FlatModel):
-    """The tiny transformer encoder with its classification and masked-token
-    heads."""
+    """The tiny transformer encoder under the classification head, with its
+    masked-token head."""
 
     kind = "transformer"
 
@@ -254,29 +245,15 @@ class TransformerModel(FlatModel):
         g[f"{pre}.b{nm}"] += np.add.reduce(d_flat, axis=0)
         return (d_flat @ self.p[f"{pre}.w{nm}"].T).reshape(x.shape)
 
-    def forward_probs(self, batch: Packed) -> np.ndarray:
-        """Eval-mode per-example softmax over the K classes; rows sum to 1."""
-        return head_probs(self.cls_rows(batch), self.p["cls.w"], self.p["cls.b"])
-
-    def cls_rows(self, batch: Packed) -> np.ndarray:
+    def features(self, batch: Packed) -> np.ndarray:
         """Eval-mode (B, d_model) CLS rows of the last layer."""
         h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
                                    query=_cls_query(batch.n))
         return h[:, 0, :]
 
-    def predict_proba_heads(
-        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]],
-        chunk: int = SCORE_CHUNK,
-    ) -> np.ndarray:
-        """(n, M, K) eval-mode probabilities of M (w, b) classification heads
-        over this trunk: one trunk pass per chunk serves every head, and each
-        head's rows equal ``predict_proba`` of the model carrying that head."""
-        out = np.empty((batch.n, len(heads), self.config.K), dtype=np.float64)
-        for idx, part in batch.chunks(chunk):
-            cls_h = self.cls_rows(part)
-            for m, (w, b) in enumerate(heads):
-                out[idx, m] = head_probs(cls_h, w, b)
-        return out
+    def forward_probs(self, batch: Packed) -> np.ndarray:
+        """Eval-mode per-example softmax over the K classes; rows sum to 1."""
+        return self.head_probs(self.features(batch))
 
     # ------------------------------------------------------------------
     # losses and gradients
@@ -284,13 +261,12 @@ class TransformerModel(FlatModel):
     def clf_ranges(self) -> tuple[slice, ...]:
         """The parameter ranges ``clf_loss_and_grad`` reaches: all but the
         masked-token head."""
-        mlm, cls = self.layout.slice_of("mlm.w"), self.layout.slice_of("cls.w")
-        return slice(0, mlm.start), slice(cls.start, self.params.size)
+        return slice(0, self.layout.slice_of("mlm.w").start), self.layout.head
 
     def mlm_ranges(self) -> tuple[slice, ...]:
         """The parameter ranges ``mlm_loss_and_grad`` reaches: all but the
         classification head."""
-        return (slice(0, self.layout.slice_of("cls.w").start),)
+        return (slice(0, self.layout.head.start),)
 
     def clf_loss_and_grad(
         self,
@@ -308,29 +284,10 @@ class TransformerModel(FlatModel):
         flat gradient); the scalar is the batch mean of w_i * CE_i. The
         gradient is added into ``out`` (zeroed by the caller) when given.
         """
-        B = batch.n
-        t, weights = self._targets_and_weights(B, targets, weights)
         h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
-                                       keep_cache=True, query=_cls_query(B))
-        cls_h = h[:, 0, :]
-        logits = cls_h @ self.p["cls.w"]
-        logits += self.p["cls.b"]
-        probs = nnops.softmax_rows(logits)
-        log_p = np.maximum(probs, nnops.PROB_FLOOR)
-        np.log(log_p, out=log_p)
-        log_p *= t
-        per_example = -np.add.reduce(log_p, axis=1)
-        per_example *= weights
-        loss = float(np.add.reduce(per_example)) / B  # per_example.mean()
-
-        d_logits = probs
-        d_logits -= t
-        d_logits *= (weights / B)[:, None]
-        g, gv = self._grad_vector(out)
-        gv["cls.w"] += cls_h.T @ d_logits
-        gv["cls.b"] += np.add.reduce(d_logits, axis=0)
-        d_h = (d_logits @ self.p["cls.w"].T)[:, None, :]
-        self._trunk_backward(d_h, cache, gv)
+                                       keep_cache=True, query=_cls_query(batch.n))
+        loss, per_example, g, gv, d_logits = self._head_loss(h[:, 0, :], targets, weights, out)
+        self._trunk_backward((d_logits @ self.p["cls.w"].T)[:, None, :], cache, gv)
         return loss, per_example, g
 
     def mlm_loss_and_grad(

@@ -38,12 +38,14 @@ _TOPIC_WORD_PROB = 0.6
 
 @dataclass(frozen=True)
 class SynthConfig:
-    train_size: int = 2000
-    dev_size: int = 600
-    corpus_size: int = 6000
-    noise: float = 0.03
-    hard_fraction: float = 0.25
-    seed: int = 0
+    """The task's sizes, noise and seed; ``gen-data``'s flags hold their defaults."""
+
+    train_size: int
+    dev_size: int
+    corpus_size: int
+    noise: float
+    hard_fraction: float
+    seed: int
 
 
 def _fillers(rng: np.random.Generator, n: int) -> list[str]:

@@ -342,6 +342,27 @@ class TestScoringChunks:
         np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-12)
         assert np.array_equal(chunked.argmax(axis=1), whole.argmax(axis=1))
 
+    @pytest.mark.parametrize("kind", ["transformer", "softreg"])
+    def test_heads_over_one_feature_pass_equal_the_models_that_carry_them(self, kind):
+        """``predict_proba_heads`` scores M heads from one feature pass per
+        chunk; each head's rows are, bit for bit, ``predict_proba`` of the
+        model that carries that head, at the same chunks."""
+        model = bundled_sized_model(kind)
+        rng = np.random.default_rng(9)
+        batch = random_batch(rng, vocab_size=588, B=40, L=24)
+        assert len(list(batch.chunks(16))) == 3
+        carriers = []
+        for _ in range(3):
+            params = model.params.copy()
+            params[model.layout.head] = rng.normal(size=model.layout.head.stop
+                                                   - model.layout.head.start)
+            carriers.append(type(model)(model.config, params=params))
+        got = model.predict_proba_heads(batch, [(c.p["cls.w"], c.p["cls.b"]) for c in carriers],
+                                        chunk=16)
+        assert got.shape == (batch.n, 3, 3)
+        for m, carrier in enumerate(carriers):
+            assert got[:, m].tobytes() == carrier.predict_proba(batch, chunk=16).tobytes()
+
     # Scoring 2,000 rows at 64-row chunks peaks at about 10 MB of transformer
     # activations and 0.4 MB of softreg counts; 256-row transformer chunks
     # take about 40 MB, and softreg's rows as one (rows, V) chunk 10 MB.

@@ -192,6 +192,38 @@ def test_softreg_gradients():
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
 
 
+@pytest.mark.parametrize("kind", ["transformer", "softreg"])
+@pytest.mark.parametrize("soft", [False, True], ids=["label-ids", "soft-targets"])
+def test_clf_loss_is_bit_equal_to_the_out_of_place_head(tiny_config, kind, soft):
+    """Both learners' weighted CE over their features, in place, equals the
+    head written out of place; the transformer's trunk gradient is its
+    backward of ``d_logits @ cls.w.T``."""
+    rng = np.random.default_rng(21)
+    model = (enc.TransformerModel(tiny_config, seed=4) if kind == "transformer"
+             else enc.SoftmaxRegressionModel(enc.SoftregConfig(vocab_size=20, K=3), seed=4))
+    batch = random_batch(rng, B=6, L=8)
+    targets = rng.dirichlet(np.ones(3), size=batch.n) if soft else batch.labels
+    weights = rng.uniform(0.5, 3.0, size=batch.n)
+    loss, per_example, grad = model.clf_loss_and_grad(batch, targets, weights)
+
+    feats, w, b = model.features(batch), model.p["cls.w"], model.p["cls.b"]
+    t = targets if soft else np.eye(3)[targets]
+    probs = nnops.softmax_rows(feats @ w + b)
+    want_per = weights * -(t * np.log(np.maximum(probs, nnops.PROB_FLOOR))).sum(axis=1)
+    d_logits = (probs - t) * (weights / batch.n)[:, None]
+    want = np.zeros_like(model.params)
+    views = model.layout.views(want)
+    views["cls.w"] += feats.T @ d_logits
+    views["cls.b"] += d_logits.sum(axis=0)
+    if kind == "transformer":
+        _, cache = model._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
+                                        keep_cache=True, query=np.zeros((batch.n, 1), np.intp))
+        model._trunk_backward((d_logits @ w.T)[:, None, :], cache, views)
+    assert loss == float(want_per.mean())
+    assert per_example.tobytes() == want_per.tobytes()
+    assert grad.tobytes() == want.tobytes()
+
+
 class TestWeightedCELoss:
     def test_perfect_prediction_zero_loss(self):
         probs = np.array([[1.0, 0.0]])

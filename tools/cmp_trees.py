@@ -13,9 +13,12 @@ each tree), because run dirs record their paths:
 * ``fusion --depth 2`` on the transformer boost dir and on the bag dir;
 * ``fusion`` on the transformer boost dir at its own config, whose head
   comes from the store;
-* ``distill`` of each boost dir;
+* ``distill`` of each boost dir, and of the bag dir, which has no fusion
+  head, so its student learns the bag's soft vote;
 * ``compare --axes init_strategy,fraction --fractions 0.5,1.0``;
-* ``eval`` of every dir that holds a model, on the dev set.
+* ``eval`` of every dir that holds a model, on the dev set, and ``eval --vote
+  discrete`` of the transformer boost dir on the training set (a report
+  of its own, ``eval_train.json``).
 
 Run dirs are paired by their order in ``metrics.jsonl``, so the files of a
 renamed dir are still compared (its records differ, as they name it). Every
@@ -100,11 +103,13 @@ def run_pipeline(tree: Path, run: Path) -> None:
     models = [*boosts, bag]
     models += [cli("fusion", "--run-dir", str(out / d), "--depth", "2") for d in (boosts[0], bag)]
     models.append(cli("fusion", "--run-dir", str(out / boosts[0])))
-    models += [cli("distill", "--teacher-dir", str(out / d)) for d in boosts]
+    models += [cli("distill", "--teacher-dir", str(out / d)) for d in (*boosts, bag)]
     cli("compare", "--config", str(configs["transformer"]), "--axes", "init_strategy,fraction",
         "--fractions", "0.5,1.0")
     for d in models:
         cli("eval", "--model-dir", str(out / d), "--data", str(task / "dev.tsv"))
+    cli("eval", "--model-dir", str(out / boosts[0]), "--data", str(task / "train.tsv"),
+        "--vote", "discrete")
 
 
 def _record(line: str) -> dict:
