@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,13 +30,21 @@ class ArtifactError(ValueError):
     """A malformed artifact, or one bound to another model; exit code 2."""
 
 
-def write(path: str | Path, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (str as UTF-8) by way of a temporary
-    file in the same directory: a crash leaves the old bytes or the new."""
+def write(path: str | Path, data: bytes | str | Path) -> None:
+    """Replace ``path`` with ``data`` (str as UTF-8; a Path hard-linked, or
+    copied where the link fails) by way of a temporary file in the same
+    directory: a crash leaves the old bytes or the new."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        if isinstance(data, Path):
+            try:
+                os.link(data, tmp)
+            except OSError:  # the file system refused the link (EXDEV, EPERM, ...)
+                shutil.copyfile(data, tmp)
+        else:
+            tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        # onto a link of the same file, the rename does nothing and leaves tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -342,32 +342,35 @@ def _load(path: Path):
 
 @dataclass
 class Store:
-    """The stage outputs under an out root: ``<name>_<key16><suffix>`` for a
-    stage of one file, else a ``<name>_<key16>`` dir of its files."""
+    """The stage outputs under an out root: a ``store/<source12>/<name>_<key16>``
+    dir of each stage's files, named as in a run dir."""
 
     root: Path
-    memo: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)  # entry dir -> {file: model or log}
 
     def get(self, fit, cfg: RunConfig, **inputs) -> dict:
         """The files of ``fit``'s stage, keyed by the sha256 of the values it
-        reads, its inputs' keys and the textboost source: from the memo, else
-        from its entry, else fitted now and written there. An entry that
-        lacks a file or fails to load is fitted again and replaced."""
+        reads and its inputs' keys: from the memo, else from its entry, else
+        fitted now and written there. An entry that lacks a file or fails to
+        load is fitted again and replaced."""
         name, reads, parts = fit.stage
         values = [functools.reduce(lambda d, k: d[k], key.split("."), cfg.data) for key in reads]
-        key = artifacts.digest([name, _source_digest(), values,
-                                {k: _key_of(v) for k, v in inputs.items()}])
-        paths = {part: self.root / (f"{name}_{key[:16]}{Path(part).suffix}" if len(parts) == 1
-                                    else f"{name}_{key[:16]}/{part}") for part in parts}
-        if key not in self.memo:
+        key = artifacts.digest([name, values, {k: _key_of(v) for k, v in inputs.items()}])
+        entry = self.root / "store" / _source_digest()[:12] / f"{name}_{key[:16]}"
+        if entry not in self.memo:
             try:
-                self.memo[key] = {part: _load(path) for part, path in paths.items()}
+                self.memo[entry] = {part: _load(entry / part) for part in parts}
             except (OSError, artifacts.ArtifactError):  # no entry, or a cut or corrupted one
-                self.memo[key] = fit(cfg, **inputs)
-                for part, path in paths.items():
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    _save(path, self.memo[key][part])
-        return self.memo[key]
+                self.memo[entry] = fit(cfg, **inputs)
+                entry.mkdir(parents=True, exist_ok=True)
+                for part in parts:
+                    _save(entry / part, self.memo[entry][part])
+        return self.memo[entry]
+
+    def file_of(self, part) -> Path:
+        """The entry file that holds ``part``, a model or log that ``get`` gave."""
+        return next(entry / name for entry, parts in self.memo.items()
+                    for name, p in parts.items() if p is part)
 
 
 @_stage("pretrained", ("seed", "pretrain"), "pretrained.bgv")
@@ -459,7 +462,6 @@ class MetricsRecord:
 
 
 def write_metrics(record: MetricsRecord, out_root: Path, run_dir: Path) -> None:
-    out_root.mkdir(parents=True, exist_ok=True)
     with (out_root / "metrics.jsonl").open("a", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
     artifacts.write(run_dir / "metrics.json", record.to_json() + "\n")
@@ -555,23 +557,19 @@ class Run:
 
     ``Run.open`` loads the command's config with its flag overrides,
     validates it, prepares the task, gives the command its pretrained trunk
-    from the store (``fusion`` fits a head on saved rounds and never uses
-    one), and writes the task artifacts into a fresh ``<command>-<hash12>``
-    dir, so a config or input-data error leaves no run dir behind.
-    A command that reads a saved ensemble (``fusion``, ``distill``) passes
-    its ``TrainedDir`` as ``trained_on``, whose vocabulary, label names and
-    max_seq_len the prepared task must equal, and whose ensemble's content
-    hash is the ``source``; ``compare`` passes the hash of its grid (its axes
-    and their values) as ``source``. The dir is then
-    ``<command>-<hash12>-<source hash12>``, so two ensembles, or two grids,
-    of one config get two dirs. ``finish`` writes the trained parts and the
-    record.
+    from the store (``fusion`` never uses one) and names its
+    ``<command>-<hash12>`` dir. A command that reads a saved ensemble
+    (``fusion``, ``distill``) passes its ``TrainedDir`` as ``trained_on``,
+    whose task the prepared one must equal and whose ensemble's content hash
+    is the ``source``; ``compare`` passes the hash of its grid. The dir is
+    then ``<command>-<hash12>-<source hash12>``, so two ensembles, or two
+    grids, of one config get two dirs. Only ``finish`` makes the dir, whole,
+    so an error before it leaves none.
     """
 
     command: str
     cfg: RunConfig
     bundle: TaskBundle
-    out_root: Path
     dir: Path
     t0: float
     store: Store
@@ -603,17 +601,19 @@ class Run:
                               corpus=bundle.corpus_ids)["pretrained.bgv"]
         run_dir = out_root / (f"{args.command}-{cfg.hash()[:12]}"
                               + (f"-{source[:12]}" if source else ""))
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _save_task_artifacts(run_dir, cfg, bundle)
-        return cls(args.command, cfg, bundle, out_root, run_dir, t0, store, model, trunk)
+        return cls(args.command, cfg, bundle, run_dir, t0, store, model, trunk)
 
     def finish(self, accuracies: dict, *, parts: Optional[dict] = None,
                round_log: Sequence[dict] = (), extras: Optional[dict] = None,
                timing: Optional[dict] = None) -> MetricsRecord:
-        """Write ``parts`` (``{file: model or log}``) into the run dir, then the
-        run's record; accuracies it does not fill read None."""
+        """Write the run dir whole: the task artifacts, ``parts`` (``{file: a part
+        from the store, or a Path}``) as links, then the record; accuracies it
+        does not fill read None."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        _save_task_artifacts(self.dir, self.cfg, self.bundle)
         for name, part in (parts or {}).items():
-            _save(self.dir / name, part)
+            artifacts.write(self.dir / name,
+                            part if isinstance(part, Path) else self.store.file_of(part))
         record = MetricsRecord(
             run_id=self.dir.name,
             command=self.command,
@@ -624,7 +624,7 @@ class Run:
             timing=timing or {},
             wall_time_s=time.perf_counter() - self.t0,
         )
-        write_metrics(record, self.out_root, self.dir)
+        write_metrics(record, self.dir.parent, self.dir)
         return record
 
     def head(self, cfg: RunConfig, ensemble: boosting.BoostEnsemble,
@@ -714,7 +714,7 @@ def cmd_train_bag(args) -> int:
 
 def cmd_fusion(args) -> int:
     """The fusion head of the ensemble in ``--run-dir``, which is left as it
-    is, from the store. The head, a copy of the ensemble, the resolved config
+    is, from the store. The head, a link to the ensemble, the resolved config
     and the record go to a ``fusion-<hash12>-<ensemble hash12>`` run dir,
     which ``eval`` and ``distill`` read like the run dir of ``train-boost``."""
     trained = TrainedDir.read(args.run_dir, need_ensemble=True)
@@ -722,11 +722,11 @@ def cmd_fusion(args) -> int:
     run = Run.open(args, trained.path / "config.json", trained_on=trained)
     cfg, bundle = run.cfg, run.bundle
     head = run.head(cfg, ensemble, bundle.train)
-    artifacts.write(run.dir / "ensemble.bge", (trained.path / "ensemble.bge").read_bytes())
     # the record holds only the head's accuracy, the last of the predictions
     key, preds = _predictions(ensemble, head, ensemble.dev_probs, "soft").popitem()
     acc = enc.percent_correct(preds, bundle.dev.labels)
-    run.finish({key: acc}, parts={"fusion.bgf": head},
+    run.finish({key: acc}, parts={"ensemble.bge": trained.path / "ensemble.bge",
+                                  "fusion.bgf": head},
                extras={"depth": cfg.data["fusion"]["depth"]})
     print(f"[{run.dir.name}] fusion={acc:.2f}")
     return 0
@@ -812,7 +812,8 @@ def cmd_eval(args) -> int:
         print("confusion matrix (rows = gold):")
         for row in rep["confusion"]:
             print("  " + " ".join(f"{v:6d}" for v in row))
-    out_path = trained.path / f"eval_{Path(args.data).stem}.json"
+    suffix = "" if args.vote == "soft" else f"_{args.vote}"  # soft keeps the old name
+    out_path = trained.path / f"eval_{Path(args.data).stem}{suffix}.json"
     _write_json(out_path, reports)
     print(f"wrote {out_path}")
     return 0

@@ -137,7 +137,7 @@ def compare_run(acc_root, small_task_dir, main_config):
     cfg_path = acc_root / "config600.json"
     cfg_path.write_text(json.dumps(_base_config(small_task_dir, out), indent=2))
     rows = _compare(cfg_path, out, "--axes", "init_strategy")
-    assert len(list(out.glob("pretrained_*.bgv"))) == 1
+    assert len(list(out.glob("store/*/pretrained_*/pretrained.bgv"))) == 1
     return rows
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from textboost import boosting, cli, fusion
+from textboost import artifacts, boosting, cli, fusion
 from textboost import encoder as enc
 
 from conftest import assert_run_contract, count_fits
@@ -73,6 +75,13 @@ def boost_run(task_dir, tmp_path_factory):
     return out, cfg_path, run_dirs[0]
 
 
+def copy_trunk(out: Path, into: Path) -> None:
+    """Copy the pretraining cache of the out root ``out`` to its path under ``into``."""
+    for cache in out.glob("store/*/pretrained_*/pretrained.bgv"):
+        (into / cache.relative_to(out)).parent.mkdir(parents=True)
+        shutil.copy(cache, into / cache.relative_to(out))
+
+
 def _fail(*args, **kwargs):
     raise AssertionError("a command did work that should only have read artifacts")
 
@@ -125,8 +134,7 @@ def bag_run(boost_run, task_dir, tmp_path_factory):
     """``train-bag`` into an out root that holds boost_run's pretraining cache,
     so the trunk is read, not trained again: (the out root, the run's record)."""
     out = tmp_path_factory.mktemp("bag")
-    for cache in boost_run[0].glob("pretrained_*.bgv"):
-        shutil.copy(cache, out / cache.name)
+    copy_trunk(boost_run[0], out)
     cfg_path = write_config(out / "c.json", task_dir, out)
     assert cli.main(["train-bag", "--config", str(cfg_path)]) == 0
     return out, assert_run_contract(out, "train-bag", 0)
@@ -678,6 +686,19 @@ def test_eval_reads_the_run_dir_of_every_command_that_leaves_a_model(request, ta
                      "--data", str(task_dir / "train.tsv")]) == 0
 
 
+def test_a_discrete_eval_writes_a_report_of_its_own(boost_run, task_dir, tmp_path):
+    model_dir = tmp_path / boost_run[2].name
+    shutil.copytree(boost_run[2], model_dir, ignore=shutil.ignore_patterns("eval_*.json"))
+    argv = ["eval", "--model-dir", str(model_dir), "--data", str(task_dir / "dev.tsv")]
+    assert cli.main(argv) == 0
+    soft = (model_dir / "eval_dev.json").read_bytes()
+    assert cli.main([*argv, "--vote", "discrete"]) == 0
+    assert (model_dir / "eval_dev.json").read_bytes() == soft
+    discrete = json.loads((model_dir / "eval_dev_discrete.json").read_text())
+    # the head does not vote, so only boost_vote may differ
+    assert discrete["boost_fusion"] == json.loads(soft)["boost_fusion"]
+
+
 class TestFusionCmd:
     def test_retrains_head_and_keeps_the_run_record(self, fusion_run, task_dir):
         out, run_dir, before = fusion_run
@@ -690,7 +711,7 @@ class TestFusionCmd:
         assert (fusion_dir / "ensemble.bge").read_bytes() == before["ensemble.bge"]
         fusion_cfg = json.loads((fusion_dir / "config.json").read_text())
         assert fusion_cfg["fusion"]["depth"] == 2
-        assert not list(out.glob("pretrained_*.bgv"))
+        assert not list(out.glob("store/*/pretrained_*/pretrained.bgv"))
         # the fusion dir is a model dir of its own: eval scores the new head
         assert cli.main(["eval", "--model-dir", str(fusion_dir),
                          "--data", str(task_dir / "dev.tsv")]) == 0
@@ -818,15 +839,14 @@ class TestArtifactErrors:
         # the pretraining cache of boost_run, so that a student's trunk would be read
         out2 = tmp_path / "out"
         out2.mkdir()
-        for cache in out.glob("pretrained_*.bgv"):
-            shutil.copy(cache, out2 / cache.name)
+        copy_trunk(out, out2)
         cfg = json.loads(cfg_path.read_text())
         cfg["out_dir"] = str(out2)
         for path in (model_dir / "config.json", tmp_path / "c.json"):
             path.write_text(json.dumps(cfg))
         name, change = _BAD_RUN_DIRS[case]
         change(model_dir / name)
-        before = sorted(out2.iterdir())
+        before = sorted(out2.rglob("*"))
 
         no_training(monkeypatch)
         monkeypatch.setattr(boosting.BoostEnsemble, "predict_proba_per_round", _fail)
@@ -834,7 +854,7 @@ class TestArtifactErrors:
                  "distill": ["--teacher-dir", str(model_dir), "--config", str(tmp_path / "c.json")],
                  "eval": ["--model-dir", str(model_dir), "--data", str(task_dir / "dev.tsv")]}
         assert cli.main([command, *flags[command]]) == 2
-        assert sorted(out2.iterdir()) == before
+        assert sorted(out2.rglob("*")) == before
         assert not list(model_dir.glob("eval_*.json"))
 
 
@@ -849,10 +869,12 @@ class TestPretraining:
         assert bool(cli.prepare_task(cfg).corpus_ids) == encoded
 
     @pytest.mark.parametrize("command, entry, refits", [
-        pytest.param("train-boost", "pretrained_*.bgv", {"pretrain_mlm": 1}, id="trunk"),
-        pytest.param("train-boost", "boost_*/ensemble.bge", {"fit_round": 1}, id="ensemble"),
-        pytest.param("train-boost", "fusion_*.bgf", {"train_fusion": 1}, id="head"),
-        pytest.param("train-bag", "bag_*/ensemble.bge", {"bag_train": 2}, id="bag"),
+        pytest.param("train-boost", "store/*/pretrained_*/pretrained.bgv", {"pretrain_mlm": 1},
+                     id="trunk"),
+        pytest.param("train-boost", "store/*/boost_*/ensemble.bge", {"fit_round": 1},
+                     id="ensemble"),
+        pytest.param("train-boost", "store/*/fusion_*/fusion.bgf", {"train_fusion": 1}, id="head"),
+        pytest.param("train-bag", "store/*/bag_*/ensemble.bge", {"bag_train": 2}, id="bag"),
     ])
     def test_truncated_cache_entry_is_retrained_and_replaced(self, task_dir, tmp_path,
                                                              monkeypatch, command, entry, refits):
@@ -902,7 +924,8 @@ class TestPretraining:
         assert cli.main(argv) == 0
         assert fits == {"pretrain_mlm": 1, "fit_round": 1, "train_fusion": 1}
         assert {p: p.read_bytes() for p in entries} == entries
-        assert len(list(out.glob("pretrained_*.bgv"))) == len(list(out.glob("boost_*"))) == 2
+        assert len(list(out.glob("store/*/pretrained_*/pretrained.bgv"))) == len(
+            list(out.glob("store/*/boost_*"))) == 2
 
 
 class TestStore:
@@ -1007,6 +1030,96 @@ class TestStore:
         fits = count_fits(monkeypatch)
         assert cli.main(["train-boost", "--config", str(cfg_path)]) == 0
         assert fits == {"pretrain_mlm": 1, "fit_round": 2, "train_fusion": 1}
+
+
+def _raise(*args, **kwargs):
+    raise boosting.BoostingError("no base learner beat chance")
+
+
+@pytest.mark.parametrize("command, module, fit", [
+    pytest.param("train-boost", boosting, "boost_train", id="train-boost"),
+    pytest.param("train-bag", cli.baselines, "bag_train", id="train-bag"),
+    pytest.param("distill", cli.distill_mod, "distill_train", id="distill")])
+def test_a_fit_that_raises_exits_1_and_leaves_no_run_dir(boost_run, tmp_path, monkeypatch,
+                                                        command, module, fit):
+    out, cfg_path, teacher = boost_run
+    out2 = tmp_path / "out"
+    copy_trunk(out, out2)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["out_dir"] = str(out2)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    monkeypatch.setattr(module, fit, _raise)
+    flags = ["--teacher-dir", str(teacher)] if command == "distill" else []
+    assert cli.main([command, "--config", str(tmp_path / "c.json"), *flags]) == 1
+    assert not list(out2.glob(f"{command}-*"))
+
+
+# the trained files of a train-boost dir, by the stage whose entry holds each
+_TRAINED = {"ensemble.bge": "boost", "single.bgv": "boost", "round_log.jsonl": "boost",
+            "train_log.jsonl": "boost", "fusion.bgf": "fusion", "pretrained.bgv": "pretrained"}
+
+
+class TestLinks:
+    """A run dir's trained files are hard links to the store's entries."""
+
+    @staticmethod
+    def train_boost(task_dir, tmp_path) -> tuple[list, Path, Path]:
+        """A train-boost into a fresh out root: (its argv, the out root, the run dir)."""
+        out = tmp_path / "out"
+        argv = ["train-boost", "--config",
+                str(TestStore.config(task_dir, out, tmp_path / "c.json"))]
+        assert cli.main(argv) == 0
+        (run_dir,) = out.glob("train-boost-*")
+        return argv, out, run_dir
+
+    @staticmethod
+    def entries(out: Path) -> dict:
+        """The one entry file of each trained file, by its name."""
+        entries = {}
+        for name, stage in _TRAINED.items():
+            (entries[name],) = out.glob(f"store/*/{stage}_*/{name}")
+        return entries
+
+    def test_every_trained_file_is_a_link_and_a_warm_rerun_keeps_them(self, task_dir,
+                                                                       tmp_path, monkeypatch):
+        argv, out, run_dir = self.train_boost(task_dir, tmp_path)
+        assert {p.name for p in run_dir.iterdir()} == {
+            *_TRAINED, "config.json", "vocab.tsv", "task.json", "metrics.json"}
+        entries = self.entries(out)
+        first = {name: entry.read_bytes() for name, entry in entries.items()}
+        for name, entry in entries.items():
+            assert os.path.samefile(entry, run_dir / name)
+            assert entry.stat().st_nlink == 2
+        fits = count_fits(monkeypatch)
+        assert cli.main(argv) == 0
+        assert fits == {}
+        assert self.entries(out) == entries
+        for name, entry in entries.items():
+            assert os.path.samefile(entry, run_dir / name)
+            assert entry.read_bytes() == first[name]
+        assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("code", [pytest.param(errno.EXDEV, id="EXDEV"),
+                                      pytest.param(errno.EPERM, id="EPERM")])
+    def test_a_file_system_that_refuses_links_gets_copies(self, task_dir, tmp_path,
+                                                          monkeypatch, code):
+        def refuse(src, dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "link", refuse)
+        _, out, run_dir = self.train_boost(task_dir, tmp_path)
+        for name, entry in self.entries(out).items():
+            assert not os.path.samefile(entry, run_dir / name)
+            assert (run_dir / name).read_bytes() == entry.read_bytes()
+        assert not list(out.rglob("*.tmp"))
+
+    def test_a_new_file_at_a_run_dir_path_leaves_the_entry(self, task_dir, tmp_path):
+        _, out, run_dir = self.train_boost(task_dir, tmp_path)
+        for name, entry in self.entries(out).items():
+            before = entry.read_bytes()
+            artifacts.write(run_dir / name, b"replaced")
+            assert entry.read_bytes() == before
+            assert (run_dir / name).read_bytes() == b"replaced"
 
 
 class TestOracleCheck:

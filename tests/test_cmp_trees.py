@@ -63,3 +63,13 @@ def test_rekeyed_entries_of_one_stage_are_paired_by_their_bytes(tmp_path):
     assert (only_a, only_b) == (["out/fusion_0000000000000003.bgf"],
                                 ["out/fusion_4000000000000000.bgf"])
     assert same == 6  # train.tsv, metrics.jsonl, metrics.json, two ensembles, one head
+
+
+def test_store_dirs_of_two_sources_pair_and_so_do_their_entries(tmp_path):
+    run = "train-boost-aaaaaaaaaaaa"
+    entries = {"pretrained_0123456789abcdef/pretrained.bgv": "t",
+               "boost_00112233445566ff/ensemble.bge": "e",
+               "fusion_fedcba9876543210/fusion.bgf": "h"}
+    a = tree(tmp_path / "a", run, {f"store/aaaaaaaaaaaa/{k}": v for k, v in entries.items()})
+    b = tree(tmp_path / "b", run, {f"store/bbbbbbbbbbbb/{k}": v for k, v in entries.items()})
+    assert cmp_trees.compare(a, b) == ([], [], [], 6)  # the three entries and three other files

@@ -18,14 +18,17 @@ each tree), because run dirs record their paths:
 * ``compare --axes init_strategy,fraction --fractions 0.5,1.0``;
 * ``eval`` of every dir that holds a model, on the dev set, and ``eval --vote
   discrete`` of the transformer boost dir on the training set (a report
-  of its own, ``eval_train.json``).
+  of its own, ``eval_train_discrete.json``).
 
-Run dirs are paired by their order in ``metrics.jsonl``, so the files of a
-renamed dir are still compared (its records differ, as they name it). Every
-other file is paired by its path, or else by its name with every run of 12
-or more hex digits masked (a store entry whose key changed): when that name
-is unique on both sides, or else with an entry of that name that holds the
-same bytes. Records (``metrics.json`` and the lines of
+The stages' entries sit under ``out/store/<source12>/``, a dir per version of
+the textboost source, each a ``<stage>_<key16>/`` dir of files under their
+run-dir names; a run dir's trained files are links to them. Run dirs are
+paired by their order in ``metrics.jsonl``, so the files of a renamed dir
+are still compared (its records differ, as they name it). Every other file
+or dir is paired by its path, or else by its name with every run of 12 or
+more hex digits masked (the store dir of another source, or an entry whose
+key changed): when that name is unique on both sides, or else with an entry
+of that name that holds the same bytes. Records (``metrics.json`` and the lines of
 ``metrics.jsonl``) are compared as JSON without ``wall_time_s`` and
 ``timing``; every other file byte for byte.
 
