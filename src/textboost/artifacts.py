@@ -60,18 +60,19 @@ def digest(obj) -> str:
     return hashlib.sha256(_canonical(obj)).hexdigest()
 
 
-def pack(magic: bytes, header: dict, *payload) -> bytes:
-    """The container of ``header`` and the payload, which comes in parts
-    (bytes, or contiguous arrays read in place) and is joined with one copy."""
+def pack(magic: bytes, header: dict, *payload) -> list:
+    """The container of ``header`` and the payload as unjoined pieces (bytes,
+    or contiguous arrays read in place): one ``b"".join`` makes the file."""
     hbytes = _canonical(header)
-    return b"".join([magic, struct.pack("<I", len(hbytes)), hbytes, *payload])
+    return [magic, struct.pack("<I", len(hbytes)), hbytes, *payload]
 
 
-def framed(parts: Sequence) -> list:
-    """An ensemble payload for ``pack``: the part count, each part after its byte length."""
+def framed(parts: Sequence[Sequence]) -> list:
+    """An ensemble payload for ``pack``: the part count, then each part's
+    pieces after their total byte length."""
     out = [struct.pack("<I", len(parts))]
-    for part in parts:
-        out += [struct.pack("<Q", memoryview(part).nbytes), part]
+    for pieces in parts:
+        out += [struct.pack("<Q", sum(memoryview(p).nbytes for p in pieces)), *pieces]
     return out
 
 

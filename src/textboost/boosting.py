@@ -468,10 +468,10 @@ def ensemble_to_bytes(ensemble: BoostEnsemble) -> bytes:
             {"index": r.index, "alpha": r.alpha, "err": r.err} for r in ensemble.rounds
         ],
     }
-    blobs = [s.to_bytes() for s in ensemble.snapshots]
+    parts = [s.pieces() for s in ensemble.snapshots]
     if ensemble.sharing_mode == "sharing":
-        blobs += [r.model.head.astype("<f8", copy=False) for r in ensemble.rounds]
-    return artifacts.pack(ENSEMBLE_MAGIC, header, *artifacts.framed(blobs))
+        parts += [[r.model.head.astype("<f8", copy=False)] for r in ensemble.rounds]
+    return b"".join(artifacts.pack(ENSEMBLE_MAGIC, header, *artifacts.framed(parts)))
 
 
 def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:

@@ -265,9 +265,8 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         max_len = cfg.data["encoder"]["max_seq_len"]
         train_ds = LabeledDataset.from_raw(raw_train, vocab, max_len, label_names=label_names)
         dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
-    corpus_ids = [
-        [vocab.lookup(t) for t in tokenize(line)][:max_len] for line in corpus_lines
-    ] if _pretrains(cfg) else []
+    corpus_ids = ([[vocab.lookup(t) for t in tokenize(line)] for line in corpus_lines]
+                  if _pretrains(cfg) else [])
     return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids)
 
 
@@ -313,7 +312,7 @@ def _key_of(value):
         return value.to_dict()
     if isinstance(value, LabeledDataset):
         h = hashlib.sha256(json.dumps(value.label_names).encode())
-        for a in (value.packed.ids, value.packed.segs, value.packed.lengths, value.labels):
+        for a in (value.packed.ids, value.packed.lengths, value.labels):
             h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
         return h.hexdigest()
     if isinstance(value, boosting.BoostEnsemble):

@@ -152,6 +152,10 @@ class ModelSnapshot:
         return layout_for(self.config)
 
     def to_bytes(self) -> bytes:
+        return b"".join(self.pieces())
+
+    def pieces(self) -> list:
+        """The unjoined pieces of ``to_bytes``; the parameters are read in place."""
         header = {
             "kind": self.kind,
             "role": self.role,

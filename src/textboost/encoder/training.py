@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .. import artifacts
-from ..textdata import CLS_ID, MASK_ID, SEP_ID, LabeledDataset
+from ..textdata import MASK_ID, LabeledDataset, pack_corpus
 from .config import EncoderConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
@@ -249,16 +249,17 @@ def pretrain_mlm(
 ) -> tuple[ModelSnapshot, list[dict]]:
     """Masked-token pretraining on raw token-id sequences.
 
-    Sequences are laid out as ``[CLS] tokens [SEP]`` (matching the
-    classification input geometry); 15% of the content positions per
-    sequence (at least one) are replaced by MASK and the model is trained
-    to recover the original ids. Sequences shorter than 2 content tokens
-    are skipped; the classification head is left at its random
-    initialization. ``steps == 0`` returns the random init as-is.
+    ``textdata.pack_corpus`` lays the sequences out as the classifier's
+    single-sentence rows, ``[CLS]``, the first ``max_seq_len - 2`` tokens,
+    ``[SEP]``, and skips those shorter than 2 tokens; 15% of the content
+    positions per sequence (at least one) are replaced by MASK and the model
+    is trained to recover the original ids. The classification head is left
+    at its random initialization. ``steps == 0`` returns the random init
+    as-is.
     """
     rng = np.random.default_rng(seed)
     model = TransformerModel(config, seed=rng)
-    tokens, lengths = _mlm_corpus(corpus, config.max_seq_len)
+    tokens, lengths = pack_corpus(corpus, config.max_seq_len)
     if steps == 0:
         return model.snapshot("pretrained"), []
     if lengths.size == 0:
@@ -276,23 +277,8 @@ def pretrain_mlm(
     return model.snapshot("pretrained"), log
 
 
-def _mlm_corpus(corpus: Sequence[Sequence[int]], max_seq_len: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``[CLS] tokens [SEP]`` for every sequence of 2 or more tokens, cut to
-    fit: an (n, longest) id matrix padded with 0, and the n lengths."""
-    cap = max_seq_len - 2
-    seqs = [np.asarray(s, dtype=np.int64)[:cap] for s in corpus if len(s) >= 2]
-    lengths = np.array([s.size + 2 for s in seqs], dtype=np.int64)
-    tokens = np.zeros((lengths.size, lengths.max(initial=2)), dtype=np.int64)
-    col = np.arange(tokens.shape[1])
-    tokens[(col >= 1) & (col < lengths[:, None] - 1)] = np.concatenate(seqs) if seqs else []
-    tokens[:, 0] = CLS_ID
-    tokens[np.arange(lengths.size), lengths - 1] = SEP_ID
-    return tokens, lengths
-
-
 def _mask_batch(tokens: np.ndarray, lengths: np.ndarray, idx: np.ndarray, rng):
-    """The rows ``idx`` of an ``_mlm_corpus`` matrix, cut to their longest,
+    """The rows ``idx`` of a ``pack_corpus`` matrix, cut to their longest,
     with 15% of each one's content positions (at least one) replaced by MASK;
     CLS and SEP are never masked. Returns (ids, lengths, rows, cols,
     targets), the masked (row, col) pairs grouped by row. Each row draws its

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..textdata import Packed
+from ..textdata import Packed, segment_ids
 from . import nnops
 from .nnops import DivergenceError
 from .params import FlatModel
@@ -70,12 +70,13 @@ class TransformerModel(FlatModel):
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
-    def _trunk_forward(self, ids: np.ndarray, segs: np.ndarray, lengths: np.ndarray,
-                       train: bool, rng, keep_cache: bool = False,
+    def _trunk_forward(self, ids: np.ndarray, lengths: np.ndarray, train: bool, rng,
+                       keep_cache: bool = False,
                        query: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[dict]]:
         """Last hidden states (B, L, d), and the cache ``_trunk_backward``
         needs when ``keep_cache``; else None, so that a forward-only pass
-        does not hold every layer's activations until it returns.
+        does not hold every layer's activations until it returns. The
+        segment ids follow from the SEP positions (``segment_ids``).
 
         ``query``, a (B, Q) array of positions, makes the last layer compute
         those rows alone and return (B, Q, d): its keys and values still
@@ -90,6 +91,7 @@ class TransformerModel(FlatModel):
             raise ValueError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
         valid = np.arange(L)[None, :] < lengths[:, None]
         bias = np.where(valid, 0.0, _NEG_BIAS)[:, None, None, :]  # (B,1,1,L)
+        segs = segment_ids(ids, lengths)
 
         x_sum = p["tok_emb"][ids]
         x_sum += p["pos_emb"][:L]
@@ -247,7 +249,7 @@ class TransformerModel(FlatModel):
 
     def features(self, batch: Packed) -> np.ndarray:
         """Eval-mode (B, d_model) CLS rows of the last layer."""
-        h, _ = self._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
+        h, _ = self._trunk_forward(batch.ids, batch.lengths, False, None,
                                    query=_cls_query(batch.n))
         return h[:, 0, :]
 
@@ -284,7 +286,7 @@ class TransformerModel(FlatModel):
         flat gradient); the scalar is the batch mean of w_i * CE_i. The
         gradient is added into ``out`` (zeroed by the caller) when given.
         """
-        h, cache = self._trunk_forward(batch.ids, batch.segs, batch.lengths, train_mode, rng,
+        h, cache = self._trunk_forward(batch.ids, batch.lengths, train_mode, rng,
                                        keep_cache=True, query=_cls_query(batch.n))
         loss, per_example, g, gv, d_logits = self._head_loss(h[:, 0, :], targets, weights, out)
         self._trunk_backward((d_logits @ self.p["cls.w"].T)[:, None, :], cache, gv)
@@ -308,8 +310,7 @@ class TransformerModel(FlatModel):
         if (mask_cols < 1).any():
             raise ValueError("position 0 (CLS) cannot be masked")
         query, slots = _masked_query(mask_rows, mask_cols, ids.shape[0])
-        segs = np.zeros_like(ids)
-        h, cache = self._trunk_forward(ids, segs, lengths, train_mode, rng, keep_cache=True,
+        h, cache = self._trunk_forward(ids, lengths, train_mode, rng, keep_cache=True,
                                        query=query)
         hm = h[mask_rows, slots]  # (N, d)
         logits = hm @ self.p["mlm.w"]

@@ -127,7 +127,8 @@ class FusionHead:
     # -- persistence ------------------------------------------------------
     def to_bytes(self) -> bytes:
         header = {"dims": list(self.dims), "ensemble_hash": self.ensemble_hash}
-        return artifacts.pack(FUSION_MAGIC, header, self.params.astype("<f8", copy=False))
+        params = self.params.astype("<f8", copy=False)
+        return b"".join(artifacts.pack(FUSION_MAGIC, header, params))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FusionHead":

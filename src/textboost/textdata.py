@@ -151,49 +151,66 @@ def build_vocab(texts: Sequence[str | RawExample]) -> Vocabulary:
     return Vocabulary(token_to_id={tok: 5 + i for i, tok in enumerate(kept)})
 
 
-def encode(
-    example: RawExample,
-    vocab: Vocabulary,
-    label_to_id: Mapping[str, int],
-    max_seq_len: int,
-) -> tuple[list[int], list[int], int]:
-    """(token ids, segment ids, label id) of ``[CLS] a [SEP]`` or
-    ``[CLS] a [SEP] b [SEP]``.
-
-    Over-length inputs are truncated from the end of text_b first, then
-    text_a; the CLS and every SEP are always retained, so a pair keeps two
-    SEPs even when text_b is truncated away entirely. Segment ids are 0
-    through the first SEP and 1 afterwards.
-    """
+def encode(example: RawExample, vocab: Vocabulary, label_to_id: Mapping[str, int],
+           max_seq_len: int) -> tuple[list[int], int]:
+    """(token ids, label id) of an example, laid out by ``layout``."""
     if example.label not in label_to_id:
         raise ValueError(f"unknown label {example.label!r}")
-    a = tokenize(example.text_a)
-    b = tokenize(example.text_b) if example.text_b is not None else None
+    a = [vocab.lookup(t) for t in tokenize(example.text_a)]
+    b = None if example.text_b is None else [vocab.lookup(t) for t in tokenize(example.text_b)]
+    return layout(a, b, max_seq_len), label_to_id[example.label]
+
+
+def layout(a: Sequence[int], b: Optional[Sequence[int]], max_seq_len: int) -> list[int]:
+    """``[CLS] a [SEP]``, or ``[CLS] a [SEP] b [SEP]`` when ``b`` is given.
+
+    Over-length inputs are truncated from the end of b first, then a; the
+    CLS and every SEP are always retained, so a pair keeps two SEPs even
+    when b is truncated away entirely. The segment ids follow from this
+    layout (``segment_ids``).
+    """
     n_special = 2 if b is None else 3
     if max_seq_len < n_special:
         raise ValueError(f"max_seq_len={max_seq_len} cannot hold the special tokens")
-    overflow = len(a) + (len(b) if b is not None else 0) - (max_seq_len - n_special)
-    if overflow > 0 and b is not None:
-        drop = min(len(b), overflow)
-        b = b[: len(b) - drop]
-        overflow -= drop
-    if overflow > 0:
-        a = a[: len(a) - overflow]
-    ids = [CLS_ID] + [vocab.lookup(t) for t in a] + [SEP_ID]
-    segs = [0] * len(ids)
-    if b is not None:
-        ids += [vocab.lookup(t) for t in b] + [SEP_ID]
-        segs += [1] * (len(ids) - len(segs))
-    return ids, segs, label_to_id[example.label]
+    a = a[: max_seq_len - n_special]
+    if b is None:
+        return [CLS_ID, *a, SEP_ID]
+    return [CLS_ID, *a, SEP_ID, *b[: max_seq_len - n_special - len(a)], SEP_ID]
+
+
+def segment_ids(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The (B, L) segment ids of ``layout`` rows: 1 after a row's first SEP
+    and before its length, else 0."""
+    sep = ids == SEP_ID
+    after_sep = np.cumsum(sep, axis=1) > sep
+    return (after_sep & (np.arange(ids.shape[1]) < lengths[:, None])).astype(np.intp)
+
+
+def pack(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The id rows PAD-padded into an (n, longest) int64 matrix, and their
+    (n,) lengths."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    # row-major boolean fill: each row's tokens land in its first cells
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.full(filled.shape, PAD_ID, dtype=np.int64)
+    ids[filled] = np.fromiter(chain.from_iterable(rows), np.int64, int(lengths.sum()))
+    return ids, lengths
+
+
+def pack_corpus(corpus: Sequence[Sequence[int]], max_seq_len: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``pack`` of the ``layout`` rows, ``[CLS]`` then the first ``max_seq_len
+    - 2`` tokens then ``[SEP]``, of the corpus's id sequences of 2 or more
+    tokens, in order: the masked-token pretraining matrix."""
+    return pack([layout(seq, None, max_seq_len) for seq in corpus if len(seq) >= 2])
 
 
 @dataclass(frozen=True)
 class Packed:
-    """Rows of token ids, PAD-padded to a common width, with their segment
-    ids, lengths and labels."""
+    """Rows of token ids, PAD-padded to a common width, with their lengths
+    and labels; ``segment_ids`` derives the segments from the SEPs."""
 
     ids: np.ndarray  # (n, L) int64
-    segs: np.ndarray  # (n, L) int64
     lengths: np.ndarray  # (n,) int64
     labels: np.ndarray  # (n,) int64
 
@@ -202,15 +219,10 @@ class Packed:
         return self.ids.shape[0]
 
     def take(self, index: np.ndarray) -> "Packed":
-        """Row subset, re-trimmed to the subset's longest sequence."""
+        """Row subset, re-trimmed to the subset's longest row, as writable copies."""
         lengths = self.lengths[index]
-        lmax = int(lengths.max())
-        return Packed(
-            ids=self.ids[index, :lmax],
-            segs=self.segs[index, :lmax],
-            lengths=lengths,
-            labels=self.labels[index],
-        )
+        return Packed(ids=self.ids[index, : int(lengths.max())], lengths=lengths,
+                      labels=self.labels[index])
 
     def chunks(self, size: int = SCORE_CHUNK):
         """(row index, sub-batch) pairs of at most ``size`` rows, in order; a
@@ -226,8 +238,8 @@ class Packed:
 
 @dataclass
 class LabeledDataset:
-    """Encoded K-class dataset: its padded id arrays. Treat as immutable
-    after construction."""
+    """Encoded K-class dataset: its padded id arrays, made read-only, since
+    a stage that reads the dataset is keyed by their bytes."""
 
     packed: Packed
     K: int
@@ -241,8 +253,8 @@ class LabeledDataset:
             raise ValueError("label_names must have K entries")
         p = self.packed
         n = p.ids.shape[0] if p.ids.ndim == 2 else -1
-        if p.segs.shape != p.ids.shape or p.lengths.shape != (n,) or p.labels.shape != (n,):
-            raise ValueError("ids and segs must have one (n, L) shape, lengths and labels (n,)")
+        if p.lengths.shape != (n,) or p.labels.shape != (n,):
+            raise ValueError("ids must have an (n, L) shape, lengths and labels (n,)")
         if n == 0:
             raise ValueError("a dataset needs at least one example")
         if p.lengths.min() < 1 or p.lengths.max() > p.ids.shape[1]:
@@ -254,6 +266,8 @@ class LabeledDataset:
         bad = p.labels[(p.labels < 0) | (p.labels >= self.K)]
         if bad.size:
             raise ValueError(f"label_id {bad[0]} out of range for K={self.K}")
+        for a in (p.ids, p.lengths, p.labels):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -277,16 +291,9 @@ class LabeledDataset:
             label_names = sorted({ex.label for ex in raws})
         label_to_id = {name: i for i, name in enumerate(label_names)}
         rows = [encode(ex, vocab, label_to_id, max_seq_len) for ex in raws]
-        lengths = np.array([len(ids) for ids, _, _ in rows], dtype=np.int64)
-        # row-major boolean fill: each row's tokens land in its first cells
-        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        ids = np.full(filled.shape, PAD_ID, dtype=np.int64)
-        segs = np.zeros(filled.shape, dtype=np.int64)
-        total = int(lengths.sum())
-        ids[filled] = np.fromiter(chain.from_iterable(r[0] for r in rows), np.int64, total)
-        segs[filled] = np.fromiter(chain.from_iterable(r[1] for r in rows), np.int64, total)
-        labels = np.fromiter((r[2] for r in rows), np.int64, len(rows))
-        return cls(packed=Packed(ids=ids, segs=segs, lengths=lengths, labels=labels),
+        ids, lengths = pack([row for row, _ in rows])
+        labels = np.fromiter((label for _, label in rows), np.int64, len(rows))
+        return cls(packed=Packed(ids=ids, lengths=lengths, labels=labels),
                    K=len(label_names), label_names=tuple(label_names))
 
 

@@ -21,31 +21,30 @@ def tiny_config():
 
 
 def random_batch(rng, vocab_size=20, B=4, L=7, K=3) -> Packed:
+    """B random sentence-pair rows of 3 to L ids: a SEP mid-row ends the
+    first segment, so the second covers the rest of the row."""
     lengths = rng.integers(3, L + 1, size=B)
     ids = np.zeros((B, L), dtype=np.int64)
-    segs = np.zeros((B, L), dtype=np.int64)
     for i, ln in enumerate(lengths):
         ids[i, :ln] = rng.integers(5, vocab_size, size=ln)
         ids[i, 0] = 2  # CLS
+        ids[i, max(1, ln // 2 - 1)] = 3  # SEP ending segment 0
         ids[i, ln - 1] = 3  # SEP
-        segs[i, ln // 2 : ln] = 1
     return Packed(
         ids=ids,
-        segs=segs,
         lengths=lengths.astype(np.int64),
         labels=rng.integers(0, K, size=B).astype(np.int64),
     )
 
 
 def dataset_of_rows(rows, labels, K, label_names=None) -> LabeledDataset:
-    """The dataset of CLS-first id rows in segment 0, PAD-padded into arrays;
+    """The dataset of CLS-first id rows, PAD-padded into arrays;
     its classes are named c0..c{K-1} unless ``label_names`` are given."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     ids = np.full((len(rows), lengths.max()), PAD_ID, dtype=np.int64)
     for i, row in enumerate(rows):
         ids[i, :len(row)] = row
-    packed = Packed(ids=ids, segs=np.zeros_like(ids), lengths=lengths,
-                    labels=np.array(labels, dtype=np.int64))
+    packed = Packed(ids=ids, lengths=lengths, labels=np.array(labels, dtype=np.int64))
     return LabeledDataset(packed=packed, K=K,
                           label_names=label_names or tuple(f"c{k}" for k in range(K)))
 

@@ -73,3 +73,21 @@ def test_store_dirs_of_two_sources_pair_and_so_do_their_entries(tmp_path):
     a = tree(tmp_path / "a", run, {f"store/aaaaaaaaaaaa/{k}": v for k, v in entries.items()})
     b = tree(tmp_path / "b", run, {f"store/bbbbbbbbbbbb/{k}": v for k, v in entries.items()})
     assert cmp_trees.compare(a, b) == ([], [], [], 6)  # the three entries and three other files
+
+
+def test_pair_rows_hold_whole_cut_and_cut_away_second_texts():
+    """At the pipeline's ``max_seq_len``, on texts of gen-data's 7 to 13
+    tokens, the pair rows' ``text_b`` is kept whole, cut, or cut away."""
+    from textboost.textdata import SEP_ID, RawExample, build_vocab, encode
+
+    rows = [[f"c{i % 2}", " ".join(f"w{i}_{j}" for j in range(7 + i % 7))] for i in range(12)]
+    pairs = cmp_trees.pair_rows(rows)
+    assert [p[0] for p in pairs] == [r[0] for r in rows]
+    vocab = build_vocab([text for _, text in rows])
+    kinds = set()
+    for label, a, b in pairs:
+        ids, _ = encode(RawExample(label, a, b), vocab, {"c0": 0, "c1": 1},
+                        cmp_trees.CONFIG["encoder"]["max_seq_len"])
+        kept = len(ids) - ids.index(SEP_ID) - 2  # b's tokens between the two SEPs
+        kinds.add("whole" if kept == len(b.split()) else "cut away" if kept == 0 else "cut")
+    assert kinds == {"whole", "cut", "cut away"}

@@ -7,7 +7,7 @@ import pytest
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
 from textboost.encoder import nnops
-from textboost.textdata import SCORE_CHUNK, Packed
+from textboost.textdata import SCORE_CHUNK, SEP_ID, Packed
 
 from conftest import random_batch
 from reference_forward import GELU_C0, GELU_C1, reference_probs
@@ -37,7 +37,6 @@ class TestForward:
         batch = random_batch(np.random.default_rng(2), B=1)
         dup = Packed(
             ids=np.vstack([batch.ids, batch.ids]),
-            segs=np.vstack([batch.segs, batch.segs]),
             lengths=np.concatenate([batch.lengths, batch.lengths]),
             labels=np.concatenate([batch.labels, batch.labels]),
         )
@@ -45,17 +44,17 @@ class TestForward:
         assert np.array_equal(probs[0], probs[1])
 
     def test_matches_independent_reference(self, model):
-        """Batched implementation vs the loop-based reference, per example."""
+        """Batched implementation vs the loop-based reference, per example;
+        the reference is given segment 0 through the first SEP and 1 after."""
         rng = np.random.default_rng(3)
         batch = random_batch(rng, B=6, L=9)
         probs = model.forward_probs(batch)
         for i in range(batch.n):
-            ln = batch.lengths[i]
-            want = reference_probs(
-                model.snapshot("random"),
-                batch.ids[i, :ln].tolist(),
-                batch.segs[i, :ln].tolist(),
-            )
+            row = batch.ids[i, : batch.lengths[i]].tolist()
+            first_sep = row.index(SEP_ID)
+            segs = [0] * (first_sep + 1) + [1] * (len(row) - first_sep - 1)
+            assert 1 in segs
+            want = reference_probs(model.snapshot("random"), row, segs)
             assert np.max(np.abs(probs[i] - want)) < 1e-10
 
     def test_gelu_matches_reference(self):
@@ -86,7 +85,6 @@ class TestForward:
         batch = random_batch(rng, B=3, L=6)
         wider = Packed(
             ids=np.pad(batch.ids, ((0, 0), (0, 4))),
-            segs=np.pad(batch.segs, ((0, 0), (0, 4))),
             lengths=batch.lengths,
             labels=batch.labels,
         )
@@ -108,9 +106,8 @@ class TestForward:
         (and draws the same dropout) as the pass a backward follows."""
         b = random_batch(np.random.default_rng(12))
         for train in (False, True):
-            h, cache = model._trunk_forward(b.ids, b.segs, b.lengths, train,
-                                            np.random.default_rng(4))
-            h_kept, kept = model._trunk_forward(b.ids, b.segs, b.lengths, train,
+            h, cache = model._trunk_forward(b.ids, b.lengths, train, np.random.default_rng(4))
+            h_kept, kept = model._trunk_forward(b.ids, b.lengths, train,
                                                 np.random.default_rng(4), keep_cache=True)
             assert cache is None and len(kept["layers"]) == model.config.n_layers
             assert h.tobytes() == h_kept.tobytes()
@@ -132,9 +129,8 @@ class TestForward:
             assert (query.max(axis=1) < b.lengths).all()
         for train in (False, True):
             rng_full, rng_q = np.random.default_rng(4), np.random.default_rng(4)
-            full, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_full)
-            part, _ = model._trunk_forward(b.ids, b.segs, b.lengths, train, rng_q,
-                                           query=query)
+            full, _ = model._trunk_forward(b.ids, b.lengths, train, rng_full)
+            part, _ = model._trunk_forward(b.ids, b.lengths, train, rng_q, query=query)
             assert full.shape == (5, 9, cfg.d_model)
             assert part.shape == (5, query.shape[1], cfg.d_model)
             np.testing.assert_allclose(part, full[np.arange(5)[:, None], query],

@@ -35,6 +35,12 @@ def test_classification_gradients_every_group(model, batch):
         worst = check_group(model.params, loss_fn, grad, model.layout.slice_of(name),
                             rng, max_checks=12)
         assert worst < REL_TOL, f"group {name}: rel err {worst}"
+    # each row's mid SEP puts the rest of it in segment 1, whose embedding
+    # row is then reached: every entry of it has a gradient, checked by FD
+    seg = model.layout.slice_of("seg_emb")
+    row1 = slice(seg.start + model.config.d_model, seg.stop)
+    assert (grad[row1] != 0).all()
+    assert check_group(model.params, loss_fn, grad, row1, rng) < REL_TOL
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -216,7 +222,7 @@ def test_clf_loss_is_bit_equal_to_the_out_of_place_head(tiny_config, kind, soft)
     views["cls.w"] += feats.T @ d_logits
     views["cls.b"] += d_logits.sum(axis=0)
     if kind == "transformer":
-        _, cache = model._trunk_forward(batch.ids, batch.segs, batch.lengths, False, None,
+        _, cache = model._trunk_forward(batch.ids, batch.lengths, False, None,
                                         keep_cache=True, query=np.zeros((batch.n, 1), np.intp))
         model._trunk_backward((d_logits @ w.T)[:, None, :], cache, views)
     assert loss == float(want_per.mean())

@@ -17,6 +17,8 @@ from textboost.textdata import (
     build_vocab,
     encode,
     load_tsv,
+    pack_corpus,
+    segment_ids,
     subsample,
     tokenize,
 )
@@ -26,7 +28,12 @@ from conftest import dataset_of_rows
 
 def same_rows(a: LabeledDataset, b: LabeledDataset) -> bool:
     return all(np.array_equal(getattr(a.packed, f), getattr(b.packed, f))
-               for f in ("ids", "segs", "lengths", "labels"))
+               for f in ("ids", "lengths", "labels"))
+
+
+def segments_of(ids: list[int]) -> list[int]:
+    """``segment_ids`` of one unpadded row."""
+    return segment_ids(np.array([ids]), np.array([len(ids)]))[0].tolist()
 
 
 def test_reserved_ids_are_fixed():
@@ -101,39 +108,39 @@ class TestEncode:
 
     def test_single_sentence_layout(self):
         vocab = build_vocab(["a b"])
-        ids, segs, label = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
+        ids, label = encode(RawExample("pos", "a b"), vocab, self.LMAP, max_seq_len=8)
         assert ids == [CLS_ID, vocab.lookup("a"), vocab.lookup("b"), SEP_ID]
-        assert segs == [0, 0, 0, 0]
+        assert segments_of(ids) == [0, 0, 0, 0]
         assert label == 0
 
     def test_empty_text_degenerate(self):
         vocab = build_vocab(["a"])
-        ids, _, _ = encode(RawExample("pos", ""), vocab, self.LMAP, max_seq_len=8)
+        ids, _ = encode(RawExample("pos", ""), vocab, self.LMAP, max_seq_len=8)
         assert ids == [CLS_ID, SEP_ID]
 
     def test_unknown_token_maps_to_unk(self):
         vocab = build_vocab(["a"])
-        ids, _, _ = encode(RawExample("pos", "zzz"), vocab, self.LMAP, max_seq_len=8)
+        ids, _ = encode(RawExample("pos", "zzz"), vocab, self.LMAP, max_seq_len=8)
         assert ids[1] == UNK_ID
 
     def test_pair_truncation_drops_text_b_first(self):
         # 10 content tokens, max 6: all five b-tokens go, then two a-tokens,
         # leaving [CLS] a1 a2 a3 [SEP] [SEP]
         vocab = build_vocab(["a1 a2 a3 a4 a5 b1 b2 b3 b4 b5"])
-        ids, segs, _ = encode(
+        ids, _ = encode(
             RawExample("pos", "a1 a2 a3 a4 a5", "b1 b2 b3 b4 b5"), vocab, self.LMAP, max_seq_len=6
         )
         assert len(ids) == 6
         assert ids == [
             CLS_ID, vocab.lookup("a1"), vocab.lookup("a2"), vocab.lookup("a3"), SEP_ID, SEP_ID,
         ]
-        assert segs == [0, 0, 0, 0, 0, 1]
+        assert segments_of(ids) == [0, 0, 0, 0, 0, 1]
 
     def test_sep_count_invariant(self):
         vocab = build_vocab(["a b c d e f"])
-        single, _, _ = encode(RawExample("pos", "a b c d e f"), vocab, self.LMAP, max_seq_len=5)
+        single, _ = encode(RawExample("pos", "a b c d e f"), vocab, self.LMAP, max_seq_len=5)
         assert single.count(SEP_ID) == 1
-        pair, _, _ = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
+        pair, _ = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
         assert pair.count(SEP_ID) == 2
 
     def test_unknown_label_raises(self):
@@ -149,10 +156,29 @@ class TestEncode:
     @settings(max_examples=80, deadline=None)
     def test_sep_count_property_under_truncation(self, text_a, text_b, max_len):
         vocab = build_vocab(["a b c"])
-        ids, _, _ = encode(RawExample("pos", text_a, text_b), vocab, self.LMAP, max_len)
+        ids, _ = encode(RawExample("pos", text_a, text_b), vocab, self.LMAP, max_len)
         want = 1 + (1 if text_b is not None else 0)
         assert ids.count(SEP_ID) == want
         assert len(ids) <= max_len
+
+    @given(
+        st.text(alphabet="abc ", min_size=1, max_size=30),
+        st.one_of(st.none(), st.text(alphabet="abc ", min_size=0, max_size=30)),
+        st.integers(min_value=3, max_value=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segment_ids_property_under_truncation(self, text_a, text_b, max_len):
+        """A packed row's segment ids, derived from its SEPs, are 0 through
+        the first SEP, 1 up to its length and 0 on PAD; a filler row as long
+        as ``max_len`` gives the row PAD cells whenever it is shorter."""
+        vocab = build_vocab(["a b c"])
+        raws = [RawExample("pos", text_a, text_b), RawExample("neg", "a " * max_len)]
+        p = LabeledDataset.from_raw(raws, vocab, max_len, label_names=("pos", "neg")).packed
+        row, n = p.ids[0].tolist(), int(p.lengths[0])
+        first_sep = row.index(SEP_ID)
+        want = [0] * (first_sep + 1) + [1] * (n - first_sep - 1) + [0] * (len(row) - n)
+        assert segment_ids(p.ids, p.lengths)[0].tolist() == want
+        assert (1 in want) == (text_b is not None)
 
     @given(st.lists(st.text(alphabet="abcd ", min_size=1, max_size=20), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -162,7 +188,7 @@ class TestEncode:
             return
         vocab = build_vocab([raw.text_a for raw in raws])
         for raw in raws:
-            ids, _, _ = encode(raw, vocab, self.LMAP, max_seq_len=64)
+            ids, _ = encode(raw, vocab, self.LMAP, max_seq_len=64)
             toks = [vocab.id_to_token[i] for i in ids]
             assert toks[0] == "[CLS]" and toks[-1] == "[SEP]"
             assert toks[1:-1] == tokenize(raw.text_a)
@@ -178,17 +204,28 @@ class TestEncode:
         raws = [RawExample(label, a, b) for a, b, label in rows]
         vocab = build_vocab(["a b"])
         p = LabeledDataset.from_raw(raws, vocab, max_len, label_names=("pos", "neg")).packed
-        assert p.ids.shape == p.segs.shape == (len(raws), p.lengths.max())
+        assert p.ids.shape == (len(raws), p.lengths.max())
         for i, raw in enumerate(raws):
-            ids, segs, label = encode(raw, vocab, self.LMAP, max_len)
+            ids, label = encode(raw, vocab, self.LMAP, max_len)
             m = len(ids)
             assert (p.lengths[i], p.labels[i]) == (m, label)
-            assert p.ids[i, :m].tolist() == ids and p.segs[i, :m].tolist() == segs
-            assert (p.ids[i, m:] == PAD_ID).all() and (p.segs[i, m:] == 0).all()
+            assert p.ids[i, :m].tolist() == ids
+            assert (p.ids[i, m:] == PAD_ID).all()
+
+
+def test_corpus_matrix_skips_short_lines_caps_long_ones_and_keeps_order():
+    """The pretraining matrix of a 1-token line (skipped), a line longer than
+    ``max_seq_len - 2`` (its first 4 tokens kept) and a 2-token line."""
+    tokens, lengths = pack_corpus([[7], [8, 9, 10, 11, 12, 13, 14], [5, 6]], max_seq_len=6)
+    assert tokens.tolist() == [[CLS_ID, 8, 9, 10, 11, SEP_ID],
+                               [CLS_ID, 5, 6, SEP_ID, PAD_ID, PAD_ID]]
+    assert lengths.tolist() == [6, 4]
+    assert tokens.dtype == lengths.dtype == np.int64
+    assert not segment_ids(tokens, lengths).any()
 
 
 class TestDatasetArrays:
-    GOOD = {"ids": [[CLS_ID, 5, SEP_ID]], "segs": [[0, 0, 0]], "lengths": [3], "labels": [1]}
+    GOOD = {"ids": [[CLS_ID, 5, SEP_ID]], "lengths": [3], "labels": [1]}
 
     @staticmethod
     def dataset(**arrays):
@@ -196,7 +233,7 @@ class TestDatasetArrays:
         return LabeledDataset(packed=packed, K=2, label_names=("c0", "c1"))
 
     @pytest.mark.parametrize("field, value", [
-        ("segs", [[0, 0]]),
+        ("labels", [1, 1]),
         ("ids", [[5, 5, SEP_ID]]),
         ("lengths", [4]),
         ("labels", [2]),
@@ -261,6 +298,15 @@ class TestPacked:
         assert p.ids.shape == (3, 4)
         assert (p.lengths == 4).all()
         assert p.labels.tolist() == [0, 0, 1]
+
+    def test_dataset_arrays_are_read_only_and_take_copies_are_writable(self):
+        ds = _dataset([2, 1])
+        for a in (ds.packed.ids, ds.packed.lengths, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        sub = ds.packed.take(np.array([0, 2]))
+        sub.ids[0, 1] = MASK_ID  # as _mask_batch writes into its batch
+        assert ds.packed.ids[0, 1] != MASK_ID
 
     def test_take_trims_to_subset_max(self):
         p = dataset_of_rows([[CLS_ID, 5, 6, 7, SEP_ID], [CLS_ID, SEP_ID]], [0, 1], K=2).packed

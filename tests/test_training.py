@@ -4,8 +4,8 @@ import pytest
 from textboost import boosting
 from textboost import encoder as enc
 from textboost.encoder import training
-from textboost.encoder.training import MLM_MASK_FRACTION, _mask_batch, _mlm_corpus
-from textboost.textdata import CLS_ID, MASK_ID, SEP_ID
+from textboost.encoder.training import MLM_MASK_FRACTION, _mask_batch
+from textboost.textdata import CLS_ID, MASK_ID, SEP_ID, pack_corpus
 
 from conftest import make_token_dataset, record_fine_tunes, view
 
@@ -13,10 +13,10 @@ from conftest import make_token_dataset, record_fine_tunes, view
 def mlm_masked_accuracy(snapshot, corpus, seed) -> float:
     """Top-1 accuracy at masked positions under a fresh masking draw."""
     model = enc.TransformerModel.from_snapshot(snapshot)
-    tokens, lengths = _mlm_corpus(corpus, model.config.max_seq_len)
+    tokens, lengths = pack_corpus(corpus, model.config.max_seq_len)
     ids, lengths, rows, cols, targets = _mask_batch(tokens, lengths, np.arange(lengths.size),
                                                     np.random.default_rng(seed))
-    h, _ = model._trunk_forward(ids, np.zeros_like(ids), lengths, train=False, rng=None)
+    h, _ = model._trunk_forward(ids, lengths, train=False, rng=None)
     logits = h[rows, cols] @ model.p["mlm.w"] + model.p["mlm.b"]
     return float((logits.argmax(axis=1) == targets).mean())
 
@@ -223,7 +223,7 @@ class TestGradientBuffer:
 
         rng = np.random.default_rng(4)
         ref = enc.TransformerModel(tiny_config, seed=rng)
-        tokens, lengths = _mlm_corpus(corpus, tiny_config.max_seq_len)
+        tokens, lengths = pack_corpus(corpus, tiny_config.max_seq_len)
 
         def fresh_grad(idx):
             ids, lens, rows, cols, targets = _mask_batch(tokens, lengths, idx, rng)
@@ -278,7 +278,7 @@ class TestMaskBatch:
         # 0 to 30 tokens (under 2 skipped, over 22 cut): 1 to 3 masks a row,
         # the floor of one mask below 4 content tokens included
         corpus = [list(rng.integers(5, 50, size=n)) for n in rng.integers(0, 31, size=200)]
-        tokens, lengths = _mlm_corpus(corpus, 24)
+        tokens, lengths = pack_corpus(corpus, 24)
         seqs = self.reference_sequences(corpus, 24)
         assert [t[:n].tolist() for t, n in zip(tokens, lengths)] == [s.tolist() for s in seqs]
         assert not tokens[np.arange(tokens.shape[1]) >= lengths[:, None]].any()
@@ -294,7 +294,7 @@ class TestMaskBatch:
         assert got_rng.random() == want_rng.random()
 
     def test_corpus_rows_are_left_unmasked(self):
-        tokens, lengths = _mlm_corpus([[5, 6, 7, 8], [9, 10]], 12)
+        tokens, lengths = pack_corpus([[5, 6, 7, 8], [9, 10]], 12)
         before = tokens.copy()
         ids = _mask_batch(tokens, lengths, np.array([1, 0, 1]), np.random.default_rng(0))[0]
         assert (ids == MASK_ID).any() and tokens.tobytes() == before.tobytes()

@@ -7,7 +7,9 @@ pipeline runs once from each, in child processes at ``OPENBLAS_NUM_THREADS=1``
 and at the same paths (``DIR/run``, moved to ``DIR/a`` and ``DIR/b`` after
 each tree), because run dirs record their paths:
 
-* ``gen-data --seed 99`` with 400 training rows;
+* ``gen-data --seed 99`` with 400 training rows, and from its training and
+  dev rows a sentence-pair train and dev TSV (``pair_rows``), whose
+  ``text_b`` is whole, cut or cut away at ``max_seq_len``;
 * ``train-boost`` with a transformer, a softreg and a weight-sharing config;
 * ``train-bag`` with the transformer config;
 * ``fusion --depth 2`` on the transformer boost dir and on the bag dir;
@@ -18,7 +20,10 @@ each tree), because run dirs record their paths:
 * ``compare --axes init_strategy,fraction --fractions 0.5,1.0``;
 * ``eval`` of every dir that holds a model, on the dev set, and ``eval --vote
   discrete`` of the transformer boost dir on the training set (a report
-  of its own, ``eval_train_discrete.json``).
+  of its own, ``eval_train_discrete.json``);
+* ``train-boost`` with the transformer config on the sentence pairs, whose
+  second segment no other command reaches, and its ``eval`` on the pair
+  dev set.
 
 The stages' entries sit under ``out/store/<source12>/``, a dir per version of
 the textboost source, each a ``<stage>_<key16>/`` dir of files under their
@@ -66,12 +71,30 @@ VARIANTS = {
     "softreg": {"learner": "softreg", "boost": {**CONFIG["boost"], "init_strategy": "random"}},
     "sharing": {"boost": {**CONFIG["boost"], "sharing_mode": "sharing"}},
 }
+PAIR = {"train_path": "pair_train.tsv", "dev_path": "pair_dev.tsv"}
+TASK_FILES = {"train_path": "train.tsv", "dev_path": "dev.tsv", "corpus_path": "corpus.txt"}
 VOLATILE = ("wall_time_s", "timing")
 HEX = re.compile(r"[0-9a-f]{12,}")
 
 
 class PipelineError(RuntimeError):
     pass
+
+
+def pair_rows(rows: list[list[str]]) -> list[list[str]]:
+    """Sentence pairs of ``label, text`` rows: each keeps its label and text
+    and takes the following texts (cyclically) as ``text_b``, in turn one
+    text, two texts, and one text after a ``text_a`` of three texts. At
+    ``max_seq_len`` 24 and 7 to 13 tokens a text, the second kind's
+    ``text_b`` is cut and the third kind's is cut away."""
+    texts = [text for _, text in rows]
+    out = []
+    for i, (label, text) in enumerate(rows):
+        nxt = [texts[(i + j) % len(texts)] for j in (1, 2, 3)]
+        a, b = [(text, nxt[0]), (text, " ".join(nxt[:2])),
+                (" ".join([text, *nxt[:2]]), nxt[2])][i % 3]
+        out.append([label, a, b])
+    return out
 
 
 def run_pipeline(tree: Path, run: Path) -> None:
@@ -94,14 +117,17 @@ def run_pipeline(tree: Path, run: Path) -> None:
 
     cli("gen-data", "--out", str(task), "--seed", "99", "--train-size", "400",
         "--dev-size", "120", "--corpus-size", "800")
+    for split in ("train", "dev"):
+        rows = [line.split("\t") for line in (task / f"{split}.tsv").read_text().splitlines()]
+        (task / f"pair_{split}.tsv").write_text("".join(
+            "\t".join(row) + "\n" for row in pair_rows(rows)), encoding="utf-8")
     configs = {}
-    for name, extra in VARIANTS.items():
-        cfg = {**CONFIG, **extra, "train_path": str(task / "train.tsv"),
-               "dev_path": str(task / "dev.tsv"), "corpus_path": str(task / "corpus.txt"),
-               "out_dir": str(out)}
+    for name, extra in {**VARIANTS, "pair": PAIR}.items():
+        cfg = {**CONFIG, **TASK_FILES, **extra, "out_dir": str(out)}
+        cfg.update({key: str(task / cfg[key]) for key in TASK_FILES})
         configs[name] = run / f"{name}.json"
         configs[name].write_text(json.dumps(cfg, indent=2), encoding="utf-8")
-    boosts = [cli("train-boost", "--config", str(path)) for path in configs.values()]
+    boosts = [cli("train-boost", "--config", str(configs[name])) for name in VARIANTS]
     bag = cli("train-bag", "--config", str(configs["transformer"]))
     models = [*boosts, bag]
     models += [cli("fusion", "--run-dir", str(out / d), "--depth", "2") for d in (boosts[0], bag)]
@@ -113,6 +139,8 @@ def run_pipeline(tree: Path, run: Path) -> None:
         cli("eval", "--model-dir", str(out / d), "--data", str(task / "dev.tsv"))
     cli("eval", "--model-dir", str(out / boosts[0]), "--data", str(task / "train.tsv"),
         "--vote", "discrete")
+    pair = cli("train-boost", "--config", str(configs["pair"]))
+    cli("eval", "--model-dir", str(out / pair), "--data", str(task / "pair_dev.tsv"))
 
 
 def _record(line: str) -> dict:
