@@ -90,25 +90,29 @@ def decoding(what: str) -> Iterator[None]:
 
 
 @contextmanager
-def reading(blob: bytes, magic: bytes, what: str) -> Iterator[tuple[dict, bytes]]:
-    """The header and the payload of a ``pack`` container, decoded in the
-    block as by ``decoding``."""
-    if blob[:4] != magic:
+def reading(blob: bytes | memoryview, magic: bytes,
+            what: str) -> Iterator[tuple[dict, memoryview]]:
+    """The header and the payload of a ``pack`` container (bytes, or a view of
+    them), decoded in the block as by ``decoding``. The payload is a view of
+    ``blob``, not a copy."""
+    view = memoryview(blob)
+    if view[:4] != magic:
         raise ArtifactError(f"bad {what} magic (expected {magic.decode()})")
-    if len(blob) < 8:
+    if len(view) < 8:
         raise ArtifactError(f"{what} truncated inside its prefix")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + hlen:
+    (hlen,) = struct.unpack("<I", view[4:8])
+    if len(view) < 8 + hlen:
         raise ArtifactError(f"{what} truncated inside its header")
     with decoding(what):
-        yield json.loads(blob[8 : 8 + hlen].decode()), blob[8 + hlen :]
+        yield json.loads(str(view[8 : 8 + hlen], "utf-8")), view[8 + hlen :]
 
 
-def unframe(payload: bytes, what: str) -> list[bytes]:
-    """The parts of a ``framed`` payload, which they must fill exactly."""
+def unframe(payload: memoryview, what: str) -> list[memoryview]:
+    """The parts of a ``framed`` payload, which they must fill exactly: views
+    of it."""
     pos = 0
 
-    def take(size: int) -> bytes:
+    def take(size: int) -> memoryview:
         nonlocal pos
         if pos + size > len(payload):
             raise ArtifactError(f"{what} truncated")
@@ -122,9 +126,11 @@ def unframe(payload: bytes, what: str) -> list[bytes]:
     return parts
 
 
-def f8(payload: bytes, count: int, what: str) -> np.ndarray:
-    """``count`` little-endian float64 values filling the payload exactly."""
+def f8(payload: memoryview, count: int, what: str) -> np.ndarray:
+    """``count`` little-endian float64 values filling the payload exactly, as
+    a read-only view of it: the model that holds them makes its own copy, so
+    that no array keeps the file's bytes alive."""
     if len(payload) != 8 * count:
         raise ArtifactError(f"{what} has {len(payload)} payload bytes, "
                             f"its header promises {8 * count}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return np.frombuffer(payload, dtype="<f8")

@@ -482,8 +482,9 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
         if header["sharing_mode"] == "sharing":
             trunk = enc.ModelSnapshot.from_bytes(blobs[0])
             size = trunk.params[trunk.layout.head].size
-            models = [SharedHeadRoundModel(head=artifacts.f8(hb, size, "ensemble head"),
-                                           trunk=trunk) for hb in blobs[1:]]
+            models = [SharedHeadRoundModel(
+                head=np.array(artifacts.f8(hb, size, "ensemble head"), dtype=np.float64),
+                trunk=trunk) for hb in blobs[1:]]
         else:
             models = [NeuralRoundModel(enc.ModelSnapshot.from_bytes(sb)) for sb in blobs]
         meta = header["rounds"]

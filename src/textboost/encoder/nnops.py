@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 LN_EPS = 1e-5
@@ -20,27 +22,35 @@ class DivergenceError(RuntimeError):
         self.where = where
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax over the last axis: ``exp(z - max) / sum``, computed in one
-    new array."""
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    new array, or in ``out`` (which may be ``z``) when given."""
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, out: Optional[np.ndarray] = None
+         ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Tanh-form GELU. Returns (y, t) with t = tanh(u), which ``gelu_grad``
-    takes back so that the backward needs no second tanh."""
+    takes back so that the backward needs no second tanh. With ``out`` (which
+    may be ``x``), y is written there and t's array is spent on ``t + 1``:
+    returns (out, None)."""
     t = x * x
     t *= x
     t *= _GELU_C1
     t += x
     t *= _GELU_C0
     np.tanh(t, out=t)
-    y = x * 0.5
-    y *= t + 1.0
-    return y, t
+    if out is None:
+        y = x * 0.5
+        y *= t + 1.0
+        return y, t
+    np.multiply(x, 0.5, out=out)
+    t += 1.0
+    out *= t
+    return out, None
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -167,7 +167,7 @@ class ModelSnapshot:
         return artifacts.pack(CHECKPOINT_MAGIC, header, self.params.astype("<f8", copy=False))
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "ModelSnapshot":
+    def from_bytes(cls, blob: bytes | memoryview) -> "ModelSnapshot":
         with artifacts.reading(blob, CHECKPOINT_MAGIC, "checkpoint") as (header, payload):
             cfg = config_from_dict(header["config"])
             params = artifacts.f8(payload, header["param_count"], "checkpoint")
@@ -248,7 +248,7 @@ class FlatModel:
         logits += self.p["cls.b"] if b is None else b
         if not np.isfinite(logits).all():
             raise DivergenceError("classification head")
-        return nnops.softmax_rows(logits)
+        return nnops.softmax_rows(logits, out=logits)
 
     def _head_loss(self, feats: np.ndarray, targets: np.ndarray,
                    weights: Optional[np.ndarray], out: Optional[np.ndarray]):
@@ -267,7 +267,7 @@ class FlatModel:
             t = targets.astype(np.float64)
         logits = feats @ self.p["cls.w"]
         logits += self.p["cls.b"]
-        probs = nnops.softmax_rows(logits)
+        probs = nnops.softmax_rows(logits, out=logits)
         log_p = np.maximum(probs, nnops.PROB_FLOOR)
         np.log(log_p, out=log_p)
         log_p *= t

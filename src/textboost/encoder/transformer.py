@@ -52,6 +52,10 @@ def _masked_query(rows: np.ndarray, cols: np.ndarray, B: int) -> tuple[np.ndarra
     return query, slots
 
 
+def _discard(**arrays) -> None:
+    """The cache of a forward-only pass: it keeps nothing."""
+
+
 def _scatter_rows(ids: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
     """(n_rows, d) sums of the (..., d) rows of ``grad`` by their ``ids``: one
     bincount over ``id * d + j``. Each bin adds in order of appearance, as
@@ -74,9 +78,11 @@ class TransformerModel(FlatModel):
                        keep_cache: bool = False,
                        query: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[dict]]:
         """Last hidden states (B, L, d), and the cache ``_trunk_backward``
-        needs when ``keep_cache``; else None, so that a forward-only pass
-        does not hold every layer's activations until it returns. The
-        segment ids follow from the SEP positions (``segment_ids``).
+        needs when ``keep_cache``; else None. Each activation is dropped once
+        its last reader has run unless ``keep`` puts it in the cache, so a
+        forward-only pass holds only its live arrays, and its GELU writes into
+        its input. The segment ids follow from the SEP positions
+        (``segment_ids``).
 
         ``query``, a (B, Q) array of positions, makes the last layer compute
         those rows alone and return (B, Q, d): its keys and values still
@@ -92,12 +98,16 @@ class TransformerModel(FlatModel):
         valid = np.arange(L)[None, :] < lengths[:, None]
         bias = np.where(valid, 0.0, _NEG_BIAS)[:, None, None, :]  # (B,1,1,L)
         segs = segment_ids(ids, lengths)
+        cache = {"ids": ids, "segs": segs, "L": L, "B": B, "layers": []}
+        keep = cache.update if keep_cache else _discard
 
-        x_sum = p["tok_emb"][ids]
-        x_sum += p["pos_emb"][:L]
-        x_sum += p["seg_emb"][segs]
-        x_ln, emb_ln_cache = nnops.ln_forward(x_sum, p["emb_ln.g"], p["emb_ln.b"])
-        h, emb_mask = nnops.dropout_forward(x_ln, cfg.dropout_rate, train, rng)
+        x = p["tok_emb"][ids]
+        x += p["pos_emb"][:L]
+        x += p["seg_emb"][segs]
+        x, emb_ln = nnops.ln_forward(x, p["emb_ln.g"], p["emb_ln.b"])
+        h, emb_mask = nnops.dropout_forward(x, cfg.dropout_rate, train, rng)
+        keep(emb_ln=emb_ln, emb_mask=emb_mask)
+        del x, emb_ln, emb_mask
         if not np.isfinite(h).all():
             raise DivergenceError("embedding block")
 
@@ -105,10 +115,13 @@ class TransformerModel(FlatModel):
         dh = d // H
         scale = 1.0 / np.sqrt(dh)
         full = (B, L, d)
-        layer_caches = []
         for l in range(cfg.n_layers):
             pre = f"layer{l}"
+            if keep_cache:
+                cache["layers"].append({})
+                keep = cache["layers"][-1].update
             h_in = h
+            del h
             rows = None  # the query rows: every position but in the last layer
             if query is not None and l == cfg.n_layers - 1:
                 rows = (np.arange(B)[:, None], query)
@@ -124,42 +137,43 @@ class TransformerModel(FlatModel):
             kh = k.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
             scores = qh @ kh.transpose(0, 1, 3, 2)
+            keep(h_in=h_in, rows=rows, qh=qh, kh=kh)
+            del q, k, qh, kh
             scores *= scale
             scores += bias
-            probs = nnops.softmax_rows(scores)
+            probs = nnops.softmax_rows(scores, out=scores)
             ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
+            keep(vh=vh, probs=probs, ctx=ctx)
+            del scores, probs, v, vh
             attn = ctx @ p[f"{pre}.wo"]
             attn += p[f"{pre}.bo"]
-            attn_d, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full,
-                                                      rows)
-            attn_d += h_q
-            h1, ln1_cache = nnops.ln_forward(attn_d, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+            attn, attn_mask = nnops.dropout_forward(attn, cfg.dropout_rate, train, rng, full,
+                                                    rows)
+            attn += h_q
+            keep(h_q=h_q, attn_mask=attn_mask)
+            del ctx, h_in, h_q, attn_mask
+            h1, ln1 = nnops.ln_forward(attn, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+            keep(ln1=ln1, h1=h1)
+            del attn, ln1
 
             act_in = h1 @ p[f"{pre}.w1"]
             act_in += p[f"{pre}.b1"]
-            act, act_t = nnops.gelu(act_in)
+            act, act_t = nnops.gelu(act_in, out=None if keep_cache else act_in)
+            keep(act_in=act_in, act=act, act_t=act_t)
+            del act_in, act_t
             ffn = act @ p[f"{pre}.w2"]
+            del act
             ffn += p[f"{pre}.b2"]
-            ffn_d, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full, rows)
-            ffn_d += h1
-            h, ln2_cache = nnops.ln_forward(ffn_d, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+            ffn, ffn_mask = nnops.dropout_forward(ffn, cfg.dropout_rate, train, rng, full, rows)
+            ffn += h1
+            keep(ffn_mask=ffn_mask)
+            del h1, ffn_mask
+            h, ln2 = nnops.ln_forward(ffn, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+            keep(ln2=ln2)
+            del ffn, ln2
             if not np.isfinite(h).all():
                 raise DivergenceError(f"encoder layer {l}")
-            if keep_cache:
-                layer_caches.append({
-                    "h_in": h_in, "h_q": h_q, "rows": rows,
-                    "qh": qh, "kh": kh, "vh": vh, "probs": probs,
-                    "ctx": ctx, "attn_mask": attn_mask, "ln1": ln1_cache, "h1": h1,
-                    "act_in": act_in, "act": act, "act_t": act_t, "ffn_mask": ffn_mask,
-                    "ln2": ln2_cache,
-                })
-        if not keep_cache:
-            return h, None
-        cache = {
-            "ids": ids, "segs": segs, "L": L, "B": B,
-            "emb_ln": emb_ln_cache, "emb_mask": emb_mask, "layers": layer_caches,
-        }
-        return h, cache
+        return h, cache if keep_cache else None
 
     def _trunk_backward(self, d_h: np.ndarray, cache: dict, g: dict[str, np.ndarray]) -> None:
         """Adds the gradients of the trunk to ``g``, given ``d_h`` of the
@@ -315,7 +329,7 @@ class TransformerModel(FlatModel):
         hm = h[mask_rows, slots]  # (N, d)
         logits = hm @ self.p["mlm.w"]
         logits += self.p["mlm.b"]
-        probs = nnops.softmax_rows(logits)
+        probs = nnops.softmax_rows(logits, out=logits)
         n_mask = hm.shape[0]
         picked = np.maximum(probs[np.arange(n_mask), target_ids], nnops.PROB_FLOOR)
         np.log(picked, out=picked)

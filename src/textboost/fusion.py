@@ -81,15 +81,20 @@ class FusionHead:
         return list(zip(views[::2], views[1::2]))
 
     def logits(self, features: np.ndarray) -> np.ndarray:
+        """The K logits of each feature row, each layer computed in the new
+        array of its matmul."""
         a = np.asarray(features, dtype=np.float64)
         layers = self._unpack(self.params)
-        for w, b in layers[:-1]:
-            a = np.maximum(a @ w + b, 0.0)
-        w, b = layers[-1]
-        return a @ w + b
+        for i, (w, b) in enumerate(layers):
+            a = a @ w
+            a += b
+            if i < len(layers) - 1:  # a hidden layer
+                np.maximum(a, 0.0, out=a)
+        return a
 
     def probs(self, features: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.logits(features))
+        logits = self.logits(features)
+        return softmax_rows(logits, out=logits)
 
     def loss_and_grad(self, features: np.ndarray, labels: np.ndarray,
                       out: Optional[np.ndarray] = None):
@@ -107,13 +112,13 @@ class FusionHead:
             acts.append(a)
         w, b = layers[-1]
         logits = a @ w + b
-        p = softmax_rows(logits)
+        p = softmax_rows(logits, out=logits)
         picked = np.maximum(p[np.arange(B), labels], PROB_FLOOR)
         loss = float(-np.log(picked).mean())
 
         grad = np.zeros_like(self.params) if out is None else out
         gviews = self._unpack(grad)
-        d = p.copy()
+        d = p  # its last reader was ``picked``
         d[np.arange(B), labels] -= 1.0
         d /= B
         for i in reversed(range(len(layers))):
@@ -218,24 +223,26 @@ def train_fusion(
     return head, log
 
 
-def check_bound(ensemble: BoostEnsemble, head: FusionHead) -> None:
+def check_bound(ensemble: BoostEnsemble, head: FusionHead,
+                ensemble_hash: Optional[str] = None) -> None:
     """Raise ArtifactError unless ``head`` reads the features of ``ensemble``
-    and is bound to its content hash."""
+    and is bound to its content hash: ``ensemble_hash`` when the caller has
+    it (the sha256 of the file the ensemble was read from), else computed."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
         raise ArtifactError(
             f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
         )
-    if head.ensemble_hash != ensemble.content_hash():
+    if head.ensemble_hash != (ensemble_hash or ensemble.content_hash()):
         raise ArtifactError("fusion head was trained for a different ensemble")
 
 
 def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
-                   probs: Optional[np.ndarray] = None):
+                   probs: Optional[np.ndarray] = None, ensemble_hash: Optional[str] = None):
     """(label ids, probability rows) from the fusion head, over ``probs`` (the
     (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
     now. A head bound to another ensemble, or to none, raises ArtifactError
-    (``check_bound``)."""
-    check_bound(ensemble, head)
+    (``check_bound``, given ``ensemble_hash``)."""
+    check_bound(ensemble, head, ensemble_hash)
     fused = head.probs(build_feature(ensemble, dataset, probs=probs))
     return fused.argmax(axis=1), fused

@@ -26,7 +26,8 @@ RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 # Rows per scoring chunk of either learner. At 64 rows one activation of a
 # transformer chunk (64 x 24 x 32 float64, 393 KB at the default shapes) or a
 # softreg chunk's (rows, V) count matrix stays cache-sized, and a scoring
-# pass's working set does not grow with the dataset.
+# pass's working set does not grow with the dataset: a transformer chunk's
+# forward holds only its live activations, about 2.2 MB at the peak.
 SCORE_CHUNK = 64
 
 
@@ -34,7 +35,7 @@ class MalformedLineError(ValueError):
     """A TSV line whose column layout or content violates the schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawExample:
     """One unencoded task instance; ``text_b`` is set for sentence pairs."""
 

@@ -508,3 +508,21 @@ class TestEnsembleSerialization:
         a, _ = boosting.vote_predict(ens, dataset)
         b, _ = boosting.vote_predict(back, dataset)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sharing_mode", ["privacy", "sharing"])
+    def test_a_read_ensemble_keeps_no_view_of_the_bytes(self, tiny_config, sharing_mode):
+        """The reader takes views of the blob; every parameter array of the
+        ensemble it returns is its own copy, and the blob may be overwritten."""
+        dataset = make_token_dataset(np.random.default_rng(3), n=96)
+        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random",
+                                              sharing_mode=sharing_mode)
+        ens, _ = boosting.boost_train(dataset, learner, 2, seed=4)
+        blob = bytearray(boosting.ensemble_to_bytes(ens))
+        back = boosting.ensemble_from_bytes(blob)
+        arrays = [s.params for s in back.snapshots]
+        if sharing_mode == "sharing":
+            arrays += [r.model.head for r in back.rounds]
+        assert arrays and all(a.flags.owndata for a in arrays)
+        want = boosting.ensemble_to_bytes(back)
+        blob[:] = bytes(len(blob))
+        assert boosting.ensemble_to_bytes(back) == want == boosting.ensemble_to_bytes(ens)

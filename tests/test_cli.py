@@ -858,6 +858,85 @@ class TestArtifactErrors:
         assert not list(model_dir.glob("eval_*.json"))
 
 
+def _sharing_copy(ensemble: boosting.BoostEnsemble) -> boosting.BoostEnsemble:
+    """The weight-sharing ensemble of a privacy ensemble's heads on its first
+    round's trunk."""
+    trunk = ensemble.rounds[0].model.snapshot
+    return boosting.BoostEnsemble(
+        K=ensemble.K, learner_kind=ensemble.learner_kind, sharing_mode="sharing",
+        rounds=[boosting.BoostRound(
+            index=r.index, alpha=r.alpha, err=r.err,
+            model=boosting.SharedHeadRoundModel(
+                head=r.model.snapshot.params[trunk.layout.head].copy(), trunk=trunk))
+            for r in ensemble.rounds])
+
+
+def count_serializations(monkeypatch) -> list:
+    """Record every ``ensemble_to_bytes`` call from now on: the ensembles serialized."""
+    real, calls = boosting.ensemble_to_bytes, []
+
+    def counting(ensemble):
+        calls.append(ensemble)
+        return real(ensemble)
+
+    monkeypatch.setattr(boosting, "ensemble_to_bytes", counting)
+    return calls
+
+
+class TestOneHashPerEnsemble:
+    """``TrainedDir.read`` hashes the ``.bge`` bytes it read, once; the binding
+    checks, the stage keys and the run's source use that key."""
+
+    EXPECTED = {"privacy": ("privacy", "boost"), "bag": ("privacy", "bag"),
+                "sharing": ("sharing", "boost")}
+
+    @pytest.fixture
+    def dirs(self, boost_run, bag_run, tmp_path):
+        """A boost dir, a bag dir, and a copy of the boost dir that holds the
+        weight-sharing ensemble of its heads, with its fusion head bound to it."""
+        sharing = tmp_path / "sharing"
+        shutil.copytree(boost_run[2], sharing, ignore=shutil.ignore_patterns("eval_*.json"))
+        ensemble = _sharing_copy(boosting.BoostEnsemble.load(sharing / "ensemble.bge"))
+        ensemble.save(sharing / "ensemble.bge")
+        _bind_to(ensemble.content_hash())(sharing / "fusion.bgf")
+        return {"privacy": boost_run[2], "bag": bag_run[0] / bag_run[1]["run_id"],
+                "sharing": sharing}
+
+    def test_the_key_is_the_content_hash(self, dirs, monkeypatch):
+        calls = count_serializations(monkeypatch)
+        for kind, path in dirs.items():
+            trained = cli.TrainedDir.read(path, need_ensemble=True)
+            assert not calls, f"reading the {kind} dir serialized its ensemble"
+            ensemble = trained.ensemble
+            assert (ensemble.sharing_mode, ensemble.ensemble_kind) == self.EXPECTED[kind]
+            assert trained.ensemble_hash == ensemble.content_hash()
+            assert cli._key_of(trained) == [ensemble.content_hash(), cli._key_of(trained.head)]
+            calls.clear()
+
+    def test_eval_serializes_no_ensemble(self, dirs, task_dir, tmp_path, monkeypatch):
+        calls = count_serializations(monkeypatch)
+        for kind, path in dirs.items():
+            model_dir = tmp_path / "eval" / kind
+            shutil.copytree(path, model_dir, ignore=shutil.ignore_patterns("eval_*.json"))
+            assert cli.main(["eval", "--model-dir", str(model_dir),
+                             "--data", str(task_dir / "dev.tsv")]) == 0
+            assert not calls, kind
+        assert {"boost_fusion"} < set(json.loads((model_dir / "eval_dev.json").read_text()))
+
+    @pytest.mark.parametrize("command", ["fusion", "distill", "eval"])
+    def test_a_head_bound_to_another_ensemble_exits_2(self, dirs, task_dir, tmp_path, command):
+        """The boost dir with the sharing dir's head, which reads features of
+        the same width but is bound to the sharing ensemble."""
+        model_dir = tmp_path / "mixed"
+        shutil.copytree(dirs["privacy"], model_dir, ignore=shutil.ignore_patterns("eval_*.json"))
+        shutil.copy(dirs["sharing"] / "fusion.bgf", model_dir / "fusion.bgf")
+        flags = {"fusion": ["--run-dir", str(model_dir)],
+                 "distill": ["--teacher-dir", str(model_dir)],
+                 "eval": ["--model-dir", str(model_dir), "--data", str(task_dir / "dev.tsv")]}
+        assert cli.main([command, *flags[command]]) == 2
+        assert not list(model_dir.glob("eval_*.json"))
+
+
 class TestPretraining:
     @pytest.mark.parametrize("learner, steps, encoded", [
         ("transformer", 150, True), ("transformer", 0, False), ("softreg", 150, False)])

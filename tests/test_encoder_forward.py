@@ -232,6 +232,24 @@ class TestInPlaceKernels:
             self.same((nnops.gelu_grad(x, t),), (self.gelu_grad(x0, want_t),))
             assert x.tobytes() == x0.tobytes()
 
+    def test_out_forms_write_into_out_and_return_it(self):
+        """``softmax_rows(z, out=)`` and ``gelu(x, out=)``, into a buffer of
+        their own or into their input, as the forward-only trunk calls them."""
+        for _, x in self.inputs(25):
+            want_p, (want_y, _) = self.softmax_rows(x), self.gelu(x)
+            for into_input in (False, True):
+                z = x.copy()
+                out = z if into_input else np.empty_like(z)
+                assert nnops.softmax_rows(z, out=out) is out
+                self.same((out,), (want_p,))
+                assert into_input or z.tobytes() == x.tobytes()
+                z = x.copy()
+                out = z if into_input else np.empty_like(z)
+                y, t = nnops.gelu(z, out=out)
+                assert y is out and t is None
+                self.same((out,), (want_y,))
+                assert into_input or z.tobytes() == x.tobytes()
+
     def test_dropout_mask_and_stream(self):
         for seed, (_, x) in enumerate(self.inputs(24)):
             for rate in (0.1, 0.5):
@@ -359,9 +377,9 @@ class TestScoringChunks:
         for m, carrier in enumerate(carriers):
             assert got[:, m].tobytes() == carrier.predict_proba(batch, chunk=16).tobytes()
 
-    # Scoring 2,000 rows at 64-row chunks peaks at about 10 MB of transformer
+    # Scoring 2,000 rows at 64-row chunks peaks at about 2.3 MB of transformer
     # activations and 0.4 MB of softreg counts; 256-row transformer chunks
-    # take about 40 MB, and softreg's rows as one (rows, V) chunk 10 MB.
+    # take about 9 MB, and softreg's rows as one (rows, V) chunk 10 MB.
     @pytest.mark.parametrize("kind, bound_mb", [("transformer", 16.0), ("softreg", 2.0)])
     def test_scratch_memory_of_2000_rows_is_bounded(self, kind, bound_mb):
         model = bundled_sized_model(kind)
@@ -374,3 +392,33 @@ class TestScoringChunks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"
+
+    def test_a_forward_only_pass_holds_only_live_activations(self):
+        """A 64-row chunk's forward frees each activation after its last
+        reader, and softmax and GELU write into arrays the pass owns: scoring
+        640 rows at the default shapes peaks near one chunk's working set,
+        about 2.2 MB."""
+        model = bundled_sized_model("transformer")
+        batch = random_batch(np.random.default_rng(8), vocab_size=588, B=10 * SCORE_CHUNK,
+                             L=24)
+        model.predict_proba(batch)
+        tracemalloc.start()
+        try:
+            model.predict_proba(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("kind", ["transformer", "softreg"])
+    def test_scoring_leaves_the_parameters_and_the_batch_unchanged(self, kind):
+        model = bundled_sized_model(kind)
+        batch = random_batch(np.random.default_rng(10), vocab_size=588, B=SCORE_CHUNK + 9,
+                             L=24)
+        heads = [(model.p["cls.w"] + 1.0, model.p["cls.b"] - 1.0)]
+        before = [a.tobytes() for a in (model.params, batch.ids, batch.lengths, batch.labels,
+                                        *heads[0])]
+        model.predict_proba(batch)
+        model.predict_proba_heads(batch, heads)
+        assert [a.tobytes() for a in (model.params, batch.ids, batch.lengths, batch.labels,
+                                      *heads[0])] == before
