@@ -128,6 +128,7 @@ class BoostEnsemble:
     # None on a loaded ensemble (and dev_probs without a dev set)
     train_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     dev_probs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rounds:
@@ -200,10 +201,16 @@ class BoostEnsemble:
         return (self.alphas[None, :, None] * contrib).sum(axis=1)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(ensemble_to_bytes(self)).hexdigest()
+        """The sha256 of its ``.bge`` bytes, kept: of those ``ensemble_from_bytes``
+        parsed or ``save`` wrote, else computed now; a ``replace`` copy has none."""
+        if self._hash is None:
+            self._hash = hashlib.sha256(ensemble_to_bytes(self)).hexdigest()
+        return self._hash
 
     def save(self, path: str | Path) -> None:
-        artifacts.write(path, ensemble_to_bytes(self))
+        blob = ensemble_to_bytes(self)
+        artifacts.write(path, blob)
+        self._hash = hashlib.sha256(blob).hexdigest()
 
     @classmethod
     def load(cls, path: str | Path) -> "BoostEnsemble":
@@ -507,4 +514,5 @@ def ensemble_from_bytes(blob: bytes) -> BoostEnsemble:
                 r.err is not None if bag else r.alpha != _clamped_alpha(r.err, ensemble.K)
                 for r in ensemble.rounds):
             raise artifacts.ArtifactError("ensemble rounds do not match their index, alpha or err")
+        ensemble._hash = hashlib.sha256(blob).hexdigest()
         return ensemble

@@ -306,8 +306,8 @@ def _source_digest() -> str:
 
 def _key_of(value):
     """What a stage key holds of an input: a model config's fields, the sha256
-    of a model's bytes (of a run dir's ensemble, as read, and head), the hash
-    of a dataset's arrays, else the (JSON) value itself."""
+    of a model's bytes (of a run dir's ensemble and head), the hash of a
+    dataset's arrays, else the (JSON) value itself."""
     if isinstance(value, (enc.EncoderConfig, enc.SoftregConfig)):
         return value.to_dict()
     if isinstance(value, LabeledDataset):
@@ -320,7 +320,7 @@ def _key_of(value):
     if isinstance(value, (enc.ModelSnapshot, fusion_mod.FusionHead)):
         return hashlib.sha256(value.to_bytes()).hexdigest()
     if isinstance(value, TrainedDir):
-        return [value.ensemble_hash, _key_of(value.head)]
+        return [value.ensemble.content_hash(), _key_of(value.head)]
     return value
 
 
@@ -419,8 +419,7 @@ def _fit_student(cfg: RunConfig, model, teacher: "TrainedDir", trunk, train: Lab
                  dev: LabeledDataset) -> dict:
     """The student distilled from the teacher dir's ensemble and head, and its log."""
     student, log = distill_mod.distill_train(
-        distill_mod.teacher_targets(teacher.ensemble, teacher.head, train,
-                                    teacher.ensemble_hash), train, model,
+        distill_mod.teacher_targets(teacher.ensemble, teacher.head, train), train, model,
         cfg.data["distill"]["total_steps"], cfg.seed, pretrained=trunk, dev=dev)
     return {"model.bgv": student, "distill_log.jsonl": log}
 
@@ -433,18 +432,17 @@ ACCURACY_KEYS = ("single", "boost_vote", "boost_fusion", "bag", "distilled")
 
 
 def _predictions(ensemble: boosting.BoostEnsemble, head: Optional[fusion_mod.FusionHead],
-                 probs: np.ndarray, vote: str,
-                 ensemble_hash: Optional[str] = None) -> dict[str, np.ndarray]:
+                 probs: np.ndarray, vote: str) -> dict[str, np.ndarray]:
     """The label ids of the ``vote`` over ``probs``, the (n, M, K) tensor of
-    ``predict_proba_per_round``, then those of ``head`` when given (bound to
-    ``ensemble_hash``, as by ``fusion_predict``), under the accuracy keys
+    ``predict_proba_per_round``, then those of ``head`` when given (its
+    binding checked, as by ``fusion_predict``), under the accuracy keys
     ``bag``/``bag_fusion`` or ``boost_vote``/``boost_fusion``."""
     bag = ensemble.ensemble_kind == "bag"
     preds = {"bag" if bag else "boost_vote":
              boosting.vote_predict(ensemble, mode=vote, probs=probs)[0]}
     if head is not None:
         preds["bag_fusion" if bag else "boost_fusion"] = fusion_mod.fusion_predict(
-            ensemble, head, probs=probs, ensemble_hash=ensemble_hash)[0]
+            ensemble, head, probs=probs)[0]
     return preds
 
 
@@ -501,17 +499,12 @@ _FLAG_KEYS = {"seed": "seed", "out": "out_dir", "vote": "boost.vote", "depth": "
 class TrainedDir:
     """The model of a run dir and the task it was trained on, read and
     checked against each other by ``read``: an ensemble (with the fusion head
-    bound to it, when the dir holds one) or else a distilled student.
-
-    ``ensemble_hash`` is the sha256 of the ``.bge`` file's bytes, which
-    ``ensemble_to_bytes`` wrote: the ensemble's ``content_hash()``, computed
-    once, for the binding checks, the stage keys and the run source."""
+    bound to it, when the dir holds one) or else a distilled student."""
 
     path: Path
     vocab: Vocabulary
     task: dict  # task.json: label_names, max_seq_len, learner, K
     ensemble: Optional[boosting.BoostEnsemble]
-    ensemble_hash: Optional[str]
     head: Optional[fusion_mod.FusionHead]
     snapshot: Optional[enc.ModelSnapshot]
 
@@ -533,15 +526,13 @@ class TrainedDir:
             if len(set(task["label_names"])) != task["K"]:
                 raise artifacts.ArtifactError(f"{task_path}: K={task['K']} classes are not "
                                               f"the {len(set(task['label_names']))} label names")
-        ensemble = ensemble_hash = head = snapshot = None
+        ensemble = head = snapshot = None
         if (path / "ensemble.bge").exists():
-            blob = (path / "ensemble.bge").read_bytes()
-            ensemble = boosting.ensemble_from_bytes(blob)
-            ensemble_hash = hashlib.sha256(blob).hexdigest()
+            ensemble = boosting.BoostEnsemble.load(path / "ensemble.bge")
             configs = [s.config for s in ensemble.snapshots]
             if (path / "fusion.bgf").exists():
                 head = fusion_mod.FusionHead.load(path / "fusion.bgf")
-                fusion_mod.check_bound(ensemble, head, ensemble_hash)
+                fusion_mod.check_bound(ensemble, head)
         elif (path / "model.bgv").exists() and not need_ensemble:
             snapshot = enc.ModelSnapshot.load(path / "model.bgv")
             configs = [snapshot.config]
@@ -557,7 +548,7 @@ class TrainedDir:
                     f"vocab.tsv and task.json ({task.get('learner')}, {vocab.size} ids, "
                     f"K={task['K']}, max_seq_len {task['max_seq_len']}) do not match the model "
                     f"({c.kind}, vocab_size {c.vocab_size}, K={c.K}, max_seq_len {max_len})")
-        return cls(path, vocab, task, ensemble, ensemble_hash, head, snapshot)
+        return cls(path, vocab, task, ensemble, head, snapshot)
 
 
 @dataclass
@@ -601,7 +592,7 @@ class Run:
                 raise ConfigError(f"the config's task (vocabulary, label names, max_seq_len) "
                                   f"is not the one the model in {trained_on.path} was "
                                   f"trained on")
-            source = trained_on.ensemble_hash
+            source = trained_on.ensemble.content_hash()
         out_root = _out_root(cfg.data["out_dir"])
         store, trunk = Store(out_root), None
         model = encoder_config(cfg, bundle.vocab.size, bundle.train.K)
@@ -636,16 +627,19 @@ class Run:
         write_metrics(record, self.dir.parent, self.dir)
         return record
 
+    def dev_probs(self, ensemble: boosting.BoostEnsemble) -> np.ndarray:
+        """The (n, M, K) dev rows of ``ensemble``: scored once and kept in its
+        ``dev_probs`` when it has none (one read from a file, or a bag)."""
+        if ensemble.dev_probs is None:
+            ensemble.dev_probs = ensemble.predict_proba_per_round(self.bundle.dev)
+        return ensemble.dev_probs
+
     def head(self, cfg: RunConfig, ensemble: boosting.BoostEnsemble,
              train: LabeledDataset) -> fusion_mod.FusionHead:
-        """``cfg``'s fusion head of ``ensemble`` on ``train``, from the store;
-        an ensemble without dev rows (one read from a file) scores the dev set
-        first, once."""
-        dev = self.bundle.dev
-        if ensemble.dev_probs is None:
-            ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
+        """``cfg``'s fusion head of ``ensemble`` on ``train``, from the store."""
+        self.dev_probs(ensemble)
         return self.store.get(_fit_head, cfg, ensemble=ensemble, train=train,
-                              dev=dev)["fusion.bgf"]
+                              dev=self.bundle.dev)["fusion.bgf"]
 
     def boost(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, dict]:
         """``cfg``'s boosted ensemble on ``train`` and its fusion head, from the
@@ -666,7 +660,8 @@ class Run:
     def bag(self, cfg: RunConfig, train: LabeledDataset) -> tuple[dict, float]:
         """``cfg``'s bag on ``train``, from the store: (its files, its dev accuracy)."""
         bag = self.store.get(_fit_bag, cfg, model=self.model, trunk=self.trunk, train=train)
-        preds, _ = boosting.vote_predict(bag["ensemble.bge"], self.bundle.dev)
+        preds, _ = boosting.vote_predict(bag["ensemble.bge"],
+                                         probs=self.dev_probs(bag["ensemble.bge"]))
         return bag, enc.percent_correct(preds, self.bundle.dev.labels)
 
 
@@ -732,8 +727,7 @@ def cmd_fusion(args) -> int:
     cfg, bundle = run.cfg, run.bundle
     head = run.head(cfg, ensemble, bundle.train)
     # the record holds only the head's accuracy, the last of the predictions
-    key, preds = _predictions(ensemble, head, ensemble.dev_probs, "soft",
-                              trained.ensemble_hash).popitem()
+    key, preds = _predictions(ensemble, head, ensemble.dev_probs, "soft").popitem()
     acc = enc.percent_correct(preds, bundle.dev.labels)
     run.finish({key: acc}, parts={"ensemble.bge": trained.path / "ensemble.bge",
                                   "fusion.bgf": head},
@@ -759,8 +753,7 @@ def cmd_distill(args) -> int:
     t_teach = time.perf_counter()
     # the teacher is the fusion head when there is one, else the soft vote
     *_, teacher_preds = _predictions(
-        ensemble, head, ensemble.predict_proba_per_round(bundle.dev), "soft",
-        teacher.ensemble_hash).values()
+        ensemble, head, ensemble.predict_proba_per_round(bundle.dev), "soft").values()
     teacher_time = time.perf_counter() - t_teach
     t_stud = time.perf_counter()
     student_model = enc.model_from_snapshot(student)
@@ -809,8 +802,7 @@ def cmd_eval(args) -> int:
 
     if ensemble is not None:
         predictions = _predictions(ensemble, trained.head,
-                                   ensemble.predict_proba_per_round(dataset), args.vote,
-                                   trained.ensemble_hash)
+                                   ensemble.predict_proba_per_round(dataset), args.vote)
     else:
         model = enc.model_from_snapshot(trained.snapshot)
         predictions = {"model": model.predict_proba(dataset.packed).argmax(axis=1)}

@@ -29,16 +29,15 @@ def teacher_targets(
     ensemble: BoostEnsemble,
     head: Optional[FusionHead],
     dataset: LabeledDataset,
-    ensemble_hash: Optional[str] = None,
 ) -> np.ndarray:
     """(n, K) teacher distributions.
 
     With a fusion head the teacher is the fusion output (its binding checked
-    against ``ensemble_hash`` as by ``fusion_predict``); otherwise the soft
-    weighted-vote scores normalized by the alpha total.
+    as by ``fusion_predict``); otherwise the soft weighted-vote scores
+    normalized by the alpha total.
     """
     if head is not None:
-        return fusion_predict(ensemble, head, dataset, ensemble_hash=ensemble_hash)[1]
+        return fusion_predict(ensemble, head, dataset)[1]
     _, scores = vote_predict(ensemble, dataset, mode="soft")
     return scores / ensemble.alphas.sum()
 

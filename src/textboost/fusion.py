@@ -8,6 +8,7 @@ verified byte-for-byte around every training run.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, boosting
 from .artifacts import FUSION_MAGIC, ArtifactError
-from .boosting import BoostEnsemble
 from .encoder import fit_loop, percent_correct
 from .encoder.nnops import PROB_FLOOR, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
@@ -152,7 +152,7 @@ class FusionHead:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-def build_feature(ensemble: BoostEnsemble, dataset=None, *,
+def build_feature(ensemble: boosting.BoostEnsemble, dataset=None, *,
                   probs: Optional[np.ndarray] = None) -> np.ndarray:
     """(n, M*K) matrix of alpha-scaled, round-ordered softmax blocks, from
     ``probs`` (the (n, M, K) tensor of ``predict_proba_per_round``) or from
@@ -163,13 +163,13 @@ def build_feature(ensemble: BoostEnsemble, dataset=None, *,
     return scaled.reshape(probs.shape[0], -1)
 
 
-def head_dims(ensemble: BoostEnsemble, cfg: FusionConfig) -> tuple[int, ...]:
+def head_dims(ensemble: boosting.BoostEnsemble, cfg: FusionConfig) -> tuple[int, ...]:
     mk = ensemble.m_effective * ensemble.K
     return (mk, *([HIDDEN_MULTIPLE * mk] * cfg.depth), ensemble.K)
 
 
 def train_fusion(
-    ensemble: BoostEnsemble,
+    ensemble: boosting.BoostEnsemble,
     train_ds,
     dev_ds,
     cfg: FusionConfig,
@@ -185,8 +185,9 @@ def train_fusion(
     are returned. ``train_probs`` / ``dev_probs`` are the splits' (n, M, K)
     tensors when the caller has them; a split without one is scored here.
     Checks that the ensemble's content hash, which the head is bound to and
-    which covers every base parameter and alpha, is the same before and
-    after (the bases are never part of this optimization).
+    which covers every base parameter and alpha, is the one of its bytes
+    after training, hashed anew (the bases are never part of this
+    optimization).
     """
     ensemble_hash = ensemble.content_hash()
     feats_train = build_feature(ensemble, train_ds, probs=train_probs)
@@ -218,31 +219,29 @@ def train_fusion(
     # the per-epoch records and a divergence; the step records stay here
     log = [r for r in log if "epoch" in r or "event" in r]
 
-    if ensemble.content_hash() != ensemble_hash:
+    if hashlib.sha256(boosting.ensemble_to_bytes(ensemble)).hexdigest() != ensemble_hash:
         raise RuntimeError("fusion training mutated the frozen ensemble")
     return head, log
 
 
-def check_bound(ensemble: BoostEnsemble, head: FusionHead,
-                ensemble_hash: Optional[str] = None) -> None:
+def check_bound(ensemble: boosting.BoostEnsemble, head: FusionHead) -> None:
     """Raise ArtifactError unless ``head`` reads the features of ``ensemble``
-    and is bound to its content hash: ``ensemble_hash`` when the caller has
-    it (the sha256 of the file the ensemble was read from), else computed."""
+    and is bound to its content hash."""
     expected = ensemble.m_effective * ensemble.K
     if head.input_dim != expected:
         raise ArtifactError(
             f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
         )
-    if head.ensemble_hash != (ensemble_hash or ensemble.content_hash()):
+    if head.ensemble_hash != ensemble.content_hash():
         raise ArtifactError("fusion head was trained for a different ensemble")
 
 
-def fusion_predict(ensemble: BoostEnsemble, head: FusionHead, dataset=None, *,
-                   probs: Optional[np.ndarray] = None, ensemble_hash: Optional[str] = None):
+def fusion_predict(ensemble: boosting.BoostEnsemble, head: FusionHead, dataset=None, *,
+                   probs: Optional[np.ndarray] = None):
     """(label ids, probability rows) from the fusion head, over ``probs`` (the
     (n, M, K) tensor of ``predict_proba_per_round``) or ``dataset`` scored
     now. A head bound to another ensemble, or to none, raises ArtifactError
-    (``check_bound``, given ``ensemble_hash``)."""
-    check_bound(ensemble, head, ensemble_hash)
+    (``check_bound``)."""
+    check_bound(ensemble, head)
     fused = head.probs(build_feature(ensemble, dataset, probs=probs))
     return fused.argmax(axis=1), fused

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -508,6 +510,18 @@ class TestEnsembleSerialization:
         a, _ = boosting.vote_predict(ens, dataset)
         b, _ = boosting.vote_predict(back, dataset)
         assert np.array_equal(a, b)
+
+    def test_a_replaced_copy_takes_its_own_key(self, tiny_config):
+        """The key is kept, so a copy with other rounds must not carry it over."""
+        dataset = make_token_dataset(np.random.default_rng(3), n=96)
+        learner = boosting.NeuralBoostLearner(tiny_config, FAST, "random")
+        ens, _ = boosting.boost_train(dataset, learner, 2, seed=4)
+        key = ens.content_hash()
+        copy = dataclasses.replace(ens, rounds=ens.rounds[:1])
+        assert copy.content_hash() != key
+        assert copy.content_hash() == hashlib.sha256(
+            boosting.ensemble_to_bytes(copy)).hexdigest()
+        assert ens.content_hash() == key
 
     @pytest.mark.parametrize("sharing_mode", ["privacy", "sharing"])
     def test_a_read_ensemble_keeps_no_view_of_the_bytes(self, tiny_config, sharing_mode):

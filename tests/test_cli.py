@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -884,7 +885,8 @@ def count_serializations(monkeypatch) -> list:
 
 
 class TestOneHashPerEnsemble:
-    """``TrainedDir.read`` hashes the ``.bge`` bytes it read, once; the binding
+    """An ensemble keeps its key: the sha256 of the ``.bge`` bytes it was read
+    from or written to, else of its bytes when first asked. The binding
     checks, the stage keys and the run's source use that key."""
 
     EXPECTED = {"privacy": ("privacy", "boost"), "bag": ("privacy", "bag"),
@@ -906,12 +908,53 @@ class TestOneHashPerEnsemble:
         calls = count_serializations(monkeypatch)
         for kind, path in dirs.items():
             trained = cli.TrainedDir.read(path, need_ensemble=True)
-            assert not calls, f"reading the {kind} dir serialized its ensemble"
             ensemble = trained.ensemble
+            key = ensemble.content_hash()
+            assert cli._key_of(trained) == [key, cli._key_of(trained.head)]
+            assert not calls, f"reading the {kind} dir serialized its ensemble"
             assert (ensemble.sharing_mode, ensemble.ensemble_kind) == self.EXPECTED[kind]
-            assert trained.ensemble_hash == ensemble.content_hash()
-            assert cli._key_of(trained) == [ensemble.content_hash(), cli._key_of(trained.head)]
+            assert key == hashlib.sha256((path / "ensemble.bge").read_bytes()).hexdigest()
+            assert key == hashlib.sha256(boosting.ensemble_to_bytes(ensemble)).hexdigest()
             calls.clear()
+
+    def test_each_command_serializes_its_ensemble_only_to_write_or_guard_it(
+            self, task_dir, tmp_path, monkeypatch):
+        """A fitted ensemble is serialized once, by the store's write, and once
+        more by ``train_fusion``'s check that training left it as it was; a
+        read one never, as its key is the sha256 of the bytes it was read from."""
+        out = tmp_path / "out"
+        argv = ["train-boost", "--config",
+                str(TestStore.config(task_dir, out, tmp_path / "c.json"))]
+        calls = count_serializations(monkeypatch)
+
+        def serializations(*argv) -> int:
+            calls.clear()
+            assert cli.main(list(argv)) == 0
+            return len(calls)
+
+        assert serializations(*argv) == 2  # cold
+        assert serializations(*argv) == 0  # warm
+        (boost_dir,) = out.glob("train-boost-*")
+        assert serializations("fusion", "--run-dir", str(boost_dir)) == 0
+        assert serializations("fusion", "--run-dir", str(boost_dir), "--depth", "2") == 1
+        assert serializations("distill", "--teacher-dir", str(boost_dir)) == 0
+        assert serializations("eval", "--model-dir", str(boost_dir),
+                              "--data", str(task_dir / "dev.tsv")) == 0
+
+    def test_compare_serializes_each_fitted_ensemble_to_write_or_guard_it(
+            self, task_dir, tmp_path, monkeypatch):
+        """Two boosted ensembles, each written and guarded, and one bag, written
+        once for its two cells; a warm rerun reads every ensemble."""
+        out = tmp_path / "out"
+        cfg_path = TestStore.config(task_dir, out, tmp_path / "c.json", boost={
+            "rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
+            "vote": "soft"})
+        calls = count_serializations(monkeypatch)
+        for expected in (5, 0):  # cold, warm
+            calls.clear()
+            _, rows = compare(cfg_path, out, "--axes", "ensemble_kind,sharing_mode")
+            assert [r["status"] for r in rows] == ["ok"] * 4
+            assert len(calls) == expected
 
     def test_eval_serializes_no_ensemble(self, dirs, task_dir, tmp_path, monkeypatch):
         calls = count_serializations(monkeypatch)
@@ -1025,11 +1068,21 @@ class TestStore:
             "rounds": 1, "init_strategy": "incremental", "sharing_mode": "privacy",
             "vote": "soft"})
         fits = count_fits(monkeypatch)
+        real, scored = boosting.BoostEnsemble.predict_proba_per_round, []
+
+        def scoring(ensemble, dataset):
+            scored.append((ensemble.ensemble_kind, dataset.n))
+            return real(ensemble, dataset)
+
+        monkeypatch.setattr(boosting.BoostEnsemble, "predict_proba_per_round", scoring)
         _, rows = compare(cfg_path, out, "--axes", "ensemble_kind,sharing_mode")
         assert [r["status"] for r in rows] == ["ok"] * 4
         assert rows[2]["bag"] == rows[3]["bag"] is not None
         assert fits["bag_train"] == 3
         assert fits == {"pretrain_mlm": 1, "fit_round": 2, "train_fusion": 2, "bag_train": 3}
+        # the bag of both sharing modes is one object, so its dev set is scored once
+        dev_rows = len((task_dir / "dev.tsv").read_text().splitlines())
+        assert scored.count(("bag", dev_rows)) == 1
 
     def test_the_full_fraction_after_train_boost_fits_nothing(self, task_dir, tmp_path,
                                                               monkeypatch):

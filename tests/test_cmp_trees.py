@@ -29,9 +29,11 @@ def test_records_skip_the_volatile_fields_and_a_rekeyed_entry_is_paired(tmp_path
     a = tree(tmp_path / "a", run, {f"{run}/model.bge": "m", "pretrained_0123456789abcdef.bgv": "t"})
     b = tree(tmp_path / "b", run, {f"{run}/model.bge": "m", "pretrained_fedcba9876543210.bgv": "t",
                                    "boost_00112233445566ff/ensemble.bge": "new"}, wall_time=2.0)
-    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    differ, only_a, only_b, rekeyed, same = cmp_trees.compare(a, b)
     assert (differ, only_a) == ([], [])
     assert only_b == ["out/boost_00112233445566ff/ensemble.bge"]
+    assert rekeyed == ["out/pretrained_0123456789abcdef.bgv -> "
+                       "out/pretrained_fedcba9876543210.bgv"]
     assert same == 5  # train.tsv, metrics.jsonl, metrics.json, model.bge, the trunk
 
 
@@ -39,13 +41,14 @@ def test_a_renamed_run_dir_is_compared_file_by_file(tmp_path):
     a = tree(tmp_path / "a", "run-000000000000", {"run-000000000000/model.bge": "m",
                                                   "run-000000000000/log.jsonl": "x"})
     b = tree(tmp_path / "b", "run-111111111111", {"run-111111111111/model.bge": "M"})
-    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    differ, only_a, only_b, rekeyed, same = cmp_trees.compare(a, b)
     # the records name their run dir, so they differ with it
     a_dir, b_dir = "out/run-000000000000", "out/run-111111111111"
     assert sorted(differ) == ["out/metrics.jsonl <> out/metrics.jsonl",
                               f"{a_dir}/metrics.json <> {b_dir}/metrics.json",
                               f"{a_dir}/model.bge <> {b_dir}/model.bge"]
     assert (only_a, only_b, same) == (["out/run-000000000000/log.jsonl"], [], 1)
+    assert rekeyed == []  # run dirs pair by their records' order
 
 
 def test_rekeyed_entries_of_one_stage_are_paired_by_their_bytes(tmp_path):
@@ -58,10 +61,13 @@ def test_rekeyed_entries_of_one_stage_are_paired_by_their_bytes(tmp_path):
                                    "boost_2000000000000000/ensemble.bge": "one",
                                    "fusion_3000000000000000.bgf": "h2",
                                    "fusion_4000000000000000.bgf": "h3"})
-    differ, only_a, only_b, same = cmp_trees.compare(a, b)
+    differ, only_a, only_b, rekeyed, same = cmp_trees.compare(a, b)
     assert differ == []
     assert (only_a, only_b) == (["out/fusion_0000000000000003.bgf"],
                                 ["out/fusion_4000000000000000.bgf"])
+    assert rekeyed == ["out/boost_0000000000000001 -> out/boost_2000000000000000",
+                       "out/boost_0000000000000002 -> out/boost_1000000000000000",
+                       "out/fusion_0000000000000004.bgf -> out/fusion_3000000000000000.bgf"]
     assert same == 6  # train.tsv, metrics.jsonl, metrics.json, two ensembles, one head
 
 
@@ -72,7 +78,8 @@ def test_store_dirs_of_two_sources_pair_and_so_do_their_entries(tmp_path):
                "fusion_fedcba9876543210/fusion.bgf": "h"}
     a = tree(tmp_path / "a", run, {f"store/aaaaaaaaaaaa/{k}": v for k, v in entries.items()})
     b = tree(tmp_path / "b", run, {f"store/bbbbbbbbbbbb/{k}": v for k, v in entries.items()})
-    assert cmp_trees.compare(a, b) == ([], [], [], 6)  # the three entries and three other files
+    # the three entries and three other files; a store dir per source is no re-keying
+    assert cmp_trees.compare(a, b) == ([], [], [], [], 6)
 
 
 def test_pair_rows_hold_whole_cut_and_cut_away_second_texts():

@@ -37,9 +37,11 @@ of that name that holds the same bytes. Records (``metrics.json`` and the lines 
 ``metrics.jsonl``) are compared as JSON without ``wall_time_s`` and
 ``timing``; every other file byte for byte.
 
-Prints every paired file that differs and every file that only one tree
-has. Exits 1 when a paired file differs or B lacks a file that A has, 2 when
-a command of the pipeline fails, else 0.
+Prints every paired file that differs, every file that only one tree has,
+and every pair of names that only their masked hex runs paired (an entry
+whose key changed; the ``store/<source12>`` dirs, which differ with every
+change of the source, are not listed). Exits 1 when a paired file differs
+or B lacks a file that A has, 2 when a command of the pipeline fails, else 0.
 """
 
 from __future__ import annotations
@@ -189,16 +191,23 @@ def _pair_names(dir_a: Path, dir_b: Path, names_a: set[str],
     return pairs + [(n, None) for n in sorted(rest_a)] + [(None, n) for n in sorted(rest_b)]
 
 
-def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str], int]:
-    """(differing pairs, files only in A, files only in B, identical pairs)."""
-    differ, only_a, only_b, same = [], [], [], 0
+def compare(root_a: Path, root_b: Path
+            ) -> tuple[list[str], list[str], list[str], list[str], int]:
+    """(differing pairs, files only in A, files only in B, pairs of names
+    paired by their masked hex runs, identical pairs)."""
+    differ, only_a, only_b, rekeyed, same = [], [], [], [], 0
     pairs: list[tuple[Path | None, Path | None]] = []
+
+    def pair(a: Path, b: Path, names_a: set[str], names_b: set[str]) -> None:
+        for na, nb in _pair_names(a, b, names_a, names_b):
+            if na and nb and na != nb and a != root_a / "out" / "store":
+                rekeyed.append(f"{(a / na).relative_to(root_a)} -> "
+                               f"{(b / nb).relative_to(root_b)}")
+            walk(a / na if na else None, b / nb if nb else None)
 
     def walk(a: Path | None, b: Path | None) -> None:
         if a is not None and b is not None and a.is_dir() and b.is_dir():
-            names = {p.name for p in a.iterdir()}, {p.name for p in b.iterdir()}
-            for na, nb in _pair_names(a, b, *names):
-                walk(a / na if na else None, b / nb if nb else None)
+            pair(a, b, {p.name for p in a.iterdir()}, {p.name for p in b.iterdir()})
         else:
             pairs.append((a, b))
 
@@ -211,10 +220,8 @@ def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str]
     paired_runs = ({*runs[0][:len(runs[1])]}, {*runs[1][:len(runs[0])]})
     for sub in ("task", "out"):
         a, b = root_a / sub, root_b / sub
-        names = ({p.name for p in a.iterdir()} - paired_runs[0],
-                 {p.name for p in b.iterdir()} - paired_runs[1])
-        for na, nb in _pair_names(a, b, *names):
-            walk(a / na if na else None, b / nb if nb else None)
+        pair(a, b, {p.name for p in a.iterdir()} - paired_runs[0],
+             {p.name for p in b.iterdir()} - paired_runs[1])
 
     for a, b in pairs:
         files_a = sorted(a.rglob("*")) if a is not None and a.is_dir() else [a]
@@ -226,7 +233,7 @@ def compare(root_a: Path, root_b: Path) -> tuple[list[str], list[str], list[str]
             same += 1
         else:
             differ.append(f"{a.relative_to(root_a)} <> {b.relative_to(root_b)}")
-    return differ, only_a, only_b, same
+    return differ, only_a, only_b, sorted(rekeyed), same
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,8 +258,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         shutil.rmtree(work / side, ignore_errors=True)
         (work / "run").rename(work / side)
-    differ, only_a, only_b, same = compare(work / "a", work / "b")
-    for title, items in (("differ", differ), ("only in A", only_a), ("only in B", only_b)):
+    differ, only_a, only_b, rekeyed, same = compare(work / "a", work / "b")
+    for title, items in (("differ", differ), ("only in A", only_a), ("only in B", only_b),
+                         ("rekeyed", rekeyed)):
         print(f"{title}: {len(items)}")
         for item in items:
             print(f"  {item}")
