@@ -243,10 +243,11 @@ def boost_train(
 ) -> tuple[BoostEnsemble, list[dict]]:
     """Run the boosting loop for up to ``rounds`` rounds.
 
-    ``learner`` supplies ``fit_round(m, dataset, weights, seed)`` returning a
-    round model with eval-mode ``predict_proba``, plus ``kind``,
-    ``sharing_mode`` and an optional ``finalize(rounds)`` hook (used by
-    weight sharing to re-bind heads to the final trunk).
+    ``learner`` has the attributes ``kind`` and ``sharing_mode`` (one of
+    ``SHARING_MODES``) and the method ``fit_round(m, dataset, weights,
+    seed)``, which returns a round model with eval-mode ``predict_proba``;
+    an optional ``finalize(rounds)`` hook re-binds the kept rounds (weight
+    sharing moves every head to the final trunk).
 
     Returns the ensemble, carrying the (n, M, K) probabilities of
     ``dataset`` and ``dev`` in ``train_probs`` and ``dev_probs``, and one log
@@ -304,7 +305,7 @@ def boost_train(
     ensemble = BoostEnsemble(
         K=K,
         learner_kind=learner.kind,
-        sharing_mode=getattr(learner, "sharing_mode", "privacy"),
+        sharing_mode=learner.sharing_mode,
         rounds=kept,
     )
     if ensemble.sharing_mode == "sharing":

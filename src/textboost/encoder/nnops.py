@@ -31,6 +31,26 @@ def softmax_rows(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return e
 
 
+def floored_log(p: np.ndarray) -> np.ndarray:
+    """``log(max(p, PROB_FLOOR))`` in a new array: the one log a loss takes."""
+    out = np.maximum(p, PROB_FLOOR)
+    np.log(out, out=out)
+    return out
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the (N, K) ``logits`` rows' softmax at the label
+    ids, and its gradient in the logits. The softmax and then the gradient
+    are computed in ``logits``' array, which is returned."""
+    n = logits.shape[0]
+    rows = np.arange(n)
+    probs = softmax_rows(logits, out=logits)
+    loss = float(-np.add.reduce(floored_log(probs[rows, labels])) / n)
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, probs
+
+
 def gelu(x: np.ndarray, out: Optional[np.ndarray] = None
          ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Tanh-form GELU. Returns (y, t) with t = tanh(u), which ``gelu_grad``

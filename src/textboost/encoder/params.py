@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import artifacts
 from ..artifacts import CHECKPOINT_MAGIC
-from ..textdata import SCORE_CHUNK, Packed
+from ..textdata import Packed
 from . import nnops
 from .config import EncoderConfig, SoftregConfig, config_from_dict
 from .nnops import DivergenceError
@@ -218,23 +218,21 @@ class FlatModel:
         """The parameter ranges ``clf_loss_and_grad`` reaches: the head."""
         return (self.layout.head,)
 
-    def predict_proba(self, batch: Packed, chunk: int = SCORE_CHUNK) -> np.ndarray:
+    def predict_proba(self, batch: Packed) -> np.ndarray:
         """Eval-mode probabilities, chunked so that one chunk's activations
         are alive at a time."""
         out = np.empty((batch.n, self.config.K), dtype=np.float64)
-        for idx, part in batch.chunks(chunk):
+        for idx, part in batch.chunks():
             out[idx] = self.forward_probs(part)
         return out
 
-    def predict_proba_heads(
-        self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]],
-        chunk: int = SCORE_CHUNK,
-    ) -> np.ndarray:
+    def predict_proba_heads(self, batch: Packed, heads: list[tuple[np.ndarray, np.ndarray]]
+                            ) -> np.ndarray:
         """(n, M, K) eval-mode probabilities of M (w, b) heads over this
         model's features: one feature pass per chunk serves every head, and
         each head's rows equal ``predict_proba`` of the model carrying it."""
         out = np.empty((batch.n, len(heads), self.config.K), dtype=np.float64)
-        for idx, part in batch.chunks(chunk):
+        for idx, part in batch.chunks():
             feats = self.features(part)
             for m, (w, b) in enumerate(heads):
                 out[idx, m] = self.head_probs(feats, w, b)
@@ -268,8 +266,7 @@ class FlatModel:
         logits = feats @ self.p["cls.w"]
         logits += self.p["cls.b"]
         probs = nnops.softmax_rows(logits, out=logits)
-        log_p = np.maximum(probs, nnops.PROB_FLOOR)
-        np.log(log_p, out=log_p)
+        log_p = nnops.floored_log(probs)
         log_p *= t
         per_example = -np.add.reduce(log_p, axis=1)
         per_example *= weights

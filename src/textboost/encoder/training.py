@@ -14,7 +14,7 @@ from ..textdata import MASK_ID, LabeledDataset, pack_corpus
 from .config import EncoderConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
-from .params import ModelSnapshot, xavier_limit
+from .params import ModelSnapshot, ParamLayout, init_param_vector
 from .softreg import SoftmaxRegressionModel
 from .transformer import TransformerModel
 
@@ -87,13 +87,9 @@ def fresh_start(config, seed, trunk: Optional[ModelSnapshot] = None) -> ModelSna
         return new_model(config, seed=seed).snapshot("random")
     if trunk.config_hash != artifacts.digest(config.to_dict()):
         raise ValueError("trunk config does not match the requested config")
-    rng = np.random.default_rng(seed)
     params = np.array(trunk.params, copy=True)
-    views = trunk.layout.views(params)
-    w = views["cls.w"]
-    lim = xavier_limit(w.shape[0], w.shape[1])
-    w[:] = rng.uniform(-lim, lim, size=w.shape)
-    views["cls.b"][:] = 0.0
+    head = ParamLayout(trunk.layout.entries[-2:])  # cls.w, cls.b
+    params[trunk.layout.head] = init_param_vector(head, np.random.default_rng(seed))
     return ModelSnapshot(config=config, params=params, role=trunk.role)
 
 

@@ -329,15 +329,7 @@ class TransformerModel(FlatModel):
         hm = h[mask_rows, slots]  # (N, d)
         logits = hm @ self.p["mlm.w"]
         logits += self.p["mlm.b"]
-        probs = nnops.softmax_rows(logits, out=logits)
-        n_mask = hm.shape[0]
-        picked = np.maximum(probs[np.arange(n_mask), target_ids], nnops.PROB_FLOOR)
-        np.log(picked, out=picked)
-        loss = float(-np.add.reduce(picked) / n_mask)  # -log(picked).mean()
-
-        d_logits = probs
-        d_logits[np.arange(n_mask), target_ids] -= 1.0
-        d_logits /= n_mask
+        loss, d_logits = nnops.cross_entropy(logits, target_ids)
         g, gv = self._grad_vector(out)
         gv["mlm.w"] += hm.T @ d_logits
         gv["mlm.b"] += np.add.reduce(d_logits, axis=0)

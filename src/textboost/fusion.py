@@ -19,7 +19,7 @@ import numpy as np
 from . import artifacts, boosting
 from .artifacts import FUSION_MAGIC, ArtifactError
 from .encoder import fit_loop, percent_correct
-from .encoder.nnops import PROB_FLOOR, softmax_rows
+from .encoder.nnops import cross_entropy, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
 
 
@@ -66,6 +66,7 @@ class FusionHead:
             if params.shape != (self.layout.total,):
                 raise ValueError("parameter vector does not match dims")
         self.params = params
+        self._layers = self._unpack(params)  # views: params is only updated in place
 
     @property
     def input_dim(self) -> int:
@@ -80,15 +81,16 @@ class FusionHead:
         views = list(self.layout.views(flat).values())
         return list(zip(views[::2], views[1::2]))
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
+    def logits(self, features: np.ndarray, acts: Optional[list] = None) -> np.ndarray:
         """The K logits of each feature row, each layer computed in the new
-        array of its matmul."""
+        array of its matmul. ``acts``, when given, collects each layer's input."""
         a = np.asarray(features, dtype=np.float64)
-        layers = self._unpack(self.params)
-        for i, (w, b) in enumerate(layers):
+        for i, (w, b) in enumerate(self._layers):
+            if acts is not None:
+                acts.append(a)
             a = a @ w
             a += b
-            if i < len(layers) - 1:  # a hidden layer
+            if i < len(self._layers) - 1:  # a hidden layer
                 np.maximum(a, 0.0, out=a)
         return a
 
@@ -100,33 +102,16 @@ class FusionHead:
                       out: Optional[np.ndarray] = None):
         """Unweighted mean CE and the flat gradient, added into ``out`` (zeroed
         by the caller) when given."""
-        B = features.shape[0]
-        layers = self._unpack(self.params)
-        acts = [np.asarray(features, dtype=np.float64)]
-        pre: list[np.ndarray] = []
-        a = acts[0]
-        for w, b in layers[:-1]:
-            z = a @ w + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        w, b = layers[-1]
-        logits = a @ w + b
-        p = softmax_rows(logits, out=logits)
-        picked = np.maximum(p[np.arange(B), labels], PROB_FLOOR)
-        loss = float(-np.log(picked).mean())
-
+        acts: list[np.ndarray] = []
+        loss, d = cross_entropy(self.logits(features, acts), labels)
         grad = np.zeros_like(self.params) if out is None else out
         gviews = self._unpack(grad)
-        d = p  # its last reader was ``picked``
-        d[np.arange(B), labels] -= 1.0
-        d /= B
-        for i in reversed(range(len(layers))):
+        for i in reversed(range(len(gviews))):
             gw, gb = gviews[i]
             gw += acts[i].T @ d
             gb += d.sum(axis=0)
-            if i > 0:
-                d = (d @ layers[i][0].T) * (pre[i - 1] > 0.0)
+            if i > 0:  # the ReLU output is > 0 exactly where its input was
+                d = (d @ self._layers[i][0].T) * (acts[i] > 0.0)
         return loss, grad
 
     # -- persistence ------------------------------------------------------

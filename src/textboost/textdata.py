@@ -225,15 +225,15 @@ class Packed:
         return Packed(ids=self.ids[index, : int(lengths.max())], lengths=lengths,
                       labels=self.labels[index])
 
-    def chunks(self, size: int = SCORE_CHUNK):
-        """(row index, sub-batch) pairs of at most ``size`` rows, in order; a
-        batch that fits is yielded whole. Each sub-batch is trimmed to its
-        own longest row."""
-        if self.n <= size:
+    def chunks(self):
+        """(row index, sub-batch) pairs of at most ``SCORE_CHUNK`` rows, in
+        order; a batch that fits is yielded whole. Each sub-batch is trimmed
+        to its own longest row."""
+        if self.n <= SCORE_CHUNK:
             yield slice(None), self
             return
-        for start in range(0, self.n, size):
-            idx = np.arange(start, min(start + size, self.n))
+        for start in range(0, self.n, SCORE_CHUNK):
+            idx = np.arange(start, min(start + SCORE_CHUNK, self.n))
             yield idx, self.take(idx)
 
 

@@ -242,6 +242,7 @@ class TestBoostTrainWithStumps:
         # the weight on them, so round 2's alpha is positive only by rounding
         class Fixed:
             kind = "fixed"
+            sharing_mode = "privacy"
 
             def fit_round(self, m, dataset, weights, seed):
                 return self

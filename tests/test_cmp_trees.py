@@ -98,3 +98,17 @@ def test_pair_rows_hold_whole_cut_and_cut_away_second_texts():
         kept = len(ids) - ids.index(SEP_ID) - 2  # b's tokens between the two SEPs
         kinds.add("whole" if kept == len(b.split()) else "cut away" if kept == 0 else "cut")
     assert kinds == {"whole", "cut", "cut away"}
+
+
+def test_src_lines_counts_every_python_file_under_src_textboost(tmp_path):
+    """``wc -l``'s total over ``src/textboost/**/*.py``, at any depth; other
+    files and a last line without a newline do not count."""
+    files = {"a": {"src/textboost/cli.py": "x\ny\n", "src/textboost/encoder/nnops.py": "z\n",
+                   "src/textboost/encoder/deep/k.py": "1\n2\n3", "src/textboost/notes.txt": "n\n",
+                   "tools/t.py": "t\n"},
+             "b": {"src/textboost/cli.py": "x\n"}}
+    for side, tree_files in files.items():
+        for path, text in tree_files.items():
+            (tmp_path / side / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / path).write_text(text)
+    assert [cmp_trees.src_lines(tmp_path / side) for side in files] == [5, 1]

@@ -326,14 +326,6 @@ class TestSoftreg:
                                  for row, n in zip(batch.ids, batch.lengths)])
             np.testing.assert_array_equal(enc.token_counts(batch, 20), expected)
 
-    def test_chunked_scoring_equals_one_pass(self):
-        cfg = enc.SoftregConfig(vocab_size=20, K=3)
-        model = enc.SoftmaxRegressionModel(cfg, seed=0)
-        batch = random_batch(np.random.default_rng(2), B=23)
-        # a chunk boundary can move BLAS onto another kernel: last-ulp tolerance
-        np.testing.assert_allclose(model.predict_proba(batch, chunk=5),
-                                   model.forward_probs(batch), rtol=1e-12, atol=0.0)
-
 
 def bundled_sized_model(kind):
     """A learner at the default encoder shapes and the bundled task's vocabulary."""
@@ -363,19 +355,18 @@ class TestScoringChunks:
         model that carries that head, at the same chunks."""
         model = bundled_sized_model(kind)
         rng = np.random.default_rng(9)
-        batch = random_batch(rng, vocab_size=588, B=40, L=24)
-        assert len(list(batch.chunks(16))) == 3
+        batch = random_batch(rng, vocab_size=588, B=2 * SCORE_CHUNK + 22, L=24)
+        assert len(list(batch.chunks())) == 3
         carriers = []
         for _ in range(3):
             params = model.params.copy()
             params[model.layout.head] = rng.normal(size=model.layout.head.stop
                                                    - model.layout.head.start)
             carriers.append(type(model)(model.config, params=params))
-        got = model.predict_proba_heads(batch, [(c.p["cls.w"], c.p["cls.b"]) for c in carriers],
-                                        chunk=16)
+        got = model.predict_proba_heads(batch, [(c.p["cls.w"], c.p["cls.b"]) for c in carriers])
         assert got.shape == (batch.n, 3, 3)
         for m, carrier in enumerate(carriers):
-            assert got[:, m].tobytes() == carrier.predict_proba(batch, chunk=16).tobytes()
+            assert got[:, m].tobytes() == carrier.predict_proba(batch).tobytes()
 
     # Scoring 2,000 rows at 64-row chunks peaks at about 2.3 MB of transformer
     # activations and 0.4 MB of softreg counts; 256-row transformer chunks

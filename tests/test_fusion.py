@@ -6,10 +6,11 @@ import pytest
 from textboost import boosting, fusion
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
+from textboost.encoder.nnops import softmax_rows
 from textboost.textdata import LabeledDataset
 
 from conftest import make_token_dataset
-from gradcheck import REL_TOL, check_group
+from gradcheck import REL_TOL, check_group, weighted_ce_loss
 
 
 def fixed_ensemble(per_round_probs, alphas, K=2):
@@ -78,6 +79,14 @@ class TestFusionHead:
         worst = check_group(head.params, loss_fn, grad,
                             slice(0, head.n_params), rng, max_checks=60)
         assert worst < REL_TOL
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_loss_is_the_cross_entropy_of_the_logits(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        head = fusion.FusionHead((6, *[12] * depth, 3), seed=depth)
+        feats, labels = rng.normal(size=(10, 6)), rng.integers(0, 3, size=10)
+        want, _ = weighted_ce_loss(softmax_rows(head.logits(feats)), labels, np.ones(10))
+        assert head.loss_and_grad(feats, labels)[0] == want
 
     def test_save_load_roundtrip(self, tmp_path):
         head = fusion.FusionHead((6, 24, 3), seed=5, ensemble_hash="0123456789abcdef" * 4)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,34 @@ class TestWeightedCELoss:
         with pytest.raises(ValueError):
             weighted_ce_loss(np.array([[0.5, 0.5]]), np.array([0]), np.array([0.0]))
 
+
+def cross_entropy_cases():
+    rng = np.random.default_rng(31)
+    yield rng.normal(0.0, 3.0, size=(9, 5)), rng.integers(0, 5, size=9)
+    yield rng.normal(size=(4, 1)), np.zeros(4, dtype=np.int64)  # rows of length 1
+    # row 0's label has probability e^-40, below PROB_FLOOR
+    yield np.array([[0.0, 40.0, 1.0], [2.0, 0.5, -1.0]]), np.array([0, 1])
+
+
+@pytest.mark.parametrize("logits, labels", cross_entropy_cases(),
+                         ids=["random", "one-column", "floored"])
+def test_cross_entropy_and_floored_log_equal_the_references(logits, labels):
+    """``nnops.cross_entropy`` is ``weighted_ce_loss`` of the softmax at unit
+    weights, with the gradient ``(softmax - onehot) / N`` in the logits'
+    array; ``floored_log`` is ``distill_loss``'s ``log(max(p, PROB_FLOOR))``."""
+    probs = nnops.softmax_rows(logits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference flags the floor
+        want_loss, _ = weighted_ce_loss(probs, labels, np.ones(labels.size))
+    want_d = (probs - np.eye(logits.shape[1])[labels]) / labels.size
+    z = logits.copy()
+    loss, d = nnops.cross_entropy(z, labels)
+    assert d is z
+    assert loss == want_loss and d.tobytes() == want_d.tobytes()
+    p0 = probs.copy()
+    got = nnops.floored_log(probs)
+    assert got.tobytes() == np.log(np.maximum(p0, nnops.PROB_FLOOR)).tobytes()
+    assert probs.tobytes() == p0.tobytes()
 
 @pytest.mark.parametrize("n_rows", [2, 7])
 def test_scatter_rows_bit_equal_to_add_at_with_repeated_ids(n_rows):

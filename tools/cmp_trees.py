@@ -40,8 +40,10 @@ of that name that holds the same bytes. Records (``metrics.json`` and the lines 
 Prints every paired file that differs, every file that only one tree has,
 and every pair of names that only their masked hex runs paired (an entry
 whose key changed; the ``store/<source12>`` dirs, which differ with every
-change of the source, are not listed). Exits 1 when a paired file differs
-or B lacks a file that A has, 2 when a command of the pipeline fails, else 0.
+change of the source, are not listed), then ``src lines: A -> B``, the line
+count of ``src/textboost/**/*.py`` in each tree (``wc -l``'s total). Exits 1
+when a paired file differs or B lacks a file that A has, 2 when a command of
+the pipeline fails, else 0.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def run_pipeline(tree: Path, run: Path) -> None:
         "--vote", "discrete")
     pair = cli("train-boost", "--config", str(configs["pair"]))
     cli("eval", "--model-dir", str(out / pair), "--data", str(task / "pair_dev.tsv"))
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in the tree's ``src/textboost/**/*.py``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "textboost").rglob("*.py"))
 
 
 def _record(line: str) -> dict:
@@ -265,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         for item in items:
             print(f"  {item}")
     print(f"identical: {same} paired files (outputs in {work})")
+    print(f"src lines: {src_lines(args.tree_a)} -> {src_lines(args.tree_b)}")
     return 1 if differ or only_a else 0
 
 
