@@ -183,8 +183,13 @@ class BoostEnsemble:
             trunk = enc.model_from_snapshot(self.shared_trunk)
             heads = [r.model.head_params() for r in self.rounds]
             return trunk.predict_proba_heads(dataset.packed, heads)
-        per_round = [r.model.predict_proba(dataset) for r in self.rounds]
-        return np.stack(per_round, axis=1)
+        out = None
+        for m, r in enumerate(self.rounds):
+            rows = r.model.predict_proba(dataset)
+            if out is None:
+                out = np.empty((rows.shape[0], self.m_effective, self.K), dtype=np.float64)
+            out[:, m] = rows
+        return out
 
     def vote_scores(self, probs: np.ndarray, mode: str = "soft") -> np.ndarray:
         """Alpha-weighted scores of an (n, M, K) tensor: soft sums alpha * p,
@@ -262,12 +267,14 @@ def boost_train(
     K = dataset.K
     w = init_weights_uniform(n)
     kept: list[BoostRound] = []
-    train_probs: list[np.ndarray] = []
-    dev_probs: list[np.ndarray] = []
+    # every round's rows go straight into the slot of the next kept round
+    train_probs = np.empty((n, rounds, K))
+    dev_probs = None if dev is None else np.empty((dev.labels.shape[0], rounds, K))
     log: list[dict] = []
     for m in range(1, rounds + 1):
         model = learner.fit_round(m, dataset, w, seed)
-        probs = model.predict_proba(dataset)
+        probs = train_probs[:, len(kept)]
+        probs[...] = model.predict_proba(dataset)
         preds = probs.argmax(axis=1)
         err = weighted_error(preds, labels, w)
         alpha = compute_alpha(err, K)
@@ -279,12 +286,11 @@ def boost_train(
             break
         w_next = update_weights(w, preds, labels, alpha)
         _check_weight_update(w, w_next, preds, labels, alpha)
-        kept.append(BoostRound(index=m, model=model, alpha=alpha, err=err))
-        train_probs.append(probs)
         dev_acc = None
         if dev is not None:
-            dev_probs.append(model.predict_proba(dev))
-            dev_acc = enc.percent_correct(dev_probs[-1].argmax(axis=1), dev.labels)
+            dev_probs[:, len(kept)] = model.predict_proba(dev)
+            dev_acc = enc.percent_correct(dev_probs[:, len(kept)].argmax(axis=1), dev.labels)
+        kept.append(BoostRound(index=m, model=model, alpha=alpha, err=err))
         entry = {
             "m": m,
             "err": err,
@@ -311,13 +317,14 @@ def boost_train(
     if ensemble.sharing_mode == "sharing":
         # finalize re-bound every head to the last trunk, so the rows scored
         # in the loop are stale for all rounds but the last
+        del train_probs, dev_probs
         ensemble.train_probs = ensemble.predict_proba_per_round(dataset)
         if dev is not None:
             ensemble.dev_probs = ensemble.predict_proba_per_round(dev)
     else:
-        ensemble.train_probs = np.stack(train_probs, axis=1)
+        ensemble.train_probs = train_probs[:, :len(kept)]
         if dev is not None:
-            ensemble.dev_probs = np.stack(dev_probs, axis=1)
+            ensemble.dev_probs = dev_probs[:, :len(kept)]
     return ensemble, log
 
 

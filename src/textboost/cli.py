@@ -31,7 +31,7 @@ import numpy as np
 from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
 from . import encoder as enc, synthetic
 from .encoder.training import _MODEL_CLASSES, _keep_freed_heap, _one_blas_thread
-from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample, tokenize
+from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
@@ -265,8 +265,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         max_len = cfg.data["encoder"]["max_seq_len"]
         train_ds = LabeledDataset.from_raw(raw_train, vocab, max_len, label_names=label_names)
         dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
-    corpus_ids = ([[vocab.lookup(t) for t in tokenize(line)] for line in corpus_lines]
-                  if _pretrains(cfg) else [])
+    corpus_ids = [vocab.ids(line) for line in corpus_lines] if _pretrains(cfg) else []
     return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids)
 
 
@@ -313,7 +312,8 @@ def _key_of(value):
     if isinstance(value, LabeledDataset):
         h = hashlib.sha256(json.dumps(value.label_names).encode())
         for a in (value.packed.ids, value.packed.lengths, value.labels):
-            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), read in place
         return h.hexdigest()
     if isinstance(value, boosting.BoostEnsemble):
         return value.content_hash()
@@ -389,10 +389,12 @@ def _fit_boost(cfg: RunConfig, model, trunk, train: LabeledDataset, dev: Labeled
         model, enc.TrainConfig(**cfg.data["train"]), boost["init_strategy"],
         sharing_mode=boost["sharing_mode"], pretrained=trunk)
     ensemble, round_log = boosting.boost_train(train, learner, boost["rounds"], cfg.seed, dev=dev)
+    for m, rows in learner.train_logs.items():
+        for rec in rows:  # in place: a copy of every step record would double the log
+            rec["round"] = m
     return {"ensemble.bge": ensemble, "single.bgv": learner.round1_snapshot,
             "round_log.jsonl": round_log,
-            "train_log.jsonl": [{"round": m, **rec} for m, rows in learner.train_logs.items()
-                                for rec in rows]}
+            "train_log.jsonl": [rec for rows in learner.train_logs.values() for rec in rows]}
 
 
 @_stage("fusion", ("seed", "fusion"), "fusion.bgf")

@@ -177,7 +177,10 @@ class TransformerModel(FlatModel):
 
     def _trunk_backward(self, d_h: np.ndarray, cache: dict, g: dict[str, np.ndarray]) -> None:
         """Adds the gradients of the trunk to ``g``, given ``d_h`` of the
-        shape ``_trunk_forward`` returned: (B, Q, d) after a ``query`` pass."""
+        shape ``_trunk_forward`` returned: (B, Q, d) after a ``query`` pass.
+        It spends ``cache``: each layer's activations are popped as the loop
+        reaches it and each array is dropped after its last read, so the live
+        set shrinks as the backward runs."""
         cfg, p = self.config, self.p
         B, L = cache["B"], cache["L"]
         H, d = cfg.n_heads, cfg.d_model
@@ -185,63 +188,75 @@ class TransformerModel(FlatModel):
         scale = 1.0 / np.sqrt(dh)
         for l in reversed(range(cfg.n_layers)):
             pre = f"layer{l}"
-            c = cache["layers"][l]
+            c = cache["layers"].pop()
             Lq = d_h.shape[1]  # the layer's query rows
-            d_res2, dln2g, dln2b = nnops.ln_backward(d_h, c["ln2"], p[f"{pre}.ln2.g"])
+            d_res2, dln2g, dln2b = nnops.ln_backward(d_h, c.pop("ln2"), p[f"{pre}.ln2.g"])
             g[f"{pre}.ln2.g"] += dln2g
             g[f"{pre}.ln2.b"] += dln2b
             # d_ffn is d_res2 itself without dropout; it is last read
             # before d_h1 = d_res2 takes the FFN's input gradient
-            d_ffn = nnops.dropout_backward(d_res2, c["ffn_mask"])
+            d_ffn = nnops.dropout_backward(d_res2, c.pop("ffn_mask"))
 
-            act2d = c["act"].reshape(-1, cfg.d_ffn)
+            act2d = c.pop("act").reshape(-1, cfg.d_ffn)
             d_ffn2d = d_ffn.reshape(-1, d)
             g[f"{pre}.w2"] += act2d.T @ d_ffn2d
             g[f"{pre}.b2"] += np.add.reduce(d_ffn2d, axis=0)
             d_actin = d_ffn @ p[f"{pre}.w2"].T
-            d_actin *= nnops.gelu_grad(c["act_in"], c["act_t"])
-            h1_2d = c["h1"].reshape(-1, d)
+            del act2d, d_ffn2d, d_ffn
+            d_actin *= nnops.gelu_grad(c.pop("act_in"), c.pop("act_t"))
+            h1_2d = c.pop("h1").reshape(-1, d)
             d_actin2d = d_actin.reshape(-1, cfg.d_ffn)
             g[f"{pre}.w1"] += h1_2d.T @ d_actin2d
             g[f"{pre}.b1"] += np.add.reduce(d_actin2d, axis=0)
             d_h1 = d_res2
             d_h1 += d_actin @ p[f"{pre}.w1"].T
+            del h1_2d, d_actin2d, d_actin, d_res2
 
-            d_res1, dln1g, dln1b = nnops.ln_backward(d_h1, c["ln1"], p[f"{pre}.ln1.g"])
+            d_res1, dln1g, dln1b = nnops.ln_backward(d_h1, c.pop("ln1"), p[f"{pre}.ln1.g"])
+            del d_h1
             g[f"{pre}.ln1.g"] += dln1g
             g[f"{pre}.ln1.b"] += dln1b
-            d_attn = nnops.dropout_backward(d_res1, c["attn_mask"])
+            d_attn = nnops.dropout_backward(d_res1, c.pop("attn_mask"))
 
-            ctx2d = c["ctx"].reshape(-1, d)
+            ctx2d = c.pop("ctx").reshape(-1, d)
             d_attn2d = d_attn.reshape(-1, d)
             g[f"{pre}.wo"] += ctx2d.T @ d_attn2d
             g[f"{pre}.bo"] += np.add.reduce(d_attn2d, axis=0)
             d_ctx = (d_attn @ p[f"{pre}.wo"].T).reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
+            del ctx2d, d_attn2d, d_attn
 
-            probs = c["probs"]
-            d_probs = d_ctx @ c["vh"].transpose(0, 1, 3, 2)
+            probs = c.pop("probs")
+            d_probs = d_ctx @ c.pop("vh").transpose(0, 1, 3, 2)
             d_vh = probs.transpose(0, 1, 3, 2) @ d_ctx
+            del d_ctx
             d_scores = d_probs  # probs * (d_probs - sum(d_probs * probs))
             d_scores -= np.add.reduce(d_probs * probs, axis=-1, keepdims=True)
             d_scores *= probs
-            d_qh = d_scores @ c["kh"]
+            del d_probs, probs
+            d_qh = d_scores @ c.pop("kh")
             d_qh *= scale
-            d_kh = d_scores.transpose(0, 1, 3, 2) @ c["qh"]
+            d_kh = d_scores.transpose(0, 1, 3, 2) @ c.pop("qh")
             d_kh *= scale
+            del d_scores
 
-            d_q, d_k, d_v = (
-                self._projection_backward(g, pre, nm, dm, h_src)
-                for nm, dm, h_src in (("q", d_qh, c["h_q"]), ("k", d_kh, c["h_in"]),
-                                      ("v", d_vh, c["h_in"])))
+            h_in = c.pop("h_in")
+            d_q = self._projection_backward(g, pre, "q", d_qh, c.pop("h_q"))
+            del d_qh
+            d_k = self._projection_backward(g, pre, "k", d_kh, h_in)
+            del d_kh
+            d_v = self._projection_backward(g, pre, "v", d_vh, h_in)
+            del d_vh, h_in
             # d_res1 is d_attn itself without dropout; its last read is above
             d_res1 += d_q
-            if c["rows"] is None:
+            rows = c.pop("rows")
+            if rows is None:
                 d_h = d_res1
             else:
                 d_h = np.zeros((B, L, d))
-                d_h[c["rows"]] = d_res1
+                d_h[rows] = d_res1
             d_h += d_k
             d_h += d_v
+            del d_q, d_res1, d_k, d_v
 
         d_xln = nnops.dropout_backward(d_h, cache["emb_mask"])
         d_xsum, dg, db = nnops.ln_backward(d_xln, cache["emb_ln"], p["emb_ln.g"])

@@ -21,6 +21,7 @@ from .artifacts import FUSION_MAGIC, ArtifactError
 from .encoder import fit_loop, percent_correct
 from .encoder.nnops import cross_entropy, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
+from .textdata import SCORE_CHUNK
 
 
 HIDDEN_MULTIPLE = 4  # hidden width = HIDDEN_MULTIPLE * M * K
@@ -67,6 +68,7 @@ class FusionHead:
                 raise ValueError("parameter vector does not match dims")
         self.params = params
         self._layers = self._unpack(params)  # views: params is only updated in place
+        self._out_layers: Optional[tuple[np.ndarray, list]] = None
 
     @property
     def input_dim(self) -> int:
@@ -104,8 +106,7 @@ class FusionHead:
         by the caller) when given."""
         acts: list[np.ndarray] = []
         loss, d = cross_entropy(self.logits(features, acts), labels)
-        grad = np.zeros_like(self.params) if out is None else out
-        gviews = self._unpack(grad)
+        grad, gviews = self._grad_vector(out)
         for i in reversed(range(len(gviews))):
             gw, gb = gviews[i]
             gw += acts[i].T @ d
@@ -113,6 +114,17 @@ class FusionHead:
             if i > 0:  # the ReLU output is > 0 exactly where its input was
                 d = (d @ self._layers[i][0].T) * (acts[i] > 0.0)
         return loss, grad
+
+    def _grad_vector(self, out: Optional[np.ndarray]) -> tuple[np.ndarray, list]:
+        """``out`` (or a fresh zero vector) and its layers' views. The views of
+        the last ``out`` are kept, since ``fit_loop`` passes the same one at
+        every step."""
+        if out is None:
+            flat = np.zeros_like(self.params)
+            return flat, self._unpack(flat)
+        if self._out_layers is None or self._out_layers[0] is not out:
+            self._out_layers = (out, self._unpack(out))
+        return self._out_layers
 
     # -- persistence ------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -175,8 +187,10 @@ def train_fusion(
     optimization).
     """
     ensemble_hash = ensemble.content_hash()
-    feats_train = build_feature(ensemble, train_ds, probs=train_probs)
-    feats_dev = build_feature(ensemble, dev_ds, probs=dev_probs) if dev_ds is not None else None
+    if train_probs is None:
+        train_probs = ensemble.predict_proba_per_round(train_ds)
+    if dev_probs is None and dev_ds is not None:
+        dev_probs = ensemble.predict_proba_per_round(dev_ds)
 
     rng = np.random.default_rng([seed, 21])
     head = FusionHead(head_dims(ensemble, cfg), ensemble_hash=ensemble_hash, seed=rng)
@@ -186,7 +200,8 @@ def train_fusion(
 
     def loss_and_grad(idx, step, grad):
         nonlocal epoch_loss
-        loss, grad = head.loss_and_grad(feats_train[idx], labels[idx], out=grad)
+        feats = build_feature(ensemble, probs=train_probs[idx])
+        loss, grad = head.loss_and_grad(feats, labels[idx], out=grad)
         epoch_loss += loss * idx.size
         return loss, grad
 
@@ -194,8 +209,8 @@ def train_fusion(
         nonlocal epoch, epoch_loss
         entry = {"epoch": epoch, "loss": epoch_loss / n}
         epoch, epoch_loss = epoch + 1, 0.0
-        if feats_dev is not None:
-            preds = head.probs(feats_dev).argmax(axis=1)
+        if dev_ds is not None:
+            preds = _fused_probs(ensemble, head, dev_probs).argmax(axis=1)
             entry["dev_acc"] = percent_correct(preds, dev_ds.labels)
         return entry
 
@@ -228,5 +243,19 @@ def fusion_predict(ensemble: boosting.BoostEnsemble, head: FusionHead, dataset=N
     now. A head bound to another ensemble, or to none, raises ArtifactError
     (``check_bound``)."""
     check_bound(ensemble, head)
-    fused = head.probs(build_feature(ensemble, dataset, probs=probs))
+    if probs is None:
+        probs = ensemble.predict_proba_per_round(dataset)
+    fused = _fused_probs(ensemble, head, probs)
     return fused.argmax(axis=1), fused
+
+
+def _fused_probs(ensemble: boosting.BoostEnsemble, head: FusionHead,
+                 probs: np.ndarray) -> np.ndarray:
+    """The head's probability rows over an (n, M, K) tensor, ``SCORE_CHUNK``
+    rows at a time, so that neither the (n, M*K) features nor a hidden layer
+    is ever held for the whole set."""
+    out = np.empty((probs.shape[0], ensemble.K), dtype=np.float64)
+    for start in range(0, probs.shape[0], SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        out[rows] = head.probs(build_feature(ensemble, probs=probs[rows]))
+    return out

@@ -11,9 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -110,6 +109,13 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token.lower(), UNK_ID)
 
+    def ids(self, text: str) -> list[int]:
+        """The ``lookup`` of each token of ``tokenize(text)``. Those tokens are
+        lowercase already, and ``str.lower`` is idempotent, so they are not
+        lowered again."""
+        get = self.token_to_id.get
+        return [get(t, UNK_ID) for t in tokenize(text)]
+
     def save(self, path: str | Path) -> None:
         artifacts.write(path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
 
@@ -157,8 +163,8 @@ def encode(example: RawExample, vocab: Vocabulary, label_to_id: Mapping[str, int
     """(token ids, label id) of an example, laid out by ``layout``."""
     if example.label not in label_to_id:
         raise ValueError(f"unknown label {example.label!r}")
-    a = [vocab.lookup(t) for t in tokenize(example.text_a)]
-    b = None if example.text_b is None else [vocab.lookup(t) for t in tokenize(example.text_b)]
+    a = vocab.ids(example.text_a)
+    b = None if example.text_b is None else vocab.ids(example.text_b)
     return layout(a, b, max_seq_len), label_to_id[example.label]
 
 
@@ -187,14 +193,29 @@ def segment_ids(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (after_sep & (np.arange(ids.shape[1]) < lengths[:, None])).astype(np.intp)
 
 
-def pack(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def pack(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """The id rows PAD-padded into an (n, longest) int64 matrix, and their
-    (n,) lengths."""
-    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    (n,) lengths. ``rows`` is read once, so a generator of rows is never
+    held whole: its ids are read into one flat buffer, the newest block on
+    the heap, which grows in place into the matrix. A separate matrix would
+    leave the buffer's pages as a freed hole, which a heap that keeps freed
+    pages (``training._keep_freed_heap``) holds for the rest of the run."""
+    row_lengths: list[int] = []
+
+    def cells():
+        for row in rows:
+            row_lengths.append(len(row))
+            yield from row
+
+    ids = np.fromiter(cells(), np.int64)
+    n_tokens = ids.size
+    ids.resize(len(row_lengths) * max(row_lengths, default=0), refcheck=False)
+    lengths = np.array(row_lengths, dtype=np.int64)
     # row-major boolean fill: each row's tokens land in its first cells
     filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    ids = np.full(filled.shape, PAD_ID, dtype=np.int64)
-    ids[filled] = np.fromiter(chain.from_iterable(rows), np.int64, int(lengths.sum()))
+    ids = ids.reshape(filled.shape)
+    ids[filled] = ids.ravel()[:n_tokens].copy()
+    ids[~filled] = PAD_ID
     return ids, lengths
 
 
@@ -203,7 +224,7 @@ def pack_corpus(corpus: Sequence[Sequence[int]], max_seq_len: int
     """``pack`` of the ``layout`` rows, ``[CLS]`` then the first ``max_seq_len
     - 2`` tokens then ``[SEP]``, of the corpus's id sequences of 2 or more
     tokens, in order: the masked-token pretraining matrix."""
-    return pack([layout(seq, None, max_seq_len) for seq in corpus if len(seq) >= 2])
+    return pack(layout(seq, None, max_seq_len) for seq in corpus if len(seq) >= 2)
 
 
 @dataclass(frozen=True)
@@ -291,9 +312,16 @@ class LabeledDataset:
         if label_names is None:
             label_names = sorted({ex.label for ex in raws})
         label_to_id = {name: i for i, name in enumerate(label_names)}
-        rows = [encode(ex, vocab, label_to_id, max_seq_len) for ex in raws]
-        ids, lengths = pack([row for row, _ in rows])
-        labels = np.fromiter((label for _, label in rows), np.int64, len(rows))
+        labels: list[int] = []
+
+        def rows():
+            for ex in raws:
+                row, label = encode(ex, vocab, label_to_id, max_seq_len)
+                labels.append(label)
+                yield row
+
+        ids, lengths = pack(rows())
+        labels = np.array(labels, dtype=np.int64)
         return cls(packed=Packed(ids=ids, lengths=lengths, labels=labels),
                    K=len(label_names), label_names=tuple(label_names))
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from textboost import artifacts, boosting, cli, fusion
 from textboost import encoder as enc
 
-from conftest import assert_run_contract, count_fits
+from conftest import assert_run_contract, count_fits, make_token_dataset
 
 
 def write_config(path: Path, task_dir: Path, out_dir: Path, **extra) -> Path:
@@ -1184,6 +1185,25 @@ def test_a_fit_that_raises_exits_1_and_leaves_no_run_dir(boost_run, tmp_path, mo
     flags = ["--teacher-dir", str(teacher)] if command == "distill" else []
     assert cli.main([command, "--config", str(tmp_path / "c.json"), *flags]) == 1
     assert not list(out2.glob(f"{command}-*"))
+
+
+def test_a_dataset_key_hashes_the_arrays_in_place():
+    """A dataset's key is the digest of its label names and of each array's
+    dtype, shape and bytes, as ``tobytes`` gives them, and hashing over 1 MB
+    of ids copies none of them."""
+    ds = make_token_dataset(np.random.default_rng(0), n=20000, max_len=10)
+    assert ds.packed.ids.nbytes >= 1e6
+    h = hashlib.sha256(json.dumps(ds.label_names).encode())
+    for a in (ds.packed.ids, ds.packed.lengths, ds.labels):
+        h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    tracemalloc.start()
+    try:
+        key = cli._key_of(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert key == h.hexdigest()
+    assert peak < 64 * 1024, f"{peak} bytes"
 
 
 # the trained files of a train-boost dir, by the stage whose entry holds each

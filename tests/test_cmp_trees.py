@@ -1,8 +1,12 @@
 """The pairing and comparison rules of ``tools/cmp_trees.py``, on small
-hand-made output trees (the pipeline itself is not run here)."""
+hand-made output trees, and how it runs one command (the pipeline itself
+is not run here)."""
 
+import ast
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -112,3 +116,21 @@ def test_src_lines_counts_every_python_file_under_src_textboost(tmp_path):
             (tmp_path / side / path).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / side / path).write_text(text)
     assert [cmp_trees.src_lines(tmp_path / side) for side in files] == [5, 1]
+
+
+def test_a_command_reports_its_exit_code_its_stderr_and_its_own_peak_rss():
+    """``run_command``'s peak is the child's ``ru_maxrss``, which also holds
+    its parent's high-water mark at the child's exec; so it runs here from a
+    small process, as the tool does. A child that fills 48 MB reads at least
+    that, and one that holds nothing reads less than 40 MB."""
+    probe = ("import runpy, sys; run = runpy.run_path(sys.argv[1])['run_command']; "
+             "print(run([sys.executable, '-c', sys.argv[2]], {}))")
+    fill = "b = b'x' * (48 << 20); import sys; sys.stderr.write('done'); sys.exit(3)"
+    results = []
+    for child in (fill, "pass"):
+        out = subprocess.run([sys.executable, "-c", probe, spec.origin, child],
+                             capture_output=True, text=True, check=True).stdout
+        results.append(ast.literal_eval(out))
+    (code, stderr, peak_mb), (idle_code, idle_stderr, idle_mb) = results
+    assert (code, stderr, idle_code, idle_stderr) == (3, "done", 0, "")
+    assert peak_mb >= 48 > 40 > idle_mb

@@ -401,6 +401,34 @@ class TestScoringChunks:
             tracemalloc.stop()
         assert peak < 2.5e6, f"{peak / 1e6:.2f} MB"
 
+    def test_a_masked_token_step_spends_each_layers_cache_in_its_backward(self):
+        """The backward pops each layer's cache as it reaches the layer and
+        drops each array after its last read: a batch-32 masked-token step at
+        the default shapes peaks at about 5.4 MB, against 9.0 MB while every
+        layer's cache lived until the backward returned."""
+        from textboost.encoder.training import _mask_batch
+        from textboost.textdata import pack_corpus
+
+        model = bundled_sized_model("transformer")
+        rng = np.random.default_rng(11)
+        corpus = [rng.integers(5, 588, size=rng.integers(8, 30)).tolist() for _ in range(64)]
+        tokens, lengths = pack_corpus(corpus, model.config.max_seq_len)
+        grad = np.zeros_like(model.params)
+
+        def step():
+            masked = _mask_batch(tokens, lengths, np.arange(32), np.random.default_rng(1))
+            model.mlm_loss_and_grad(*masked, train_mode=True, rng=np.random.default_rng(2),
+                                    out=grad)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6, f"{peak / 1e6:.2f} MB"
+
     @pytest.mark.parametrize("kind", ["transformer", "softreg"])
     def test_scoring_leaves_the_parameters_and_the_batch_unchanged(self, kind):
         model = bundled_sized_model(kind)

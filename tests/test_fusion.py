@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,3 +220,55 @@ class TestTrainFusion:
         vote_acc = (vote_preds == dev.labels).mean() * 100
         fusion_acc = (fusion_preds == dev.labels).mean() * 100
         assert fusion_acc >= vote_acc - 1.0
+
+
+class TestWholeSetMemory:
+    """Fusion reads the (n, M, K) round tensor in batches and chunks: at the
+    benchmark's head width (M*K = 18, 72 hidden units) a pass over 3,000 rows
+    never holds their (n, 72) hidden layer (1.7 MB) or their features."""
+
+    N = 3000
+
+    def probs(self, ens, seed):
+        rng = np.random.default_rng(seed)
+        return rng.dirichlet(np.ones(ens.K), size=(self.N, ens.m_effective))
+
+    @staticmethod
+    def peak_of(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_train_and_predict_peak_well_under_the_whole_set_hidden_layer(self, softreg_setup):
+        _, _, ens = softreg_setup
+        dims = fusion.head_dims(ens, fusion.FusionConfig())
+        assert dims == (18, 72, 3)
+        hidden_bytes = self.N * dims[1] * 8
+        rng = np.random.default_rng(5)
+        train, dev = make_token_dataset(rng, n=self.N), make_token_dataset(rng, n=self.N)
+        train_probs, dev_probs = self.probs(ens, 1), self.probs(ens, 2)
+        cfg = fusion.FusionConfig(max_epochs=1)
+        heads = []
+
+        def fit():
+            heads.append(fusion.train_fusion(ens, train, dev, cfg, seed=0,
+                                             train_probs=train_probs, dev_probs=dev_probs)[0])
+
+        peak = self.peak_of(fit)
+        assert peak < hidden_bytes / 4, f"train_fusion: {peak / 1e6:.2f} MB"
+        peak = self.peak_of(lambda: fusion.fusion_predict(ens, heads[0], probs=dev_probs))
+        assert peak < hidden_bytes / 4, f"fusion_predict: {peak / 1e6:.2f} MB"
+
+    def test_chunked_prediction_equals_one_pass(self, softreg_setup):
+        _, _, ens = softreg_setup
+        head = fusion.FusionHead(fusion.head_dims(ens, fusion.FusionConfig()),
+                                 ensemble_hash=ens.content_hash(), seed=3)
+        probs = self.probs(ens, 3)
+        preds, fused = fusion.fusion_predict(ens, head, probs=probs)
+        whole = head.probs(fusion.build_feature(ens, probs=probs))
+        assert fused.tobytes() == whole.tobytes()
+        assert np.array_equal(preds, whole.argmax(axis=1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,38 @@ class TestEncode:
         assert single.count(SEP_ID) == 1
         pair, _ = encode(RawExample("pos", "a b c", "d e f"), vocab, self.LMAP, max_seq_len=5)
         assert pair.count(SEP_ID) == 2
+
+    def test_mixed_case_and_non_ascii_tokens_get_the_ids_of_lookup(self):
+        """``encode`` and ``Vocabulary.ids`` read ``tokenize``'s lowercase
+        tokens from the vocabulary without lowering them again; every id is
+        the one ``lookup`` gives the raw token, final sigma and dotted I
+        included."""
+        vocab = build_vocab(["ΣΑΣ İstanbul Straße ǅemal"])
+        text = "σας ΣΑΣ İSTANBUL İstanbul istanbul STRASSE Straße ǅEMAL ǆemal unseen"
+        want = [vocab.lookup(t) for t in text.split()]
+        assert len(set(want) - {UNK_ID}) == 4
+        assert vocab.ids(text) == want
+        ids, _ = encode(RawExample("pos", text, text), vocab, self.LMAP, max_seq_len=32)
+        assert ids == [CLS_ID, *want, SEP_ID, *want, SEP_ID]
+
+    def test_from_raw_holds_no_per_row_list_of_ids(self):
+        """Encoding 12,000 rows peaks at about two id matrices (the matrix,
+        grown from the flat run of ids, and a copy of those ids on their way
+        to their padded cells), not at a Python list of every row's ids
+        besides them (3.4 matrices)."""
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(1000)]
+        raws = [RawExample(f"c{i % 3}", " ".join(rng.choice(words, size=rng.integers(5, 30))))
+                for i in range(12000)]
+        vocab = build_vocab([raw.text_a for raw in raws])
+        tracemalloc.start()
+        try:
+            ids = LabeledDataset.from_raw(raws, vocab, 24).packed.ids
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.shape == (12000, 24)
+        assert peak < 2.5 * ids.nbytes, f"{peak / ids.nbytes:.2f} id matrices"
 
     def test_unknown_label_raises(self):
         vocab = build_vocab(["a"])

@@ -41,9 +41,10 @@ Prints every paired file that differs, every file that only one tree has,
 and every pair of names that only their masked hex runs paired (an entry
 whose key changed; the ``store/<source12>`` dirs, which differ with every
 change of the source, are not listed), then ``src lines: A -> B``, the line
-count of ``src/textboost/**/*.py`` in each tree (``wc -l``'s total). Exits 1
-when a paired file differs or B lacks a file that A has, 2 when a command of
-the pipeline fails, else 0.
+count of ``src/textboost/**/*.py`` in each tree (``wc -l``'s total), and
+last each command's peak RSS on both sides, ``A -> B`` in MB, read with
+``os.wait4``. Exits 1 when a paired file differs or B lacks a file that A
+has, 2 when a command of the pipeline fails, else 0.
 """
 
 from __future__ import annotations
@@ -101,19 +102,42 @@ def pair_rows(rows: list[list[str]]) -> list[list[str]]:
     return out
 
 
-def run_pipeline(tree: Path, run: Path) -> None:
-    """The pipeline from ``tree``'s sources, into ``run``."""
+def run_command(argv: list[str], env: dict) -> tuple[int, str, float]:
+    """Run one command to completion: (its exit code, its standard error, its
+    peak RSS in MB). The peak is ``os.wait4``'s ``ru_maxrss``. The child
+    starts by vfork and exec, which fold this process's high-water mark into
+    the child's, and this tool is a small process, so the peak is the
+    command's own."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:  # interrupted: leave no child running
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return (proc.returncode, err.read().decode("utf-8", "replace"),
+                usage.ru_maxrss / 1024.0)  # ru_maxrss is in KiB on Linux
+
+
+def run_pipeline(tree: Path, run: Path) -> list[tuple[str, float]]:
+    """The pipeline from ``tree``'s sources, into ``run``: each command, its
+    paths under ``run`` given relative to it, with its peak RSS in MB."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str((tree / "src").resolve())}
     out, task = run / "out", run / "task"
+    peaks: list[tuple[str, float]] = []
 
     def cli(*args: str) -> str:
         """Run one command; the run_id of the record it appended, if any."""
-        proc = subprocess.run([sys.executable, "-m", "textboost.cli", *args], env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
+        code, stderr, peak_mb = run_command(
+            [sys.executable, "-m", "textboost.cli", *args], env)
+        if code != 0:
             raise PipelineError(f"{tree}: textboost {' '.join(args)} exited "
-                                f"{proc.returncode}: {proc.stderr.strip()}")
+                                f"{code}: {stderr.strip()}")
+        peaks.append((" ".join(args).replace(f"{run}/", ""), peak_mb))
         metrics = out / "metrics.jsonl"
         if not metrics.exists():
             return ""
@@ -145,6 +169,7 @@ def run_pipeline(tree: Path, run: Path) -> None:
         "--vote", "discrete")
     pair = cli("train-boost", "--config", str(configs["pair"]))
     cli("eval", "--model-dir", str(out / pair), "--data", str(task / "pair_dev.tsv"))
+    return peaks
 
 
 def src_lines(tree: Path) -> int:
@@ -256,10 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "src" / "textboost" / "cli.py").is_file():
             print(f"error: no textboost sources under {tree}", file=sys.stderr)
             return 2
+    peaks = []
     for side, tree in (("a", args.tree_a), ("b", args.tree_b)):
         shutil.rmtree(work / "run", ignore_errors=True)
         try:
-            run_pipeline(tree, work / "run")
+            peaks.append(run_pipeline(tree, work / "run"))
         except PipelineError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -273,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {item}")
     print(f"identical: {same} paired files (outputs in {work})")
     print(f"src lines: {src_lines(args.tree_a)} -> {src_lines(args.tree_b)}")
+    print("peak RSS (MB), A -> B:")
+    for (command, mb_a), (_, mb_b) in zip(*peaks):
+        print(f"  {mb_a:.1f} -> {mb_b:.1f}  {command}")
     return 1 if differ or only_a else 0
 
 
