@@ -17,7 +17,7 @@ import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +30,12 @@ class ArtifactError(ValueError):
     """A malformed artifact, or one bound to another model; exit code 2."""
 
 
-def write(path: str | Path, data: bytes | str | Path) -> None:
+def write(path: str | Path, data: bytes | str | Path | Iterable[str]) -> None:
     """Replace ``path`` with ``data`` (str as UTF-8; a Path hard-linked, or
-    copied where the link fails) by way of a temporary file in the same
-    directory: a crash leaves the old bytes or the new."""
+    copied where the link fails; an iterable of str written as UTF-8 piece
+    by piece, so the file is never joined in memory) by way of a temporary
+    file in the same directory: a crash, or an iterable that raises, leaves
+    the old bytes or the new."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -42,8 +44,11 @@ def write(path: str | Path, data: bytes | str | Path) -> None:
                 os.link(data, tmp)
             except OSError:  # the file system refused the link (EXDEV, EPERM, ...)
                 shutil.copyfile(data, tmp)
-        else:
+        elif isinstance(data, (bytes, str)):
             tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        else:
+            with tmp.open("w", encoding="utf-8", newline="") as fh:
+                fh.writelines(data)
         # onto a link of the same file, the rename does nothing and leaves tmp
         os.replace(tmp, path)
     finally:

@@ -233,7 +233,7 @@ def bag_train(
     for lr in learning_rates:
         model = enc.model_from_snapshot(start)
         snap, tlog = enc.train(model, dataset, replace(train_cfg, lr=lr), [seed, 12])
-        if any(rec.get("event") == "diverged" for rec in tlog):
+        if any(rec.get("event") == "diverged" for rec in tlog.other_records()):
             warnings.warn(f"bagging member at lr={lr} diverged; dropped", RuntimeWarning)
             log.append({"lr": lr, "status": "diverged"})
             continue

@@ -426,7 +426,7 @@ class NeuralBoostLearner:
         self.round1_snapshot: Optional[enc.ModelSnapshot] = None
         # step logs ({step, loss, lr} records from the optimizer) by round;
         # round 0 is the finetuning strategy's unweighted source fine-tune
-        self.train_logs: dict[int, list[dict]] = {}
+        self.train_logs: dict[int, enc.StepLog] = {}
 
     def _start(self, m: int, dataset, seed) -> enc.ModelSnapshot:
         """Round m's start per the strategy, before sharing redraws the head."""

@@ -16,22 +16,25 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
 from . import encoder as enc, synthetic
 from .encoder.training import _MODEL_CLASSES, _keep_freed_heap, _one_blas_thread
-from .textdata import LabeledDataset, Vocabulary, build_vocab, load_tsv, subsample
+from .textdata import (LabeledDataset, Vocabulary, build_vocab, corpus_lines, load_tsv,
+                       subsample)
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
@@ -243,29 +246,30 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
     when one is given, else from the training texts, and stay fixed across
     the cells of a ``fraction`` axis, mirroring a fixed pretrained
     tokenizer. The corpus is encoded only for a config that pretrains.
+    Each file is read in passes, a line at a time: ``load_tsv`` checks a
+    split and takes its labels (and, without a corpus, the training tokens'
+    counts), then ``from_raw`` encodes it, so no split's rows are held.
     """
+    corpus = cfg.data["corpus_path"]
     with _input_data():
-        raw_train = load_tsv(cfg.data["train_path"])
-        raw_dev = load_tsv(cfg.data["dev_path"])
-        train_labels = {ex.label for ex in raw_train}
-        dev_only = {ex.label for ex in raw_dev} - train_labels
+        counts = Counter() if corpus is None else None
+        train = load_tsv(cfg.data["train_path"], counts)
+        dev = load_tsv(cfg.data["dev_path"])
+        dev_only = dev.labels - train.labels
         if dev_only:
             raise ConfigError(f"dev labels missing from training data: {sorted(dev_only)}")
+        vocab = Vocabulary.from_counts(counts) if corpus is None else build_vocab(
+            corpus_lines(corpus))
 
-        if cfg.data["corpus_path"] is not None:
-            text = Path(cfg.data["corpus_path"]).read_text(encoding="utf-8")
-            corpus_lines = [line for line in text.splitlines() if line.strip()]
-        else:
-            corpus_lines = [ex.text_a for ex in raw_train] + [
-                ex.text_b for ex in raw_train if ex.text_b is not None
-            ]
-        vocab = build_vocab(corpus_lines)
-
-        label_names = tuple(sorted(train_labels))
+        label_names = tuple(sorted(train.labels))
         max_len = cfg.data["encoder"]["max_seq_len"]
-        train_ds = LabeledDataset.from_raw(raw_train, vocab, max_len, label_names=label_names)
-        dev_ds = LabeledDataset.from_raw(raw_dev, vocab, max_len, label_names=label_names)
-    corpus_ids = [vocab.ids(line) for line in corpus_lines] if _pretrains(cfg) else []
+        train_ds = LabeledDataset.from_raw(train, vocab, max_len, label_names=label_names)
+        dev_ds = LabeledDataset.from_raw(dev, vocab, max_len, label_names=label_names)
+        corpus_ids = []
+        if _pretrains(cfg):
+            lines = corpus_lines(corpus) if corpus is not None else itertools.chain(
+                (ex.text_a for ex in train), (ex.text_b for ex in train if ex.text_b is not None))
+            corpus_ids = [vocab.ids(line) for line in lines]
     return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids)
 
 
@@ -330,11 +334,19 @@ def _save(path: Path, part) -> None:
     part.save(path)
 
 
+# the step logs among the parts, each with the fields that tag its fits
+_STEP_LOGS = {"train_log.jsonl": ("round",), "distill_log.jsonl": ()}
+
+
 def _load(path: Path):
-    """The part ``_save`` wrote to ``path``; a malformed one raises ArtifactError."""
+    """The part ``_save`` wrote to ``path``, in the form its fit gave it (a
+    step log as a ``StepLog``); a malformed one raises ArtifactError."""
     if path.suffix == ".jsonl":
-        with artifacts.decoding(f"log {path}"):
-            return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        with artifacts.decoding(f"log {path}"), path.open(encoding="utf-8") as fh:
+            records = (json.loads(line) for line in fh)
+            if path.name in _STEP_LOGS:
+                return enc.StepLog.read(records, _STEP_LOGS[path.name])
+            return list(records)
     return {".bgv": enc.ModelSnapshot, ".bge": boosting.BoostEnsemble,
             ".bgf": fusion_mod.FusionHead}[path.suffix].load(path)
 
@@ -383,18 +395,16 @@ def ensure_pretrained(cfg: RunConfig, model, corpus: list) -> dict:
         "ensemble.bge", "single.bgv", "round_log.jsonl", "train_log.jsonl")
 def _fit_boost(cfg: RunConfig, model, trunk, train: LabeledDataset, dev: LabeledDataset) -> dict:
     """The boosted ensemble, its round-1 model as trained, the round log and
-    every round's optimizer steps under its ``round``."""
+    every round's optimizer steps, each round's log tagged with its ``round``."""
     boost = cfg.data["boost"]
     learner = boosting.NeuralBoostLearner(
         model, enc.TrainConfig(**cfg.data["train"]), boost["init_strategy"],
         sharing_mode=boost["sharing_mode"], pretrained=trunk)
     ensemble, round_log = boosting.boost_train(train, learner, boost["rounds"], cfg.seed, dev=dev)
-    for m, rows in learner.train_logs.items():
-        for rec in rows:  # in place: a copy of every step record would double the log
-            rec["round"] = m
     return {"ensemble.bge": ensemble, "single.bgv": learner.round1_snapshot,
             "round_log.jsonl": round_log,
-            "train_log.jsonl": [rec for rows in learner.train_logs.values() for rec in rows]}
+            "train_log.jsonl": enc.StepLog.join(log.tagged(round=m)
+                                                for m, log in learner.train_logs.items())}
 
 
 @_stage("fusion", ("seed", "fusion"), "fusion.bgf")
@@ -473,8 +483,9 @@ def _write_json(path: Path, obj) -> None:
     artifacts.write(path, json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    artifacts.write(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """One JSON line per record, written as each is made."""
+    artifacts.write(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 def _out_root(explicit: Optional[str]) -> Path:
@@ -795,11 +806,11 @@ def cmd_eval(args) -> int:
     trained = TrainedDir.read(args.model_dir)
     task, ensemble = trained.task, trained.ensemble
     with _input_data():
-        raws = load_tsv(args.data)
-        unknown = {ex.label for ex in raws} - set(task["label_names"])
+        rows = load_tsv(args.data)
+        unknown = rows.labels - set(task["label_names"])
         if unknown:
             raise ConfigError(f"dataset labels unknown to this model: {sorted(unknown)}")
-        dataset = LabeledDataset.from_raw(raws, trained.vocab, task["max_seq_len"],
+        dataset = LabeledDataset.from_raw(rows, trained.vocab, task["max_seq_len"],
                                           label_names=task["label_names"])
 
     if ensemble is not None:

@@ -60,7 +60,7 @@ def distill_train(
     *,
     pretrained: Optional[enc.ModelSnapshot] = None,
     dev: Optional[LabeledDataset] = None,
-) -> tuple[enc.ModelSnapshot, list[dict]]:
+) -> tuple[enc.ModelSnapshot, enc.StepLog]:
     """Train a single student on annealed teacher targets.
 
     Per-step targets are ``lam * onehot(gold) + (1 - lam) * teacher`` (the

@@ -6,6 +6,7 @@ from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot, ParamLayout, layout_for, xavier_limit
 from .softreg import SoftmaxRegressionModel, token_counts
+from .steplog import StepLog
 from .training import (
     evaluate_accuracy,
     fit_loop,

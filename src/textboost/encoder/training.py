@@ -16,6 +16,7 @@ from .nnops import DivergenceError
 from .optim import Adam
 from .params import ModelSnapshot, ParamLayout, init_param_vector
 from .softreg import SoftmaxRegressionModel
+from .steplog import StepLog
 from .transformer import TransformerModel
 
 MLM_MASK_FRACTION = 0.15
@@ -107,7 +108,7 @@ def fit_loop(
     after_pass: Optional[Callable[[int], dict]] = None,
     patience: Optional[int] = None,
     ranges: Optional[Sequence[slice]] = None,
-) -> list[dict]:
+) -> StepLog:
     """The one optimizer loop: Adam over shuffled mini-batches of ``range(n)``.
 
     Each pass walks a fresh permutation of ``range(n)`` in ``batch_size``
@@ -125,10 +126,12 @@ def fit_loop(
     checked and updated; every other entry has an exactly-zero gradient,
     whose Adam update is exactly zero.
 
-    Returns the log, one ``{"step", "loss", "lr"}`` record per update, where
-    ``step`` counts the updates done. A ``DivergenceError`` or a non-finite
-    loss or gradient ends the run with one ``{"step", "loss": None, "lr",
-    "event": "diverged"}`` record and ``params`` at the last finite update.
+    Returns the log, a ``StepLog``: one ``{"step", "loss", "lr"}`` record per
+    update, where ``step`` counts the updates done, plus the loss's extra
+    fields, all held in float64 columns rather than a dict per update. A
+    ``DivergenceError`` or a non-finite loss or gradient ends the run with
+    one ``{"step", "loss": None, "lr", "event": "diverged"}`` record and
+    ``params`` at the last finite update.
 
     Under glibc, the heap keeps the freed working set of a step for the next
     (``_keep_freed_heap``), and BLAS runs on one thread (``_one_blas_thread``).
@@ -149,7 +152,7 @@ def fit_loop(
     ranges = (slice(0, params.size),) if ranges is None else tuple(ranges)
     opt = Adam(params.size, lr=lr, ranges=ranges)
     grad_buf = np.zeros_like(params)
-    log: list[dict] = []
+    log = StepLog()
     best, best_score, since_best = None, -np.inf, 0
     step, diverged = 0, False
     while step < total and not diverged:
@@ -166,16 +169,16 @@ def fit_loop(
             fields = extra[0] if extra else {}
             if not (np.isfinite(loss) and all(np.isfinite(grad[sl]).all() for sl in ranges)):
                 diverged = True
-                log.append({"step": step, "loss": None, "lr": opt.lr, **fields,
-                            "event": "diverged"})
+                log.add_record({"step": step, "loss": None, "lr": opt.lr, **fields,
+                                "event": "diverged"})
                 break
             opt.step(params, grad)
             step += 1
-            log.append({"step": step, "loss": loss, "lr": opt.lr, **fields})
+            log.add_update(loss, opt.lr, fields)
         if diverged or after_pass is None:
             continue
         record = after_pass(step)
-        log.append(record)
+        log.add_record(record)
         score = record.get("dev_acc")
         if score is not None and score > best_score:
             best, best_score, since_best = params.copy(), score, 0
@@ -195,7 +198,7 @@ def train(
     seed,
     *,
     weights: Optional[np.ndarray] = None,
-) -> tuple[ModelSnapshot, list[dict]]:
+) -> tuple[ModelSnapshot, StepLog]:
     """Mini-batch Adam on the weighted CE loss; deterministic given seed.
 
     Mutates ``model`` in place and returns its final snapshot (role
@@ -242,7 +245,7 @@ def pretrain_mlm(
     *,
     lr: float = 1e-3,
     batch_size: int = 32,
-) -> tuple[ModelSnapshot, list[dict]]:
+) -> tuple[ModelSnapshot, StepLog]:
     """Masked-token pretraining on raw token-id sequences.
 
     ``textdata.pack_corpus`` lays the sequences out as the classifier's
@@ -257,7 +260,7 @@ def pretrain_mlm(
     model = TransformerModel(config, seed=rng)
     tokens, lengths = pack_corpus(corpus, config.max_seq_len)
     if steps == 0:
-        return model.snapshot("pretrained"), []
+        return model.snapshot("pretrained"), StepLog()
     if lengths.size == 0:
         raise ValueError("corpus has no sequences of length >= 2")
     if (tokens >= config.vocab_size).any() or (tokens < 0).any():

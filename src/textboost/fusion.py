@@ -217,7 +217,7 @@ def train_fusion(
     log = fit_loop(head.params, n, BATCH_SIZE, rng, loss_and_grad, lr=cfg.lr,
                    epochs=cfg.max_epochs, after_pass=after_pass, patience=cfg.patience)
     # the per-epoch records and a divergence; the step records stay here
-    log = [r for r in log if "epoch" in r or "event" in r]
+    log = log.other_records()
 
     if hashlib.sha256(boosting.ensemble_to_bytes(ensemble)).hexdigest() != ensemble_hash:
         raise RuntimeError("fusion training mutated the frozen ensemble")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -73,13 +74,10 @@ def _sentence(rng: np.random.Generator, cls: int, hard: bool) -> str:
     return " ".join(words)
 
 
-def generate_examples(
-    n: int, seed, *, noise: float = 0.0, hard_fraction: float = 0.25
-) -> list[RawExample]:
-    """Labeled sentences; with ``noise`` 0 no label is flipped and no draw is
-    spent on flips, so their texts also serve as the unlabeled corpus."""
+def _draw(n: int, seed, *, noise: float, hard_fraction: float) -> Iterator[RawExample]:
+    """The ``n`` labeled sentences of ``seed``, one at a time; with ``noise``
+    0 no label is flipped and no draw is spent on flips."""
     rng = np.random.default_rng(seed)
-    out: list[RawExample] = []
     for _ in range(n):
         cls = int(rng.integers(3))
         hard = bool(rng.random() < hard_fraction)
@@ -87,24 +85,31 @@ def generate_examples(
         label = cls
         if noise > 0 and rng.random() < noise:
             label = (cls + 1 + int(rng.integers(2))) % 3
-        out.append(RawExample(label=LABELS[label], text_a=text))
-    return out
+        yield RawExample(label=LABELS[label], text_a=text)
+
+
+def generate_examples(
+    n: int, seed, *, noise: float = 0.0, hard_fraction: float = 0.25
+) -> list[RawExample]:
+    """Labeled sentences; with ``noise`` 0 their texts also serve as the
+    unlabeled corpus."""
+    return list(_draw(n, seed, noise=noise, hard_fraction=hard_fraction))
 
 
 def write_task(out_dir: str | Path, cfg: SynthConfig) -> dict:
-    """Write train.tsv (noisy), dev.tsv (clean), and corpus.txt; returns paths."""
+    """Write train.tsv (noisy), dev.tsv (clean), and corpus.txt, each line
+    as it is drawn; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train = generate_examples(cfg.train_size, [cfg.seed, 1], noise=cfg.noise,
-                              hard_fraction=cfg.hard_fraction)
-    dev = generate_examples(cfg.dev_size, [cfg.seed, 2], hard_fraction=cfg.hard_fraction)
-    corpus = generate_examples(cfg.corpus_size, [cfg.seed, 3], hard_fraction=cfg.hard_fraction)
     paths = {
         "train": out / "train.tsv",
         "dev": out / "dev.tsv",
         "corpus": out / "corpus.txt",
     }
-    for name, examples in (("train", train), ("dev", dev)):
-        artifacts.write(paths[name], "".join(f"{ex.label}\t{ex.text_a}\n" for ex in examples))
-    artifacts.write(paths["corpus"], "\n".join(ex.text_a for ex in corpus) + "\n")
+    for name, size, stream, noise in (("train", cfg.train_size, 1, cfg.noise),
+                                      ("dev", cfg.dev_size, 2, 0.0)):
+        rows = _draw(size, [cfg.seed, stream], noise=noise, hard_fraction=cfg.hard_fraction)
+        artifacts.write(paths[name], (f"{ex.label}\t{ex.text_a}\n" for ex in rows))
+    corpus = _draw(cfg.corpus_size, [cfg.seed, 3], noise=0.0, hard_fraction=cfg.hard_fraction)
+    artifacts.write(paths["corpus"], (f"{ex.text_a}\n" for ex in corpus))
     return {k: str(v) for k, v in paths.items()}

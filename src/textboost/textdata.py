@@ -8,11 +8,12 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,15 +49,15 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def load_tsv(path: str | Path) -> list[RawExample]:
-    """Read a task TSV into RawExamples, order preserved.
+def _read_rows(path: Path) -> Iterator[tuple[str, str, Optional[str]]]:
+    """The ``(label, text_a, text_b)`` rows of a task TSV, in order, read one
+    line at a time.
 
     A line is ``label, text`` or a sentence pair ``label, text_a, text_b``,
-    tab-separated. Blank lines are skipped; any other deviation raises
+    tab-separated. Blank lines are skipped; any other deviation (a field
+    count other than 2 or 3, a blank label, text_a or text_b) raises
     MalformedLineError naming the offending line.
     """
-    path = Path(path)
-    examples: list[RawExample] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -74,10 +75,55 @@ def load_tsv(path: str | Path) -> list[RawExample]:
                 raise MalformedLineError(f"{path}:{lineno}: empty label")
             if not text_a.strip():
                 raise MalformedLineError(f"{path}:{lineno}: empty text_a")
-            examples.append(RawExample(label=label, text_a=text_a, text_b=text_b))
-    if not examples:
+            if text_b is not None and not text_b.strip():
+                raise MalformedLineError(f"{path}:{lineno}: empty text_b")
+            yield label, text_a, text_b
+
+
+@dataclass(frozen=True)
+class TsvFile:
+    """A task TSV that ``load_tsv`` has read once: its row count and label set.
+
+    Iterating it reads the file again, a row at a time, so a split's rows
+    never exist together; ``len`` is the row count.
+    """
+
+    path: Path
+    n: int
+    labels: frozenset[str]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[RawExample]:
+        return itertools.starmap(RawExample, _read_rows(self.path))
+
+
+def load_tsv(path: str | Path, counts: Optional[Counter] = None) -> TsvFile:
+    """The first pass over a task TSV: every line checked (see
+    ``_read_rows``), the rows counted and their labels collected, and, when
+    ``counts`` is given, the tokens of each text_a and text_b added to it.
+    A file without an example raises ValueError."""
+    path = Path(path)
+    n, labels = 0, set()
+    for label, text_a, text_b in _read_rows(path):
+        n += 1
+        labels.add(label)
+        if counts is not None:
+            counts.update(tokenize(text_a))
+            if text_b is not None:
+                counts.update(tokenize(text_b))
+    if not n:
         raise ValueError(f"{path}: no examples found")
-    return examples
+    return TsvFile(path=path, n=n, labels=frozenset(labels))
+
+
+def corpus_lines(path: str | Path) -> Iterator[str]:
+    """The non-blank lines of an unlabeled corpus file (split as by
+    ``str.splitlines``), read one at a time."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for chunk in fh:
+            yield from (line for line in chunk.splitlines() if line.strip())
 
 
 @dataclass(frozen=True)
@@ -117,7 +163,13 @@ class Vocabulary:
         return [get(t, UNK_ID) for t in tokenize(text)]
 
     def save(self, path: str | Path) -> None:
-        artifacts.write(path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
+        artifacts.write(path, (f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, int]) -> "Vocabulary":
+        """The counted tokens, most frequent first (lexicographic tie-break)."""
+        kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
+        return cls(token_to_id={tok: 5 + i for i, tok in enumerate(kept)})
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -140,22 +192,23 @@ class Vocabulary:
             return cls(token_to_id=mapping)
 
 
-def build_vocab(texts: Sequence[str | RawExample]) -> Vocabulary:
+def build_vocab(texts: Iterable[str | RawExample]) -> Vocabulary:
     """Frequency-ordered vocabulary (lexicographic tie-break) over every
-    token of the texts.
+    token of the texts, read once.
 
     A RawExample counts as its text_a and text_b. A token absent here maps
     to UNK at encode time. An empty effective vocabulary is legal.
     """
-    if not texts:
-        raise ValueError("texts must be non-empty")
     counts: Counter[str] = Counter()
+    seen = False
     for text in texts:
+        seen = True
         if isinstance(text, RawExample):
             text = f"{text.text_a} {text.text_b or ''}"
         counts.update(tokenize(text))
-    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
-    return Vocabulary(token_to_id={tok: 5 + i for i, tok in enumerate(kept)})
+    if not seen:
+        raise ValueError("texts must be non-empty")
+    return Vocabulary.from_counts(counts)
 
 
 def encode(example: RawExample, vocab: Vocabulary, label_to_id: Mapping[str, int],
@@ -302,13 +355,15 @@ class LabeledDataset:
     @classmethod
     def from_raw(
         cls,
-        raws: Sequence[RawExample],
+        raws: Iterable[RawExample],
         vocab: Vocabulary,
         max_seq_len: int,
         label_names: Optional[Sequence[str]] = None,
     ) -> "LabeledDataset":
         """Encode raw examples (see ``encode``) straight into padded arrays;
-        label ids follow sorted label names unless given."""
+        label ids follow sorted label names unless given. ``raws`` is read
+        once when the label names are given (twice otherwise), so a
+        ``TsvFile`` is encoded as its file is read."""
         if label_names is None:
             label_names = sorted({ex.label for ex in raws})
         label_to_id = {name: i for i, name in enumerate(label_names)}

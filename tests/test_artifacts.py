@@ -139,3 +139,19 @@ def test_write_keeps_the_old_bytes_when_the_replace_fails(tmp_path, monkeypatch)
         artifacts.write(path, b"new bytes")
     assert path.read_bytes() == b"\xc3\xa9old\n"
     assert os.listdir(tmp_path) == ["metrics.json"]
+
+
+def test_an_iterable_is_written_piece_by_piece_and_one_that_raises_leaves_the_old_bytes(
+        tmp_path):
+    path = tmp_path / "log.jsonl"
+    artifacts.write(path, (f"{i}é\n" for i in range(3)))
+    assert path.read_bytes() == "0é\n1é\n2é\n".encode()
+
+    def cut():
+        yield "a new first line\n"
+        raise ValueError("the records ran out")
+
+    with pytest.raises(ValueError, match="ran out"):
+        artifacts.write(path, cut())
+    assert path.read_bytes() == "0é\n1é\n2é\n".encode()
+    assert os.listdir(tmp_path) == ["log.jsonl"]

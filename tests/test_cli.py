@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from textboost import artifacts, boosting, cli, fusion
+from textboost import artifacts, boosting, cli, fusion, synthetic
 from textboost import encoder as enc
 
 from conftest import assert_run_contract, count_fits, make_token_dataset
@@ -187,6 +188,38 @@ class TestTrainBoost:
         rec = json.loads((run_dir / "metrics.json").read_text())
         assert rec["extras"]["source_fine_tune_steps"] == rounds.count(0) == rounds.count(1)
 
+    def test_a_warm_rerun_reads_the_step_log_back_in_columns(self, task_dir, tmp_path,
+                                                              monkeypatch):
+        """The store gives a step log in the form its fit made, cold or warm,
+        so a warm finetuning run counts its source fine-tune from the columns
+        read back and writes the run dir of the cold run."""
+        cfg_path = write_config(
+            tmp_path / "c.json", task_dir, tmp_path, learner="softreg",
+            boost={"rounds": 2, "init_strategy": "finetuning", "sharing_mode": "privacy",
+                   "vote": "soft"})
+        argv = ["train-boost", "--config", str(cfg_path)]
+        assert cli.main(argv) == 0
+        (run_dir,) = tmp_path.glob("train-boost-*")
+        cold = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "metrics.json"}
+        cold_rec = json.loads((run_dir / "metrics.json").read_text())
+        fits, loaded, real_load = count_fits(monkeypatch), [], cli._load
+
+        def load(path):
+            loaded.append(real_load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load", load)
+        assert cli.main(argv) == 0
+        assert fits == {}
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()
+                if p.name != "metrics.json"} == cold
+        warm_rec = json.loads((run_dir / "metrics.json").read_text())
+        assert warm_rec["extras"] == cold_rec["extras"]
+        assert warm_rec["extras"]["source_fine_tune_steps"] > 0
+        assert warm_rec["round_log"] == cold_rec["round_log"]
+        (log,) = [part for part in loaded if isinstance(part, enc.StepLog)]
+        assert log == [json.loads(line) for line in cold["train_log.jsonl"].splitlines()]
+
     def test_metrics_record_shape(self, boost_run):
         out, _, _ = boost_run
         rec = assert_run_contract(out, "train-boost", 0)
@@ -358,6 +391,29 @@ class TestConfigErrors:
         assert cli.main(["train-boost", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("train, dev, message", [
+        pytest.param("alpha\tone\nbeta no tab\n", "alpha\tone\n",
+                     "{train}:2: expected 2 or 3 tab-separated fields, got 1", id="malformed"),
+        pytest.param("alpha\tone\nbeta\ttwo\t \n", "alpha\tone\n", "{train}:2: empty text_b",
+                     id="blank-text-b"),
+        pytest.param("alpha\tone\nbeta\ttwo\n", "\n\n", "{dev}: no examples found",
+                     id="empty-dev"),
+        pytest.param("alpha\tone\nbeta\ttwo\n", "gamma\tx\nalpha\ty\ndelta\tz\n",
+                     "dev labels missing from training data: ['delta', 'gamma']",
+                     id="dev-only-labels"),
+    ])
+    def test_bad_task_data_is_named_in_the_message(self, task_dir, tmp_path, capsys, train,
+                                                   dev, message):
+        paths = {"train_path": tmp_path / "train.tsv", "dev_path": tmp_path / "dev.tsv"}
+        paths["train_path"].write_text(train)
+        paths["dev_path"].write_text(dev)
+        cfg_path = write_config(tmp_path / "c.json", task_dir, tmp_path / "out",
+                                **{k: str(v) for k, v in paths.items()})
+        assert cli.main(["train-boost", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(
+            train=paths["train_path"], dev=paths["dev_path"]) + "\n"
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad=st.sampled_from(sorted(_BAD_VALUES)).flatmap(
@@ -479,6 +535,15 @@ class TestEval:
         bad = tmp_path / "bad.tsv"
         bad.write_text("delta\tsome text\n")
         assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(bad)]) == 2
+
+    def test_unknown_labels_are_listed_sorted(self, boost_run, tmp_path, capsys):
+        _, _, run_dir = boost_run
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("epsilon\tsome text\nalpha\tmore\ndelta\tother text\n")
+        assert cli.main(["eval", "--model-dir", str(run_dir), "--data", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset labels unknown to this model: ['delta', 'epsilon']\n")
+        assert not (run_dir / "eval_bad.json").exists()
 
 
 def compare(cfg_path: Path, out: Path, *flags: str) -> tuple[dict, list]:
@@ -1272,6 +1337,37 @@ class TestLinks:
             artifacts.write(run_dir / name, b"replaced")
             assert entry.read_bytes() == before
             assert (run_dir / name).read_bytes() == b"replaced"
+
+
+class TestStreamedText:
+    """At the boost-softreg size no split's rows are held whole: gen-data
+    writes each line as it draws it, and prepare_task reads each TSV a line
+    at a time, once to check it and once to encode it."""
+
+    SIZES = {"train_size": 12000, "dev_size": 3000, "corpus_size": 100}
+
+    @staticmethod
+    def peak(fn):
+        """(``fn()``, the tracemalloc peak in bytes while it ran)."""
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gen_data_and_prepare_task_peak_near_their_arrays(self, tmp_path):
+        cfg = synthetic.SynthConfig(noise=0.03, hard_fraction=0.25, seed=2024, **self.SIZES)
+        # the first draws make the one-time allocations of numpy's generator
+        synthetic.write_task(tmp_path / "first", replace(cfg, train_size=3, dev_size=3))
+        _, peak = self.peak(lambda: synthetic.write_task(tmp_path, cfg))
+        assert peak < 0.5 * 2**20  # 4.3 MB with every split's rows held
+        config = cli.RunConfig.load(write_config(tmp_path / "c.json", tmp_path, tmp_path,
+                                                 learner="softreg", corpus_path=None))
+        bundle, peak = self.peak(lambda: cli.prepare_task(config))
+        arrays = sum(a.nbytes for ds in (bundle.train, bundle.dev)
+                     for a in (ds.packed.ids, ds.packed.lengths, ds.labels))
+        assert (bundle.train.n, bundle.dev.n) == (12000, 3000)
+        assert peak < 1.8 * arrays  # 3.2 times with every split's rows held
 
 
 class TestOracleCheck:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,14 +48,34 @@ class TestLoadTsv:
         p = tmp_path / "t.tsv"
         p.write_text("pos\tgreat movie\nneg\tawful\n", encoding="utf-8")
         got = load_tsv(p)
-        assert got[0] == RawExample(label="pos", text_a="great movie", text_b=None)
-        assert len(got) == 2
+        assert list(got) == [RawExample(label="pos", text_a="great movie", text_b=None),
+                             RawExample(label="neg", text_a="awful", text_b=None)]
+        assert (len(got), got.labels) == (2, {"pos", "neg"})
 
     def test_three_column_pair(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("ent\ta cat sits\tan animal sits\n", encoding="utf-8")
-        got = load_tsv(p)
-        assert got[0].text_b == "an animal sits"
+        (got,) = load_tsv(p)
+        assert got.text_b == "an animal sits"
+
+    @pytest.mark.parametrize("line", ["pos\tgreat movie\t", "pos\tgreat movie\t   ",
+                                      "pos\tgreat movie\t\r"])
+    def test_blank_text_b_reports_lineno(self, tmp_path, line):
+        """A trailing tab or a third field of spaces is not a sentence pair
+        with an empty text_b, which would encode as ``[CLS] a [SEP] [SEP]``."""
+        p = tmp_path / "t.tsv"
+        p.write_text(f"pos\tok\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=rf"^{p}:2: empty text_b$"):
+            load_tsv(p)
+
+    def test_first_pass_counts_every_token_and_iterating_reads_the_file_again(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_text("pos\tA b\tb c\nneg\tb\n", encoding="utf-8")
+        counts = Counter()
+        got = load_tsv(p, counts)
+        assert counts == {"a": 1, "b": 3, "c": 1}
+        p.write_text("neg\tz\n", encoding="utf-8")
+        assert list(got) == [RawExample("neg", "z")]
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         p = tmp_path / "t.tsv"

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,91 @@ class TestFitLoop:
             self.run(params, self.pull_to(params, np.ones(3)), epochs=1, steps=1)
         with pytest.raises(ValueError, match="exactly one"):
             self.run(params, self.pull_to(params, np.ones(3)))
+
+
+class TestStepLog:
+    """``fit_loop``'s log holds its updates in columns and yields the records
+    a list of dicts would hold."""
+
+    @staticmethod
+    def fit_with_every_kind_of_record():
+        """A fit with distillation's ``lambda``, an ``after_pass`` record after
+        each pass and a divergence at step 7: (its log, the records a list
+        of dicts would hold, made as the fit runs)."""
+        params, want = np.zeros(3), []
+        lr, warmup_steps = 0.1, 3  # warmup 1/3 of 9 updates
+
+        def loss_and_grad(idx, step, grad):
+            grad += 2.0 * (params - 1.0)
+            loss = np.inf if step == 7 else float(step) / 3 + 0.25
+            fields = {"lambda": step / 9}
+            rate = lr * min(1.0, (step + 1) / warmup_steps)
+            if step == 7:
+                want.append({"step": 7, "loss": None, "lr": rate, **fields, "event": "diverged"})
+            else:
+                want.append({"step": step + 1, "loss": loss, "lr": rate, **fields})
+            return loss, grad, fields
+
+        def after_pass(step):
+            want.append({"step": step, "dev_acc": float(step)})
+            return dict(want[-1])
+
+        log = enc.fit_loop(params, 10, 4, np.random.default_rng(0), loss_and_grad, lr=lr,
+                           warmup=1 / 3, epochs=3, after_pass=after_pass)
+        return log, want
+
+    def test_yields_indexes_and_equals_the_records_of_the_fit(self):
+        log, want = self.fit_with_every_kind_of_record()
+        # 3 updates a pass: passes 1 and 2 scored, pass 3 diverges at its second update
+        assert [i for i, r in enumerate(want) if "dev_acc" in r] == [3, 7]
+        assert len(want) == 10 and want[-1]["event"] == "diverged"
+        assert list(log) == want and log == want and want == log and log != want[:-1]
+        assert len(log) == len(want) and bool(log) and not enc.StepLog()
+        assert [log[i] for i in range(len(log))] == want
+        assert [log[i] for i in range(-len(log), 0)] == want and log[2:5] == want[2:5]
+        with pytest.raises(IndexError):
+            log[len(want)]
+        assert log.other_records() == [r for r in want if "lr" not in r or "event" in r]
+        assert "".join(json.dumps(r, sort_keys=True) for r in log) == \
+            "".join(json.dumps(r, sort_keys=True) for r in want)
+
+    def test_tags_join_and_read_back(self):
+        log, want = self.fit_with_every_kind_of_record()
+        rounds = enc.StepLog.join([log.tagged(round=0), enc.StepLog().tagged(round=1),
+                                   log.tagged(round=2)])
+        records = [{**r, "round": m} for m in (0, 2) for r in want]
+        assert rounds == records and len(rounds) == 2 * len(want)
+        assert rounds[len(want)] == records[len(want)]
+        assert enc.StepLog.read(records, ("round",)) == records
+        with pytest.raises(ValueError, match="update 1 at position 8"):  # untagged, one fit
+            enc.StepLog.read(records)
+        assert enc.StepLog.read(want) == want == log.tagged()
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"step": 3, "loss": 0.5, "lr": 0.1, "lambda": 0.0}, id="a-skipped-step"),
+        pytest.param({"step": 2, "loss": 0.5, "lr": 0.1, "beta": 0.0}, id="other-fields"),
+        pytest.param({"step": 2, "loss": "x", "lr": 0.1, "lambda": 0.0}, id="a-loss-of-text"),
+    ])
+    def test_read_rejects_updates_no_fit_makes(self, bad):
+        with pytest.raises(ValueError):
+            enc.StepLog.read([{"step": 1, "loss": 0.5, "lr": 0.1, "lambda": 0.0}, bad])
+
+    def test_a_long_fit_keeps_three_float_columns(self):
+        """6,750 updates, the boost-softreg run's count: a dict per update
+        would keep 1.6 MB."""
+        params = np.zeros(3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = enc.fit_loop(params, 10, 4, np.random.default_rng(0),
+                               lambda idx, step, grad: (0.5, grad, {"lambda": 0.25}),
+                               lr=1e-3, steps=6750)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 6750 and log[-1] == {"step": 6750, "loss": 0.5, "lr": 1e-3,
+                                                "lambda": 0.25}
+        assert kept < 0.25 * 2**20
 
 
 class TestGradientBuffer:

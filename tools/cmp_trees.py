@@ -10,7 +10,10 @@ each tree), because run dirs record their paths:
 * ``gen-data --seed 99`` with 400 training rows, and from its training and
   dev rows a sentence-pair train and dev TSV (``pair_rows``), whose
   ``text_b`` is whole, cut or cut away at ``max_seq_len``;
-* ``train-boost`` with a transformer, a softreg and a weight-sharing config;
+* ``train-boost`` with a transformer, a softreg and a weight-sharing config,
+  then the softreg one again, warm: into the same out root, so every part
+  of its run, the step log and the round log too, is read back from the
+  store, and its run dir and record are made from what was read;
 * ``train-bag`` with the transformer config;
 * ``fusion --depth 2`` on the transformer boost dir and on the bag dir;
 * ``fusion`` on the transformer boost dir at its own config, whose head
@@ -156,6 +159,7 @@ def run_pipeline(tree: Path, run: Path) -> list[tuple[str, float]]:
         configs[name] = run / f"{name}.json"
         configs[name].write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     boosts = [cli("train-boost", "--config", str(configs[name])) for name in VARIANTS]
+    cli("train-boost", "--config", str(configs["softreg"]))  # warm: read back from the store
     bag = cli("train-bag", "--config", str(configs["transformer"]))
     models = [*boosts, bag]
     models += [cli("fusion", "--run-dir", str(out / d), "--depth", "2") for d in (boosts[0], bag)]
