@@ -6,19 +6,21 @@
   posteriors.
 * A self-contained SAMME reference over exhaustive-search decision stumps,
   written independently of the main boosting loop so the two can be diffed
-  round by round on the full (err, alpha, weights) trajectory.
+  round by round on the full (err, alpha, weights) trajectory; that diff,
+  on three fixed datasets, is ``oracle_trajectories``.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import encoder as enc
-from .boosting import ALPHA_TOL, BoostEnsemble, BoostRound, NeuralRoundModel
+from .boosting import ALPHA_TOL, BoostEnsemble, BoostRound, NeuralRoundModel, boost_train
 from .textdata import LabeledDataset
 
 
@@ -56,10 +58,6 @@ class ArrayDataset:
             raise ValueError("features must be (n, d) aligned with labels")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
 
 
 def _candidate_thresholds(column: np.ndarray) -> np.ndarray:
@@ -203,6 +201,43 @@ def samme_oracle(features: np.ndarray, labels: np.ndarray, M: int, K: int) -> li
             weights_after=w.copy(), predictions=best_preds.copy(),
         ))
     return rounds
+
+
+ORACLE_SETS = ((60, 2, 2), (150, 3, 3), (200, 4, 3))  # (n, d, K) of each compared dataset
+ORACLE_TOL = 1e-12  # the largest deviation the comparison accepts
+
+
+def oracle_dataset(n: int, d: int, K: int, seed: int = 20240601) -> ArrayDataset:
+    """``n`` points in ``d`` dimensions from a fresh stream of ``seed``, in K
+    classes cut at feature 0's quantiles, with 15% of labels moved."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    cuts = np.quantile(x[:, 0], np.linspace(0, 1, K + 1)[1:-1])
+    y = np.digitize(x[:, 0], cuts)
+    flip = rng.random(n) < 0.15
+    y[flip] = (y[flip] + 1 + rng.integers(0, K - 1, size=flip.sum())) % K
+    return ArrayDataset(features=x, labels=y, K=K)
+
+
+# the engine's ensemble, each side's {m, err, alpha, weights} rows, their largest gap
+OracleTrajectory = namedtuple("OracleTrajectory", "dataset ensemble engine oracle deviation")
+
+
+def oracle_trajectories(rounds: int) -> list[OracleTrajectory]:
+    """``boost_train`` of stumps against ``samme_oracle`` on each ``ORACLE_SETS`` set."""
+    out = []
+    for n, d, K in ORACLE_SETS:
+        data = oracle_dataset(n, d, K)
+        ensemble, log = boost_train(data, StumpBoostLearner(), rounds, 0, record_weights=True)
+        engine = [{"m": e["m"], "err": e["err"], "alpha": e["alpha"], "weights": e["weights_after"]}
+                  for e in log if "weights_after" in e]
+        oracle = [{"m": r.m, "err": r.err, "alpha": r.alpha, "weights": r.weights_after}
+                  for r in samme_oracle(data.features, data.labels, rounds, K)]
+        gaps = [max(abs(e["err"] - o["err"]), abs(e["alpha"] - o["alpha"]),
+                    np.abs(e["weights"] - o["weights"]).max()) for e, o in zip(engine, oracle)]
+        deviation = float(max(gaps, default=0.0) if len(engine) == len(oracle) else np.inf)
+        out.append(OracleTrajectory(data, ensemble, engine, oracle, deviation))
+    return out
 
 
 # ----------------------------------------------------------------------

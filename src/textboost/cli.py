@@ -18,7 +18,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -32,9 +31,10 @@ import numpy as np
 
 from . import artifacts, baselines, boosting, distill as distill_mod, fusion as fusion_mod
 from . import encoder as enc, synthetic
+from .encoder.config import POSITIVE, int_rule, number_rule, problems, settings
 from .encoder.training import _MODEL_CLASSES, _keep_freed_heap, _one_blas_thread
 from .textdata import (LabeledDataset, Vocabulary, build_vocab, corpus_lines, load_tsv,
-                       subsample)
+                       pack_corpus, subsample)
 
 OUT_ROOT_ENV = "TEXTBOOST_OUT"
 
@@ -54,19 +54,7 @@ class ConfigError(ValueError):
 # configuration
 # ----------------------------------------------------------------------
 
-# A rule is (what a value must be, the test it must pass). Values are never
-# coerced, so a valid config keeps its bytes and its hash; `type(v) is int`
-# turns a bool away.
-
-def _int(lo: int, hi: float = math.inf):
-    return (f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
-            lambda v: type(v) is int and lo <= v <= hi)
-
-
-def _number(what: str, ok):
-    return f"a finite number {what}", lambda v: (
-        type(v) is int or (type(v) is float and math.isfinite(v))) and ok(v)
-
+# A rule is (what a value must be, the test it must pass), as in ``encoder.config``.
 
 def _one_of(choices: Sequence[str]):
     return f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices
@@ -77,35 +65,28 @@ def _or_null(rule):
 
 
 _FILE = ("the path of a file", lambda v: isinstance(v, str) and Path(v).is_file())
-_POSITIVE = _number("> 0", lambda x: x > 0)
 _RATES = ("a list of at least 2 finite numbers > 0",
-          lambda v: isinstance(v, list) and len(v) >= 2 and all(_POSITIVE[1](r) for r in v))
+          lambda v: isinstance(v, list) and len(v) >= 2 and all(POSITIVE[1](r) for r in v))
 
-# Every settable key of the run config: (default, rule).
+# Every settable key of the run config: (default, rule); the encoder, train
+# and fusion sections are the settable fields of their config dataclasses.
 _SCHEMA: dict = {
-    "seed": (None, _int(0)),
+    "seed": (None, int_rule(0)),
     "train_path": (None, _FILE),
     "dev_path": (None, _FILE),
     "corpus_path": (None, _or_null(_FILE)),
     "learner": ("transformer", _one_of(tuple(_MODEL_CLASSES))),
-    "encoder": {
-        "d_model": (32, _int(1)),
-        "n_layers": (2, _int(1)),
-        "n_heads": (2, _int(1)),
-        "d_ffn": (64, _int(1)),
-        "max_seq_len": (24, _int(3)),  # CLS, SEP and one token to mask
-        "dropout_rate": (0.1, _number("in [0, 1)", lambda x: 0 <= x < 1)),
-    },
+    "encoder": settings(enc.EncoderConfig),
     "boost": {
-        "rounds": (6, _int(1)),
+        "rounds": (6, int_rule(1)),
         "init_strategy": ("incremental", _one_of(boosting.INIT_STRATEGIES)),
         "sharing_mode": ("privacy", _one_of(boosting.SHARING_MODES)),
         "vote": ("soft", _one_of(boosting.VOTE_MODES)),
     },
-    "train": {"lr": (1e-3, _POSITIVE), "batch_size": (32, _int(1)), "epochs": (3, _int(0))},
-    "pretrain": {"steps": (2500, _int(0))},
-    "fusion": {"depth": (1, _int(0, 3)), "max_epochs": (20, _int(1)), "patience": (3, _int(0))},
-    "distill": {"total_steps": (600, _int(1))},
+    "train": settings(enc.TrainConfig),
+    "pretrain": {"steps": (2500, int_rule(0))},
+    "fusion": settings(fusion_mod.FusionConfig),
+    "distill": {"total_steps": (600, int_rule(1))},
     "bag": {"learning_rates": ([5e-4, 1e-3, 2e-3], _RATES)},
     "out_dir": (None, _or_null(("a string", lambda v: isinstance(v, str)))),
 }
@@ -119,25 +100,14 @@ def _pick(schema: dict, i: int) -> dict:
 _DEFAULTS, _RULES = _pick(_SCHEMA, 0), _pick(_SCHEMA, 1)
 
 
-def _problems(rules: dict, data: dict, path: str = "") -> list[str]:
-    """What each value of ``data`` must be and is not."""
-    out = []
-    for key, rule in rules.items():
-        if isinstance(rule, dict):
-            out += _problems(rule, data[key], f"{path}{key}.")
-        elif not rule[1](data[key]):
-            out.append(f"{path}{key} must be {rule[0]}, not {data[key]!r}")
-    return out
-
-
 def _flags(args, rules: dict) -> dict:
     """The values of the flags that ``rules`` names, each checked against its
     rule before the command writes anything."""
     values = {flag: getattr(args, flag) for flag in rules}
-    problems = [f"--{flag.replace('_', '-')} must be {what}, not {values[flag]!r}"
-                for flag, (what, ok) in rules.items() if not ok(values[flag])]
-    if problems:
-        raise ConfigError("; ".join(problems))
+    bad = [f"--{flag.replace('_', '-')} must be {what}, not {values[flag]!r}"
+           for flag, (what, ok) in rules.items() if not ok(values[flag])]
+    if bad:
+        raise ConfigError("; ".join(bad))
     return values
 
 
@@ -180,20 +150,20 @@ class RunConfig:
     def validate(self) -> None:
         """Every value against its rule in ``_SCHEMA``, then the rules that
         span keys; a config that breaks one raises ConfigError."""
-        problems = _problems(_RULES, self.data)
-        if not problems:
+        found = problems(_RULES, self.data)
+        if not found:
             encoder, boost = self.data["encoder"], self.data["boost"]
             if encoder["d_model"] % encoder["n_heads"]:
-                problems.append("encoder.n_heads must divide encoder.d_model")
+                found.append("encoder.n_heads must divide encoder.d_model")
             if self.data["learner"] == "softreg" and boost["sharing_mode"] == "sharing":
-                problems.append("weight sharing requires the transformer learner")
+                found.append("weight sharing requires the transformer learner")
             if boost["init_strategy"] in ("pretrained", "incremental") and not _pretrains(self):
-                problems.append(
+                found.append(
                     f"init_strategy {boost['init_strategy']!r} needs an MLM checkpoint: "
                     "the transformer learner with pretrain.steps > 0"
                 )
-        if problems:
-            raise ConfigError("; ".join(problems))
+        if found:
+            raise ConfigError("; ".join(found))
 
     @property
     def seed(self) -> int:
@@ -225,7 +195,7 @@ class TaskBundle:
     train: LabeledDataset
     dev: LabeledDataset
     vocab: Vocabulary
-    corpus_ids: list[list[int]]  # empty unless the config pretrains
+    corpus: Optional[tuple[np.ndarray, np.ndarray]]  # pack_corpus's, if the config pretrains
 
 
 @contextmanager
@@ -245,7 +215,7 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
     The vocabulary (and the MLM corpus) come from the unlabeled corpus file
     when one is given, else from the training texts, and stay fixed across
     the cells of a ``fraction`` axis, mirroring a fixed pretrained
-    tokenizer. The corpus is encoded only for a config that pretrains.
+    tokenizer. Only a config that pretrains packs the corpus (``pack_corpus``).
     Each file is read in passes, a line at a time: ``load_tsv`` checks a
     split and takes its labels (and, without a corpus, the training tokens'
     counts), then ``from_raw`` encodes it, so no split's rows are held.
@@ -265,12 +235,12 @@ def prepare_task(cfg: RunConfig) -> TaskBundle:
         max_len = cfg.data["encoder"]["max_seq_len"]
         train_ds = LabeledDataset.from_raw(train, vocab, max_len, label_names=label_names)
         dev_ds = LabeledDataset.from_raw(dev, vocab, max_len, label_names=label_names)
-        corpus_ids = []
+        packed = None
         if _pretrains(cfg):
             lines = corpus_lines(corpus) if corpus is not None else itertools.chain(
                 (ex.text_a for ex in train), (ex.text_b for ex in train if ex.text_b is not None))
-            corpus_ids = [vocab.ids(line) for line in lines]
-    return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus_ids=corpus_ids)
+            packed = pack_corpus(map(vocab.ids, lines), max_len)
+    return TaskBundle(train=train_ds, dev=dev_ds, vocab=vocab, corpus=packed)
 
 
 def encoder_config(cfg: RunConfig, vocab_size: int, K: int):
@@ -307,18 +277,25 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
+def _arrays_hash(h, *arrays: np.ndarray) -> str:
+    """``h`` updated with each array's dtype, shape and bytes, as hex."""
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), read in place
+    return h.hexdigest()
+
+
 def _key_of(value):
     """What a stage key holds of an input: a model config's fields, the sha256
-    of a model's bytes (of a run dir's ensemble and head), the hash of a
-    dataset's arrays, else the (JSON) value itself."""
+    of a model's bytes (of a run dir's ensemble and head), the hash of an
+    array or of a dataset's arrays, else the (JSON) value itself."""
     if isinstance(value, (enc.EncoderConfig, enc.SoftregConfig)):
         return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return _arrays_hash(hashlib.sha256(), value)
     if isinstance(value, LabeledDataset):
-        h = hashlib.sha256(json.dumps(value.label_names).encode())
-        for a in (value.packed.ids, value.packed.lengths, value.labels):
-            h.update(f"{a.dtype.str}{a.shape}".encode())
-            h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), read in place
-        return h.hexdigest()
+        return _arrays_hash(hashlib.sha256(json.dumps(value.label_names).encode()),
+                            value.packed.ids, value.packed.lengths, value.labels)
     if isinstance(value, boosting.BoostEnsemble):
         return value.content_hash()
     if isinstance(value, (enc.ModelSnapshot, fusion_mod.FusionHead)):
@@ -385,9 +362,10 @@ class Store:
 
 
 @_stage("pretrained", ("seed", "pretrain"), "pretrained.bgv")
-def ensure_pretrained(cfg: RunConfig, model, corpus: list) -> dict:
-    """The MLM trunk of the ``model`` config, trained on the encoded corpus."""
-    snap, _ = enc.pretrain_mlm(corpus, model, cfg.data["pretrain"]["steps"], [cfg.seed, 41])
+def ensure_pretrained(cfg: RunConfig, model, tokens: np.ndarray, lengths: np.ndarray) -> dict:
+    """The MLM trunk of the ``model`` config, trained on the packed corpus."""
+    snap, _ = enc.pretrain_mlm(tokens, lengths, model, cfg.data["pretrain"]["steps"],
+                               [cfg.seed, 41])
     return {"pretrained.bgv": snap}
 
 
@@ -610,8 +588,9 @@ class Run:
         store, trunk = Store(out_root), None
         model = encoder_config(cfg, bundle.vocab.size, bundle.train.K)
         if args.command != "fusion" and _pretrains(cfg):
-            trunk = store.get(ensure_pretrained, cfg, model=model,
-                              corpus=bundle.corpus_ids)["pretrained.bgv"]
+            tokens, lengths = bundle.corpus
+            trunk = store.get(ensure_pretrained, cfg, model=model, tokens=tokens,
+                              lengths=lengths)["pretrained.bgv"]
         run_dir = out_root / (f"{args.command}-{cfg.hash()[:12]}"
                               + (f"-{source[:12]}" if source else ""))
         return cls(args.command, cfg, bundle, run_dir, t0, store, model, trunk)
@@ -683,10 +662,10 @@ class Run:
 # ----------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    fraction = _number("in [0, 1]", lambda x: 0 <= x <= 1)
+    fraction = number_rule("in [0, 1]", lambda x: 0 <= x <= 1)
     cfg = synthetic.SynthConfig(**_flags(args, {
-        "train_size": _int(1), "dev_size": _int(1), "corpus_size": _int(1),
-        "noise": fraction, "hard_fraction": fraction, "seed": _int(0)}))
+        "train_size": int_rule(1), "dev_size": int_rule(1), "corpus_size": int_rule(1),
+        "noise": fraction, "hard_fraction": fraction, "seed": int_rule(0)}))
     paths = synthetic.write_task(args.out, cfg)
     _write_json(Path(args.out, "meta.json"), {**paths, "config": asdict(cfg)})
     for name, p in paths.items():
@@ -921,54 +900,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _flags(args, {"rounds": _int(1)})
+    _flags(args, {"rounds": int_rule(1)})
     out_dir = Path(args.out) if args.out else _out_root(None) / "oracle-check"
     out_dir.mkdir(parents=True, exist_ok=True)
-    worst = 0.0
-    for i, (features, labels, K) in enumerate(_oracle_datasets()):
-        dataset = baselines.ArrayDataset(features=features, labels=labels, K=K)
-        ensemble, log = boosting.boost_train(
-            dataset, baselines.StumpBoostLearner(), args.rounds, seed=0, record_weights=True
-        )
-        oracle = baselines.samme_oracle(features, labels, args.rounds, K)
-        engine_rows = [
-            {"m": e["m"], "err": e["err"], "alpha": e["alpha"],
-             "weights": list(e["weights_after"])}
-            for e in log if "weights_after" in e
-        ]
-        oracle_rows = [
-            {"m": r.m, "err": r.err, "alpha": r.alpha, "weights": list(r.weights_after)}
-            for r in oracle
-        ]
-        _write_jsonl(out_dir / f"trajectory_{i}_engine.jsonl", engine_rows)
-        _write_jsonl(out_dir / f"trajectory_{i}_oracle.jsonl", oracle_rows)
-        dev = _trajectory_deviation(engine_rows, oracle_rows)
-        worst = max(worst, dev)
-        print(f"dataset {i}: rounds={len(engine_rows)} max deviation={dev:.3e}")
-    print(f"worst deviation: {worst:.3e} (tolerance 1e-12)")
-    return 0 if worst <= 1e-12 else 1
-
-
-def _trajectory_deviation(engine_rows: list[dict], oracle_rows: list[dict]) -> float:
-    if len(engine_rows) != len(oracle_rows):
-        return float("inf")
-    return max((max(abs(e["err"] - o["err"]), abs(e["alpha"] - o["alpha"]),
-                    float(np.max(np.abs(np.subtract(e["weights"], o["weights"])))))
-                for e, o in zip(engine_rows, oracle_rows)), default=0.0)
-
-
-def _oracle_datasets():
-    """Three fixed stump-friendly datasets (n <= 200)."""
-    rng = np.random.default_rng(20240601)
-    out = []
-    for n, d, K in ((60, 2, 2), (150, 3, 3), (200, 4, 3)):
-        x = rng.normal(size=(n, d))
-        cuts = np.quantile(x[:, 0], np.linspace(0, 1, K + 1)[1:-1])
-        y = np.digitize(x[:, 0], cuts)
-        flip = rng.random(n) < 0.15
-        y[flip] = (y[flip] + 1 + rng.integers(0, K - 1, size=flip.sum())) % K
-        out.append((x, y.astype(np.int64), K))
-    return out
+    checks = baselines.oracle_trajectories(args.rounds)
+    for i, check in enumerate(checks):
+        for side in ("engine", "oracle"):
+            _write_jsonl(out_dir / f"trajectory_{i}_{side}.jsonl", (
+                {**row, "weights": row["weights"].tolist()} for row in getattr(check, side)))
+        print(f"dataset {i}: rounds={len(check.engine)} max deviation={check.deviation:.3e}")
+    worst = max(check.deviation for check in checks)
+    print(f"worst deviation: {worst:.3e} (tolerance {baselines.ORACLE_TOL:g})")
+    return 0 if worst <= baselines.ORACLE_TOL else 1
 
 
 # ----------------------------------------------------------------------

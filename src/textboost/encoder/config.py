@@ -1,76 +1,108 @@
-"""Model and training configuration dataclasses."""
+"""Model and training configs, whose fields hold their rules and defaults
+(``setting``), read by ``cli._SCHEMA`` (``settings``). A rule is (what a value
+must be, its test); values are never coerced, and a bool is not an int."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
+
+
+def int_rule(lo: int, hi: float = math.inf):
+    return (f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
+            lambda v: type(v) is int and lo <= v <= hi)
+
+
+def number_rule(what: str, ok):
+    return f"a finite number {what}", lambda v: (
+        type(v) is int or (type(v) is float and math.isfinite(v))) and ok(v)
+
+
+POSITIVE = number_rule("> 0", lambda x: x > 0)
+
+
+def setting(rule, default=MISSING, *, settable: bool = True):
+    """A field checked by ``rule``; with a ``default``, a run config key if ``settable``."""
+    return field(default=default,
+                 metadata={"rule": rule, "settable": settable and default is not MISSING})
+
+
+def settings(cls) -> dict:
+    """``{name: (default, rule)}`` of ``cls``'s run config keys."""
+    return {f.name: (f.default, f.metadata["rule"]) for f in fields(cls) if f.metadata["settable"]}
+
+
+def problems(rules: dict, data: dict, path: str = "") -> list[str]:
+    """What each value of ``data`` must be, by its (nested) rule, and is not."""
+    out = []
+    for key, rule in rules.items():
+        if isinstance(rule, dict):
+            out += problems(rule, data[key], f"{path}{key}.")
+        elif not rule[1](data[key]):
+            out.append(f"{path}{key} must be {rule[0]}, not {data[key]!r}")
+    return out
+
+
+class Checked:
+    """A dataclass whose fields' rules run when it is made: a ValueError names
+    every field that breaks its rule."""
+
+    def __post_init__(self) -> None:
+        found = problems({f.name: f.metadata["rule"] for f in fields(self)}, vars(self))
+        if found:
+            raise ValueError("; ".join(found))
+
+
+class _ModelConfig(Checked):
+    def to_dict(self) -> dict:
+        return {**asdict(self), "kind": self.kind}
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(_ModelConfig):
     """Tiny transformer encoder configuration; the run config's ``encoder``
-    section gives every size (``cli._SCHEMA`` holds their defaults)."""
+    section sets every size."""
 
-    vocab_size: int
-    K: int
-    d_model: int
-    n_layers: int
-    n_heads: int
-    d_ffn: int
-    max_seq_len: int
-    dropout_rate: float
+    vocab_size: int = setting(int_rule(1))
+    K: int = setting(int_rule(2))
+    d_model: int = setting(int_rule(1), 32)
+    n_layers: int = setting(int_rule(1), 2)
+    n_heads: int = setting(int_rule(1), 2)
+    d_ffn: int = setting(int_rule(1), 64)
+    max_seq_len: int = setting(int_rule(3), 24)  # CLS, SEP and one token to mask
+    dropout_rate: float = setting(number_rule("in [0, 1)", lambda x: 0 <= x < 1), 0.1)
 
     kind = "transformer"
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        for name in ("vocab_size", "K", "d_model", "n_layers", "n_heads", "d_ffn", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.K < 2:
-            raise ValueError("K must be >= 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind}
+        super().__post_init__()
+        if self.d_model % self.n_heads:
+            raise ValueError("n_heads must divide d_model")
 
 
 @dataclass(frozen=True)
-class SoftregConfig:
+class SoftregConfig(_ModelConfig):
     """Softmax regression over bag-of-token counts; the low-capacity learner."""
 
-    vocab_size: int
-    K: int
+    vocab_size: int = setting(int_rule(1))
+    K: int = setting(int_rule(2))
 
     kind = "softreg"
-
-    def __post_init__(self) -> None:
-        if self.vocab_size < 1 or self.K < 2:
-            raise ValueError("vocab_size must be >= 1 and K >= 2")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind}
 
 
 def config_from_dict(d: dict):
     d = dict(d)
     kind = d.pop("kind")
-    if kind == "transformer":
-        return EncoderConfig(**d)
-    if kind == "softreg":
-        return SoftregConfig(**d)
+    for cls in (EncoderConfig, SoftregConfig):
+        if cls.kind == kind:
+            return cls(**d)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer-loop hyperparameters (batch 32 and 3 epochs by default)."""
+class TrainConfig(Checked):
+    """Optimizer-loop hyperparameters; the run config's ``train`` section."""
 
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 3
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("invalid TrainConfig")
+    lr: float = setting(POSITIVE, 1e-3)
+    batch_size: int = setting(int_rule(1), 32)
+    epochs: int = setting(int_rule(0), 3)

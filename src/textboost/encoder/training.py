@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .. import artifacts
-from ..textdata import MASK_ID, LabeledDataset, pack_corpus
+from ..textdata import MASK_ID, LabeledDataset
 from .config import EncoderConfig, TrainConfig
 from .nnops import DivergenceError
 from .optim import Adam
@@ -204,8 +204,6 @@ def train(
     Mutates ``model`` in place and returns its final snapshot (role
     "finetuned") plus the ``fit_loop`` log. Weights default to ones.
     """
-    if dataset.n == 0:
-        raise ValueError("dataset must be non-empty")
     packed = dataset.packed
     weights = np.ones(dataset.n) if weights is None else np.asarray(weights, dtype=np.float64)
     if weights.shape != (dataset.n,):
@@ -238,7 +236,8 @@ def evaluate_accuracy(model, dataset: LabeledDataset) -> float:
 
 
 def pretrain_mlm(
-    corpus: Sequence[Sequence[int]],
+    tokens: np.ndarray,
+    lengths: np.ndarray,
     config: EncoderConfig,
     steps: int,
     seed,
@@ -246,19 +245,14 @@ def pretrain_mlm(
     lr: float = 1e-3,
     batch_size: int = 32,
 ) -> tuple[ModelSnapshot, StepLog]:
-    """Masked-token pretraining on raw token-id sequences.
-
-    ``textdata.pack_corpus`` lays the sequences out as the classifier's
-    single-sentence rows, ``[CLS]``, the first ``max_seq_len - 2`` tokens,
-    ``[SEP]``, and skips those shorter than 2 tokens; 15% of the content
-    positions per sequence (at least one) are replaced by MASK and the model
+    """Masked-token pretraining on the ``tokens`` and ``lengths`` that
+    ``textdata.pack_corpus`` made at ``config.max_seq_len``: 15% of each
+    row's content positions (at least one) are replaced by MASK and the model
     is trained to recover the original ids. The classification head is left
-    at its random initialization. ``steps == 0`` returns the random init
-    as-is.
+    at its random initialization. ``steps == 0`` returns the random init.
     """
     rng = np.random.default_rng(seed)
     model = TransformerModel(config, seed=rng)
-    tokens, lengths = pack_corpus(corpus, config.max_seq_len)
     if steps == 0:
         return model.snapshot("pretrained"), StepLog()
     if lengths.size == 0:

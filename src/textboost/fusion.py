@@ -19,6 +19,7 @@ import numpy as np
 from . import artifacts, boosting
 from .artifacts import FUSION_MAGIC, ArtifactError
 from .encoder import fit_loop, percent_correct
+from .encoder.config import POSITIVE, Checked, int_rule, setting
 from .encoder.nnops import cross_entropy, softmax_rows
 from .encoder.params import ParamLayout, init_param_vector
 from .textdata import SCORE_CHUNK
@@ -29,17 +30,14 @@ BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    depth: int = 1  # number of hidden layers, 0..3
-    lr: float = 1e-3
-    max_epochs: int = 20
-    patience: int = 3
+class FusionConfig(Checked):
+    """The fusion head's training; the run config's ``fusion`` section sets
+    all but ``lr``."""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.depth <= 3:
-            raise ValueError("depth must be in 0..3")
-        if self.max_epochs < 1 or self.patience < 0:
-            raise ValueError("invalid FusionConfig")
+    depth: int = setting(int_rule(0, 3), 1)  # number of hidden layers
+    lr: float = setting(POSITIVE, 1e-3, settable=False)
+    max_epochs: int = setting(int_rule(1), 20)
+    patience: int = setting(int_rule(0), 3)
 
 
 def _layout(dims: tuple[int, ...]) -> ParamLayout:
@@ -69,10 +67,6 @@ class FusionHead:
         self.params = params
         self._layers = self._unpack(params)  # views: params is only updated in place
         self._out_layers: Optional[tuple[np.ndarray, list]] = None
-
-    @property
-    def input_dim(self) -> int:
-        return self.dims[0]
 
     @property
     def n_params(self) -> int:
@@ -228,9 +222,9 @@ def check_bound(ensemble: boosting.BoostEnsemble, head: FusionHead) -> None:
     """Raise ArtifactError unless ``head`` reads the features of ``ensemble``
     and is bound to its content hash."""
     expected = ensemble.m_effective * ensemble.K
-    if head.input_dim != expected:
+    if head.dims[0] != expected:
         raise ArtifactError(
-            f"fusion head expects {head.input_dim}-dim features, ensemble yields {expected}"
+            f"fusion head expects {head.dims[0]}-dim features, ensemble yields {expected}"
         )
     if head.ensemble_hash != ensemble.content_hash():
         raise ArtifactError("fusion head was trained for a different ensemble")

@@ -22,7 +22,6 @@ from textboost import encoder as enc
 
 from conftest import assert_run_contract, jsonl_lines, random_batch
 from gradcheck import REL_TOL, check_group
-from test_boosting import ORACLE_SETS, oracle_dataset
 
 SEED = 7
 TASK_SEED = 2024
@@ -152,20 +151,10 @@ def test_c01_alpha_identity():
 
 
 def test_c02_oracle_equivalence():
-    worst = 0.0
-    for n, d, K in ORACLE_SETS:
-        x, y = oracle_dataset(n, d, K)
-        ds = baselines.ArrayDataset(features=x, labels=y, K=K)
-        _, log = boosting.boost_train(
-            ds, baselines.StumpBoostLearner(), 5, seed=0, record_weights=True
-        )
-        oracle = baselines.samme_oracle(x, y, 5, K)
-        rows = [e for e in log if "weights_after" in e]
-        assert len(rows) == len(oracle) == 5
-        for e, o in zip(rows, oracle):
-            worst = max(worst, abs(e["err"] - o.err), abs(e["alpha"] - o.alpha),
-                        float(np.max(np.abs(e["weights_after"] - o.weights_after))))
-    _report("c02 oracle-equivalence", worst <= 1e-12,
+    checks = baselines.oracle_trajectories(5)
+    assert [len(c.engine) for c in checks] == [len(c.oracle) for c in checks] == [5, 5, 5]
+    worst = max(c.deviation for c in checks)
+    _report("c02 oracle-equivalence", worst <= baselines.ORACLE_TOL,
             f"max trajectory deviation {worst:.2e} over 3 datasets x 5 rounds, tol 1e-12")
 
 
@@ -212,22 +201,18 @@ def test_c04_weight_update_law():
     # recorded trajectories are re-verified directly from first principles
     checked = 0
     ok = True
-    for n, d, K in ORACLE_SETS:
-        x, y = oracle_dataset(n, d, K)
-        ds = baselines.ArrayDataset(features=x, labels=y, K=K)
-        ens, log = boosting.boost_train(
-            ds, baselines.StumpBoostLearner(), 5, seed=0, record_weights=True
-        )
+    for check in baselines.oracle_trajectories(5):
+        ds, y = check.dataset, check.dataset.labels
         w = np.full(len(y), 1.0 / len(y))
-        for r, e in zip(ens.rounds, log):
+        for r, e in zip(check.ensemble.rounds, check.engine):
             wrong = r.model.predict_proba(ds).argmax(axis=1) != y
             expected = np.sum(w[~wrong]) + math.exp(e["alpha"]) * np.sum(w[wrong])
-            ok &= bool(np.isclose(e["weights_after"].sum(), expected, rtol=1e-12, atol=0))
+            ok &= bool(np.isclose(e["weights"].sum(), expected, rtol=1e-12, atol=0))
             if wrong.any() and not wrong.all():
                 before = np.sum(w[wrong]) / np.sum(w)
-                after = np.sum(e["weights_after"][wrong]) / e["weights_after"].sum()
+                after = np.sum(e["weights"][wrong]) / e["weights"].sum()
                 ok &= after > before
-            w = e["weights_after"]
+            w = e["weights"]
             checked += 1
     _report("c04 weight-update-law", ok and checked == 15,
             f"total-mass law and strict misclassified-mass growth held on {checked} rounds")

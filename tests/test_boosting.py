@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from textboost import baselines, boosting
 from textboost import encoder as enc
 from textboost.artifacts import ArtifactError
+from textboost.textdata import pack_corpus
 
 from conftest import dataset_of_rows, make_token_dataset, record_fine_tunes
 
@@ -134,37 +135,14 @@ class TestUpdateWeights:
         assert after > before
 
 
-ORACLE_SETS = (
-    (60, 2, 2),
-    (150, 3, 3),
-    (200, 4, 3),
-)
-
-
-def oracle_dataset(n, d, K, seed=20240601):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, d))
-    cuts = np.quantile(x[:, 0], np.linspace(0, 1, K + 1)[1:-1])
-    y = np.digitize(x[:, 0], cuts)
-    flip = rng.random(n) < 0.15
-    y[flip] = (y[flip] + 1 + rng.integers(0, K - 1, size=flip.sum())) % K
-    return x, y.astype(np.int64)
-
-
 class TestBoostTrainWithStumps:
     def test_trajectory_matches_oracle(self):
-        for n, d, K in ORACLE_SETS:
-            x, y = oracle_dataset(n, d, K)
-            ds = baselines.ArrayDataset(features=x, labels=y, K=K)
-            ens, log = boosting.boost_train(
-                ds, baselines.StumpBoostLearner(), 5, seed=0, record_weights=True
-            )
-            oracle = baselines.samme_oracle(x, y, 5, K)
-            assert len(oracle) == len([e for e in log if "weights_after" in e])
-            for e, o in zip(log, oracle):
-                assert abs(e["err"] - o.err) <= 1e-12
-                assert abs(e["alpha"] - o.alpha) <= 1e-12
-                assert np.max(np.abs(e["weights_after"] - o.weights_after)) <= 1e-12
+        checks = baselines.oracle_trajectories(5)
+        assert [c.dataset.features.shape for c in checks] == [
+            (n, d) for n, d, _ in baselines.ORACLE_SETS]
+        for check in checks:
+            assert len(check.engine) == len(check.oracle) == 5
+            assert check.deviation <= baselines.ORACLE_TOL
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -211,8 +189,7 @@ class TestBoostTrainWithStumps:
             assert np.array_equal(e["weights_after"], o.weights_after)
 
     def test_single_round_is_the_base_classifier(self):
-        x, y = oracle_dataset(80, 2, 2)
-        ds = baselines.ArrayDataset(features=x, labels=y, K=2)
+        ds = baselines.oracle_dataset(80, 2, 2)
         ens, _ = boosting.boost_train(ds, baselines.StumpBoostLearner(), 1, seed=0)
         assert ens.m_effective == 1
         preds, _ = boosting.vote_predict(ens, ds)
@@ -220,8 +197,8 @@ class TestBoostTrainWithStumps:
         assert np.array_equal(preds, base)
 
     def test_ensemble_training_error_drops(self):
-        x, y = oracle_dataset(150, 3, 3)
-        ds = baselines.ArrayDataset(features=x, labels=y, K=3)
+        ds = baselines.oracle_dataset(150, 3, 3)
+        y = ds.labels
         ens, log = boosting.boost_train(ds, baselines.StumpBoostLearner(), 5, seed=0)
         preds, _ = boosting.vote_predict(ens, ds)
         ensemble_err = (preds != y).mean()
@@ -371,7 +348,8 @@ class TestNeuralBoosting:
         # round 1 starts from the strategy's pick, round m >= 2 from round
         # m-1, whatever the strategy; each start then gets a head of its own
         dataset = make_token_dataset(np.random.default_rng(1), n=96)
-        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
+        mlm, _ = enc.pretrain_mlm(*pack_corpus([[5, 6, 7, 8]] * 4, tiny_config.max_seq_len),
+                                  tiny_config, steps=2, seed=1)
         for strategy in boosting.INIT_STRATEGIES:
             starts, ends = record_fine_tunes(monkeypatch)
             learner = boosting.NeuralBoostLearner(tiny_config, FAST, strategy,
@@ -392,7 +370,8 @@ class TestNeuralBoosting:
 
     def test_finetuning_logs_its_source_fine_tune_as_round_0(self, tiny_config):
         dataset = make_token_dataset(np.random.default_rng(1), n=96)
-        mlm, _ = enc.pretrain_mlm([[5, 6, 7, 8]] * 4, tiny_config, steps=2, seed=1)
+        mlm, _ = enc.pretrain_mlm(*pack_corpus([[5, 6, 7, 8]] * 4, tiny_config.max_seq_len),
+                                  tiny_config, steps=2, seed=1)
         logs = {}
         for strategy in boosting.INIT_STRATEGIES:
             learner = boosting.NeuralBoostLearner(tiny_config, FAST, strategy, pretrained=mlm)

@@ -4,7 +4,7 @@ import json
 import os
 import shutil
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from textboost import artifacts, boosting, cli, fusion, synthetic
 from textboost import encoder as enc
+from textboost.textdata import corpus_lines, pack_corpus
 
 from conftest import assert_run_contract, count_fits, make_token_dataset
 
@@ -440,6 +441,36 @@ class TestConfigErrors:
                      ["fusion", "--run-dir", str(teacher)]):
             assert cli.main(argv) == 2, (argv[0], key, value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "teacher"]
+
+
+# the run config sections that are the settable fields of a config dataclass
+_CONFIG_CLASSES = {"encoder": enc.EncoderConfig, "train": enc.TrainConfig,
+                   "fusion": fusion.FusionConfig}
+
+
+class TestOneHomePerSetting:
+    """The encoder, train and fusion sections of the run config are the
+    settable fields of their config dataclasses, which check every value
+    that the run config rejects."""
+
+    @pytest.mark.parametrize("section", sorted(_CONFIG_CLASSES))
+    def test_a_section_is_its_dataclass_settable_fields(self, section):
+        settable = [f for f in fields(_CONFIG_CLASSES[section]) if f.metadata.get("settable")]
+        assert cli._DEFAULTS[section] == {f.name: f.default for f in settable}
+        assert cli._RULES[section] == {f.name: f.metadata["rule"] for f in settable}
+
+    @pytest.mark.parametrize("key", sorted(k for k in _BAD_VALUES
+                                           if k.partition(".")[0] in _CONFIG_CLASSES))
+    def test_the_dataclass_rejects_every_bad_value(self, task_dir, tmp_path, key):
+        section, _, leaf = key.partition(".")
+        good = json.loads(write_config(tmp_path / "c.json", task_dir, tmp_path).read_text())
+        values = {"vocab_size": 20, "K": 3} if section == "encoder" else {}
+        values.update(good[section])
+        config_class = _CONFIG_CLASSES[section]
+        config_class(**values)
+        for value in _bad_values_of(key):
+            with pytest.raises(ValueError):
+                config_class(**{**values, leaf: value})
 
 
 class TestScoredOnce:
@@ -1054,7 +1085,32 @@ class TestPretraining:
         cfg = cli.RunConfig.load(write_config(
             tmp_path / "c.json", task_dir, tmp_path, learner=learner,
             pretrain={"steps": steps}))
-        assert bool(cli.prepare_task(cfg).corpus_ids) == encoded
+        assert (cli.prepare_task(cfg).corpus is not None) == encoded
+
+    def test_the_corpus_is_held_and_keyed_as_its_packed_arrays(self, tmp_path):
+        """The bundled task's 6,000 corpus lines: held as ``pack_corpus``'s two
+        arrays, in fewer bytes than one id list per line, and keyed in place,
+        with no JSON text of the ids."""
+        synthetic.write_task(tmp_path, synthetic.SynthConfig(
+            train_size=200, dev_size=50, corpus_size=6000, noise=0.03, hard_fraction=0.25,
+            seed=2024))
+        cfg = cli.RunConfig.load(write_config(tmp_path / "c.json", tmp_path, tmp_path))
+        bundle = cli.prepare_task(cfg)
+        tracemalloc.start()
+        try:
+            lists = [bundle.vocab.ids(line) for line in corpus_lines(tmp_path / "corpus.txt")]
+            list_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            keys = [cli._key_of(a) for a in bundle.corpus]
+            key_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        tokens, lengths = bundle.corpus
+        assert all(np.array_equal(a, b) for a, b in zip(bundle.corpus, pack_corpus(lists, 24)))
+        assert tokens.nbytes + lengths.nbytes < 0.8 * list_bytes  # 0.77 MB against 1.02 MB
+        assert key_peak < 16 * 2**10  # 3.3 MB for the ids as JSON
+        assert all(len(k) == 64 for k in keys)
 
     @pytest.mark.parametrize("command, entry, refits", [
         pytest.param("train-boost", "store/*/pretrained_*/pretrained.bgv", {"pretrain_mlm": 1},

@@ -14,6 +14,7 @@ import numpy as np
 
 from textboost import cli
 from textboost import encoder as enc
+from textboost.textdata import pack_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -43,5 +44,6 @@ def test_a_traced_softreg_train_boost_keeps_the_tracer_counters(tmp_path):
 def test_a_traced_pretraining_counts_its_steps(tiny_config):
     corpus = [list(np.random.default_rng(i).integers(5, 20, size=8)) for i in range(20)]
     with tracing.Tracer() as tracer:
-        enc.pretrain_mlm(corpus, tiny_config, steps=3, seed=4, batch_size=8)
+        enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                         tiny_config, steps=3, seed=4, batch_size=8)
     assert tracing.summarize(tracer.spans)["training.pretrain_mlm"]["steps"] == 3

@@ -305,7 +305,8 @@ class TestGradientBuffer:
     def test_pretrain_mlm(self, tiny_config, monkeypatch):
         corpus = [list(np.random.default_rng(i).integers(5, 20, size=8)) for i in range(40)]
         seen = self.spy_on_adam(monkeypatch)
-        snap, _ = enc.pretrain_mlm(corpus, tiny_config, steps=7, seed=4, lr=3e-3, batch_size=8)
+        snap, _ = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                   tiny_config, steps=7, seed=4, lr=3e-3, batch_size=8)
         assert len(seen) == 7 and all(g is seen[0] for g in seen)
         monkeypatch.undo()
 
@@ -465,7 +466,8 @@ class TestPretrainMLM:
 
     def test_zero_steps_equals_random_init(self, tiny_config):
         corpus = [[5, 6, 7], [8, 9]]
-        snap, log = enc.pretrain_mlm(corpus, tiny_config, steps=0, seed=3)
+        snap, log = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                     tiny_config, steps=0, seed=3)
         rng = np.random.default_rng(3)
         want = enc.TransformerModel(tiny_config, seed=rng).params
         assert np.array_equal(snap.params, want)
@@ -474,13 +476,16 @@ class TestPretrainMLM:
 
     def test_same_seed_bit_identical(self, tiny_config):
         corpus = self._bigram_corpus(np.random.default_rng(0))
-        a, _ = enc.pretrain_mlm(corpus, tiny_config, steps=10, seed=3)
-        b, _ = enc.pretrain_mlm(corpus, tiny_config, steps=10, seed=3)
+        a, _ = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                tiny_config, steps=10, seed=3)
+        b, _ = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                tiny_config, steps=10, seed=3)
         assert np.array_equal(a.params, b.params)
 
     def test_short_sequences_skipped(self, tiny_config):
         corpus = [[5], [6, 7, 8, 9, 10, 11]]
-        snap, log = enc.pretrain_mlm(corpus, tiny_config, steps=3, seed=1)
+        snap, log = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                     tiny_config, steps=3, seed=1)
         assert len(log) == 3
 
     def test_divergence_logged_with_finite_params(self, tiny_config, monkeypatch):
@@ -495,7 +500,8 @@ class TestPretrainMLM:
 
         monkeypatch.setattr(enc.TransformerModel, "mlm_loss_and_grad", diverge_on_third)
         corpus = self._bigram_corpus(np.random.default_rng(0), n=40)
-        snap, log = enc.pretrain_mlm(corpus, tiny_config, steps=5, seed=1, batch_size=8)
+        snap, log = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                     tiny_config, steps=5, seed=1, batch_size=8)
         assert len(log) == 3
         assert log[-1]["event"] == "diverged" and log[-1]["step"] == 2
         assert log[-1]["loss"] is None
@@ -503,15 +509,18 @@ class TestPretrainMLM:
 
     def test_all_short_raises(self, tiny_config):
         with pytest.raises(ValueError, match="length >= 2"):
-            enc.pretrain_mlm([[5], [9]], tiny_config, steps=3, seed=1)
+            enc.pretrain_mlm(*pack_corpus([[5], [9]], tiny_config.max_seq_len),
+                             tiny_config, steps=3, seed=1)
 
     def test_out_of_vocab_corpus_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="vocabulary"):
-            enc.pretrain_mlm([[5, 99]], tiny_config, steps=1, seed=1)
+            enc.pretrain_mlm(*pack_corpus([[5, 99]], tiny_config.max_seq_len),
+                             tiny_config, steps=1, seed=1)
 
     def test_bigram_structure_beats_chance(self, tiny_config):
         corpus = self._bigram_corpus(np.random.default_rng(1))
-        snap, _ = enc.pretrain_mlm(corpus, tiny_config, steps=250, seed=4)
+        snap, _ = enc.pretrain_mlm(*pack_corpus(corpus, tiny_config.max_seq_len),
+                                   tiny_config, steps=250, seed=4)
         acc = mlm_masked_accuracy(snap, corpus[:150], seed=9)
         chance = 1.0 / tiny_config.vocab_size
         assert acc > 5 * chance
@@ -525,7 +534,8 @@ class TestInitStrategies:
 
     @staticmethod
     def trunk(config):
-        return enc.pretrain_mlm([[5, 6, 7, 8]] * 4, config, steps=2, seed=1)[0]
+        return enc.pretrain_mlm(*pack_corpus([[5, 6, 7, 8]] * 4, config.max_seq_len),
+                                config, steps=2, seed=1)[0]
 
     def boost_starts(self, monkeypatch, config, strategy, trunk=None):
         starts, ends = record_fine_tunes(monkeypatch)
